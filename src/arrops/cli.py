@@ -15,11 +15,12 @@ import sys
 from pathlib import Path
 
 from .arrangement import Arrangement, parse_arrangement
-from .errors import ArropsError, IdentityViolated, SaitoFailed, ZeroNormalizer
-from .exponents import exp_for_arrangement, s_dim
+from .errors import ArropsError, BadOrder, IdentityViolated, SaitoFailed, ZeroNormalizer
+from .exponents import exp_for_arrangement
 from .extension import extend, hyperplanes_from_forms
 from .flats import dim1_flats
 from .freebasis import build_basis
+from .polynomial import s_dim
 from .verify import check_identities, hilbert_check, oracle_dim
 
 USER_ERROR = 1
@@ -82,7 +83,15 @@ def _extension(arr: Arrangement, m: int, choice: str):
     return extend(arr, m, hyperplanes_from_forms([s for s in choice.split(";") if s.strip()], dim=arr.dim))
 
 
+def _check_nonnegative(args: argparse.Namespace) -> None:
+    if getattr(args, "m", None) is not None and args.m < 0:
+        raise BadOrder(f"--m must be >= 0, got {args.m}")
+    if getattr(args, "max_degree", None) is not None and args.max_degree < 0:
+        raise ArropsError(f"--max-degree must be >= 0, got {args.max_degree}")
+
+
 def run(args: argparse.Namespace) -> tuple[dict, int]:
+    _check_nonnegative(args)
     arr = _load_arrangement(args)
     out: dict = {"input": arr.to_json()}
 

@@ -22,10 +22,7 @@ from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
 from .errors import BadOrder, IdentityViolated, NotEssential
-
-
-def s_dim(m: int, l: int) -> int:
-    return comb(m + l - 1, m) if m >= 0 else 0
+from .polynomial import s_dim
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,18 @@ capacity i contributes blocks P_X * D^(j)(pencil) * delta_X^(m-j) for
   direction derivation;
 * k = 0: the monomial derivatives themselves.
 
-Every constructed basis is certified by the determinant criterion before it
-is returned.
+Every constructed basis is certified by the determinant criterion
+(``verify.saito_check``: strip hyperplane factors from the rows, then
+compare both sides on a unisolvent lattice) before it is returned.  Pencil
+blocks assembled into a 3-variable basis are not certified one by one; the
+certificate of the assembled basis covers them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
 from .arrangement import Arrangement, Hyperplane
@@ -48,6 +51,7 @@ from .polynomial import (
     midx_factorial,
     monomials_of_degree,
     primitive_int_vector,
+    s_dim,
 )
 from .verify import SaitoCertificate, saito_check
 
@@ -270,11 +274,6 @@ def pencil_basis(arr: Arrangement, flat: Flat1, j: int) -> list[DiffOp]:
 # -- full three-variable constructions ------------------------------------------
 
 
-def s_dim(m: int, l: int) -> int:
-    """Number of order-m monomial derivatives in l variables."""
-    return comb(m + l - 1, m) if m >= 0 else 0
-
-
 def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
     """Free basis of the order-m module of an essential 3-arrangement, m >= n-2."""
     if arr.dim != 3:
@@ -301,7 +300,7 @@ def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None)
         forms = (flat.kernel_forms[0], flat.kernel_forms[1])
         plane_duals = (duals[0], duals[1])
         for j in range(profile.max_order + 1):
-            ops2 = basis_2arr_lines(lines, j)
+            ops2 = basis_2arr_lines(lines, j, certify=False)
             delta_pow = power_of_derivation(flat.delta, m - j)
             for idx, op2 in enumerate(ops2):
                 op3 = _convert_2var_op(op2, forms, plane_duals)
@@ -370,7 +369,7 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
 
     kernel_direction = primitive_int_vector(duals[2])
     for j in range(m + 1):
-        ops2 = basis_2arr_lines(lines, j)
+        ops2 = basis_2arr_lines(lines, j, certify=False)
         tail = power_of_derivation(duals[2], m - j)
         for idx, op2 in enumerate(ops2):
             op3 = _convert_2var_op(op2, (span_forms[0], span_forms[1]), (duals[0], duals[1]))
@@ -389,7 +388,7 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
 def build_basis(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
     """Dispatch on dimension and essentiality."""
     if arr.dim == 2:
-        ops = basis_2arr(arr, m)
+        ops = basis_2arr_lines([h.normal for h in arr.hyperplanes], m, certify=False)
         cert = saito_check(ops, arr)
         return FreeBasis(
             tuple(ops),

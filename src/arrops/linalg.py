@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals and over the polynomial ring.
+"""Exact linear algebra over the rationals, the integers and the polynomial ring.
 
 Everything here is deterministic: columns are processed in the order given
 (callers fix column semantics, typically graded-lex on multi-indices), and
@@ -112,6 +112,31 @@ def _strip(row: list[int]) -> list[int]:
     return row if g <= 1 else [v // g for v in row]
 
 
+def det_int(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every intermediate entry is a minor of the input, so each
+    division by the previous pivot is exact."""
+    work = [list(row) for row in matrix]
+    n = len(work)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            pr = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if pr is None:
+                return 0
+            work[k], work[pr] = work[pr], work[k]
+            sign = -sign
+        piv_row = work[k]
+        piv = piv_row[k]
+        for i in range(k + 1, n):
+            row = work[i]
+            v = row[k]
+            work[i] = row[: k + 1] + [(piv * a - v * b) // prev for a, b in zip(row[k + 1 :], piv_row[k + 1 :])]
+        prev = piv
+    return sign * work[n - 1][n - 1] if n else 1
+
+
 # -- determinants of polynomial matrices --------------------------------
 
 
@@ -132,7 +157,8 @@ def det_cofactor(matrix: list[list[Poly]]) -> Poly:
 
 
 def det_poly_matrix(matrix: list[list[Poly]]) -> Poly:
-    """Exact determinant of a square polynomial matrix.
+    """Exact determinant of a square polynomial matrix (test-side reference
+    for ``verify.saito_check``, which never expands a determinant).
 
     Sizes up to 4 use cofactor expansion; larger matrices use fraction-free
     (Bareiss) elimination, whose intermediate entries are minors of the

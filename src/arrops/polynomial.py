@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionMismatch, NotDivisible
@@ -47,6 +47,11 @@ def monomials_of_degree(nvars: int, degree: int) -> list[MultiIndex]:
     for e in range(degree, -1, -1):
         out.extend((e, *rest) for rest in monomials_of_degree(nvars - 1, degree - e))
     return out
+
+
+def s_dim(m: int, l: int) -> int:
+    """Number of degree-m monomials in l variables (the rank of the order-m module)."""
+    return comb(m + l - 1, m) if m >= 0 else 0
 
 
 class Poly:

@@ -1,5 +1,12 @@
 """Independent verification: membership, determinant certificates, dimension oracle.
 
+The determinant certificate proves det M = c * Q^t, c != 0, for the
+coefficient matrix M of a candidate basis without expanding det M: rows are
+stripped of the hyperplane forms that divide them, and the remaining
+identity between homogeneous polynomials is checked at every point of a
+principal lattice, which is unisolvent (Chung and Yao, 1977), by integer
+Bareiss determinants (see ``saito_check``).
+
 The oracle computes the exact dimension of the degree-d slice of the order-m
 operator module.  The defining conditions say that for every hyperplane H
 and every monomial x^b of degree m-1 the combination
@@ -18,8 +25,9 @@ coefficient-space formulation and is used to cross-check the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd
 
 from .arrangement import Arrangement
@@ -32,18 +40,15 @@ from .errors import (
     ZeroDet,
 )
 from .extension import ExtendedArrangement, flat_profiles
-from .linalg import det_poly_matrix, nullspace, rank_int
+from .linalg import det_int, nullspace, rank_int
 from .polynomial import (
     MultiIndex,
     Poly,
     midx_factorial,
     monomials_of_degree,
     primitive_int_vector,
+    s_dim,
 )
-
-
-def s_dim(m: int, l: int) -> int:
-    return comb(m + l - 1, m) if m >= 0 else 0
 
 
 # -- membership ---------------------------------------------------------------
@@ -71,41 +76,135 @@ def is_member(theta: DiffOp, arr: Arrangement) -> bool:
 
 @dataclass(frozen=True)
 class SaitoCertificate:
-    """det = c * Q^t witness that a candidate set is a free basis."""
+    """det = c * Q^t witness that a candidate set is a free basis.
 
-    det: Poly
+    Only c and t are certified; ``det`` expands c * Q^t on first access.
+    """
+
     c: Fraction
     t: int
+    arr: Arrangement = field(repr=False)
+
+    @cached_property
+    def det(self) -> Poly:
+        """c * Q^t, multiplied out one linear factor at a time over the integers."""
+        terms = {(0,) * self.arr.dim: 1}
+        for h in self.arr.hyperplanes:
+            units = [(i, v) for i, v in enumerate(h.normal) if v]
+            for _ in range(self.t):
+                out: dict[MultiIndex, int] = {}
+                for a, v in terms.items():
+                    for i, ci in units:
+                        b = (*a[:i], a[i] + 1, *a[i + 1 :])
+                        out[b] = out.get(b, 0) + v * ci
+                terms = out
+        return Poly(self.arr.dim, {a: self.c * v for a, v in terms.items()})
 
     def to_json(self) -> dict:
         return {"c": str(self.c), "t": self.t, "det": self.det.text()}
 
 
 def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
-    """Certify a candidate basis by reducing its determinant to c * Q^t."""
+    """Certify det M = c * Q^t with c != 0 for M = saito_matrix(ops), exactly
+    and without expanding the determinant.
+
+    1. Strip: divide each row of M by each alpha_H as often as alpha_H divides
+       every entry, and add the multiplicities into E_H.  By multilinearity
+       det M = prod_H alpha_H^E_H * det M'.
+    2. Every row is homogeneous, so det M' is homogeneous of degree D', the
+       sum of the stripped row degrees; the claim left to prove is
+       det M' = c * prod_H alpha_H^(t - E_H) with t = (sum of row degrees) / n.
+    3. Evaluate both sides at the points (1, a) with a in N^(l-1), |a| <= D'.
+       Setting x1 = 1 is injective on homogeneous polynomials of degree D',
+       and this principal lattice is unisolvent for polynomials of degree
+       <= D' (Chung-Yao 1977), so agreement at every point proves the
+       identity.  Each value of det M' is an integer Bareiss determinant
+       after the rows are scaled to primitive integer rows.
+    4. c comes from a point where the right-hand side is nonzero, which
+       unisolvence guarantees exists.
+
+    No floating point and no randomness: a passing check is a proof.
+    """
     if not ops:
         raise ZeroDet("empty candidate basis")
     order = ops[0].order
-    expected = s_dim(order, arr.dim)
+    l = arr.dim
+    expected = s_dim(order, l)
     if len(ops) != expected:
         raise ZeroDet(f"candidate basis has {len(ops)} operators, need {expected}")
-    det = det_poly_matrix(saito_matrix(ops))
-    if det.is_zero():
+
+    alphas = [h.poly() for h in arr.hyperplanes]
+    strips = [0] * len(alphas)
+    degree_sum = 0
+    scale = Fraction(1)
+    rows: list[list[list[tuple[MultiIndex, int]]]] = []
+    residual_degree = 0
+    for i, (op, row) in enumerate(zip(ops, saito_matrix(ops))):
+        if op.is_zero():
+            raise ZeroDet(f"operator {i} is zero")
+        deg = op.degree()
+        if deg is None:
+            raise NotPurePower(f"operator {i} has non-homogeneous coefficients")
+        degree_sum += deg
+        for hi, alpha in enumerate(alphas):
+            while deg:
+                try:
+                    row = [f.exact_div(alpha) for f in row]
+                except NotDivisible:
+                    break
+                strips[hi] += 1
+                deg -= 1
+        residual_degree += deg
+        content = _row_content(row)
+        scale *= content
+        rows.append([[(a, int(v / content)) for a, v in f.terms.items()] for f in row])
+
+    points = [(1, *a[1:]) for a in monomials_of_degree(l, residual_degree)]
+    dets = [det_int([[_int_value(f, p) for f in row] for row in rows]) for p in points]
+    if not any(dets):
         raise ZeroDet("candidate basis matrix is singular")
-    q = arr.defining_polynomial()
-    if q.total_degree() == 0:
-        if det.total_degree() != 0:
+
+    n = arr.n
+    if n == 0:
+        if degree_sum:
             raise NotPurePower("determinant of an empty-arrangement basis must be constant")
-        return SaitoCertificate(det, det.constant_value(), 0)
-    rem = det
-    t = 0
-    while rem.total_degree() > 0:
-        try:
-            rem = rem.exact_div(q)
-        except NotDivisible as exc:
-            raise NotPurePower(f"determinant has a factor outside Q (stuck at degree {rem.total_degree()})") from exc
-        t += 1
-    return SaitoCertificate(det, rem.constant_value(), t)
+        t = 0
+    else:
+        t, rest = divmod(degree_sum, n)
+        if rest:
+            raise NotPurePower(f"row degree sum {degree_sum} is not a multiple of n = {n}")
+    for h, e in zip(arr.hyperplanes, strips):
+        if e > t:
+            raise NotPurePower(f"hyperplane {h.text()} divides the rows {e} times, more than t = {t}")
+
+    rhs = [_rhs_value(arr, strips, t, p) for p in points]
+    k0 = next(k for k, v in enumerate(rhs) if v)  # exists: the lattice is unisolvent
+    for p, d, r in zip(points, dets, rhs):
+        if d * rhs[k0] != dets[k0] * r:
+            raise NotPurePower(f"determinant is not c * Q^{t}: the stripped rows disagree at the point {p}")
+    return SaitoCertificate(scale * Fraction(dets[k0], rhs[k0]), t, arr)
+
+
+def _row_content(row: list[Poly]) -> Fraction:
+    """Positive rational c with every entry of row / c integer and coprime."""
+    num, den = 0, 1
+    for f in row:
+        for v in f.terms.values():
+            num = gcd(num, v.numerator)
+            den = den * v.denominator // gcd(den, v.denominator)
+    return Fraction(num, den)
+
+
+def _int_value(terms: list[tuple[MultiIndex, int]], point: tuple[int, ...]) -> int:
+    return sum(v * _int_pow(point, a) for a, v in terms)
+
+
+def _rhs_value(arr: Arrangement, strips: list[int], t: int, point: tuple[int, ...]) -> int:
+    """prod_H alpha_H(point)^(t - E_H)."""
+    out = 1
+    for h, e in zip(arr.hyperplanes, strips):
+        out *= sum(c * x for c, x in zip(h.normal, point)) ** (t - e)
+    return out
 
 
 # -- dimension oracle -------------------------------------------------------------

@@ -45,6 +45,21 @@ def test_basis_order_too_small_is_user_error(capsys):
     assert "n - 2" in err
 
 
+def test_negative_order_is_user_error(capsys):
+    for command in ("basis", "verify", "oracle"):
+        extra = ["--max-degree", "2"] if command == "oracle" else []
+        code, out, err = run_cli(capsys, command, "--m", "-1", *extra, "x1", "x2", "x3", "x1-x2")
+        assert code == 1 and out == "", command
+        assert "--m must be >= 0, got -1" in err, command
+
+
+def test_negative_max_degree_is_user_error(capsys):
+    for command, degree in (("verify", "-1"), ("oracle", "-3")):
+        code, out, err = run_cli(capsys, command, "--m", "2", "--max-degree", degree, "x1", "x2", "x3", "x1-x2")
+        assert code == 1 and out == "", command
+        assert f"--max-degree must be >= 0, got {degree}" in err, command
+
+
 def test_bad_form_is_user_error(capsys):
     code, _, err = run_cli(capsys, "exponents", "--m", "2", "x1", "x1")
     assert code == 1

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from arrops.diffop import DiffOp, power_of_derivation, saito_matrix
-from arrops.linalg import det_cofactor, det_poly_matrix, invert, nullspace, rank, rank_int, rref
+from arrops.linalg import det_cofactor, det_int, det_poly_matrix, invert, nullspace, rank, rank_int, rref
 from arrops.polynomial import Poly
 
 x1, x2, x3 = Poly.variables(3)
@@ -37,6 +37,18 @@ def test_rank_int_matches_rational_rank():
     for _ in range(15):
         rows = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
         assert rank_int(rows) == rank(F(rows), 5)
+
+
+def test_det_int_matches_cofactor():
+    rng = random.Random(5)
+    assert det_int([[0, 1], [1, 0]]) == -1  # needs a row swap
+    assert det_int([[1, 2], [2, 4]]) == 0
+    assert det_int([[7]]) == 7
+    for size in range(1, 6):
+        for _ in range(20):
+            m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(size)] for _ in range(size)]
+            expected = det_cofactor([[Poly.constant(1, v) for v in row] for row in m]).constant_value()
+            assert det_int(m) == expected, m
 
 
 def test_det_small_examples():

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
-from arrops.arrangement import parse_arrangement
-from arrops.diffop import DiffOp, euler_op, partial_op
+from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
+from arrops.diffop import DiffOp, euler_op, partial_op, saito_matrix
 from arrops.errors import NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
-from arrops.freebasis import basis_3arr
+from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential
+from arrops.linalg import det_poly_matrix
 from arrops.polynomial import Poly
 from arrops.verify import (
     check_identities,
@@ -58,6 +61,72 @@ def test_saito_check_not_pure_power():
     assert all(is_member(op, single) for op in ops)
     with pytest.raises(NotPurePower):
         saito_check(ops, single)
+
+
+def test_saito_check_foreign_factor():
+    # right degree sum (t = 1) but det = (x1 + x2) * x2 is not c * x1 * x2
+    plane = parse_arrangement("x1; x2", dim=2)
+    y1, y2 = Poly.variables(2)
+    ops = [DiffOp(2, 1, {(1, 0): y1 + y2}), DiffOp(2, 1, {(0, 1): y2})]
+    with pytest.raises(NotPurePower, match=r"not c \* Q\^1: the stripped rows disagree at the point \(1, 1\)"):
+        saito_check(ops, plane)
+
+
+def test_saito_check_zero_row(boolean_arr):
+    ops = [DiffOp(3, 1, {(1, 0, 0): x1}), DiffOp(3, 1), DiffOp(3, 1, {(0, 0, 1): x3})]
+    with pytest.raises(ZeroDet, match="operator 1 is zero"):
+        saito_check(ops, boolean_arr)
+
+
+def test_saito_check_non_homogeneous_row(boolean_arr):
+    ops = [
+        DiffOp(3, 1, {(1, 0, 0): x1}),
+        DiffOp(3, 1, {(0, 1, 0): x2 + x2**2}),
+        DiffOp(3, 1, {(0, 0, 1): x3}),
+    ]
+    with pytest.raises(NotPurePower, match="operator 1 has non-homogeneous"):
+        saito_check(ops, boolean_arr)
+
+
+def test_saito_check_excess_factor():
+    # degree sum 4 gives t = 2, but x1 divides the first row three times
+    plane = parse_arrangement("x1; x2", dim=2)
+    y1, y2 = Poly.variables(2)
+    ops = [DiffOp(2, 1, {(1, 0): y1**3}), DiffOp(2, 1, {(0, 1): y2})]
+    with pytest.raises(NotPurePower, match="hyperplane x1 divides the rows 3 times, more than t = 2"):
+        saito_check(ops, plane)
+
+
+def test_saito_check_degree_sum_not_multiple(boolean_arr):
+    ops = [DiffOp(3, 1, {(1, 0, 0): x1}), DiffOp(3, 1, {(0, 1, 0): x2}), DiffOp(3, 1, {(0, 0, 1): x3 * x1})]
+    with pytest.raises(NotPurePower, match="degree sum 4 is not a multiple of n = 3"):
+        saito_check(ops, boolean_arr)
+
+
+def _assert_matches_direct_determinant(ops, arr):
+    cert = saito_check(ops, arr)
+    assert cert.c != 0
+    assert cert.det == det_poly_matrix(saito_matrix(ops))
+
+
+def test_certificate_matches_direct_determinant(quad_arr, boolean_arr, pencil3_arr):
+    for m in (2, 3):
+        _assert_matches_direct_determinant(list(basis_3arr(quad_arr, m).operators), quad_arr)
+    for m in (1, 2, 3):
+        _assert_matches_direct_determinant(list(basis_3arr(boolean_arr, m).operators), boolean_arr)
+    lines = [(1, 0), (0, 1), (1, -1), (1, 2)]
+    for k in range(5):
+        arr2 = Arrangement(2, [Hyperplane.make(line) for line in lines[:k]])
+        for j in range(5):
+            _assert_matches_direct_determinant(basis_2arr_lines(lines[:k], j), arr2)
+    scaled = list(basis_3arr(quad_arr, 2).operators)
+    scaled[0] = scaled[0].scale(Fraction(3, 2))
+    scaled[4] = scaled[4].scale(-5)
+    _assert_matches_direct_determinant(scaled, quad_arr)
+    rank2 = parse_arrangement("x1 + x3; x2 - x3; x1 + x2", dim=3)
+    for arr in (pencil3_arr, rank2):
+        for m in (0, 1, 2):
+            _assert_matches_direct_determinant(list(basis_nonessential(arr, m).operators), arr)
 
 
 def test_oracle_examples(quad_arr, boolean_arr):
