@@ -17,7 +17,7 @@ from .diffop import DiffOp, euler_op, identity_op, partial_op, power_of_derivati
 from .errors import ArropsError
 from .exponents import ExponentMultiset, exp_2arr, exp_3arr_closed, exp_for_arrangement, exp_product
 from .extension import ExtendedArrangement, extend, flat_profiles, generic_hyperplane
-from .flats import Flat1, dim1_flats, make_flat
+from .flats import Flat1, dim1_flats
 from .freebasis import DualPair, FreeBasis, basis_2arr, basis_3arr, basis_nonessential, build_basis, dual_pair, pencil_basis
 from .linalg import det_poly_matrix
 from .polynomial import LinearForm, Poly
@@ -56,7 +56,6 @@ __all__ = [
     "hilbert_check",
     "identity_op",
     "is_member",
-    "make_flat",
     "oracle_dim",
     "parse_arrangement",
     "partial_op",

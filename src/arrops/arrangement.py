@@ -242,9 +242,7 @@ def parse_arrangement(text: str, dim: int | None = None) -> Arrangement:
             raise ParseError("empty arrangement needs an explicit dimension")
         return Arrangement(dim, [])
     vectors = [parse_linear_form(p, dim=dim) for p in pieces]
-    width = dim if dim is not None else max(len(v) for v in vectors)
-    if width < 2:
-        width = 2
+    width = dim if dim is not None else max(2, max(len(v) for v in vectors))
     vectors = [v + [Fraction(0)] * (width - len(v)) for v in vectors]
     return Arrangement(width, [Hyperplane.make(v) for v in vectors])
 

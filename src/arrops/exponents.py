@@ -117,6 +117,3 @@ def exp_for_arrangement(arr: Arrangement, m: int) -> ExponentMultiset:
     result = exp_product(factor, trivial)
     return ExponentMultiset(result.entries, m, "closed-form")
 
-
-def from_degrees(degrees: Iterable[int], m: int) -> ExponentMultiset:
-    return _sorted(degrees, m, "from-basis")

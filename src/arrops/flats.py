@@ -21,7 +21,7 @@ from typing import Sequence
 from .arrangement import Arrangement
 from .errors import ZeroForm
 from .linalg import invert
-from .polynomial import LinearForm, Poly, primitive_int_vector
+from .polynomial import LinearForm, primitive_int_vector
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,9 @@ class Flat1:
         """Coefficients of the direction derivation sum v_i d_i."""
         return tuple(Fraction(v) for v in self.direction)
 
-    def derivation_value(self, form: LinearForm) -> Fraction:
-        """delta_X applied to a linear form equals the form evaluated at v."""
-        return form(self.direction)
-
     def coordinate_forms(self) -> list[LinearForm]:
         """Kernel forms followed by the section: a basis of the dual space."""
         return [*self.kernel_forms, self.section]
-
-    def coordinate_matrix(self) -> list[list[Fraction]]:
-        return [list(f.coeffs) for f in self.coordinate_forms()]
 
     def dual_derivations(self) -> list[tuple[Fraction, ...]]:
         """Constant derivations dual to the coordinate forms.
@@ -59,7 +52,7 @@ class Flat1:
         Rows are coefficient vectors w with (sum w_k d_k)(form_j) = delta_ij;
         the last row always equals the flat direction.
         """
-        inv = invert(self.coordinate_matrix())
+        inv = invert([list(f.coeffs) for f in self.coordinate_forms()])
         return [tuple(row[i] for row in inv) for i in range(self.dim)]
 
     def to_json(self) -> dict:
@@ -108,44 +101,7 @@ def flat_from_direction(arr: Arrangement, direction: Sequence[int]) -> Flat1:
     )
 
 
-def make_flat(arr: Arrangement, i: int, j: int) -> Flat1:
-    """Flat spanned by the intersection of hyperplanes i and j (dimension 3)."""
-    if arr.dim != 3:
-        raise ValueError("pairwise flats are only defined in dimension 3")
-    if i == j:
-        raise ValueError("need two distinct hyperplanes")
-    from .arrangement import _cross
-
-    v = _cross(arr.hyperplanes[i].normal, arr.hyperplanes[j].normal)
-    if all(c == 0 for c in v):
-        raise ZeroForm("hyperplanes are parallel")
-    return flat_from_direction(arr, v)
-
-
 def dim1_flats(arr: Arrangement) -> list[Flat1]:
     """All 1-dimensional flats with their localizations, deterministic order."""
     return [flat_from_direction(arr, d) for d in arr.flat_directions()]
 
-
-def to_y_coords(f: Poly, flat: Flat1) -> Poly:
-    """Rewrite a polynomial in the flat's coordinates (kernel forms, then section).
-
-    The result lives in a ring whose last variable is the section coordinate;
-    forms of hyperplanes through the flat become polynomials omitting it.
-    """
-    inv = invert(flat.coordinate_matrix())
-    # x_k = sum_j inv[k][j] * (j-th coordinate form), so substitute rows of inv
-    images = [Poly(flat.dim, {_unit(flat.dim, j): inv[k][j] for j in range(flat.dim) if inv[k][j]}) for k in range(flat.dim)]
-    return f.substitute(images)
-
-
-def from_y_coords(g: Poly, flat: Flat1) -> Poly:
-    """Inverse of :func:`to_y_coords`."""
-    images = [form.to_poly() for form in flat.coordinate_forms()]
-    return g.substitute(images)
-
-
-def _unit(n: int, j: int) -> tuple[int, ...]:
-    e = [0] * n
-    e[j] = 1
-    return tuple(e)

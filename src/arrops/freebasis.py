@@ -13,11 +13,13 @@ capacity i contributes blocks P_X * D^(j)(pencil) * delta_X^(m-j) for
   direction derivation;
 * k = 0: the monomial derivatives themselves.
 
-Every constructed basis is certified by the determinant criterion
-(``verify.saito_check``: strip hyperplane factors from the rows, then
-compare both sides on a unisolvent lattice) before it is returned.  Pencil
-blocks assembled into a 3-variable basis are not certified one by one; the
-certificate of the assembled basis covers them.
+One assembly loop builds every 3-arrangement basis: an essential one flat
+by flat over its extension, a rank 1 or 2 one from its single flat (the
+common kernel line, order cap m, cofactor 1); rank 0 is the monomial
+derivatives.  A basis is certified where it is returned, by the determinant
+criterion (``verify.saito_check``: strip hyperplane factors from the rows,
+then compare both sides on a unisolvent lattice); the blocks of
+``basis_2arr_lines`` are not certified on their own.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     SolveFailed,
     ZeroNormalizer,
 )
-from .extension import ExtendedArrangement, extend, flat_profiles
+from .extension import ExtendedArrangement, FlatProfile, extend, flat_profiles
 from .flats import Flat1
 from .linalg import nullspace, rref
 from .polynomial import (
@@ -187,36 +189,33 @@ def _per_line_block(lines: Sequence[tuple[int, int]], j: int) -> list[DiffOp]:
     return out
 
 
-def basis_2arr_lines(lines: Sequence[tuple[int, int]], j: int, certify: bool = True) -> list[DiffOp]:
+def basis_2arr_lines(lines: Sequence[tuple[int, int]], j: int) -> list[DiffOp]:
     """Free basis of the order-j module of a 2-variable line arrangement.
 
     Handles every k >= 0 and j >= 0; degrees follow the two-variable
-    exponent formula.  The determinant certificate is checked unless
-    ``certify`` is disabled by a caller that certifies the assembled result.
+    exponent formula.  The result is not certified; callers that return a
+    basis certify it.
     """
     lines = [tuple(int(c) for c in line) for line in lines]
     if len(set(lines)) != len(lines):
         raise SolveFailed("line arrangement has repeated lines")
     k = len(lines)
     if j == 0:
-        ops = [identity_op(2)]
-    elif k == 0:
-        ops = [partial_op(2, a) for a in monomials_of_degree(2, j)]
-    elif j <= k - 1:
-        ops = _euler_complement_block(lines, j)
-    else:
-        ops = _per_line_block(lines, j)
-    if certify:
-        arr2 = Arrangement(2, [Hyperplane.make(line) for line in lines])
-        saito_check(ops, arr2)
-    return ops
+        return [identity_op(2)]
+    if k == 0:
+        return [partial_op(2, a) for a in monomials_of_degree(2, j)]
+    if j <= k - 1:
+        return _euler_complement_block(lines, j)
+    return _per_line_block(lines, j)
 
 
 def basis_2arr(arr2: Arrangement, j: int) -> list[DiffOp]:
-    """Free basis of D^(j) for a 2-arrangement (j + 1 operators)."""
+    """Certified free basis of D^(j) for a 2-arrangement (j + 1 operators)."""
     if arr2.dim != 2:
         raise BadOrder("basis_2arr expects a 2-arrangement")
-    return basis_2arr_lines([h.normal for h in arr2.hyperplanes], j)
+    ops = basis_2arr_lines([h.normal for h in arr2.hyperplanes], j)
+    saito_check(ops, arr2)
+    return ops
 
 
 # -- pencil conversion into the ambient three-variable ring --------------------
@@ -264,7 +263,7 @@ def pencil_basis(arr: Arrangement, flat: Flat1, j: int) -> list[DiffOp]:
     """Free basis of the order-j module of the localization at a flat,
     expressed as ambient operators."""
     lines, duals = _pencil_lines(arr, flat)
-    ops2 = basis_2arr_lines(lines, j)
+    ops2 = basis_2arr(Arrangement(2, [Hyperplane.make(line) for line in lines]), j)
     return [
         _convert_2var_op(op2, (flat.kernel_forms[0], flat.kernel_forms[1]), (duals[0], duals[1]))
         for op2 in ops2
@@ -272,6 +271,35 @@ def pencil_basis(arr: Arrangement, flat: Flat1, j: int) -> list[DiffOp]:
 
 
 # -- full three-variable constructions ------------------------------------------
+
+
+def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> FreeBasis:
+    """Direct sum over the flats of the blocks P_X * D^(j)(pencil) * delta_X^(m-j),
+    0 <= j <= max_order, with P_X the base cofactor; certified once."""
+    one = Poly.constant(3, 1)
+    operators: list[DiffOp] = []
+    degrees: list[int] = []
+    provenance: list[dict] = []
+    for profile in profiles:
+        flat = profile.flat
+        cofactor = profile.base_off_flat_product
+        lines, duals = _pencil_lines(arr, flat)
+        forms = (flat.kernel_forms[0], flat.kernel_forms[1])
+        plane_duals = (duals[0], duals[1])
+        for j in range(profile.max_order + 1):
+            delta_pow = power_of_derivation(flat.delta, m - j)
+            for idx, op2 in enumerate(basis_2arr_lines(lines, j)):
+                op = _convert_2var_op(op2, forms, plane_duals).compose_constant(delta_pow)
+                if cofactor != one:
+                    op = op.mul_poly(cofactor)
+                op = op.normalized_primitive()
+                deg = op.degree()
+                if deg is None:
+                    raise SolveFailed("constructed operator is not homogeneous")
+                operators.append(op)
+                degrees.append(deg)
+                provenance.append({"flat_direction": list(flat.direction), "j": j, "gen_index": idx})
+    return FreeBasis(tuple(operators), tuple(degrees), tuple(provenance), saito_check(operators, arr))
 
 
 def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
@@ -290,33 +318,11 @@ def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None)
     profiles = flat_profiles(ext)
     if sum(s_dim(p.max_order, 3) for p in profiles) != s_dim(m, 3):
         raise IdentityViolated("flat capacities do not add up to the module rank")
+    return _assemble(arr, m, profiles)
 
-    operators: list[DiffOp] = []
-    degrees: list[int] = []
-    provenance: list[dict] = []
-    for profile in profiles:
-        flat = profile.flat
-        lines, duals = _pencil_lines(arr, flat)
-        forms = (flat.kernel_forms[0], flat.kernel_forms[1])
-        plane_duals = (duals[0], duals[1])
-        for j in range(profile.max_order + 1):
-            ops2 = basis_2arr_lines(lines, j, certify=False)
-            delta_pow = power_of_derivation(flat.delta, m - j)
-            for idx, op2 in enumerate(ops2):
-                op3 = _convert_2var_op(op2, forms, plane_duals)
-                op = op3.compose_constant(delta_pow).mul_poly(profile.base_off_flat_product)
-                op = op.normalized_primitive()
-                deg = op.degree()
-                if deg is None:
-                    raise SolveFailed("constructed operator is not homogeneous")
-                operators.append(op)
-                degrees.append(deg)
-                provenance.append(
-                    {"flat_direction": list(flat.direction), "j": j, "gen_index": idx}
-                )
 
-    cert = saito_check(operators, arr)
-    return FreeBasis(tuple(operators), tuple(degrees), tuple(provenance), cert)
+def _unit_form(col: int, value: Fraction | int = 1) -> LinearForm:
+    return LinearForm.make(value if i == col else 0 for i in range(3))
 
 
 def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
@@ -327,68 +333,31 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
     if rank == 3:
         raise NotEssential("arrangement is essential; use basis_3arr")
 
-    operators: list[DiffOp] = []
-    degrees: list[int] = []
-    provenance: list[dict] = []
-
     if rank == 0:
-        for a in monomials_of_degree(3, m):
-            operators.append(partial_op(3, a))
-            degrees.append(0)
-            provenance.append({"flat_direction": None, "j": 0, "gen_index": list(a)})
-        cert = saito_check(operators, arr)
-        return FreeBasis(tuple(operators), tuple(degrees), tuple(provenance), cert)
+        monomials = monomials_of_degree(3, m)
+        operators = [partial_op(3, a) for a in monomials]
+        provenance = tuple({"flat_direction": None, "j": 0, "gen_index": list(a)} for a in monomials)
+        return FreeBasis(tuple(operators), (0,) * len(operators), provenance, saito_check(operators, arr))
 
-    # coordinate forms: echelon basis of the normal span, padded to two forms,
-    # then one kernel coordinate; their dual derivations split the variables
-    rows = [[Fraction(c) for c in h.normal] for h in arr.hyperplanes]
-    red, pivots = rref(rows, 3)
-    span_forms = [LinearForm.make(primitive_int_vector(r)) for r in red]
+    # The single flat is the kernel line.  Kernel forms: the primitive echelon
+    # rows of the normals, padded with unit forms at every free column but the
+    # last; the section is the unit form at the last free column, scaled so
+    # that it takes the value 1 on the direction.
+    red, pivots = rref([[Fraction(c) for c in h.normal] for h in arr.hyperplanes], 3)
     free_cols = [c for c in range(3) if c not in pivots]
-    for c in free_cols[: 2 - rank]:
-        unit = [Fraction(0)] * 3
-        unit[c] = Fraction(1)
-        span_forms.append(LinearForm(tuple(unit)))
-    kernel_col = free_cols[2 - rank]
-    unit = [Fraction(0)] * 3
-    unit[kernel_col] = Fraction(1)
-    coord_forms = [*span_forms, LinearForm(tuple(unit))]
-
-    from .linalg import invert
-
-    inv = invert([list(f.coeffs) for f in coord_forms])
-    duals = [tuple(row[i] for row in inv) for i in range(3)]
-
-    lines = []
-    for h in arr.hyperplanes:
-        form = h.form()
-        cy = (form(duals[0]), form(duals[1]))
-        if form(duals[2]) != 0:
-            raise IdentityViolated("hyperplane form escapes the span coordinates")
-        lines.append(primitive_int_vector(cy))
-
-    kernel_direction = primitive_int_vector(duals[2])
-    for j in range(m + 1):
-        ops2 = basis_2arr_lines(lines, j, certify=False)
-        tail = power_of_derivation(duals[2], m - j)
-        for idx, op2 in enumerate(ops2):
-            op3 = _convert_2var_op(op2, (span_forms[0], span_forms[1]), (duals[0], duals[1]))
-            op = op3.compose_constant(tail).normalized_primitive()
-            deg = op.degree()
-            if deg is None:
-                raise SolveFailed("constructed operator is not homogeneous")
-            operators.append(op)
-            degrees.append(deg)
-            provenance.append({"flat_direction": list(kernel_direction), "j": j, "gen_index": idx})
-
-    cert = saito_check(operators, arr)
-    return FreeBasis(tuple(operators), tuple(degrees), tuple(provenance), cert)
+    direction = kernel[-1]
+    kernel_forms = [LinearForm.make(primitive_int_vector(r)) for r in red]
+    kernel_forms += [_unit_form(c) for c in free_cols[:-1]]
+    section = _unit_form(free_cols[-1], Fraction(1, direction[free_cols[-1]]))
+    flat = Flat1(direction, tuple(range(arr.n)), section, tuple(kernel_forms))
+    one = Poly.constant(3, 1)
+    return _assemble(arr, m, [FlatProfile(flat, m, one, one, arr.n)])
 
 
 def build_basis(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
     """Dispatch on dimension and essentiality."""
     if arr.dim == 2:
-        ops = basis_2arr_lines([h.normal for h in arr.hyperplanes], m, certify=False)
+        ops = basis_2arr_lines([h.normal for h in arr.hyperplanes], m)
         cert = saito_check(ops, arr)
         return FreeBasis(
             tuple(ops),

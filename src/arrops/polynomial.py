@@ -120,9 +120,6 @@ class Poly:
         """Terms in graded-lex descending order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
-    def coefficient(self, a: MultiIndex) -> Fraction:
-        return self.terms.get(tuple(a), Fraction(0))
-
     def constant_value(self) -> Fraction:
         """Value of a degree-<=0 polynomial."""
         if self.total_degree() > 0:

@@ -60,6 +60,15 @@ def test_negative_max_degree_is_user_error(capsys):
         assert f"--max-degree must be >= 0, got {degree}" in err, command
 
 
+def test_dimension_one_is_user_error(capsys, tmp_path):
+    path = tmp_path / "line.json"
+    path.write_text('{"l": 1, "hyperplanes": [[1]]}', encoding="utf-8")
+    for args in (["--dim", "1", "x1"], ["--dim", "1", "--input", str(path)], ["--input", str(path)]):
+        code, out, err = run_cli(capsys, "basis", "--m", "2", *args)
+        assert code == 1 and out == "", args
+        assert "supported ambient dimensions are 2 and 3, got 1" in err, args
+
+
 def test_bad_form_is_user_error(capsys):
     code, _, err = run_cli(capsys, "exponents", "--m", "2", "x1", "x1")
     assert code == 1

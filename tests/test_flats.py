@@ -1,17 +1,10 @@
 from fractions import Fraction
 
-from arrops.flats import choose_section, dim1_flats, from_y_coords, kernel_basis, make_flat, to_y_coords
+from arrops.flats import choose_section, dim1_flats, kernel_basis
 from arrops.linalg import rank
 from arrops.polynomial import Poly
 
 x1, x2, x3 = Poly.variables(3)
-
-
-def test_make_flat_directions(quad_arr):
-    # intersections of (x3, x1-x2), (x1, x2), (x2, x3)
-    assert make_flat(quad_arr, 2, 3).delta == (1, 1, 0)
-    assert make_flat(quad_arr, 0, 1).delta == (0, 0, 1)
-    assert make_flat(quad_arr, 1, 2).delta == (1, 0, 0)
 
 
 def test_choose_section_values(quad_arr):
@@ -52,25 +45,6 @@ def test_coordinate_system_invertible_and_dual(quad_arr):
                 assert f(w) == (1 if i == j else 0)
         # the last dual derivation is the flat direction itself
         assert duals[-1] == flat.delta
-
-
-def test_localized_forms_avoid_section_coordinate(quad_arr):
-    for flat in dim1_flats(quad_arr):
-        for i in flat.local_indices:
-            g = to_y_coords(quad_arr.hyperplanes[i].poly(), flat)
-            assert all(exp[-1] == 0 for exp in g.terms)
-
-
-def test_to_from_y_roundtrip(quad_arr):
-    f = x1 * x2 * x3 + x1**3 - 2 * x2
-    for flat in dim1_flats(quad_arr):
-        assert from_y_coords(to_y_coords(f, flat), flat) == f
-    # already section-free polynomials stay section-free
-    flat0 = dim1_flats(quad_arr)[0]
-    qx = x1 * x2 * (x1 - x2)
-    g = to_y_coords(qx, flat0)
-    assert from_y_coords(g, flat0) == qx
-    assert all(exp[-1] == 0 for exp in g.terms)
 
 
 def test_direction_annihilates_exactly_localized_forms(quad_arr):

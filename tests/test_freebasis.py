@@ -1,9 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import euler_op, identity_op
 from arrops.errors import BadOrder, NotEssential
-from arrops.exponents import exp_2arr
+from arrops.exponents import exp_2arr, exp_for_arrangement
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.flats import dim1_flats
 from arrops.freebasis import (
@@ -184,10 +187,29 @@ def test_basis_nonessential_pencil(pencil3_arr):
 
 
 def test_basis_nonessential_rank_one():
-    arr = parse_arrangement("x1", dim=3)
-    fb = basis_nonessential(arr, 1)
-    assert fb.exponents == (0, 0, 1)
-    assert all(is_member(op, arr) for op in fb.operators)
+    # rank 1 inputs plus one rank-2 input whose kernel is not a coordinate axis
+    for text in ["x1", "x2 + x3", "2*x1 - 3*x3", "x1 + x3; x2 - x3; x1 + x2"]:
+        arr = parse_arrangement(text, dim=3)
+        for m in range(4):
+            fb = basis_nonessential(arr, m)
+            assert fb.exponents == exp_for_arrangement(arr, m).entries, (text, m)
+            assert all(is_member(op, arr) for op in fb.operators), (text, m)
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        ("x1 + x3; x2 - x3; x1 + x2", "e500020d6731b965ec56700cebac96a50c2b5b9b8262e941f678d53884276cef"),
+        ("x2 + x3", "7766a35cbd6ad65d6eb02320320a2f3701185790b9d0a72e20536463fe0d847c"),
+    ],
+    ids=["rank2", "rank1"],
+)
+def test_basis_nonessential_output_bytes(text, digest):
+    # operator bytes of rank <= 2 bases depend on the kernel coordinates of
+    # their single flat; pin them at m = 3
+    fb = basis_nonessential(parse_arrangement(text, dim=3), 3)
+    payload = json.dumps(fb.to_json(), sort_keys=True) + json.dumps(fb.saito.to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_basis_nonessential_empty():
