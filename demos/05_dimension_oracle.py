@@ -6,7 +6,7 @@
 
 from itertools import combinations_with_replacement
 
-from arrops import exp_3arr_closed, hilbert_check, oracle_dim, parse_arrangement
+from arrops import exp_3arr_closed, hilbert_check, oracle_dims, parse_arrangement
 
 arr = parse_arrangement("x1; x2; x3; x1-x2")
 
@@ -22,7 +22,7 @@ print("verdict:", "consistent" if report.consistent else "inconsistent")
 # order 1.  No candidate exponent triple survives the oracle.
 generic = parse_arrangement("x1; x2; x3; x1+x2+x3")
 print("\ngeneric 4-plane arrangement at order 1:")
-print("  true dimensions:", [oracle_dim(generic, 1, d) for d in range(6)])
+print("  true dimensions:", oracle_dims(generic, 1, 5))
 for triple in combinations_with_replacement(range(5), 3):
     if sum(triple) != 4:
         continue

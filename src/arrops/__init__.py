@@ -21,7 +21,7 @@ from .flats import Flat1, dim1_flats
 from .freebasis import DualPair, FreeBasis, basis_2arr, basis_3arr, basis_nonessential, build_basis, dual_pair, pencil_basis
 from .linalg import det_poly_matrix
 from .polynomial import LinearForm, Poly
-from .verify import OracleReport, SaitoCertificate, check_identities, hilbert_check, is_member, oracle_dim, saito_check
+from .verify import OracleReport, SaitoCertificate, check_identities, hilbert_check, is_member, oracle_dim, oracle_dims, saito_check
 
 __all__ = [
     "Arrangement",
@@ -57,6 +57,7 @@ __all__ = [
     "identity_op",
     "is_member",
     "oracle_dim",
+    "oracle_dims",
     "parse_arrangement",
     "partial_op",
     "pencil_basis",

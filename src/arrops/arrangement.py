@@ -250,6 +250,11 @@ def parse_arrangement(text: str, dim: int | None = None) -> Arrangement:
 def arrangement_from_json(data: dict, dim: int | None = None) -> Arrangement:
     if not isinstance(data, dict):
         raise ParseError("JSON arrangement must be an object")
+    if "l" in data:
+        if isinstance(data["l"], bool) or not isinstance(data["l"], int):
+            raise ParseError(f"\"l\" must be an integer, got {data['l']!r}")
+        if dim is not None and data["l"] != dim:
+            raise ParseError(f"dimension {dim} conflicts with the arrangement's \"l\": {data['l']}")
     width = data.get("l", dim)
     if "hyperplanes" in data:
         rows = data["hyperplanes"]

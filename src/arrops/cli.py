@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: lattice, exponents, basis, verify, identities, oracle.
-Exit codes: 0 success, 1 user error, 2 internal verification failure
-(a failed determinant certificate, identity or oracle mismatch).  No
+Exit codes: 0 success, 1 user error (or a reader that closed stdout early),
+2 internal verification failure (a failed determinant certificate, identity
+or oracle mismatch).  No
 environment variables are consulted; identical invocations produce
 byte-identical output.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from .extension import extend, hyperplanes_from_forms
 from .flats import dim1_flats
 from .freebasis import build_basis
 from .polynomial import s_dim
-from .verify import check_identities, hilbert_check, oracle_dim
+from .verify import check_identities, hilbert_check, oracle_dims
 
 USER_ERROR = 1
 VERIFICATION_ERROR = 2
@@ -153,7 +155,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "oracle":
         out["m"] = args.m
-        out["dims"] = [{"d": d, "dim": oracle_dim(arr, args.m, d)} for d in range(args.max_degree + 1)]
+        out["dims"] = [{"d": d, "dim": dim} for d, dim in enumerate(oracle_dims(arr, args.m, args.max_degree))]
         return out, 0
 
     raise ArropsError(f"unknown command {args.command!r}")
@@ -188,7 +190,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ArropsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
-    print(emit_report(result, args.format))
+    try:
+        print(emit_report(result, args.format), flush=True)
+    except BrokenPipeError:
+        # the reader went away (``arrops ... | head``): send the rest of the
+        # output, and the final flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USER_ERROR
     return code
 
 

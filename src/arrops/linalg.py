@@ -1,15 +1,23 @@
 """Exact linear algebra over the rationals, the integers and the polynomial ring.
 
+- Rationals: ``rref``, ``nullspace``, ``invert``.  Basis construction uses
+  these, and its operator bytes depend on their normalization.
+- Integers: ``echelon_int`` is one fraction-free elimination kernel (primitive
+  rows, sparsest-row pivots); ``rank_int`` and ``nullspace_int`` are built on
+  it and serve the dimension oracle.  ``det_int`` is a Bareiss determinant
+  for the determinant certificate.
+- Polynomials: ``det_poly_matrix``, the tests' reference determinant.
+
 Everything here is deterministic: columns are processed in the order given
 (callers fix column semantics, typically graded-lex on multi-indices), and
 pivot rows are chosen by fixed tie-breaking rules, so repeated runs produce
-bit-identical results.
+bit-identical results.  There is no floating point and no modular step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotDivisible
 from .polynomial import Poly
@@ -70,45 +78,108 @@ def invert(matrix: list[Row]) -> list[Row]:
     return [row[n:] for row in red[:n]]
 
 
-def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def echelon_int(rows: list[list[int]], reduce: bool = False) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of an integer matrix.
 
-    Rows are gcd-stripped after every update to keep entries small; pivot
-    choice is the sparsest candidate row (ties by smallest |pivot|, then
-    row order), which is deterministic and controls fill-in.
+    Returns (rows, pivot columns): one primitive integer row per pivot
+    column, zero left of its pivot.  With ``reduce`` every row is also zero
+    in the other rows' pivot columns.  Columns are eliminated in order; the
+    pivot row of a column is the sparsest candidate (ties by smallest
+    |pivot|, then row order), which is deterministic and controls fill-in.
+    An update ``a*row - b*pivot_row`` uses the pivot and the entry divided by
+    their gcd, and the result is divided by its content.
     """
-    work = [_strip([int(v) for v in r]) for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rk = 0
-    for c in range(ncols):
-        cands = [(sum(1 for v in r if v), abs(r[c]), i) for i, r in enumerate(work) if i >= rk and r[c]]
-        if not cands:
+    active: list[list[int]] = []
+    counts: list[int] = []
+    for r in rows:
+        r = list(r)
+        nz = len(r) - r.count(0)
+        if nz:
+            active.append(_strip(r))
+            counts.append(nz)
+    if not active:
+        return [], []
+    out: list[list[int]] = []
+    pivots: list[int] = []
+    for c in range(len(active[0])):
+        hits = [i for i, r in enumerate(active) if r[c]]
+        if not hits:
             continue
-        _, _, pr = min(cands)
-        work[rk], work[pr] = work[pr], work[rk]
-        piv_row = work[rk]
+        best = min(hits, key=lambda i: (counts[i], abs(active[i][c]), i))
+        piv_row = active[best]
         p = piv_row[c]
-        for i in range(rk + 1, len(work)):
-            row = work[i]
-            v = row[c]
-            if v:
-                work[i] = _strip([p * a - v * b for a, b in zip(row, piv_row)])
-        rk += 1
-        work = work[:rk] + [r for r in work[rk:] if any(r)]
-        if rk == len(work) or rk == ncols:
+        piv_tail = piv_row[c + 1 :]
+        for i in hits:
+            if i == best:
+                continue
+            row = active[i]
+            tail = _combine(row[c + 1 :], piv_tail, p, row[c])
+            counts[i] = len(tail) - tail.count(0)
+            active[i] = [0] * (c + 1) + tail
+        out.append(piv_row)
+        pivots.append(c)
+        keep = [i for i, n in enumerate(counts) if n and i != best]
+        active = [active[i] for i in keep]
+        counts = [counts[i] for i in keep]
+        if not active:
             break
-    return rk
+    if reduce:
+        for k in range(len(out) - 1, 0, -1):
+            pc = pivots[k]
+            p = out[k][pc]
+            for j in range(k):
+                v = out[j][pc]
+                if v:
+                    out[j] = _combine(out[j], out[k], p, v)
+    return out, pivots
+
+
+def _combine(row: list[int], piv_row: list[int], p: int, v: int) -> list[int]:
+    """Primitive form of (p*row - v*piv_row) / gcd(p, v)."""
+    g = gcd(p, v)
+    if g != 1:
+        p //= g
+        v //= g
+    return _strip([p * a - v * b for a, b in zip(row, piv_row)])
+
+
+def rank_int(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix (``echelon_int``)."""
+    return len(echelon_int(rows)[1])
+
+
+def nullspace_int(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Integer kernel basis: one vector per free column, in column order.
+
+    The vector of free column f is 1 there, 0 at the other free columns and
+    solved at the pivots, then scaled to coprime integers with its first
+    nonzero entry positive; so it is ``primitive_int_vector`` of the
+    corresponding ``nullspace`` vector.
+    """
+    red, pivots = echelon_int(rows, reduce=True)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        scale = 1
+        for row, pc in zip(red, pivots):
+            if row[f]:
+                scale = lcm(scale, row[pc])
+        vec = [0] * ncols
+        vec[f] = scale
+        for row, pc in zip(red, pivots):
+            if row[f]:
+                vec[pc] = -row[f] * (scale // row[pc])
+        vec = _strip(vec)
+        if next(v for v in vec if v) < 0:
+            vec = [-v for v in vec]
+        basis.append(tuple(vec))
+    return basis
 
 
 def _strip(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            return row
+    g = gcd(*row)
     return row if g <= 1 else [v // g for v in row]
 
 

@@ -21,6 +21,17 @@ The production path additionally quotients out the subspace of value
 patterns realized by polynomials, which shrinks the elimination to matrices
 indexed by points and multi-indices; ``oracle_dim_direct`` keeps the literal
 coefficient-space formulation and is used to cross-check the fast path.
+
+The fast path is integer elimination only (``linalg.echelon_int``): the
+functionals eta that vanish on realized value patterns, the contraction
+kernels and the hyperplane bases are integer kernel bases, and the dimension
+comes from one integer rank.  The rows of hyperplane H are the Kronecker
+products (weights of the etas at a point of H) (x) (a contraction kernel
+vector of H); the weight block of H is first reduced to an echelon basis,
+which spans the same rows with fewer of them (the block has d + 1 rows on a
+plane but rank at most about n - 1).  ``oracle_dims`` answers every degree up to d_max
+in one call and computes the contraction kernels and hyperplane bases once;
+nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -40,13 +51,12 @@ from .errors import (
     ZeroDet,
 )
 from .extension import ExtendedArrangement, flat_profiles
-from .linalg import det_int, nullspace, rank_int
+from .linalg import det_int, echelon_int, nullspace_int, rank_int
 from .polynomial import (
     MultiIndex,
     Poly,
     midx_factorial,
     monomials_of_degree,
-    primitive_int_vector,
     s_dim,
 )
 
@@ -210,22 +220,13 @@ def _rhs_value(arr: Arrangement, strips: list[int], t: int, point: tuple[int, ..
 # -- dimension oracle -------------------------------------------------------------
 
 
-def _hyperplane_points(arr: Arrangement, d: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Deterministic rational points on each hyperplane, enough to separate
-    restricted degree-d polynomials; returns (points, owner hyperplane index)."""
-    points: list[tuple[int, ...]] = []
-    owners: list[int] = []
-    for hi, h in enumerate(arr.hyperplanes):
-        basis = [primitive_int_vector(v) for v in nullspace([[Fraction(c) for c in h.normal]], arr.dim)]
-        if arr.dim == 2:
-            points.append(basis[0])
-            owners.append(hi)
-        else:
-            u, v = basis
-            for t in range(d + 1):
-                points.append(tuple(a + t * b for a, b in zip(u, v)))
-                owners.append(hi)
-    return points, owners
+def _hyperplane_points(lines: list[list[tuple[int, ...]]], d: int) -> list[list[tuple[int, ...]]]:
+    """Deterministic integer points on each hyperplane, enough to separate
+    restricted degree-d polynomials: the basis vector of a line, or d + 1
+    points u + t*v on a plane with basis (u, v)."""
+    if len(lines[0]) == 1:
+        return [basis[:1] for basis in lines]
+    return [[tuple(a + t * b for a, b in zip(u, v)) for t in range(d + 1)] for u, v in lines]
 
 
 def _contraction_kernel(normal: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
@@ -235,54 +236,71 @@ def _contraction_kernel(normal: tuple[int, ...], m: int) -> list[tuple[int, ...]
     col = {a: i for i, a in enumerate(a_idx)}
     rows = []
     for b in monomials_of_degree(l, m - 1):
-        row = [Fraction(0)] * len(a_idx)
+        row = [0] * len(a_idx)
         for i in range(l):
             if normal[i] == 0:
                 continue
             a = tuple(b[k] + (k == i) for k in range(l))
-            row[col[a]] += Fraction(normal[i] * midx_factorial(a))
+            row[col[a]] += normal[i] * midx_factorial(a)
         rows.append(row)
-    return [primitive_int_vector(v) for v in nullspace(rows, len(a_idx))]
+    return nullspace_int(rows, len(a_idx))
 
 
 def oracle_dim(arr: Arrangement, m: int, d: int) -> int:
     """Exact dimension of the space of order-m members with degree-d coefficients."""
-    l = arr.dim
-    if d < 0 or m < 0:
+    if d < 0:
         return 0
-    n = arr.n
-    if n == 0 or m == 0:
-        return s_dim(m, l) * s_dim(d, l)
+    return _oracle(arr, m, [d])[0]
 
-    points, owners = _hyperplane_points(arr, d)
-    mon_d = monomials_of_degree(l, d)
-    evaluation = [
-        [_int_pow(p, c) for c in mon_d]
-        for p in points
-    ]
-    # functionals vanishing on every achievable value pattern
-    transpose = [[Fraction(evaluation[r][c]) for r in range(len(points))] for c in range(len(mon_d))]
-    etas = [primitive_int_vector(v) for v in nullspace(transpose, len(points))]
 
-    kernels = {h.normal: _contraction_kernel(h.normal, m) for h in arr.hyperplanes}
+def oracle_dims(arr: Arrangement, m: int, d_max: int) -> list[int]:
+    """``oracle_dim(arr, m, d)`` for d = 0..d_max, computing the contraction
+    kernels and the hyperplane bases once."""
+    return _oracle(arr, m, list(range(d_max + 1)))
+
+
+def _oracle(arr: Arrangement, m: int, degrees: list[int]) -> list[int]:
+    """The degree-independent data once, then the dimension at each degree."""
+    l = arr.dim
+    if m < 0:
+        return [0] * len(degrees)
+    if arr.n == 0 or m == 0:
+        return [s_dim(m, l) * s_dim(d, l) for d in degrees]
+    lines = [nullspace_int([list(h.normal)], l) for h in arr.hyperplanes]
+    kernels = [_contraction_kernel(h.normal, m) for h in arr.hyperplanes]
     kappa = s_dim(m, l) - s_dim(m - 1, l)
-    for basis in kernels.values():
-        if len(basis) != kappa:
-            raise IdentityViolated("contraction kernel has unexpected dimension")
+    if any(len(basis) != kappa for basis in kernels):
+        raise IdentityViolated("contraction kernel has unexpected dimension")
+    return [_oracle_at(arr, m, d, lines, kernels) for d in degrees]
 
-    free_part = s_dim(m, l) * s_dim(d - n, l)
+
+def _oracle_at(
+    arr: Arrangement, m: int, d: int, lines: list[list[tuple[int, ...]]], kernels: list[list[tuple[int, ...]]]
+) -> int:
+    """Dimension at degree d from the per-hyperplane bases and contraction kernels."""
+    l = arr.dim
+    groups = _hyperplane_points(lines, d)
+    points = [p for group in groups for p in group]
+    mon_d = monomials_of_degree(l, d)
+    # functionals vanishing on every achievable value pattern
+    transpose = [[_int_pow(p, c) for p in points] for c in mon_d]
+    etas = nullspace_int(transpose, len(points))
+
+    free_part = s_dim(m, l) * s_dim(d - arr.n, l)
+    kappa = len(kernels[0])
     if not etas:
         return free_part + len(points) * kappa
 
+    # The rows of hyperplane H are (eta weights at a point of H) (x) (a kernel
+    # vector of H); an echelon basis of H's weight block spans the same rows.
     rows: list[list[int]] = []
-    for pi, hi in enumerate(owners):
-        weights = [eta[pi] for eta in etas]
-        if all(w == 0 for w in weights):
-            continue  # the point's whole kernel block maps to zero in the quotient
-        for w in kernels[arr.hyperplanes[hi].normal]:
-            rows.append([wq * wa for wq in weights for wa in w])
-    rank_q = rank_int(rows) if rows else 0
-    return free_part + len(points) * kappa - rank_q
+    start = 0
+    for group, kernel in zip(groups, kernels):
+        block = [[eta[pi] for eta in etas] for pi in range(start, start + len(group))]
+        start += len(group)
+        weights, _ = echelon_int(block, reduce=True)
+        rows.extend([wq * wa for wq in e for wa in w] for e in weights for w in kernel)
+    return free_part + len(points) * kappa - rank_int(rows)
 
 
 def _int_pow(point: tuple[int, ...], exp: MultiIndex) -> int:
@@ -365,8 +383,7 @@ def hilbert_check(arr: Arrangement, m: int, exponents, d_max: int) -> OracleRepo
     exps = list(exponents)
     rows = []
     ok = True
-    for d in range(d_max + 1):
-        dim = oracle_dim(arr, m, d)
+    for d, dim in enumerate(oracle_dims(arr, m, d_max)):
         pred = sum(s_dim(d - e, arr.dim) for e in exps)
         rows.append((d, dim, pred))
         ok = ok and dim == pred

@@ -61,6 +61,12 @@ def test_parse_json_fraction_entries():
     assert arr.hyperplanes[0].normal == (3, -2, 0)
 
 
+def test_parse_json_dimension_must_be_integer():
+    for bad in ('3.0', '"3"', "true", "null"):
+        with pytest.raises(ParseError, match='"l" must be an integer'):
+            parse_arrangement('{"l": %s, "hyperplanes": [[1, 0, 0]]}' % bad)
+
+
 def test_defining_polynomial(quad_arr):
     q = quad_arr.defining_polynomial()
     assert q == x1 * x2 * x3 * (x1 - x2)

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from arrops import cli
 from arrops.errors import ZeroDet
@@ -67,6 +73,34 @@ def test_dimension_one_is_user_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, "basis", "--m", "2", *args)
         assert code == 1 and out == "", args
         assert "supported ambient dimensions are 2 and 3, got 1" in err, args
+
+
+@pytest.mark.parametrize(("given", "declared"), [(2, 3), (3, 2)])
+def test_conflicting_dimension_is_user_error(capsys, tmp_path, given, declared):
+    path = tmp_path / "arr.json"
+    normals = [[int(i == j) for j in range(declared)] for i in range(2)]
+    path.write_text(json.dumps({"l": declared, "hyperplanes": normals}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "lattice", "--dim", str(given), "--input", str(path))
+    assert code == 1 and out == ""
+    assert f"dimension {given} conflicts" in err and f'"l": {declared}' in err
+
+
+def test_closed_pipe_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "arrops", "lattice", "x1", "x2", "x3", "x1-x2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_bad_form_is_user_error(capsys):

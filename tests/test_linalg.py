@@ -2,8 +2,21 @@ import random
 from fractions import Fraction
 
 from arrops.diffop import DiffOp, power_of_derivation, saito_matrix
-from arrops.linalg import det_cofactor, det_int, det_poly_matrix, invert, nullspace, rank, rank_int, rref
-from arrops.polynomial import Poly
+from math import gcd
+
+from arrops.linalg import (
+    det_cofactor,
+    det_int,
+    det_poly_matrix,
+    echelon_int,
+    invert,
+    nullspace,
+    nullspace_int,
+    rank,
+    rank_int,
+    rref,
+)
+from arrops.polynomial import Poly, primitive_int_vector
 
 x1, x2, x3 = Poly.variables(3)
 
@@ -37,6 +50,49 @@ def test_rank_int_matches_rational_rank():
     for _ in range(15):
         rows = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
         assert rank_int(rows) == rank(F(rows), 5)
+
+
+def _integer_matrices(rng):
+    """Seeded integer matrices: tall, wide, square of low rank, with zero rows or
+    columns, and empty (no rows, or rows of length 0)."""
+    yield [], 4
+    yield [[], []], 0
+    yield [[0, 0, 0], [0, 0, 0]], 3
+    for nrows, ncols in [(7, 3), (3, 7), (6, 6), (9, 5), (1, 4), (4, 1)]:
+        for _ in range(4):
+            rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
+            yield rows, ncols
+            yield [[r[0] * v for v in rows[0]] for r in rows], ncols  # rank <= 1
+            zero_col = rng.randrange(ncols)
+            holes = [[0 if j == zero_col or i % 3 == 1 else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+            yield holes, ncols
+
+
+def test_echelon_int_rank_matches_rational_rank():
+    for rows, ncols in _integer_matrices(random.Random(11)):
+        expected = rank(F(rows), ncols)
+        for reduce in (False, True):
+            red, pivots = echelon_int(rows, reduce=reduce)
+            assert len(red) == len(pivots) == expected == rank_int(rows)
+            assert pivots == sorted(set(pivots))
+            for k, (row, pc) in enumerate(zip(red, pivots)):
+                assert row[pc] != 0 and not any(row[:pc])
+                assert gcd(*row) == 1
+                if reduce:
+                    assert all(other[pc] == 0 for j, other in enumerate(red) if j != k)
+            # same row space: stacking the echelon rows adds no rank
+            assert rank(F(red + rows), ncols) == expected
+
+
+def test_nullspace_int_is_exact_primitive_kernel():
+    for rows, ncols in _integer_matrices(random.Random(12)):
+        kernel = nullspace_int(rows, ncols)
+        assert len(kernel) == ncols - rank(F(rows), ncols)
+        for v in kernel:
+            assert len(v) == ncols
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+            assert gcd(*v) == 1 and next(x for x in v if x) > 0
+        assert kernel == [primitive_int_vector(v) for v in nullspace(F(rows), ncols)]
 
 
 def test_det_int_matches_cofactor():

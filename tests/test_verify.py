@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_essential
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, euler_op, partial_op, saito_matrix
@@ -15,6 +17,7 @@ from arrops.verify import (
     is_member,
     oracle_dim,
     oracle_dim_direct,
+    oracle_dims,
     s_dim,
     saito_check,
 )
@@ -143,6 +146,23 @@ def test_oracle_fast_matches_direct(quad_arr, boolean_arr, pencil3_arr):
         for m in range(3):
             for d in range(4):
                 assert oracle_dim(arr, m, d) == oracle_dim_direct(arr, m, d), (arr, m, d)
+
+
+def test_oracle_dims_matches_direct():
+    rng = random.Random(5)
+    arrs = [random_essential(rng, n) for n in (3, 4)] + [
+        parse_arrangement("x1 + x3; x2 - x3; x1 + x2", dim=3),
+        parse_arrangement("x2 - 2*x3", dim=3),
+        parse_arrangement("", dim=3),
+        parse_arrangement("", dim=2),
+        parse_arrangement("x1; x1 + 2*x2", dim=2),
+    ]
+    for arr in arrs:
+        for m in range(4):
+            d_max = 4 if arr.dim == 3 else 6
+            expected = [oracle_dim_direct(arr, m, d) for d in range(d_max + 1)]
+            assert oracle_dims(arr, m, d_max) == expected, (arr.text(), m)
+    assert oracle_dims(arrs[0], 2, -1) == []
 
 
 def test_oracle_monotone_beyond_top_exponent(quad_arr):
