@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DuplicateHyperplane, NotCentral, ParseError, ZeroForm
-from .linalg import nullspace, rref
+from .linalg import nullspace_int
 from .polynomial import LinearForm, Poly, primitive_int_vector
 
 
@@ -43,7 +43,7 @@ class Hyperplane:
         return self.form().to_poly()
 
     def contains(self, vector: Sequence[Fraction | int]) -> bool:
-        return self.form()(vector) == 0
+        return sum(c * v for c, v in zip(self.normal, vector)) == 0
 
     def text(self) -> str:
         parts = []
@@ -105,10 +105,8 @@ class Arrangement:
 
     def rank_and_kernel(self) -> tuple[int, list[tuple[int, ...]]]:
         """Rank of the normal matrix and a primitive basis of the common intersection."""
-        rows = [[Fraction(c) for c in h.normal] for h in self.hyperplanes]
-        _, pivots = rref(rows, self.dim)
-        kernel = [primitive_int_vector(v) for v in nullspace(rows, self.dim)]
-        return len(pivots), kernel
+        kernel = nullspace_int([list(h.normal) for h in self.hyperplanes], self.dim)
+        return self.dim - len(kernel), kernel
 
     def rank(self) -> int:
         return self.rank_and_kernel()[0]

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .arrangement import Arrangement, Hyperplane
 from .errors import BadOrder, DuplicateHyperplane
 from .flats import Flat1, dim1_flats
-from .polynomial import Poly
+from .polynomial import Poly, form_product
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,27 @@ class ExtendedArrangement:
 class FlatProfile:
     """Flat of the extended arrangement with its order bound and cofactors.
 
-    max_order is the number of extended hyperplanes through the flat minus 2;
-    off_flat_product multiplies the extended forms avoiding the flat (degree
-    m - max_order) and base_off_flat_product the base forms avoiding it.
+    max_order is the number of extended hyperplanes through the flat minus 2.
+    off_flat holds the extended hyperplanes avoiding the flat and
+    base_off_flat the base ones; their products (the cofactors, of degree
+    m - max_order and n - base_local_count) are multiplied out over the
+    integers only when off_flat_product or base_off_flat_product is read,
+    and are not kept.
     """
 
     flat: Flat1
     max_order: int
-    off_flat_product: Poly
-    base_off_flat_product: Poly
+    off_flat: tuple[Hyperplane, ...]
+    base_off_flat: tuple[Hyperplane, ...]
     base_local_count: int
+
+    @property
+    def off_flat_product(self) -> Poly:
+        return form_product((h.normal for h in self.off_flat), self.flat.dim)
+
+    @property
+    def base_off_flat_product(self) -> Poly:
+        return form_product((h.normal for h in self.base_off_flat), self.flat.dim)
 
 
 def generic_hyperplane(arr: Arrangement) -> Hyperplane:
@@ -112,27 +123,22 @@ def extend(
 
 def flat_profiles(ext: ExtendedArrangement) -> list[FlatProfile]:
     """One profile per rank-2 flat of the extended arrangement."""
-    base = ext.base
+    n_base = ext.base.n
     full = ext.full
     profiles = []
     for flat in dim1_flats(full):
         local = set(flat.local_indices)
-        off = Poly.constant(3, 1)
-        for i, h in enumerate(full.hyperplanes):
-            if i not in local:
-                off = off * h.poly()
-        base_local = base.localization_indices(flat.direction)
-        base_off = Poly.constant(3, 1)
-        for i, h in enumerate(base.hyperplanes):
-            if i not in base_local:
-                base_off = base_off * h.poly()
+        # lists, then tuple(): a tuple built from a generator is allocated at a
+        # guessed size and freed onto another free list, which keeps memory
+        off = [h for i, h in enumerate(full.hyperplanes) if i not in local]
+        base_off = [h for i, h in enumerate(full.hyperplanes[:n_base]) if i not in local]
         profiles.append(
             FlatProfile(
                 flat=flat,
-                max_order=len(flat.local_indices) - 2,
-                off_flat_product=off,
-                base_off_flat_product=base_off,
-                base_local_count=len(base_local),
+                max_order=len(local) - 2,
+                off_flat=tuple(off),
+                base_off_flat=tuple(base_off),
+                base_local_count=n_base - len(base_off),
             )
         )
     return profiles

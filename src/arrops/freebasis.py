@@ -7,7 +7,12 @@ capacity i contributes blocks P_X * D^(j)(pencil) * delta_X^(m-j) for
 
 * order j <= k-1: the order-j Euler operator plus a deterministic complement
   of the Euler multiples inside the solution space of the membership linear
-  system at coefficient degree k-1;
+  system at coefficient degree k-1.  The system and the Euler multiples have
+  integer entries, so the solve (``linalg.nullspace_int``) and the rank
+  tests that pick the complement (one running echelon basis,
+  ``linalg.echelon_extend``) are integer elimination; the chosen solutions
+  are the rational ones up to scale, and ``normalized_primitive`` removes
+  the scale;
 * order j >= k: one summand per line of a generically extended line set,
   the product of the other original lines times a pure power of the line's
   direction derivation;
@@ -46,7 +51,7 @@ from .errors import (
 )
 from .extension import ExtendedArrangement, FlatProfile, extend, flat_profiles
 from .flats import Flat1
-from .linalg import nullspace, rref
+from .linalg import echelon_extend, echelon_int, nullspace_int
 from .polynomial import (
     LinearForm,
     Poly,
@@ -113,45 +118,41 @@ def _euler_complement_block(lines: Sequence[tuple[int, int]], j: int) -> list[Di
     col = {(a, c): i * len(mon_idx) + ci for i, a in enumerate(ops_idx) for ci, c in enumerate(mon_idx)}
     ncols = len(col)
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for line in lines:
         point = _line_direction(line)
-        values = {c: Fraction(point[0] ** c[0] * point[1] ** c[1]) for c in mon_idx}
+        values = {c: point[0] ** c[0] * point[1] ** c[1] for c in mon_idx}
         for b in monomials_of_degree(2, j - 1):
-            row = [Fraction(0)] * ncols
+            row = [0] * ncols
             for i in range(2):
                 if line[i] == 0:
                     continue
                 a = (b[0] + (i == 0), b[1] + (i == 1))
-                w = Fraction(line[i] * midx_factorial(a))
+                w = line[i] * midx_factorial(a)
                 for c in mon_idx:
                     row[col[(a, c)]] += w * values[c]
             rows.append(row)
 
-    solutions = nullspace(rows, ncols)
+    solutions = nullspace_int(rows, ncols)
     if len(solutions) != k:
         raise SolveFailed(f"membership system solution space has dimension {len(solutions)}, expected {k}")
 
+    # the first j solutions, in column order, that leave the span of the
+    # Euler multiples x^w * E_j, |w| = k-1-j (j!/a! is an integer)
     euler = euler_op(j, 2)
     euler_vecs = []
     for w in monomials_of_degree(2, k - 1 - j):
-        vec = [Fraction(0)] * ncols
+        vec = [0] * ncols
         for a in ops_idx:
-            c = (a[0] + w[0], a[1] + w[1])
-            vec[col[(a, c)]] = Fraction(factorial(j), midx_factorial(a))
+            vec[col[(a, (a[0] + w[0], a[1] + w[1]))]] = factorial(j) // midx_factorial(a)
         euler_vecs.append(vec)
-
-    chosen: list[list[Fraction]] = []
-    span = list(euler_vecs)
-    base_rank = len(rref(span, ncols)[1])
+    span, pivots = echelon_int(euler_vecs)
+    chosen: list[tuple[int, ...]] = []
     for vec in solutions:
         if len(chosen) == j:
             break
-        trial = span + [list(vec)]
-        if len(rref(trial, ncols)[1]) > base_rank:
-            span = trial
-            base_rank += 1
-            chosen.append(list(vec))
+        if echelon_extend(span, pivots, list(vec)):
+            chosen.append(vec)
     if len(chosen) != j:
         raise SolveFailed("could not extend Euler multiples to a full complement")
 
@@ -276,13 +277,12 @@ def pencil_basis(arr: Arrangement, flat: Flat1, j: int) -> list[DiffOp]:
 def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> FreeBasis:
     """Direct sum over the flats of the blocks P_X * D^(j)(pencil) * delta_X^(m-j),
     0 <= j <= max_order, with P_X the base cofactor; certified once."""
-    one = Poly.constant(3, 1)
     operators: list[DiffOp] = []
     degrees: list[int] = []
     provenance: list[dict] = []
     for profile in profiles:
         flat = profile.flat
-        cofactor = profile.base_off_flat_product
+        cofactor = profile.base_off_flat_product if profile.base_off_flat else None
         lines, duals = _pencil_lines(arr, flat)
         forms = (flat.kernel_forms[0], flat.kernel_forms[1])
         plane_duals = (duals[0], duals[1])
@@ -290,7 +290,7 @@ def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> Free
             delta_pow = power_of_derivation(flat.delta, m - j)
             for idx, op2 in enumerate(basis_2arr_lines(lines, j)):
                 op = _convert_2var_op(op2, forms, plane_duals).compose_constant(delta_pow)
-                if cofactor != one:
+                if cofactor is not None:
                     op = op.mul_poly(cofactor)
                 op = op.normalized_primitive()
                 deg = op.degree()
@@ -343,15 +343,14 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
     # rows of the normals, padded with unit forms at every free column but the
     # last; the section is the unit form at the last free column, scaled so
     # that it takes the value 1 on the direction.
-    red, pivots = rref([[Fraction(c) for c in h.normal] for h in arr.hyperplanes], 3)
+    red, pivots = echelon_int([list(h.normal) for h in arr.hyperplanes], reduce=True)
     free_cols = [c for c in range(3) if c not in pivots]
     direction = kernel[-1]
     kernel_forms = [LinearForm.make(primitive_int_vector(r)) for r in red]
     kernel_forms += [_unit_form(c) for c in free_cols[:-1]]
     section = _unit_form(free_cols[-1], Fraction(1, direction[free_cols[-1]]))
     flat = Flat1(direction, tuple(range(arr.n)), section, tuple(kernel_forms))
-    one = Poly.constant(3, 1)
-    return _assemble(arr, m, [FlatProfile(flat, m, one, one, arr.n)])
+    return _assemble(arr, m, [FlatProfile(flat, m, (), (), arr.n)])
 
 
 def build_basis(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
@@ -394,9 +393,10 @@ def dual_pair(ext: ExtendedArrangement) -> DualPair:
         y1 = flat.kernel_forms[0].to_poly()
         y2 = flat.kernel_forms[1].to_poly()
         sec = flat.section.to_poly()
+        off = profile.off_flat_product
         i_cap = profile.max_order
         for j in range(i_cap + 1):
-            tail_poly = profile.off_flat_product * sec ** (i_cap - j)
+            tail_poly = off * sec ** (i_cap - j)
             delta_pow = power_of_derivation(flat.delta, m - j)
             normalizer = delta_pow.apply(tail_poly).constant_value()
             if normalizer == 0:

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals, the integers and the polynomial ring.
 
-- Rationals: ``rref``, ``nullspace``, ``invert``.  Basis construction uses
-  these, and its operator bytes depend on their normalization.
+- Rationals: ``rref`` and ``invert`` (the flats' dual derivations);
+  ``rank`` and ``nullspace`` are the tests' reference for the integer kernel.
 - Integers: ``echelon_int`` is one fraction-free elimination kernel (primitive
-  rows, sparsest-row pivots); ``rank_int`` and ``nullspace_int`` are built on
-  it and serve the dimension oracle.  ``det_int`` is a Bareiss determinant
-  for the determinant certificate.
+  rows, sparsest-row pivots); ``rank_int``, ``nullspace_int`` and
+  ``echelon_extend`` (a running echelon basis) are built on it and serve
+  arrangement kernels, the pencil membership solve and the dimension
+  oracle.  ``det_int`` is a Bareiss determinant for the determinant
+  certificate.
 - Polynomials: ``det_poly_matrix``, the tests' reference determinant.
 
 Everything here is deterministic: columns are processed in the order given
@@ -16,6 +18,7 @@ bit-identical results.  There is no floating point and no modular step.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -134,6 +137,23 @@ def echelon_int(rows: list[list[int]], reduce: bool = False) -> tuple[list[list[
     return out, pivots
 
 
+def echelon_extend(rows: list[list[int]], pivots: list[int], vec: list[int]) -> bool:
+    """Reduce ``vec`` by echelon rows with ascending pivots (as returned by
+    ``echelon_int``).  If a nonzero remainder is left, insert it in pivot
+    order and return True: ``vec`` is not in the span of the rows."""
+    rest = list(vec)
+    for row, pc in zip(rows, pivots):
+        if rest[pc]:
+            rest = _combine(rest, row, row[pc], rest[pc])
+    lead = next((c for c, v in enumerate(rest) if v), None)
+    if lead is None:
+        return False
+    k = bisect_left(pivots, lead)
+    rows.insert(k, rest)
+    pivots.insert(k, lead)
+    return True
+
+
 def _combine(row: list[int], piv_row: list[int], p: int, v: int) -> list[int]:
     """Primitive form of (p*row - v*piv_row) / gcd(p, v)."""
     g = gcd(p, v)
@@ -179,8 +199,16 @@ def nullspace_int(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
 
 
 def _strip(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return row if g <= 1 else [v // g for v in row]
+    # a loop, not gcd(*row): it stops at the first unit gcd and builds no
+    # argument tuple (CPython 3.11 parks every freed 20-item tuple on a free
+    # list that allocation never takes from)
+    g = 0
+    for v in row:
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return row
+    return row if not g else [v // g for v in row]
 
 
 def det_int(matrix: list[list[int]]) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotDivisible
 
@@ -384,6 +384,21 @@ class LinearForm:
 
     def text(self) -> str:
         return self.to_poly().text()
+
+
+def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
+    """Product of the integer linear forms with the given coefficient vectors
+    (1 for none), multiplied out one factor at a time over the integers."""
+    terms: dict[MultiIndex, int] = {(0,) * nvars: 1}
+    for normal in normals:
+        units = [(i, c) for i, c in enumerate(normal) if c]
+        out: dict[MultiIndex, int] = {}
+        for a, v in terms.items():
+            for i, c in units:
+                b = (*a[:i], a[i] + 1, *a[i + 1 :])
+                out[b] = out.get(b, 0) + v * c
+        terms = out
+    return Poly(nvars, terms)
 
 
 def primitive_int_vector(vec: Iterable[Fraction | int]) -> tuple[int, ...]:

@@ -5,7 +5,13 @@ coefficient matrix M of a candidate basis without expanding det M: rows are
 stripped of the hyperplane forms that divide them, and the remaining
 identity between homogeneous polynomials is checked at every point of a
 principal lattice, which is unisolvent (Chung and Yao, 1977), by integer
-Bareiss determinants (see ``saito_check``).
+Bareiss determinants (see ``saito_check``).  Stripping is integer
+arithmetic: each row is first divided by its rational content, which leaves
+a primitive integer row, and then divided by the primitive integer forms
+alpha_H.  By Gauss's lemma the quotient of an integer polynomial by a
+primitive integer form is integral with the same content, so the content
+and the quotients are exactly those of rational stripping, and a leading
+quotient that is not an integer proves that alpha_H does not divide.
 
 The oracle computes the exact dimension of the degree-d slice of the order-m
 operator module.  The defining conditions say that for every hyperplane H
@@ -32,6 +38,10 @@ which spans the same rows with fewer of them (the block has d + 1 rows on a
 plane but rank at most about n - 1).  ``oracle_dims`` answers every degree up to d_max
 in one call and computes the contraction kernels and hyperplane bases once;
 nothing is cached across calls.
+
+The oracle's points on a plane with basis (u, v) are s*u + t*v for the
+d + 1 coprime pairs (s, t) of smallest height; distinct projective points,
+so they separate the restricted degree-d polynomials, with small entries.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ from .linalg import det_int, echelon_int, nullspace_int, rank_int
 from .polynomial import (
     MultiIndex,
     Poly,
+    form_product,
     midx_factorial,
     monomials_of_degree,
     s_dim,
@@ -98,17 +109,8 @@ class SaitoCertificate:
     @cached_property
     def det(self) -> Poly:
         """c * Q^t, multiplied out one linear factor at a time over the integers."""
-        terms = {(0,) * self.arr.dim: 1}
-        for h in self.arr.hyperplanes:
-            units = [(i, v) for i, v in enumerate(h.normal) if v]
-            for _ in range(self.t):
-                out: dict[MultiIndex, int] = {}
-                for a, v in terms.items():
-                    for i, ci in units:
-                        b = (*a[:i], a[i] + 1, *a[i + 1 :])
-                        out[b] = out.get(b, 0) + v * ci
-                terms = out
-        return Poly(self.arr.dim, {a: self.c * v for a, v in terms.items()})
+        normals = (h.normal for h in self.arr.hyperplanes for _ in range(self.t))
+        return form_product(normals, self.arr.dim) * self.c
 
     def to_json(self) -> dict:
         return {"c": str(self.c), "t": self.t, "det": self.det.text()}
@@ -118,8 +120,10 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
     """Certify det M = c * Q^t with c != 0 for M = saito_matrix(ops), exactly
     and without expanding the determinant.
 
-    1. Strip: divide each row of M by each alpha_H as often as alpha_H divides
-       every entry, and add the multiplicities into E_H.  By multilinearity
+    1. Strip: scale each row of M to a primitive integer row (its content
+       goes into c), divide it over the integers by each alpha_H as often as
+       alpha_H divides every entry (``_divide_row``), and add the
+       multiplicities into E_H.  By multilinearity
        det M = prod_H alpha_H^E_H * det M'.
     2. Every row is homogeneous, so det M' is homogeneous of degree D', the
        sum of the stripped row degrees; the claim left to prove is
@@ -143,12 +147,13 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
     if len(ops) != expected:
         raise ZeroDet(f"candidate basis has {len(ops)} operators, need {expected}")
 
-    alphas = [h.poly() for h in arr.hyperplanes]
-    strips = [0] * len(alphas)
+    normals = [h.normal for h in arr.hyperplanes]
+    strips = [0] * len(normals)
     degree_sum = 0
     scale = Fraction(1)
     rows: list[list[list[tuple[MultiIndex, int]]]] = []
     residual_degree = 0
+    orders: dict[int, list[MultiIndex]] = {}
     for i, (op, row) in enumerate(zip(ops, saito_matrix(ops))):
         if op.is_zero():
             raise ZeroDet(f"operator {i} is zero")
@@ -156,18 +161,21 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
         if deg is None:
             raise NotPurePower(f"operator {i} has non-homogeneous coefficients")
         degree_sum += deg
-        for hi, alpha in enumerate(alphas):
+        content = _row_content(row)
+        scale *= content
+        ints = [{a: int(v / content) for a, v in f.terms.items()} for f in row]
+        for hi, normal in enumerate(normals):
             while deg:
-                try:
-                    row = [f.exact_div(alpha) for f in row]
-                except NotDivisible:
+                if deg not in orders:
+                    orders[deg] = monomials_of_degree(l, deg)
+                quotients = _divide_row(ints, normal, orders[deg])
+                if quotients is None:
                     break
+                ints = quotients
                 strips[hi] += 1
                 deg -= 1
         residual_degree += deg
-        content = _row_content(row)
-        scale *= content
-        rows.append([[(a, int(v / content)) for a, v in f.terms.items()] for f in row])
+        rows.append([list(f.items()) for f in ints])
 
     points = [(1, *a[1:]) for a in monomials_of_degree(l, residual_degree)]
     dets = [det_int([[_int_value(f, p) for f in row] for row in rows]) for p in points]
@@ -193,6 +201,46 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
         if d * rhs[k0] != dets[k0] * r:
             raise NotPurePower(f"determinant is not c * Q^{t}: the stripped rows disagree at the point {p}")
     return SaitoCertificate(scale * Fraction(dets[k0], rhs[k0]), t, arr)
+
+
+def _divide_row(
+    row: list[dict[MultiIndex, int]], normal: tuple[int, ...], order: list[MultiIndex]
+) -> list[dict[MultiIndex, int]] | None:
+    """Each entry of an integer row divided by the form alpha with primitive
+    coefficients ``normal``, or None if alpha does not divide every entry.
+
+    The entries are homogeneous of one degree, whose monomials ``order``
+    lists in graded-lex descending order.  Leading-term division by alpha's
+    leading monomial x_p; by Gauss's lemma the quotient of an integer
+    multiple of a primitive alpha is integral, so a remainder term without
+    x_p or a quotient coefficient that is not an integer proves that alpha
+    does not divide the entry, and the division stops there.
+    """
+    p = next(i for i, c in enumerate(normal) if c)
+    lead = normal[p]
+    rest = [(i, c) for i, c in enumerate(normal) if c and i != p]
+    out = []
+    for f in row:
+        rem = dict(f)
+        quo: dict[MultiIndex, int] = {}
+        for mono in order:
+            if not rem:
+                break
+            v = rem.pop(mono, 0)
+            if not v:
+                continue
+            if not mono[p]:
+                return None
+            q, r = divmod(v, lead)
+            if r:
+                return None
+            a = (*mono[:p], mono[p] - 1, *mono[p + 1 :])
+            quo[a] = q
+            for k, c in rest:
+                b = (*a[:k], a[k] + 1, *a[k + 1 :])
+                rem[b] = rem.get(b, 0) - q * c
+        out.append(quo)
+    return out
 
 
 def _row_content(row: list[Poly]) -> Fraction:
@@ -222,11 +270,27 @@ def _rhs_value(arr: Arrangement, strips: list[int], t: int, point: tuple[int, ..
 
 def _hyperplane_points(lines: list[list[tuple[int, ...]]], d: int) -> list[list[tuple[int, ...]]]:
     """Deterministic integer points on each hyperplane, enough to separate
-    restricted degree-d polynomials: the basis vector of a line, or d + 1
-    points u + t*v on a plane with basis (u, v)."""
+    restricted degree-d polynomials: the basis vector of a line, or the
+    points s*u + t*v on a plane with basis (u, v) for the d + 1 projective
+    pairs (s, t) of smallest height (distinct points of the projective line,
+    so a degree-d binary form vanishing at all of them is zero)."""
     if len(lines[0]) == 1:
         return [basis[:1] for basis in lines]
-    return [[tuple(a + t * b for a, b in zip(u, v)) for t in range(d + 1)] for u, v in lines]
+    pairs = _projective_pairs(d + 1)
+    return [[tuple(s * a + t * b for a, b in zip(u, v)) for s, t in pairs] for u, v in lines]
+
+
+def _projective_pairs(count: int) -> list[tuple[int, int]]:
+    """The first ``count`` coprime pairs (s, t), one per point of the projective
+    line, by height max(|s|, |t|): (1, 0), (0, 1), (1, 1), (1, -1), (1, 2),
+    (1, -2), (2, 1), (2, -1), (1, 3), ..."""
+    pairs = [(1, 0), (0, 1)]
+    h = 1
+    while len(pairs) < count:
+        pairs += [(s, t) for s in range(1, h + 1) if gcd(s, h) == 1 for t in (h, -h)]
+        pairs += [(h, t) for u in range(1, h) if gcd(h, u) == 1 for t in (u, -u)]
+        h += 1
+    return pairs[:count]
 
 
 def _contraction_kernel(normal: tuple[int, ...], m: int) -> list[tuple[int, ...]]:

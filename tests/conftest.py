@@ -5,6 +5,15 @@ import pytest
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # same examples on every run, no example database, no timing flakes
+    settings.register_profile("arrops", derandomize=True, database=None, max_examples=40, deadline=None)
+    settings.load_profile("arrops")
+
 
 @pytest.fixture(scope="session")
 def quad_arr():

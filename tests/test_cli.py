@@ -1,10 +1,12 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import random_essential
 
 from arrops import cli
 from arrops.errors import ZeroDet
@@ -101,6 +103,27 @@ def test_closed_pipe_exits_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_output_independent_of_hash_seed():
+    forms = random_essential(random.Random(3), 5).text().split("; ")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv in (
+        ["verify", "--m", "2", "x1", "x2", "x3", "x1-x2"],
+        ["identities", "--m", "3", *forms],
+        ["basis", "--m", "3", *forms],
+    ):
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "arrops", *argv],
+                capture_output=True,
+                env=dict(env, PYTHONHASHSEED=seed),
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv
 
 
 def test_bad_form_is_user_error(capsys):

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 
 import pytest
+from conftest import random_essential
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import euler_op, identity_op
@@ -14,10 +16,11 @@ from arrops.freebasis import (
     basis_2arr_lines,
     basis_3arr,
     basis_nonessential,
+    build_basis,
     dual_pair,
     pencil_basis,
 )
-from arrops.polynomial import Poly, monomials_of_degree
+from arrops.polynomial import Poly, monomials_of_degree, primitive_int_vector
 from arrops.verify import is_member, oracle_dim, s_dim
 
 x1, x2, x3 = Poly.variables(3)
@@ -61,6 +64,34 @@ def test_basis_2arr_high_order_matches_formula():
         ops = basis_2arr(a, m)
         assert sorted(op.degree() for op in ops) == list(exp_2arr(k, m))
         assert all(is_member(op, a) for op in ops)
+
+
+def _seeded_lines(k):
+    rng = random.Random(1000 + k)
+    lines = []
+    while len(lines) < k:
+        v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if v != (0, 0) and primitive_int_vector(v) not in lines:
+            lines.append(primitive_int_vector(v))
+    return lines
+
+
+@pytest.mark.parametrize(
+    "k, digest",
+    [
+        (1, "98840dabfc1498aff5ffe6c733450fbd8d262c0987421149cbc3dc8ebbeaef63"),
+        (2, "c1c3be45892e14bccf9d55c544c4b31b60e5a1cd5dfb7418f8921db540d2dd97"),
+        (3, "d685002faf663a3a6b18d72673c9a045ab05e772bb615125e3a7479eb008c16b"),
+        (4, "0576aaea765df469ef4dd5837a25307ef113e88a66a58088f1fcb375ae796add"),
+        (5, "993d236c35a8d18badc38da5ecd7c037e8162113d96966445ea4ad8c68ec758d"),
+    ],
+)
+def test_basis_2arr_lines_output_bytes(k, digest):
+    # pencil blocks at j = 0..6 cover the Euler-complement path (1 <= j <= k-1)
+    # and the per-line path; their bytes reach every 3-arrangement basis
+    lines = _seeded_lines(k)
+    payload = json.dumps([[op.to_json() for op in basis_2arr_lines(lines, j)] for j in range(7)])
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_basis_2arr_no_lines():
@@ -208,6 +239,20 @@ def test_basis_nonessential_output_bytes(text, digest):
     # operator bytes of rank <= 2 bases depend on the kernel coordinates of
     # their single flat; pin them at m = 3
     fb = basis_nonessential(parse_arrangement(text, dim=3), 3)
+    payload = json.dumps(fb.to_json(), sort_keys=True) + json.dumps(fb.saito.to_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "arr, digest",
+    [
+        (parse_arrangement("x1; x2; x3; x1-x2"), "e3e2c8e18dd9ce016820a5feca2116b71c0265a335cc276dc402e6403cfaeb72"),
+        (random_essential(random.Random(7), 4), "0d97b569b095493a9abc581552ab160373e31497c45b5970f78d4011526896d0"),
+    ],
+    ids=["quad", "random43"],
+)
+def test_build_basis_output_bytes(arr, digest):
+    fb = build_basis(arr, 3)
     payload = json.dumps(fb.to_json(), sort_keys=True) + json.dumps(fb.saito.to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
