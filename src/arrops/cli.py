@@ -19,7 +19,7 @@ from pathlib import Path
 from .arrangement import Arrangement, parse_arrangement
 from .errors import ArropsError, BadOrder, IdentityViolated, SaitoFailed, ZeroNormalizer
 from .exponents import exp_for_arrangement
-from .extension import extend, hyperplanes_from_forms
+from .extension import extend, flat_profiles, hyperplanes_from_forms
 from .flats import dim1_flats
 from .freebasis import build_basis
 from .polynomial import s_dim
@@ -136,12 +136,13 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         return out, 0
 
     if args.command == "verify":
-        ext = None
+        ext = profiles = None
         if arr.dim == 3 and arr.is_essential():
             ext = _extension(arr, args.m, args.extension)
             out["extension"] = ext.to_json()
-            out["identities"] = check_identities(ext)
-        basis = build_basis(arr, args.m, ext)
+            profiles = flat_profiles(ext)
+            out["identities"] = check_identities(ext, profiles)
+        basis = build_basis(arr, args.m, ext, profiles)
         out["m"] = args.m
         out["exponents"] = list(basis.exponents)
         out["saito"] = {"c": str(basis.saito.c), "t": basis.saito.t}

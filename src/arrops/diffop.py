@@ -8,7 +8,7 @@ are immutable by convention, like polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
@@ -20,6 +20,7 @@ from .polynomial import (
     midx_factorial,
     monomials_of_degree,
     primitive_int_vector,
+    rational_content,
 )
 
 
@@ -155,20 +156,18 @@ class DiffOp:
         return a, self.coeffs[a].leading_monomial()
 
     def normalized_primitive(self) -> DiffOp:
-        """Canonical scaling: integer coefficients, joint content 1, leading > 0."""
+        """Canonical scaling: ``int`` coefficients, joint content 1, leading > 0;
+        the same for every nonzero constant multiple of the operator."""
         if not self.coeffs:
             return self
-        den = 1
-        num = 0
-        for f in self.coeffs.values():
-            c = f.content()
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        factor = Fraction(den, num)
+        c = rational_content(v for f in self.coeffs.values() for v in f.terms.values())
+        num, den = c.numerator, c.denominator
         a, mono = self.leading_key()
         if self.coeffs[a].terms[mono] < 0:
-            factor = -factor
-        return self.scale(factor)
+            num = -num
+        # v * den / num is an integer for every coefficient v, so // is exact
+        out = {b: Poly._raw(f.nvars, {k: v * den // num for k, v in f.terms.items()}) for b, f in self.coeffs.items()}
+        return DiffOp(self.nvars, self.order, out)
 
     def to_json(self) -> list:
         return [[list(a), f.text()] for a, f in self.sorted_coeffs()]
@@ -187,16 +186,17 @@ def partial_op(nvars: int, a: MultiIndex, coeff: Poly | int | Fraction = 1) -> D
 
 
 def power_of_derivation(coeffs: Sequence[Fraction | int], k: int, nvars: int | None = None) -> DiffOp:
-    """Expand (sum c_i d_i)^k with multinomial coefficients k!/a! * c^a."""
+    """Expand (sum c_i d_i)^k with multinomial coefficients k!/a! * c^a
+    (``int`` coefficients for ``int`` c)."""
     if k < 0:
         raise ValueError("negative power")
     n = len(coeffs) if nvars is None else nvars
-    cs = [Fraction(c) for c in coeffs]
+    cs = list(coeffs)
     if len(cs) != n:
         raise DimensionMismatch("coefficient vector length must equal variable count")
     out: dict[MultiIndex, Poly] = {}
     for a in monomials_of_degree(n, k):
-        c = Fraction(factorial(k), midx_factorial(a))
+        c = factorial(k) // midx_factorial(a)
         for ci, ai in zip(cs, a):
             if ai:
                 c *= ci**ai
@@ -216,8 +216,7 @@ def euler_op(m: int, nvars: int) -> DiffOp:
         raise ValueError("need m >= 0 and at least one variable")
     out = {}
     for a in monomials_of_degree(nvars, m):
-        c = Fraction(factorial(m), midx_factorial(a))
-        out[a] = Poly(nvars, {a: c})
+        out[a] = Poly(nvars, {a: factorial(m) // midx_factorial(a)})
     return DiffOp(nvars, m, out)
 
 

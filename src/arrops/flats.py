@@ -8,19 +8,21 @@ choices are pivot-based: with p the first index where v is nonzero,
     y   = x_p / v_p,
     y_i = x_i - (v_i / v_p) x_p   for every index i != p (ascending).
 
-Any valid section works for the theorems downstream; this one is canonical
-and keeps all data rational.
+Any valid section works for the theorems downstream; this one is canonical.
+The basis assembly reads the forms and their duals as integers
+(``Flat1.integer_frame``, an integer adjugate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .arrangement import Arrangement
 from .errors import ZeroForm
-from .linalg import invert
+from .linalg import adjugate_int
 from .polynomial import LinearForm, primitive_int_vector
 
 
@@ -46,14 +48,25 @@ class Flat1:
         """Kernel forms followed by the section: a basis of the dual space."""
         return [*self.kernel_forms, self.section]
 
+    def integer_frame(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], Fraction]:
+        """Rows of M' = D * (coordinate forms), D their common denominator,
+        columns of adj(M') and D / det M'.  Row k times column i is
+        det M' * delta_ik, so column i times D / det M' is dual to form i."""
+        forms = self.coordinate_forms()
+        den = lcm(*(c.denominator for f in forms for c in f.coeffs))
+        rows = [[c.numerator * (den // c.denominator) for c in f.coeffs] for f in forms]
+        adj = adjugate_int(rows)
+        det = sum(a * row[0] for a, row in zip(rows[0], adj))
+        return [tuple(r) for r in rows], [tuple(row[i] for row in adj) for i in range(self.dim)], Fraction(den, det)
+
     def dual_derivations(self) -> list[tuple[Fraction, ...]]:
         """Constant derivations dual to the coordinate forms.
 
         Rows are coefficient vectors w with (sum w_k d_k)(form_j) = delta_ij;
         the last row always equals the flat direction.
         """
-        inv = invert([list(f.coeffs) for f in self.coordinate_forms()])
-        return [tuple(row[i] for row in inv) for i in range(self.dim)]
+        _, duals, scale = self.integer_frame()
+        return [tuple(v * scale for v in w) for w in duals]
 
     def to_json(self) -> dict:
         return {

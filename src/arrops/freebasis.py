@@ -21,9 +21,13 @@ capacity i contributes blocks P_X * D^(j)(pencil) * delta_X^(m-j) for
 One assembly loop builds every 3-arrangement basis: an essential one flat
 by flat over its extension, a rank 1 or 2 one from its single flat (the
 common kernel line, order cap m, cofactor 1); rank 0 is the monomial
-derivatives.  A basis is certified where it is returned, by the determinant
-criterion (``verify.saito_check``: strip hyperplane factors from the rows,
-then compare both sides on a unisolvent lattice); the blocks of
+derivatives.  The loop runs on integers: each pencil block is rewritten in
+the flat's integer coordinate frame (``Flat1.integer_frame``), which
+scales every operator by a nonzero constant, and ``normalized_primitive``
+removes it, so the result is that of the rational frame.  A basis is
+certified where it is returned, by the determinant criterion
+(``verify.saito_check``: strip hyperplane factors from the rows, then
+compare both sides on a unisolvent lattice); the blocks of
 ``basis_2arr_lines`` are not certified on their own.
 """
 
@@ -55,6 +59,7 @@ from .linalg import echelon_extend, echelon_int, nullspace_int
 from .polynomial import (
     LinearForm,
     Poly,
+    form_product,
     midx_factorial,
     monomials_of_degree,
     primitive_int_vector,
@@ -103,11 +108,7 @@ class DualPair:
 
 
 def _line_direction(line: tuple[int, int]) -> tuple[int, ...]:
-    return primitive_int_vector((Fraction(-line[1]), Fraction(line[0])))
-
-
-def _line_poly(line: tuple[int, int]) -> Poly:
-    return LinearForm.make(line).to_poly()
+    return primitive_int_vector((-line[1], line[0]))
 
 
 def _euler_complement_block(lines: Sequence[tuple[int, int]], j: int) -> list[DiffOp]:
@@ -174,17 +175,14 @@ def _per_line_block(lines: Sequence[tuple[int, int]], j: int) -> list[DiffOp]:
     have = set(extended)
     t = 0
     while len(extended) < j + 1:
-        cand = primitive_int_vector((Fraction(1), Fraction(t)))
+        cand = (1, t)
         if cand not in have:
             have.add(cand)
             extended.append(cand)
         t += 1
     out = []
     for line in extended:
-        pref = Poly.constant(2, 1)
-        for other in lines:
-            if other != line:
-                pref = pref * _line_poly(other)
+        pref = form_product((other for other in lines if other != line), 2)
         op = power_of_derivation(_line_direction(line), j).mul_poly(pref)
         out.append(op.normalized_primitive())
     return out
@@ -222,19 +220,19 @@ def basis_2arr(arr2: Arrangement, j: int) -> list[DiffOp]:
 # -- pencil conversion into the ambient three-variable ring --------------------
 
 
-def _convert_2var_op(
-    op2: DiffOp,
-    forms: tuple[LinearForm, LinearForm],
-    duals: tuple[tuple[Fraction, ...], tuple[Fraction, ...]],
-) -> DiffOp:
-    """Rewrite a 2-variable operator in ambient coordinates.
+def _convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple[int, ...]]) -> DiffOp:
+    """Rewrite a 2-variable operator in ambient coordinates, over the integers.
 
     Coefficients are composed with the coordinate forms; the two partial
-    derivatives become the constant derivations dual to those forms, which
-    commute, so powers expand multinomially.
+    derivatives become the derivations ``duals``, which commute, so powers
+    expand multinomially.  A flat's ``integer_frame`` scales the exact forms
+    by D and their duals by det M' / D, so a term of order j with degree-e
+    coefficients is scaled by D^e * (det M' / D)^j: one constant for each
+    (homogeneous) operator of ``basis_2arr_lines``, which
+    ``normalized_primitive`` removes.
     """
-    nvars = forms[0].nvars
-    images = [f.to_poly() for f in forms]
+    nvars = len(forms[0])
+    images = [form_product([f], nvars) for f in forms]
     total: DiffOp | None = None
     for a, g in op2.coeffs.items():
         const = power_of_derivation(duals[0], a[0], nvars).compose_constant(
@@ -247,28 +245,27 @@ def _convert_2var_op(
     return total
 
 
-def _pencil_lines(arr: Arrangement, flat: Flat1) -> tuple[list[tuple[int, int]], list[tuple[Fraction, ...]]]:
-    """Localized forms of ``arr`` through the flat, in the flat's kernel coordinates."""
-    duals = flat.dual_derivations()
+def _pencil_lines(
+    arr: Arrangement, flat: Flat1
+) -> tuple[list[tuple[int, int]], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Localized forms of ``arr`` through the flat in the flat's kernel
+    coordinates, and those coordinates' integer forms and duals."""
+    forms, duals, _ = flat.integer_frame()
     lines = []
     for i in arr.localization_indices(flat.direction):
-        form = arr.hyperplanes[i].form()
-        cy = (form(duals[0]), form(duals[1]))
-        if form(duals[-1]) != 0:
+        cy = [sum(c * v for c, v in zip(arr.hyperplanes[i].normal, w)) for w in duals]
+        if cy[-1]:
             raise IdentityViolated("localized form does not lie in the flat's kernel coordinates")
-        lines.append(primitive_int_vector(cy))
-    return lines, duals
+        lines.append(primitive_int_vector(cy[:2]))
+    return lines, forms[:2], duals[:2]
 
 
 def pencil_basis(arr: Arrangement, flat: Flat1, j: int) -> list[DiffOp]:
     """Free basis of the order-j module of the localization at a flat,
-    expressed as ambient operators."""
-    lines, duals = _pencil_lines(arr, flat)
+    expressed as ambient operators (``normalized_primitive``)."""
+    lines, forms, duals = _pencil_lines(arr, flat)
     ops2 = basis_2arr(Arrangement(2, [Hyperplane.make(line) for line in lines]), j)
-    return [
-        _convert_2var_op(op2, (flat.kernel_forms[0], flat.kernel_forms[1]), (duals[0], duals[1]))
-        for op2 in ops2
-    ]
+    return [_convert_2var_op(op2, forms, duals).normalized_primitive() for op2 in ops2]
 
 
 # -- full three-variable constructions ------------------------------------------
@@ -283,13 +280,11 @@ def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> Free
     for profile in profiles:
         flat = profile.flat
         cofactor = profile.base_off_flat_product if profile.base_off_flat else None
-        lines, duals = _pencil_lines(arr, flat)
-        forms = (flat.kernel_forms[0], flat.kernel_forms[1])
-        plane_duals = (duals[0], duals[1])
+        lines, forms, duals = _pencil_lines(arr, flat)
         for j in range(profile.max_order + 1):
-            delta_pow = power_of_derivation(flat.delta, m - j)
+            delta_pow = power_of_derivation(flat.direction, m - j)
             for idx, op2 in enumerate(basis_2arr_lines(lines, j)):
-                op = _convert_2var_op(op2, forms, plane_duals).compose_constant(delta_pow)
+                op = _convert_2var_op(op2, forms, duals).compose_constant(delta_pow)
                 if cofactor is not None:
                     op = op.mul_poly(cofactor)
                 op = op.normalized_primitive()
@@ -302,8 +297,11 @@ def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> Free
     return FreeBasis(tuple(operators), tuple(degrees), tuple(provenance), saito_check(operators, arr))
 
 
-def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
-    """Free basis of the order-m module of an essential 3-arrangement, m >= n-2."""
+def basis_3arr(
+    arr: Arrangement, m: int, ext: ExtendedArrangement | None = None, profiles: list[FlatProfile] | None = None
+) -> FreeBasis:
+    """Free basis of the order-m module of an essential 3-arrangement, m >= n-2
+    (``profiles``: ``flat_profiles(ext)``, if the caller has them)."""
     if arr.dim != 3:
         raise BadOrder("basis_3arr expects a 3-arrangement")
     if not arr.is_essential():
@@ -315,7 +313,8 @@ def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None)
     if ext.base != arr or ext.m != m:
         raise BadOrder("extension does not match the arrangement and order")
 
-    profiles = flat_profiles(ext)
+    if profiles is None:
+        profiles = flat_profiles(ext)
     if sum(s_dim(p.max_order, 3) for p in profiles) != s_dim(m, 3):
         raise IdentityViolated("flat capacities do not add up to the module rank")
     return _assemble(arr, m, profiles)
@@ -339,22 +338,27 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
         provenance = tuple({"flat_direction": None, "j": 0, "gen_index": list(a)} for a in monomials)
         return FreeBasis(tuple(operators), (0,) * len(operators), provenance, saito_check(operators, arr))
 
-    # The single flat is the kernel line.  Kernel forms: the primitive echelon
-    # rows of the normals, padded with unit forms at every free column but the
-    # last; the section is the unit form at the last free column, scaled so
-    # that it takes the value 1 on the direction.
-    red, pivots = echelon_int([list(h.normal) for h in arr.hyperplanes], reduce=True)
-    free_cols = [c for c in range(3) if c not in pivots]
-    direction = kernel[-1]
-    kernel_forms = [LinearForm.make(primitive_int_vector(r)) for r in red]
-    kernel_forms += [_unit_form(c) for c in free_cols[:-1]]
-    section = _unit_form(free_cols[-1], Fraction(1, direction[free_cols[-1]]))
-    flat = Flat1(direction, tuple(range(arr.n)), section, tuple(kernel_forms))
+    flat = _kernel_flat(arr, kernel[-1])
     return _assemble(arr, m, [FlatProfile(flat, m, (), (), arr.n)])
 
 
-def build_basis(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
-    """Dispatch on dimension and essentiality."""
+def _kernel_flat(arr: Arrangement, direction: tuple[int, ...]) -> Flat1:
+    """The single flat of a rank 1 or 2 arrangement, the kernel line of
+    ``direction``.  Kernel forms: the primitive echelon rows of the normals,
+    padded with unit forms at every free column but the last; the section is
+    the unit form at the last free column, scaled to 1 on the direction."""
+    red, pivots = echelon_int([list(h.normal) for h in arr.hyperplanes], reduce=True)
+    free_cols = [c for c in range(3) if c not in pivots]
+    kernel_forms = [LinearForm.make(primitive_int_vector(r)) for r in red]
+    kernel_forms += [_unit_form(c) for c in free_cols[:-1]]
+    section = _unit_form(free_cols[-1], Fraction(1, direction[free_cols[-1]]))
+    return Flat1(direction, tuple(range(arr.n)), section, tuple(kernel_forms))
+
+
+def build_basis(
+    arr: Arrangement, m: int, ext: ExtendedArrangement | None = None, profiles: list[FlatProfile] | None = None
+) -> FreeBasis:
+    """Dispatch on dimension and essentiality (``profiles`` as in ``basis_3arr``)."""
     if arr.dim == 2:
         ops = basis_2arr_lines([h.normal for h in arr.hyperplanes], m)
         cert = saito_check(ops, arr)
@@ -366,7 +370,7 @@ def build_basis(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None
         )
     if not arr.is_essential():
         return basis_nonessential(arr, m)
-    return basis_3arr(arr, m, ext)
+    return basis_3arr(arr, m, ext, profiles)
 
 
 # -- dual pair -------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals, the integers and the polynomial ring.
 
-- Rationals: ``rref`` and ``invert`` (the flats' dual derivations);
-  ``rank`` and ``nullspace`` are the tests' reference for the integer kernel.
+- Rationals: ``rref``, ``rank`` and ``nullspace``, the tests' reference for
+  the integer kernel; no production path uses them.
 - Integers: ``echelon_int`` is one fraction-free elimination kernel (primitive
   rows, sparsest-row pivots); ``rank_int``, ``nullspace_int`` and
   ``echelon_extend`` (a running echelon basis) are built on it and serve
   arrangement kernels, the pencil membership solve and the dimension
   oracle.  ``det_int`` is a Bareiss determinant for the determinant
-  certificate.
+  certificate; ``adjugate_int`` takes cofactors with it and gives the
+  flats' integer dual derivations.
 - Polynomials: ``det_poly_matrix``, the tests' reference determinant.
 
 Everything here is deterministic: columns are processed in the order given
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotDivisible
-from .polynomial import Poly
+from .polynomial import Poly, rational_content
 
 Row = list[Fraction]
 
@@ -69,16 +70,6 @@ def nullspace(rows: list[Row], ncols: int) -> list[tuple[Fraction, ...]]:
             vec[pc] = -row[free]
         basis.append(tuple(vec))
     return basis
-
-
-def invert(matrix: list[Row]) -> list[Row]:
-    """Inverse of a square rational matrix."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(matrix)]
-    red, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
 
 
 def echelon_int(rows: list[list[int]], reduce: bool = False) -> tuple[list[list[int]], list[int]]:
@@ -236,6 +227,16 @@ def det_int(matrix: list[list[int]]) -> int:
     return sign * work[n - 1][n - 1] if n else 1
 
 
+def adjugate_int(matrix: list[list[int]]) -> list[list[int]]:
+    """Adjugate of a square integer matrix: matrix * adj = det * identity.
+    Entry (i, j) is the (j, i) cofactor, a ``det_int`` of a minor."""
+    n = len(matrix)
+    return [
+        [(-1) ** (i + j) * det_int([r[:i] + r[i + 1 :] for k, r in enumerate(matrix) if k != j]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 # -- determinants of polynomial matrices --------------------------------
 
 
@@ -276,12 +277,7 @@ def det_poly_matrix(matrix: list[list[Poly]]) -> Poly:
     scale = Fraction(1)
     work: list[list[Poly]] = []
     for row in matrix:
-        c = Fraction(0)
-        for entry in row:
-            ec = entry.content()
-            num = gcd(c.numerator, ec.numerator)
-            den = c.denominator * ec.denominator // gcd(c.denominator, ec.denominator)
-            c = Fraction(num, den)
+        c = rational_content(v for entry in row for v in entry.terms.values())
         if c == 0:
             return Poly.zero(nvars)
         scale *= c

@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial is a dict mapping exponent tuples (one nonnegative int per
-variable) to nonzero Fractions.  All ordering, division and serialization
-use graded lexicographic order with x1 > x2 > ... > xl, which doubles as
-the deterministic tie-breaker everywhere else in the library.
+variable) to nonzero coefficients, each an ``int`` or a ``Fraction``.
+Integer polynomials stay ``int`` under +, -, *, ``partial`` and
+``substitute``; ``exact_div`` divides exactly, never in floating point.
+All ordering, division and serialization use graded lexicographic order
+with x1 > x2 > ... > xl, which doubles as the deterministic tie-breaker
+everywhere else in the library.
 
 Values are immutable by convention: no method mutates ``terms`` after
 construction, so polynomials can be shared freely and used as dict keys.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotDivisible
@@ -61,10 +64,11 @@ class Poly:
 
     def __init__(self, nvars: int, terms: Mapping[MultiIndex, Fraction | int] | None = None):
         self.nvars = nvars
-        clean: dict[MultiIndex, Fraction] = {}
+        clean: dict[MultiIndex, Fraction | int] = {}
         if terms:
             for a, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
                 if c:
                     if len(a) != nvars:
                         raise DimensionMismatch(f"exponent {a} has wrong length for {nvars} variables")
@@ -74,18 +78,25 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _raw(nvars: int, terms: dict[MultiIndex, Fraction | int]) -> Poly:
+        """Wrap terms that are already clean (nonzero exact coefficients)."""
+        p = Poly.__new__(Poly)
+        p.nvars, p.terms = nvars, terms
+        return p
+
+    @staticmethod
     def zero(nvars: int) -> Poly:
         return Poly(nvars)
 
     @staticmethod
     def constant(nvars: int, value: Fraction | int) -> Poly:
-        return Poly(nvars, {(0,) * nvars: Fraction(value)})
+        return Poly(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, index: int) -> Poly:
         exp = [0] * nvars
         exp[index] = 1
-        return Poly(nvars, {tuple(exp): Fraction(1)})
+        return Poly(nvars, {tuple(exp): 1})
 
     @staticmethod
     def variables(nvars: int) -> list[Poly]:
@@ -124,7 +135,7 @@ class Poly:
         """Value of a degree-<=0 polynomial."""
         if self.total_degree() > 0:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -138,21 +149,17 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for a, c in other.terms.items():
-            s = out.get(a, Fraction(0)) + c
+            s = out.get(a, 0) + c
             if s:
                 out[a] = s
             else:
                 out.pop(a, None)
-        p = Poly.__new__(Poly)
-        p.nvars, p.terms = self.nvars, out
-        return p
+        return Poly._raw(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        p = Poly.__new__(Poly)
-        p.nvars, p.terms = self.nvars, {a: -c for a, c in self.terms.items()}
-        return p
+        return Poly._raw(self.nvars, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other: Poly | int | Fraction) -> Poly:
         if not isinstance(other, Poly):
@@ -164,24 +171,19 @@ class Poly:
 
     def __mul__(self, other: Poly | int | Fraction) -> Poly:
         if not isinstance(other, Poly):
-            c = Fraction(other)
-            p = Poly.__new__(Poly)
-            p.nvars = self.nvars
-            p.terms = {a: v * c for a, v in self.terms.items()} if c else {}
-            return p
+            c = other if type(other) is int else Fraction(other)
+            return Poly._raw(self.nvars, {a: v * c for a, v in self.terms.items()} if c else {})
         self._check(other)
-        out: dict[MultiIndex, Fraction] = {}
+        out: dict[MultiIndex, Fraction | int] = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 k = midx_add(a, b)
-                s = out.get(k, Fraction(0)) + ca * cb
+                s = out.get(k, 0) + ca * cb
                 if s:
                     out[k] = s
                 else:
                     del out[k]
-        p = Poly.__new__(Poly)
-        p.nvars, p.terms = self.nvars, out
-        return p
+        return Poly._raw(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -215,7 +217,7 @@ class Poly:
         """
         if len(a) != self.nvars:
             raise DimensionMismatch(f"multi-index {a} for {self.nvars} variables")
-        out: dict[MultiIndex, Fraction] = {}
+        out: dict[MultiIndex, Fraction | int] = {}
         for b, c in self.terms.items():
             coeff = 1
             ok = True
@@ -228,14 +230,12 @@ class Poly:
             if not ok:
                 continue
             k = tuple(bi - ai for bi, ai in zip(b, a))
-            s = out.get(k, Fraction(0)) + c * coeff
+            s = out.get(k, 0) + c * coeff
             if s:
                 out[k] = s
             else:
                 del out[k]
-        p = Poly.__new__(Poly)
-        p.nvars, p.terms = self.nvars, out
-        return p
+        return Poly._raw(self.nvars, out)
 
     # -- division ------------------------------------------------------
 
@@ -257,18 +257,16 @@ class Poly:
             diff = tuple(r - s for r, s in zip(rlm, glm))
             if any(e < 0 for e in diff):
                 raise NotDivisible(f"remainder term x^{rlm} not divisible by leading term x^{glm}")
-            c = rem[rlm] / gc
+            c = Fraction(rem[rlm], gc)
             quo[diff] = c
             for b, cb in g.terms.items():
                 k = midx_add(b, diff)
-                s = rem.get(k, Fraction(0)) - c * cb
+                s = rem.get(k, 0) - c * cb
                 if s:
                     rem[k] = s
                 else:
                     rem.pop(k, None)
-        p = Poly.__new__(Poly)
-        p.nvars, p.terms = self.nvars, quo
-        return p
+        return Poly._raw(self.nvars, quo)
 
     def divides(self, f: Poly) -> bool:
         try:
@@ -318,14 +316,7 @@ class Poly:
 
     def content(self) -> Fraction:
         """Positive rational c with self / c integer-primitive; 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return rational_content(self.terms.values())
 
     def primitive(self) -> Poly:
         """Scale to integer coefficients with gcd 1 and positive leading coefficient."""
@@ -386,6 +377,16 @@ class LinearForm:
         return self.to_poly().text()
 
 
+def rational_content(values: Iterable[Fraction | int]) -> Fraction:
+    """Positive rational c with every value / c an integer and their gcd 1;
+    0 if every value is 0 or there are none."""
+    num, den = 0, 1
+    for v in values:
+        num = gcd(num, v.numerator)
+        den = lcm(den, v.denominator)
+    return Fraction(num, den)
+
+
 def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
     """Product of the integer linear forms with the given coefficient vectors
     (1 for none), multiplied out one factor at a time over the integers."""
@@ -403,18 +404,12 @@ def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
 
 def primitive_int_vector(vec: Iterable[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers with first nonzero entry positive."""
-    fracs = [Fraction(v) for v in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    fracs = [v if type(v) is int else Fraction(v) for v in vec]
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)

@@ -60,7 +60,7 @@ from .errors import (
     NotPurePower,
     ZeroDet,
 )
-from .extension import ExtendedArrangement, flat_profiles
+from .extension import ExtendedArrangement, FlatProfile, flat_profiles
 from .linalg import det_int, echelon_int, nullspace_int, rank_int
 from .polynomial import (
     MultiIndex,
@@ -68,6 +68,7 @@ from .polynomial import (
     form_product,
     midx_factorial,
     monomials_of_degree,
+    rational_content,
     s_dim,
 )
 
@@ -121,10 +122,10 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
     and without expanding the determinant.
 
     1. Strip: scale each row of M to a primitive integer row (its content
-       goes into c), divide it over the integers by each alpha_H as often as
-       alpha_H divides every entry (``_divide_row``), and add the
-       multiplicities into E_H.  By multilinearity
-       det M = prod_H alpha_H^E_H * det M'.
+       goes into c; assembled operators are primitive already), divide it
+       over the integers by each alpha_H as often as alpha_H divides every
+       entry (``_divide_row``), and add the multiplicities into E_H.  By
+       multilinearity det M = prod_H alpha_H^E_H * det M'.
     2. Every row is homogeneous, so det M' is homogeneous of degree D', the
        sum of the stripped row degrees; the claim left to prove is
        det M' = c * prod_H alpha_H^(t - E_H) with t = (sum of row degrees) / n.
@@ -161,9 +162,9 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
         if deg is None:
             raise NotPurePower(f"operator {i} has non-homogeneous coefficients")
         degree_sum += deg
-        content = _row_content(row)
+        content = rational_content(v for f in row for v in f.terms.values())
         scale *= content
-        ints = [{a: int(v / content) for a, v in f.terms.items()} for f in row]
+        ints = [f.terms if content == 1 else {a: int(v / content) for a, v in f.terms.items()} for f in row]
         for hi, normal in enumerate(normals):
             while deg:
                 if deg not in orders:
@@ -241,16 +242,6 @@ def _divide_row(
                 rem[b] = rem.get(b, 0) - q * c
         out.append(quo)
     return out
-
-
-def _row_content(row: list[Poly]) -> Fraction:
-    """Positive rational c with every entry of row / c integer and coprime."""
-    num, den = 0, 1
-    for f in row:
-        for v in f.terms.values():
-            num = gcd(num, v.numerator)
-            den = den * v.denominator // gcd(den, v.denominator)
-    return Fraction(num, den)
 
 
 def _int_value(terms: list[tuple[MultiIndex, int]], point: tuple[int, ...]) -> int:
@@ -457,14 +448,16 @@ def hilbert_check(arr: Arrangement, m: int, exponents, d_max: int) -> OracleRepo
 # -- combinatorial identities -------------------------------------------------------
 
 
-def check_identities(ext: ExtendedArrangement) -> dict:
-    """Exact counting identities tying the extension's flats to the module rank."""
+def check_identities(ext: ExtendedArrangement, profiles: list[FlatProfile] | None = None) -> dict:
+    """Exact counting identities tying the extension's flats (``profiles``:
+    ``flat_profiles(ext)``, if the caller has them) to the module rank."""
     base = ext.base
     if not base.is_essential():
         raise NotEssential("identity checks need an essential base arrangement")
     full = ext.full
     m = ext.m
-    profiles = flat_profiles(ext)
+    if profiles is None:
+        profiles = flat_profiles(ext)
 
     lhs_rank = s_dim(m, 3)
     rhs_rank = sum(s_dim(p.max_order, 3) for p in profiles)

@@ -157,6 +157,26 @@ def test_verify_subcommand(capsys):
     assert data["identities"]["rank_identity"]["ok"]
 
 
+def test_verify_computes_flat_profiles_once(capsys, monkeypatch):
+    # wrap flat_profiles at every name an arrops module binds it to, as the
+    # benchmark's traced run does
+    from arrops import extension
+
+    original = extension.flat_profiles
+    calls = []
+
+    def counted(ext):
+        calls.append(ext)
+        return original(ext)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "arrops" or name.startswith("arrops.")) and vars(module).get("flat_profiles") is original:
+            monkeypatch.setattr(module, "flat_profiles", counted)
+    code, out, _ = run_cli(capsys, "verify", "--m", "3", "x1", "x2", "x3", "x1-x2")
+    assert code == 0 and json.loads(out)["oracle"] == "consistent"
+    assert len(calls) == 1
+
+
 def test_identities_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "identities", "--m", "3", "--extension", "x1+x2-x3", "x1", "x2", "x3", "x1-x2"

@@ -232,8 +232,10 @@ def test_basis_nonessential_rank_one():
     [
         ("x1 + x3; x2 - x3; x1 + x2", "e500020d6731b965ec56700cebac96a50c2b5b9b8262e941f678d53884276cef"),
         ("x2 + x3", "7766a35cbd6ad65d6eb02320320a2f3701185790b9d0a72e20536463fe0d847c"),
+        # the section is x3 / 2: its flat's coordinate forms have denominator 2
+        ("2*x1 - 3*x3", "55bd24e252ef116d415b3576c521dacfbfda1f87b7350d77161b52e0c92df473"),
     ],
-    ids=["rank2", "rank1"],
+    ids=["rank2", "rank1", "rank1-section-denominator"],
 )
 def test_basis_nonessential_output_bytes(text, digest):
     # operator bytes of rank <= 2 bases depend on the kernel coordinates of
@@ -243,16 +245,34 @@ def test_basis_nonessential_output_bytes(text, digest):
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
+QUAD = "x1; x2; x3; x1-x2"
+
+
 @pytest.mark.parametrize(
-    "arr, digest",
+    "arr, m, digest",
     [
-        (parse_arrangement("x1; x2; x3; x1-x2"), "e3e2c8e18dd9ce016820a5feca2116b71c0265a335cc276dc402e6403cfaeb72"),
-        (random_essential(random.Random(7), 4), "0d97b569b095493a9abc581552ab160373e31497c45b5970f78d4011526896d0"),
+        (parse_arrangement(QUAD), 3, "e3e2c8e18dd9ce016820a5feca2116b71c0265a335cc276dc402e6403cfaeb72"),
+        (random_essential(random.Random(7), 4), 3, "0d97b569b095493a9abc581552ab160373e31497c45b5970f78d4011526896d0"),
+        (parse_arrangement(QUAD), 4, "71842a790be7ebc5b1e9a26649be98e2cdb1707c6cd3572db9c26d24b5fb129e"),
+        (parse_arrangement(QUAD), 5, "9c808167e96be57e7e911af539a7cacf0a70ace1297b20b1847c8267e151a07b"),
+        (
+            parse_arrangement("x1; x2; x3; x1 - x2; x2 - x3"),
+            3,
+            "ecb98616ebf3226f07e3bff3136bb9fb2289130c53ef5023fb26c12df8b2ca4c",
+        ),
+        # a random (4,3) arrangement whose primitive normals have 2-bit entries
+        (
+            parse_arrangement("2*x1 - 2*x2 + x3; 2*x1 - x3; x3; x1 + x2 - x3"),
+            3,
+            "c46549efd6696f33e5ecfb3af4d1ca19e81c5dff57773eae4c3a90b45dae33e6",
+        ),
     ],
-    ids=["quad", "random43"],
+    ids=["quad", "random43", "quad-m4", "quad-m5", "quad5", "random43-bits2"],
 )
-def test_build_basis_output_bytes(arr, digest):
-    fb = build_basis(arr, 3)
+def test_build_basis_output_bytes(arr, m, digest):
+    # digests of the rational pencil conversion: the integer one scales each
+    # operator by a constant that normalized_primitive must remove
+    fb = build_basis(arr, m)
     payload = json.dumps(fb.to_json(), sort_keys=True) + json.dumps(fb.saito.to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
