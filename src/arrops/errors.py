@@ -53,6 +53,10 @@ class NotPurePower(SaitoFailed):
     """Basis determinant is not a scalar times a power of the defining polynomial."""
 
 
+class NotMember(SaitoFailed):
+    """A candidate basis operator is not in the arrangement's operator module."""
+
+
 class ZeroNormalizer(ArropsError):
     """A dual-pair normalizing scalar vanished; indicates a flat-computation bug."""
 

@@ -10,7 +10,7 @@ choices are pivot-based: with p the first index where v is nonzero,
 
 Any valid section works for the theorems downstream; this one is canonical.
 The basis assembly reads the forms and their duals as integers
-(``Flat1.integer_frame``, an integer adjugate).
+(``Flat1.integer_frame``, an integer adjugate from cross products).
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, _cross
 from .errors import ZeroForm
-from .linalg import adjugate_int
 from .polynomial import LinearForm, primitive_int_vector
 
 
@@ -50,14 +49,15 @@ class Flat1:
 
     def integer_frame(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], Fraction]:
         """Rows of M' = D * (coordinate forms), D their common denominator,
-        columns of adj(M') and D / det M'.  Row k times column i is
-        det M' * delta_ik, so column i times D / det M' is dual to form i."""
+        columns of adj(M') (column i is row i+1 x row i+2, indices mod 3) and
+        D / det M'.  Row k times column i is det M' * delta_ik, so column i
+        times D / det M' is dual to form i."""
         forms = self.coordinate_forms()
         den = lcm(*(c.denominator for f in forms for c in f.coeffs))
-        rows = [[c.numerator * (den // c.denominator) for c in f.coeffs] for f in forms]
-        adj = adjugate_int(rows)
-        det = sum(a * row[0] for a, row in zip(rows[0], adj))
-        return [tuple(r) for r in rows], [tuple(row[i] for row in adj) for i in range(self.dim)], Fraction(den, det)
+        rows = [tuple(c.numerator * (den // c.denominator) for c in f.coeffs) for f in forms]
+        cols = [_cross(rows[(i + 1) % 3], rows[(i + 2) % 3]) for i in range(3)]
+        det = sum(a * b for a, b in zip(rows[0], cols[0]))
+        return rows, cols, Fraction(den, det)
 
     def dual_derivations(self) -> list[tuple[Fraction, ...]]:
         """Constant derivations dual to the coordinate forms.

@@ -25,9 +25,9 @@ derivatives.  The loop runs on integers: each pencil block is rewritten in
 the flat's integer coordinate frame (``Flat1.integer_frame``), which
 scales every operator by a nonzero constant, and ``normalized_primitive``
 removes it, so the result is that of the rational frame.  A basis is
-certified where it is returned, by the determinant criterion
-(``verify.saito_check``: strip hyperplane factors from the rows, then
-compare both sides on a unisolvent lattice); the blocks of
+certified where it is returned, by Saito's criterion
+(``verify.saito_check``: every operator is a member at every hyperplane,
+then one integer determinant at one point); the blocks of
 ``basis_2arr_lines`` are not certified on their own.
 """
 

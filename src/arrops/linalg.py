@@ -7,8 +7,7 @@
   ``echelon_extend`` (a running echelon basis) are built on it and serve
   arrangement kernels, the pencil membership solve and the dimension
   oracle.  ``det_int`` is a Bareiss determinant for the determinant
-  certificate; ``adjugate_int`` takes cofactors with it and gives the
-  flats' integer dual derivations.
+  certificate.
 - Polynomials: ``det_poly_matrix``, the tests' reference determinant.
 
 Everything here is deterministic: columns are processed in the order given
@@ -225,16 +224,6 @@ def det_int(matrix: list[list[int]]) -> int:
             work[i] = row[: k + 1] + [(piv * a - v * b) // prev for a, b in zip(row[k + 1 :], piv_row[k + 1 :])]
         prev = piv
     return sign * work[n - 1][n - 1] if n else 1
-
-
-def adjugate_int(matrix: list[list[int]]) -> list[list[int]]:
-    """Adjugate of a square integer matrix: matrix * adj = det * identity.
-    Entry (i, j) is the (j, i) cofactor, a ``det_int`` of a minor."""
-    n = len(matrix)
-    return [
-        [(-1) ** (i + j) * det_int([r[:i] + r[i + 1 :] for k, r in enumerate(matrix) if k != j]) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 # -- determinants of polynomial matrices --------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -40,8 +41,10 @@ def midx_factorial(a: MultiIndex) -> int:
     return out
 
 
+@cache
 def monomials_of_degree(nvars: int, degree: int) -> list[MultiIndex]:
-    """All exponent tuples of total degree ``degree``, graded-lex descending."""
+    """All exponent tuples of total degree ``degree``, graded-lex descending
+    (one shared list per argument pair: callers do not modify it)."""
     if degree < 0:
         return []
     if nvars == 1:
@@ -267,13 +270,6 @@ class Poly:
                 else:
                     rem.pop(k, None)
         return Poly._raw(self.nvars, quo)
-
-    def divides(self, f: Poly) -> bool:
-        try:
-            f.exact_div(self)
-            return True
-        except NotDivisible:
-            return False
 
     # -- substitution and evaluation ------------------------------------
 

@@ -1,47 +1,33 @@
 """Independent verification: membership, determinant certificates, dimension oracle.
 
-The determinant certificate proves det M = c * Q^t, c != 0, for the
-coefficient matrix M of a candidate basis without expanding det M: rows are
-stripped of the hyperplane forms that divide them, and the remaining
-identity between homogeneous polynomials is checked at every point of a
-principal lattice, which is unisolvent (Chung and Yao, 1977), by integer
-Bareiss determinants (see ``saito_check``).  Stripping is integer
-arithmetic: each row is first divided by its rational content, which leaves
-a primitive integer row, and then divided by the primitive integer forms
-alpha_H.  By Gauss's lemma the quotient of an integer polynomial by a
-primitive integer form is integral with the same content, so the content
-and the quotients are exactly those of rational stripping, and a leading
-quotient that is not an integer proves that alpha_H does not divide.
-
-The oracle computes the exact dimension of the degree-d slice of the order-m
-operator module.  The defining conditions say that for every hyperplane H
-and every monomial x^b of degree m-1 the combination
+One definition of membership serves the certificate and the oracle: an
+order-m operator theta = sum_a f_a d^a is a member when, for every hyperplane H and
+monomial x^b of degree m-1, theta(alpha_H * x^b) is in alpha_H * S, i.e. when
 
     sum_i  c_i (b + e_i)!  f_{b+e_i}        (c = normal of H)
 
-is divisible by the form of H, i.e. vanishes on H.  Vanishing of a degree-d
-polynomial on H is equivalent to vanishing at finitely many fixed rational
-points of H (enough points to separate the restricted monomials), so the
-whole system is an exact rational linear system in the coefficient unknowns.
-The production path additionally quotients out the subspace of value
-patterns realized by polynomials, which shrinks the elimination to matrices
-indexed by points and multi-indices; ``oracle_dim_direct`` keeps the literal
-coefficient-space formulation and is used to cross-check the fast path.
+vanishes on H (``_contraction_rows``).  A degree-d form vanishes on H
+exactly when it vanishes at the integer points of ``_hyperplane_points``: one
+point of a line, or, on a plane with basis (u, v), s*u + t*v for the d + 1
+coprime pairs (s, t) of smallest height (distinct projective points).
 
-The fast path is integer elimination only (``linalg.echelon_int``): the
-functionals eta that vanish on realized value patterns, the contraction
-kernels and the hyperplane bases are integer kernel bases, and the dimension
-comes from one integer rank.  The rows of hyperplane H are the Kronecker
-products (weights of the etas at a point of H) (x) (a contraction kernel
-vector of H); the weight block of H is first reduced to an echelon basis,
-which spans the same rows with fewer of them (the block has d + 1 rows on a
-plane but rank at most about n - 1).  ``oracle_dims`` answers every degree up to d_max
-in one call and computes the contraction kernels and hyperplane bases once;
-nothing is cached across calls.
-
-The oracle's points on a plane with basis (u, v) are s*u + t*v for the
-d + 1 coprime pairs (s, t) of smallest height; distinct projective points,
-so they separate the restricted degree-d polynomials, with small entries.
+The certificate (``saito_check``) evaluates these conditions for every
+candidate operator, then takes one integer determinant.  The oracle computes
+the exact dimension of the degree-d slice of the module: the same conditions
+make it an integer linear system in the coefficient unknowns.  Its fast path
+also quotients out the value patterns that polynomials realize, which
+shrinks the elimination to matrices indexed by points and multi-indices;
+``oracle_dim_direct`` keeps the literal coefficient-space system as a
+cross-check.  The fast path is integer elimination only
+(``linalg.echelon_int``): the functionals eta that vanish on realized value
+patterns, the contraction kernels and the hyperplane bases are integer kernel
+bases, and the dimension comes from one integer rank.  The rows of hyperplane
+H are the Kronecker products (weights of the etas at a point of H) (x) (a
+contraction kernel vector of H); the weight block of H is first reduced to an
+echelon basis, which spans the same rows with fewer of them (the block has
+d + 1 rows on a plane but rank at most about n - 1).  ``oracle_dims`` answers
+every degree up to d_max in one call and computes the contraction kernels and
+hyperplane bases once; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -49,14 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from itertools import count
+from math import comb, gcd, prod
+from operator import add, mul
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Hyperplane
 from .diffop import DiffOp, saito_matrix
 from .errors import (
     IdentityViolated,
     NotDivisible,
     NotEssential,
+    NotMember,
     NotPurePower,
     ZeroDet,
 )
@@ -77,20 +66,65 @@ from .polynomial import (
 
 
 def is_member(theta: DiffOp, arr: Arrangement) -> bool:
-    """Exact membership test: theta(alpha_H * x^b) in alpha_H * S for all H, b."""
-    if theta.order == 0:
-        return True
+    """Exact membership test: theta(alpha_H * x^b) in alpha_H * S for all H, b;
+    the certificate's test on each homogeneous component (the module is graded)."""
     if theta.nvars != arr.dim:
         raise NotDivisible("operator and arrangement dimensions differ")
-    for h in arr.hyperplanes:
-        alpha = h.poly()
-        for b in monomials_of_degree(arr.dim, theta.order - 1):
-            value = theta.apply(alpha * Poly(arr.dim, {b: Fraction(1)}))
-            if value.is_zero():
-                continue
-            if not alpha.divides(value):
-                return False
-    return True
+    columns = monomials_of_degree(arr.dim, theta.order)
+    components: dict[int, list[dict[MultiIndex, Fraction | int]]] = {}
+    for k, a in enumerate(columns):
+        for c, v in theta.coeffs[a].terms.items() if a in theta.coeffs else ():
+            components.setdefault(sum(c), [{} for _ in columns])[k][c] = v
+    test = _Membership(arr, theta.order)
+    return not any(test.violation(test.dense(row, d), d) for d, row in components.items())
+
+
+class _Membership:
+    """The order-m membership conditions of ``arr`` at the points of each H.
+    A row is one operator's coefficients f_a (term dicts, integer or rational)
+    in ``saito_matrix`` column order, homogeneous of degree d."""
+
+    def __init__(self, arr: Arrangement, m: int):
+        self.l = arr.dim
+        self.planes = list(arr) if m > 0 else []  # order 0 has no conditions
+        self.bs = monomials_of_degree(self.l, m - 1)
+        self.lines = [nullspace_int([list(h.normal)], self.l) for h in self.planes]
+        self.slots, self.reads, self.tables = [], [], {}
+        for h in self.planes:
+            # row b has one entry per nonzero c_i, at column b + e_i; slot j
+            # holds the j-th entry of every row, as (columns, weights)
+            rows = _contraction_rows(h.normal, m)
+            entries = ([(k, w) for k, w in enumerate(row) if w] for row in rows)
+            self.slots.append([[list(v) for v in zip(*slot)] for slot in zip(*entries)])
+            self.reads.append([any(col) for col in zip(*rows)])
+
+    def dense(self, row: list[dict[MultiIndex, int]], d: int) -> list[list[int] | None]:
+        """Each f_a as a list over the degree-d monomials, None if zero."""
+        if d not in self.tables:
+            monos = monomials_of_degree(self.l, d)
+            groups = _hyperplane_points(self.lines, d) if self.lines else []
+            values = [[[_int_pow(p, c) for c in monos] for p in group] for group in groups]
+            self.tables[d] = ({c: i for i, c in enumerate(monos)}, values)
+        index = self.tables[d][0]
+        out = []
+        for f in row:
+            vec = [0] * len(index) if f else None
+            for c, v in f.items():
+                vec[index[c]] = v
+            out.append(vec)
+        return out
+
+    def violation(self, dense: list[list[int] | None], d: int) -> tuple[Hyperplane, MultiIndex] | None:
+        """The first (H, b) whose condition a ``dense`` row of degree d breaks."""
+        for h, slots, reads, points in zip(self.planes, self.slots, self.reads, self.tables[d][1]):
+            for values in points:
+                at = [sum(map(mul, vec, values)) if vec and r else 0 for vec, r in zip(dense, reads)]
+                total = [0] * len(self.bs)
+                for cols, weights in slots:
+                    total = list(map(add, total, map(mul, weights, map(at.__getitem__, cols))))
+                if any(total):
+                    return h, self.bs[next(i for i, v in enumerate(total) if v)]
+        return None
 
 
 # -- determinant certificate ----------------------------------------------------
@@ -118,142 +152,73 @@ class SaitoCertificate:
 
 
 def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
-    """Certify det M = c * Q^t with c != 0 for M = saito_matrix(ops), exactly
-    and without expanding the determinant.
+    """Prove that ``ops`` is a free basis of the order-m module and return c, t
+    with det M = c * Q^t, c != 0, for M = saito_matrix(ops).
 
-    1. Strip: scale each row of M to a primitive integer row (its content
-       goes into c; assembled operators are primitive already), divide it
-       over the integers by each alpha_H as often as alpha_H divides every
-       entry (``_divide_row``), and add the multiplicities into E_H.  By
-       multilinearity det M = prod_H alpha_H^E_H * det M'.
-    2. Every row is homogeneous, so det M' is homogeneous of degree D', the
-       sum of the stripped row degrees; the claim left to prove is
-       det M' = c * prod_H alpha_H^(t - E_H) with t = (sum of row degrees) / n.
-    3. Evaluate both sides at the points (1, a) with a in N^(l-1), |a| <= D'.
-       Setting x1 = 1 is injective on homogeneous polynomials of degree D',
-       and this principal lattice is unisolvent for polynomials of degree
-       <= D' (Chung-Yao 1977), so agreement at every point proves the
-       identity.  Each value of det M' is an integer Bareiss determinant
-       after the rows are scaled to primitive integer rows.
-    4. c comes from a point where the right-hand side is nonzero, which
-       unisolvence guarantees exists.
+    Saito's criterion in Holm's version for order m: members with
+    det M = c * Q^t, c != 0 and t = s_dim(m-1, l), form a basis.  The checks
+    run in this order; each failure raises a ``SaitoFailed``:
+
+    1. s_dim(m, l) operators, none zero (``ZeroDet``).
+    2. Every row of M is homogeneous (``NotPurePower``).
+    3. Every operator is a member at every H (``NotMember``).  Where
+       alpha_H = x1, theta(x1 * x^b) = (b+e1)! f_(b+e1), so membership at H
+       says x1 divides the s_dim(m-1, l) columns f_a with a_1 >= 1.  A linear
+       change of coordinates multiplies M by a constant invertible matrix, so
+       alpha_H^t divides det M; the alpha_H are pairwise coprime, so Q^t does.
+    4. The row degree sum, deg det M, is at most n * t (``NotPurePower``).  A
+       smaller sum forces det M = 0, which step 5 reports.
+    5. So det M = c * Q^t with c constant, and c = det M(p) / Q(p)^t at the
+       first p = (1, k, k^2, ...) off every plane (a plane meets this curve
+       at most l - 1 times, so k <= n * (l - 1)).  det M(p) is one integer
+       Bareiss determinant of the primitive rows; c = 0 raises ``ZeroDet``.
 
     No floating point and no randomness: a passing check is a proof.
     """
     if not ops:
         raise ZeroDet("empty candidate basis")
-    order = ops[0].order
+    m = ops[0].order
     l = arr.dim
-    expected = s_dim(order, l)
+    expected = s_dim(m, l)
     if len(ops) != expected:
         raise ZeroDet(f"candidate basis has {len(ops)} operators, need {expected}")
-
-    normals = [h.normal for h in arr.hyperplanes]
-    strips = [0] * len(normals)
-    degree_sum = 0
-    scale = Fraction(1)
-    rows: list[list[list[tuple[MultiIndex, int]]]] = []
-    residual_degree = 0
-    orders: dict[int, list[MultiIndex]] = {}
-    for i, (op, row) in enumerate(zip(ops, saito_matrix(ops))):
+    for i, op in enumerate(ops):
         if op.is_zero():
             raise ZeroDet(f"operator {i} is zero")
-        deg = op.degree()
-        if deg is None:
-            raise NotPurePower(f"operator {i} has non-homogeneous coefficients")
-        degree_sum += deg
-        content = rational_content(v for f in row for v in f.terms.values())
-        scale *= content
-        ints = [f.terms if content == 1 else {a: int(v / content) for a, v in f.terms.items()} for f in row]
-        for hi, normal in enumerate(normals):
-            while deg:
-                if deg not in orders:
-                    orders[deg] = monomials_of_degree(l, deg)
-                quotients = _divide_row(ints, normal, orders[deg])
-                if quotients is None:
-                    break
-                ints = quotients
-                strips[hi] += 1
-                deg -= 1
-        residual_degree += deg
-        rows.append([list(f.items()) for f in ints])
+    degrees = [op.degree() for op in ops]
+    if None in degrees:
+        raise NotPurePower(f"operator {degrees.index(None)} has non-homogeneous coefficients")
 
-    points = [(1, *a[1:]) for a in monomials_of_degree(l, residual_degree)]
-    dets = [det_int([[_int_value(f, p) for f in row] for row in rows]) for p in points]
-    if not any(dets):
-        raise ZeroDet("candidate basis matrix is singular")
+    scale = Fraction(1)
+    rows = []
+    membership = _Membership(arr, m)
+    for i, (row, deg) in enumerate(zip(saito_matrix(ops), degrees)):
+        # primitive integer rows (assembled operators have content 1 already)
+        ints = [f.terms for f in row]
+        content = rational_content(v for f in ints for v in f.values())
+        if content != 1:
+            ints = [{a: int(v / content) for a, v in f.items()} for f in ints]
+            scale *= content
+        rows.append(membership.dense(ints, deg))
+        found = membership.violation(rows[-1], deg)
+        if found:
+            h, b = found
+            raise NotMember(f"operator {i} is not a member at {h.text()}: theta(alpha_H * x^b) is not in alpha_H * S, b = {b}")
 
     n = arr.n
-    if n == 0:
-        if degree_sum:
-            raise NotPurePower("determinant of an empty-arrangement basis must be constant")
-        t = 0
-    else:
-        t, rest = divmod(degree_sum, n)
-        if rest:
-            raise NotPurePower(f"row degree sum {degree_sum} is not a multiple of n = {n}")
-    for h, e in zip(arr.hyperplanes, strips):
-        if e > t:
-            raise NotPurePower(f"hyperplane {h.text()} divides the rows {e} times, more than t = {t}")
+    t = s_dim(m - 1, l) if n else 0
+    degree_sum = sum(degrees)
+    if degree_sum > n * t:
+        raise NotPurePower(f"row degree sum {degree_sum} exceeds n * t = {n} * {t}")
 
-    rhs = [_rhs_value(arr, strips, t, p) for p in points]
-    k0 = next(k for k, v in enumerate(rhs) if v)  # exists: the lattice is unisolvent
-    for p, d, r in zip(points, dets, rhs):
-        if d * rhs[k0] != dets[k0] * r:
-            raise NotPurePower(f"determinant is not c * Q^{t}: the stripped rows disagree at the point {p}")
-    return SaitoCertificate(scale * Fraction(dets[k0], rhs[k0]), t, arr)
-
-
-def _divide_row(
-    row: list[dict[MultiIndex, int]], normal: tuple[int, ...], order: list[MultiIndex]
-) -> list[dict[MultiIndex, int]] | None:
-    """Each entry of an integer row divided by the form alpha with primitive
-    coefficients ``normal``, or None if alpha does not divide every entry.
-
-    The entries are homogeneous of one degree, whose monomials ``order``
-    lists in graded-lex descending order.  Leading-term division by alpha's
-    leading monomial x_p; by Gauss's lemma the quotient of an integer
-    multiple of a primitive alpha is integral, so a remainder term without
-    x_p or a quotient coefficient that is not an integer proves that alpha
-    does not divide the entry, and the division stops there.
-    """
-    p = next(i for i, c in enumerate(normal) if c)
-    lead = normal[p]
-    rest = [(i, c) for i, c in enumerate(normal) if c and i != p]
-    out = []
-    for f in row:
-        rem = dict(f)
-        quo: dict[MultiIndex, int] = {}
-        for mono in order:
-            if not rem:
-                break
-            v = rem.pop(mono, 0)
-            if not v:
-                continue
-            if not mono[p]:
-                return None
-            q, r = divmod(v, lead)
-            if r:
-                return None
-            a = (*mono[:p], mono[p] - 1, *mono[p + 1 :])
-            quo[a] = q
-            for k, c in rest:
-                b = (*a[:k], a[k] + 1, *a[k + 1 :])
-                rem[b] = rem.get(b, 0) - q * c
-        out.append(quo)
-    return out
-
-
-def _int_value(terms: list[tuple[MultiIndex, int]], point: tuple[int, ...]) -> int:
-    return sum(v * _int_pow(point, a) for a, v in terms)
-
-
-def _rhs_value(arr: Arrangement, strips: list[int], t: int, point: tuple[int, ...]) -> int:
-    """prod_H alpha_H(point)^(t - E_H)."""
-    out = 1
-    for h, e in zip(arr.hyperplanes, strips):
-        out *= sum(c * x for c, x in zip(h.normal, point)) ** (t - e)
-    return out
+    point = next(p for p in (tuple(k**i for i in range(l)) for k in count()) if not any(h.contains(p) for h in arr))
+    values = {d: [_int_pow(point, c) for c in monomials_of_degree(l, d)] for d in set(degrees)}
+    matrix = [[sum(map(mul, vec, values[d])) if vec else 0 for vec in row] for row, d in zip(rows, degrees)]
+    det = det_int(matrix)
+    if not det:
+        raise ZeroDet("candidate basis matrix is singular")
+    q = prod(sum(map(mul, h.normal, point)) for h in arr)
+    return SaitoCertificate(scale * Fraction(det, q**t), t, arr)
 
 
 # -- dimension oracle -------------------------------------------------------------
@@ -284,21 +249,22 @@ def _projective_pairs(count: int) -> list[tuple[int, int]]:
     return pairs[:count]
 
 
-def _contraction_kernel(normal: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
-    """Integer basis of the operators of order m killed by contraction with the normal."""
+def _contraction_rows(normal: tuple[int, ...], m: int) -> list[list[int]]:
+    """One row per b of degree m-1, in ``monomials_of_degree`` order, over the
+    order-m multi-indices a: the weights c_i (b + e_i)! of the combination
+    sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on H for a member."""
     l = len(normal)
     a_idx = monomials_of_degree(l, m)
     col = {a: i for i, a in enumerate(a_idx)}
     rows = []
     for b in monomials_of_degree(l, m - 1):
         row = [0] * len(a_idx)
-        for i in range(l):
-            if normal[i] == 0:
-                continue
-            a = tuple(b[k] + (k == i) for k in range(l))
-            row[col[a]] += normal[i] * midx_factorial(a)
+        for i, c in enumerate(normal):
+            if c:
+                a = tuple(b[k] + (k == i) for k in range(l))
+                row[col[a]] += c * midx_factorial(a)
         rows.append(row)
-    return nullspace_int(rows, len(a_idx))
+    return rows
 
 
 def oracle_dim(arr: Arrangement, m: int, d: int) -> int:
@@ -322,7 +288,7 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int]) -> list[int]:
     if arr.n == 0 or m == 0:
         return [s_dim(m, l) * s_dim(d, l) for d in degrees]
     lines = [nullspace_int([list(h.normal)], l) for h in arr.hyperplanes]
-    kernels = [_contraction_kernel(h.normal, m) for h in arr.hyperplanes]
+    kernels = [nullspace_int(_contraction_rows(h.normal, m), s_dim(m, l)) for h in arr.hyperplanes]
     kappa = s_dim(m, l) - s_dim(m - 1, l)
     if any(len(basis) != kappa for basis in kernels):
         raise IdentityViolated("contraction kernel has unexpected dimension")

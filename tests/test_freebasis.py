@@ -266,8 +266,15 @@ QUAD = "x1; x2; x3; x1-x2"
             3,
             "c46549efd6696f33e5ecfb3af4d1ca19e81c5dff57773eae4c3a90b45dae33e6",
         ),
+        # a triple point with coefficients 2 and -3, so the pencil conversion
+        # reaches j = 1 and the bytes depend on the flats' dual derivations
+        (
+            parse_arrangement("x1; x2; x3; 2*x1 - 3*x2; x1 + x2 + x3"),
+            3,
+            "1c74c5bf11dfadfe227c157b72fa68edf227d46aa5e7c791df987131bd63773e",
+        ),
     ],
-    ids=["quad", "random43", "quad-m4", "quad-m5", "quad5", "random43-bits2"],
+    ids=["quad", "random43", "quad-m4", "quad-m5", "quad5", "random43-bits2", "triple-2-3"],
 )
 def test_build_basis_output_bytes(arr, m, digest):
     # digests of the rational pencil conversion: the integer one scales each

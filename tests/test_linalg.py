@@ -5,7 +5,6 @@ from arrops.diffop import DiffOp, power_of_derivation, saito_matrix
 from math import gcd
 
 from arrops.linalg import (
-    adjugate_int,
     det_cofactor,
     det_int,
     det_poly_matrix,
@@ -37,22 +36,6 @@ def test_nullspace():
     assert len(basis) == 2
     for v in basis:
         assert v[0] + v[1] == 0
-
-
-def test_adjugate_int_roundtrip():
-    # matrix * adj = adj * matrix = det * identity, on seeded integer matrices
-    # of sizes 1-4, singular ones included
-    rng = random.Random(11)
-    cases = [[[1, 2], [3, 5]], [[7]], [[2, 4], [1, 2]]]
-    cases += [[[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)] for n in (1, 2, 3, 3, 3, 4, 4)]
-    for m in cases:
-        n = len(m)
-        adj = adjugate_int(m)
-        d = det_int(m)
-        scaled = [[d * (i == j) for j in range(n)] for i in range(n)]
-        assert [[sum(m[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == scaled
-        assert [[sum(adj[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == scaled
-    assert adjugate_int([[1, 2], [3, 5]]) == [[5, -2], [-3, 1]]
 
 
 def test_rank_int_matches_rational_rank():

@@ -1,82 +1,119 @@
-"""Hypothesis properties of exact division, integer stripping and the
-on-demand flat cofactors (profile ``arrops`` in conftest: derandomized,
+"""Hypothesis properties of exact division, membership, the certificate and
+the on-demand flat cofactors (profile ``arrops`` in conftest: derandomized,
 bounded example counts)."""
+
+import random
+from functools import cache
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
+from conftest import random_essential
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from arrops.arrangement import Arrangement, Hyperplane
-from arrops.errors import NotDivisible
+from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
+from arrops.diffop import DiffOp, euler_op
+from arrops.errors import NotDivisible, NotMember
 from arrops.extension import extend, flat_profiles
+from arrops.freebasis import build_basis
 from arrops.polynomial import Poly, monomials_of_degree
-from arrops.verify import _divide_row
+from arrops.verify import is_member, saito_check
 
 small = st.integers(-4, 4)
 
 
+def normals(nvars=3):
+    return st.tuples(*[small] * nvars).filter(any).map(lambda v: Hyperplane.make(v).normal)
+
+
 @st.composite
-def homogeneous(draw, degree, nvars=3):
-    """Integer homogeneous polynomial of the given degree, as a term dict."""
-    monos = monomials_of_degree(nvars, degree)
-    return {a: c for a, c in zip(monos, draw(st.lists(small, min_size=len(monos), max_size=len(monos)))) if c}
+def operators(draw, nvars, order, degree):
+    """Operator of the given order with up to four terms, homogeneous of the given degree."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(monomials_of_degree(nvars, order)),
+                st.sampled_from(monomials_of_degree(nvars, degree)),
+                small.filter(bool),
+            ),
+            max_size=4,
+        )
+    )
+    coeffs = {}
+    for a, c, v in terms:
+        coeffs[a] = coeffs.get(a, Poly.zero(nvars)) + Poly(nvars, {c: v})
+    return DiffOp(nvars, order, coeffs)
 
 
-normals = st.tuples(small, small, small).filter(any).map(lambda v: Hyperplane.make(v).normal)
+def member_by_definition(theta, arr):
+    """The reference: theta(alpha_H * x^b) in alpha_H * S for every H and b,
+    by rational polynomial division."""
+    for h in arr.hyperplanes:
+        alpha = h.poly()
+        for b in monomials_of_degree(arr.dim, theta.order - 1):
+            try:
+                theta.apply(alpha * Poly(arr.dim, {b: 1})).exact_div(alpha)
+            except NotDivisible:
+                return False
+    return True
 
 
-def with_degree(strategy, high=4):
-    """Pairs (d, x) with x drawn from strategy(d), 0 <= d <= high."""
-    return st.integers(0, high).flatmap(lambda d: st.tuples(st.just(d), strategy(d)))
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_alpha_times_operator_is_member(l, order, degree, data):
+    normal = data.draw(normals(l))
+    theta = data.draw(operators(l, order, degree))
+    h = Hyperplane(normal)
+    assert is_member(theta.mul_poly(h.poly()), Arrangement(l, [h]))
 
 
-def int_terms(g):
-    return {a: int(v) for a, v in g.terms.items()}
+@st.composite
+def membership_cases(draw):
+    """An arrangement of one to three planes and Q * theta + g * Euler + psi,
+    with psi drawn in another degree or left out: members and non-members,
+    homogeneous or not."""
+    l = draw(st.sampled_from([2, 3]))
+    arr = Arrangement(l, [Hyperplane(v) for v in draw(st.lists(normals(l), min_size=1, max_size=3, unique=True))])
+    order = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 2))
+    theta = draw(operators(l, order, degree)).mul_poly(arr.defining_polynomial())
+    g = Poly(l, {c: draw(small) for c in monomials_of_degree(l, degree + arr.n - order)})
+    theta = theta + euler_op(order, l).mul_poly(g)
+    if draw(st.booleans()):
+        theta = theta + draw(operators(l, order, draw(st.integers(0, 3))))
+    return theta, arr
 
 
-@given(with_degree(lambda d: st.lists(homogeneous(d), min_size=1, max_size=3)), normals)
-def test_divide_row_inverts_multiplication(case, normal):
-    d, row = case
-    alpha = Hyperplane(normal).poly()
-    products = [Poly(3, f) * alpha for f in row]
-    assert _divide_row([int_terms(g) for g in products], normal, monomials_of_degree(3, d + 1)) == row
-    assert [g.exact_div(alpha) for g in products] == [Poly(3, f) for f in row]
+@given(membership_cases())
+def test_is_member_agrees_with_definition(case):
+    theta, arr = case
+    assert is_member(theta, arr) == member_by_definition(theta, arr)
 
 
-@given(with_degree(homogeneous), normals, st.data())
-def test_divide_row_rejects_non_multiples(case, normal, data):
-    # f * alpha plus a monomial free of alpha's leading variable is no multiple of alpha
-    d, f = case
-    p = next(i for i, c in enumerate(normal) if c)
-    b = data.draw(st.sampled_from([a for a in monomials_of_degree(3, d + 1) if a[p] == 0]))
-    alpha = Hyperplane(normal).poly()
-    g = Poly(3, f) * alpha + Poly(3, {b: data.draw(small.filter(bool))})
-    assert _divide_row([int_terms(g)], normal, monomials_of_degree(3, d + 1)) is None
-    with pytest.raises(NotDivisible):
-        g.exact_div(alpha)
+@cache
+def certified_basis(key):
+    text, m = key
+    arr = parse_arrangement(text)
+    return arr, build_basis(arr, m)
 
 
-@given(with_degree(homogeneous, high=3), normals, st.integers(0, 2))
-def test_divide_row_agrees_with_exact_div(case, normal, var):
-    # a multiple of one variable, so that some cases divide (alpha = that variable)
-    d, h = case
-    g = Poly(3, h) * Poly.variable(3, var)
-    quotients = _divide_row([int_terms(g)], normal, monomials_of_degree(3, d + 1))
-    try:
-        expected = [g.exact_div(Hyperplane(normal).poly())]
-    except NotDivisible:
-        assert quotients is None
-    else:
-        assert quotients is not None and [Poly(3, q) for q in quotients] == expected
+bases = st.sampled_from(
+    [("x1; x2; x3; x1 - x2", m) for m in (2, 3)]
+    + [(random_essential(random.Random(seed), 4).text(), 2) for seed in range(3)]
+)
 
 
-def test_divide_row_checks_leading_quotients():
-    # 3*x1 + x2 - (2*x1 + x2) = x1: the x2 terms cancel, so only the
-    # non-integer leading quotient 3/2 shows that 2*x1 + x2 does not divide
-    assert _divide_row([{(1, 0, 0): 3, (0, 1, 0): 1}], (2, 1, 0), monomials_of_degree(3, 1)) is None
+@given(bases, st.data())
+def test_saito_check_rejects_a_non_member_summand(key, data):
+    arr, fb = certified_basis(key)
+    k = data.draw(st.integers(0, len(fb.operators) - 1))
+    psi = data.draw(operators(3, key[1], fb.degrees[k]))
+    assume(not member_by_definition(psi, arr))
+    ops = list(fb.operators)
+    ops[k] = ops[k] + psi
+    with pytest.raises(NotMember, match=f"operator {k} is not a member"):
+        saito_check(ops, arr)
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -97,7 +134,7 @@ def test_exact_div_inverts_multiplication(f, g):
 
 @st.composite
 def essential(draw):
-    planes = draw(st.lists(normals, min_size=3, max_size=5, unique=True))
+    planes = draw(st.lists(normals(), min_size=3, max_size=5, unique=True))
     arr = Arrangement(3, [Hyperplane(v) for v in planes])
     assume(arr.is_essential())
     return arr

@@ -6,7 +6,7 @@ from conftest import random_essential
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, euler_op, partial_op, saito_matrix
-from arrops.errors import NotPurePower, ZeroDet
+from arrops.errors import NotMember, NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
 from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential
 from arrops.linalg import det_poly_matrix
@@ -67,12 +67,25 @@ def test_saito_check_not_pure_power():
 
 
 def test_saito_check_foreign_factor():
-    # right degree sum (t = 1) but det = (x1 + x2) * x2 is not c * x1 * x2
+    # right degree sum (t = 1) but det = (x1 + x2) * x2 is not c * x1 * x2:
+    # (x1 + x2) * d1 sends x1 to x1 + x2, no multiple of x1
     plane = parse_arrangement("x1; x2", dim=2)
     y1, y2 = Poly.variables(2)
     ops = [DiffOp(2, 1, {(1, 0): y1 + y2}), DiffOp(2, 1, {(0, 1): y2})]
-    with pytest.raises(NotPurePower, match=r"not c \* Q\^1: the stripped rows disagree at the point \(1, 1\)"):
+    with pytest.raises(NotMember, match=r"operator 0 is not a member at x1: .*, b = \(0, 0\)"):
         saito_check(ops, plane)
+
+
+def test_saito_check_rejects_non_members(quad_arr):
+    # both pass a determinant-only check with c = 1, t = 1
+    y1, y2 = Poly.variables(2)
+    ops = [DiffOp(2, 1, {(1, 0): y2}), partial_op(2, (0, 1))]
+    with pytest.raises(NotMember, match=r"operator 1 is not a member at x2: .*, b = \(0, 0\)"):
+        saito_check(ops, parse_arrangement("x2", dim=2))
+    q = quad_arr.defining_polynomial()
+    ops = [partial_op(3, (1, 0, 0)), partial_op(3, (0, 1, 0)), partial_op(3, (0, 0, 1), q)]
+    with pytest.raises(NotMember, match=r"operator 0 is not a member at x1: .*, b = \(0, 0, 0\)"):
+        saito_check(ops, quad_arr)
 
 
 def test_saito_check_zero_row(boolean_arr):
@@ -92,17 +105,17 @@ def test_saito_check_non_homogeneous_row(boolean_arr):
 
 
 def test_saito_check_excess_factor():
-    # degree sum 4 gives t = 2, but x1 divides the first row three times
+    # members, but x1 divides the first row three times: degree sum 4 > n * t = 2
     plane = parse_arrangement("x1; x2", dim=2)
     y1, y2 = Poly.variables(2)
     ops = [DiffOp(2, 1, {(1, 0): y1**3}), DiffOp(2, 1, {(0, 1): y2})]
-    with pytest.raises(NotPurePower, match="hyperplane x1 divides the rows 3 times, more than t = 2"):
+    with pytest.raises(NotPurePower, match=r"degree sum 4 exceeds n \* t = 2 \* 1"):
         saito_check(ops, plane)
 
 
 def test_saito_check_degree_sum_not_multiple(boolean_arr):
     ops = [DiffOp(3, 1, {(1, 0, 0): x1}), DiffOp(3, 1, {(0, 1, 0): x2}), DiffOp(3, 1, {(0, 0, 1): x3 * x1})]
-    with pytest.raises(NotPurePower, match="degree sum 4 is not a multiple of n = 3"):
+    with pytest.raises(NotPurePower, match=r"degree sum 4 exceeds n \* t = 3 \* 1"):
         saito_check(ops, boolean_arr)
 
 
