@@ -199,7 +199,7 @@ def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction]:
             raise ParseError(f"missing '+' or '-' between terms in {text!r}")
         sgn = -1 if sign == "-" else 1
         var = m.group("var1") or m.group("var2")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _rational(m.group("coef"), text) if m.group("coef") else Fraction(1)
         if var is None:
             constant += sgn * coef
         else:
@@ -212,6 +212,8 @@ def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction]:
     if constant != 0:
         raise NotCentral(f"form {text!r} has constant term {constant}")
     width = dim if dim is not None else max(coeffs, default=-1) + 1
+    if width > 3:  # checked before a coefficient vector of that length is built
+        raise ParseError(f"supported ambient dimensions are 2 and 3, got {width}")
     if any(i >= width for i in coeffs):
         raise ParseError(f"form {text!r} uses a variable beyond dimension {width}")
     vec = [coeffs.get(i, Fraction(0)) for i in range(width)]
@@ -231,7 +233,7 @@ def parse_arrangement(text: str, dim: int | None = None) -> Arrangement:
     if s.startswith("{"):
         try:
             data = json.loads(s)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer longer than int() reads
             raise ParseError(f"bad JSON arrangement: {exc}") from exc
         return arrangement_from_json(data, dim=dim)
     pieces = [p for p in (piece.strip() for piece in s.split(";")) if p]
@@ -254,16 +256,20 @@ def arrangement_from_json(data: dict, dim: int | None = None) -> Arrangement:
         if dim is not None and data["l"] != dim:
             raise ParseError(f"dimension {dim} conflicts with the arrangement's \"l\": {data['l']}")
     width = data.get("l", dim)
+    if "hyperplanes" in data and "forms" in data:  # as ``to_json`` writes them: they must agree
+        arr = arrangement_from_json({k: v for k, v in data.items() if k != "forms"}, dim)
+        if arr != arrangement_from_json({k: v for k, v in data.items() if k != "hyperplanes"}, dim):
+            raise ParseError(f"\"forms\" {data['forms']!r} disagree with \"hyperplanes\" {data['hyperplanes']!r}")
+        return arr
     if "hyperplanes" in data:
         rows = data["hyperplanes"]
+        if not isinstance(rows, list):
+            raise ParseError(f"\"hyperplanes\" must be a list of rows, got {rows!r}")
         vectors = []
         for row in rows:
-            vec = []
-            for entry in row:
-                if isinstance(entry, bool) or not isinstance(entry, (int, str)):
-                    raise ParseError(f"matrix entry {entry!r} must be an integer or a fraction string")
-                vec.append(Fraction(entry))
-            vectors.append(vec)
+            if not isinstance(row, list):
+                raise ParseError(f"hyperplane row {row!r} must be a list of entries")
+            vectors.append([_rational(entry) for entry in row])
         if width is None:
             if not vectors:
                 raise ParseError("empty arrangement needs an explicit dimension")
@@ -273,13 +279,24 @@ def arrangement_from_json(data: dict, dim: int | None = None) -> Arrangement:
         return Arrangement(width, [Hyperplane.make(v) for v in vectors])
     if "forms" in data:
         forms = data["forms"]
+        if not isinstance(forms, list) or not all(isinstance(f, str) for f in forms):
+            raise ParseError(f"\"forms\" must be a list of strings, got {forms!r}")
         vectors = [parse_linear_form(f, dim=width) for f in forms]
         if width is None:
             if not vectors:
                 raise ParseError("empty arrangement needs an explicit dimension")
-            width = max(len(v) for v in vectors)
-            if width < 2:
-                width = 2
+            width = max(2, max(len(v) for v in vectors))
             vectors = [v + [Fraction(0)] * (width - len(v)) for v in vectors]
         return Arrangement(width, [Hyperplane.make(v) for v in vectors])
     raise ParseError("JSON arrangement needs a 'hyperplanes' or 'forms' key")
+
+
+def _rational(entry: int | str, form: str | None = None) -> Fraction:
+    """A matrix entry (an integer or a fraction string like "1/2") or a term's coefficient in ``form``."""
+    what = f"coefficient {entry!r} in {form!r}" if form is not None else f"matrix entry {entry!r}"
+    if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+        raise ParseError(f"{what} must be an integer or a fraction string")
+    try:
+        return Fraction(entry)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what} is not an integer or a fraction with a nonzero denominator") from None

@@ -38,11 +38,15 @@ class NotEssential(ArropsError):
 
 
 class SolveFailed(ArropsError):
-    """An exact linear solve produced a solution space of unexpected dimension."""
+    """A pencil basis was asked for on a line arrangement with repeated lines."""
 
 
 class SaitoFailed(ArropsError):
-    """Saito-style determinant certificate could not be established."""
+    """Saito-style certificate could not be established; ``index`` is the operator the message names, if any."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ZeroDet(SaitoFailed):

@@ -3,20 +3,21 @@
 The constructions follow the direct-sum decomposition over rank-2 flats of
 an extended arrangement: each flat X with localization of k lines and order
 capacity i contributes blocks P_X * D^(j)(pencil) * delta_X^(m-j) for
-0 <= j <= i.  Pencil modules (2-variable arrangements) are built exactly:
+0 <= j <= i.  Pencil modules (2-variable arrangements) are free at every
+order, and their blocks are closed forms, with no linear solve.  Write
+theta_l = (product of the other lines) * d_v^j, a member, for a line l with
+direction v (``_line_operator``):
 
-* order j <= k-1: the order-j Euler operator plus a deterministic complement
-  of the Euler multiples inside the solution space of the membership linear
-  system at coefficient degree k-1.  The system and the Euler multiples have
-  integer entries, so the solve (``linalg.nullspace_int``) and the rank
-  tests that pick the complement (one running echelon basis,
-  ``linalg.echelon_extend``) are integer elimination; the chosen solutions
-  are the rational ones up to scale, and ``normalized_primitive`` removes
-  the scale;
-* order j >= k: one summand per line of a generically extended line set,
-  the product of the other original lines times a pure power of the line's
-  direction derivation;
-* k = 0: the monomial derivatives themselves.
+* k = 0: the monomial derivatives themselves;
+* order j <= k-1: the order-j Euler operator E_j plus theta_l for the first
+  j lines in input order.  For B the first j+1 lines, the degree-j
+  operators (Q_B/alpha_i) * d_(v_i)^j are a basis of B's order-j module, so
+  E_j = sum_i c_i (Q_B/alpha_i) d_(v_i)^j; applied to Q_B/alpha_i this gives
+  c_i = 1 / prod_(l in B, l != i) alpha_l(v_i) != 0.  Each theta_l is Q/Q_B
+  times B's operator of l, so det = c_(j+1) (Q/Q_B)^j det(B's basis) =
+  c * Q^j with c != 0: a basis by Saito's criterion;
+* order j >= k: theta_l for the k lines and for j+1-k added lines (1, t),
+  whose prefactor is the product of all k lines.
 
 One assembly loop builds every 3-arrangement basis: an essential one flat
 by flat over its extension, a rank 1 or 2 one from its single flat (the
@@ -42,7 +43,6 @@ from .arrangement import Arrangement, Hyperplane
 from .diffop import (
     DiffOp,
     euler_op,
-    identity_op,
     partial_op,
     power_of_derivation,
 )
@@ -50,17 +50,17 @@ from .errors import (
     BadOrder,
     IdentityViolated,
     NotEssential,
+    SaitoFailed,
     SolveFailed,
     ZeroNormalizer,
 )
 from .extension import ExtendedArrangement, FlatProfile, extend, flat_profiles
 from .flats import Flat1
-from .linalg import echelon_extend, echelon_int, nullspace_int
+from .linalg import echelon_int
 from .polynomial import (
     LinearForm,
     Poly,
     form_product,
-    midx_factorial,
     monomials_of_degree,
     primitive_int_vector,
     s_dim,
@@ -111,101 +111,29 @@ def _line_direction(line: tuple[int, int]) -> tuple[int, ...]:
     return primitive_int_vector((-line[1], line[0]))
 
 
-def _euler_complement_block(lines: Sequence[tuple[int, int]], j: int) -> list[DiffOp]:
-    """Euler operator plus j degree-(k-1) generators, for 1 <= j <= k-1."""
-    k = len(lines)
-    ops_idx = monomials_of_degree(2, j)
-    mon_idx = monomials_of_degree(2, k - 1)
-    col = {(a, c): i * len(mon_idx) + ci for i, a in enumerate(ops_idx) for ci, c in enumerate(mon_idx)}
-    ncols = len(col)
-
-    rows: list[list[int]] = []
-    for line in lines:
-        point = _line_direction(line)
-        values = {c: point[0] ** c[0] * point[1] ** c[1] for c in mon_idx}
-        for b in monomials_of_degree(2, j - 1):
-            row = [0] * ncols
-            for i in range(2):
-                if line[i] == 0:
-                    continue
-                a = (b[0] + (i == 0), b[1] + (i == 1))
-                w = line[i] * midx_factorial(a)
-                for c in mon_idx:
-                    row[col[(a, c)]] += w * values[c]
-            rows.append(row)
-
-    solutions = nullspace_int(rows, ncols)
-    if len(solutions) != k:
-        raise SolveFailed(f"membership system solution space has dimension {len(solutions)}, expected {k}")
-
-    # the first j solutions, in column order, that leave the span of the
-    # Euler multiples x^w * E_j, |w| = k-1-j (j!/a! is an integer)
-    euler = euler_op(j, 2)
-    euler_vecs = []
-    for w in monomials_of_degree(2, k - 1 - j):
-        vec = [0] * ncols
-        for a in ops_idx:
-            vec[col[(a, (a[0] + w[0], a[1] + w[1]))]] = factorial(j) // midx_factorial(a)
-        euler_vecs.append(vec)
-    span, pivots = echelon_int(euler_vecs)
-    chosen: list[tuple[int, ...]] = []
-    for vec in solutions:
-        if len(chosen) == j:
-            break
-        if echelon_extend(span, pivots, list(vec)):
-            chosen.append(vec)
-    if len(chosen) != j:
-        raise SolveFailed("could not extend Euler multiples to a full complement")
-
-    out = [euler]
-    for vec in chosen:
-        coeffs = {}
-        for a in ops_idx:
-            terms = {c: vec[col[(a, c)]] for c in mon_idx if vec[col[(a, c)]]}
-            if terms:
-                coeffs[a] = Poly(2, terms)
-        out.append(DiffOp(2, j, coeffs).normalized_primitive())
-    return out
-
-
-def _per_line_block(lines: Sequence[tuple[int, int]], j: int) -> list[DiffOp]:
-    """One summand per line of a generic extension to j+1 lines (j >= k-1)."""
-    k = len(lines)
-    extended = list(lines)
-    have = set(extended)
-    t = 0
-    while len(extended) < j + 1:
-        cand = (1, t)
-        if cand not in have:
-            have.add(cand)
-            extended.append(cand)
-        t += 1
-    out = []
-    for line in extended:
-        pref = form_product((other for other in lines if other != line), 2)
-        op = power_of_derivation(_line_direction(line), j).mul_poly(pref)
-        out.append(op.normalized_primitive())
-    return out
+def _line_operator(lines: Sequence[tuple[int, int]], line: tuple[int, int], j: int) -> DiffOp:
+    """(product of the other lines) * d_v^j, v the direction of ``line``."""
+    pref = form_product((other for other in lines if other != line), 2)
+    return power_of_derivation(_line_direction(line), j).mul_poly(pref).normalized_primitive()
 
 
 def basis_2arr_lines(lines: Sequence[tuple[int, int]], j: int) -> list[DiffOp]:
     """Free basis of the order-j module of a 2-variable line arrangement.
 
-    Handles every k >= 0 and j >= 0; degrees follow the two-variable
-    exponent formula.  The result is not certified; callers that return a
-    basis certify it.
+    Closed forms for every k >= 0 and j >= 0 (module docstring); degrees
+    follow the two-variable exponent formula.  The result is not certified;
+    callers that return a basis certify it.
     """
     lines = [tuple(int(c) for c in line) for line in lines]
     if len(set(lines)) != len(lines):
         raise SolveFailed("line arrangement has repeated lines")
     k = len(lines)
-    if j == 0:
-        return [identity_op(2)]
     if k == 0:
         return [partial_op(2, a) for a in monomials_of_degree(2, j)]
-    if j <= k - 1:
-        return _euler_complement_block(lines, j)
-    return _per_line_block(lines, j)
+    if j < k:
+        return [euler_op(j, 2)] + [_line_operator(lines, line, j) for line in lines[:j]]
+    generic = [(1, t) for t in range(j + 1) if (1, t) not in lines][: j + 1 - k]
+    return [_line_operator(lines, line, j) for line in lines + generic]
 
 
 def basis_2arr(arr2: Arrangement, j: int) -> list[DiffOp]:
@@ -288,13 +216,24 @@ def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> Free
                 if cofactor is not None:
                     op = op.mul_poly(cofactor)
                 op = op.normalized_primitive()
-                deg = op.degree()
-                if deg is None:
-                    raise SolveFailed("constructed operator is not homogeneous")
                 operators.append(op)
-                degrees.append(deg)
+                degrees.append(op.degree())
                 provenance.append({"flat_direction": list(flat.direction), "j": j, "gen_index": idx})
-    return FreeBasis(tuple(operators), tuple(degrees), tuple(provenance), saito_check(operators, arr))
+    return _certified(arr, operators, degrees, provenance)
+
+
+def _certified(arr: Arrangement, operators: list[DiffOp], degrees: list, provenance: list[dict]) -> FreeBasis:
+    """The basis with its certificate; a ``SaitoFailed`` that names an
+    operator is re-raised with that operator's flat, j and generator index."""
+    try:
+        cert = saito_check(operators, arr)
+    except SaitoFailed as exc:
+        if exc.index is None:
+            raise
+        p = provenance[exc.index]
+        where = f"flat {p['flat_direction']}, j = {p['j']}, generator {p['gen_index']}"
+        raise type(exc)(f"{exc} ({where})", exc.index) from exc
+    return FreeBasis(tuple(operators), tuple(degrees), tuple(provenance), cert)
 
 
 def basis_3arr(
@@ -335,8 +274,8 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
     if rank == 0:
         monomials = monomials_of_degree(3, m)
         operators = [partial_op(3, a) for a in monomials]
-        provenance = tuple({"flat_direction": None, "j": 0, "gen_index": list(a)} for a in monomials)
-        return FreeBasis(tuple(operators), (0,) * len(operators), provenance, saito_check(operators, arr))
+        provenance = [{"flat_direction": None, "j": 0, "gen_index": list(a)} for a in monomials]
+        return _certified(arr, operators, [0] * len(operators), provenance)
 
     flat = _kernel_flat(arr, kernel[-1])
     return _assemble(arr, m, [FlatProfile(flat, m, (), (), arr.n)])
@@ -361,13 +300,8 @@ def build_basis(
     """Dispatch on dimension and essentiality (``profiles`` as in ``basis_3arr``)."""
     if arr.dim == 2:
         ops = basis_2arr_lines([h.normal for h in arr.hyperplanes], m)
-        cert = saito_check(ops, arr)
-        return FreeBasis(
-            tuple(ops),
-            tuple(op.degree() for op in ops),
-            tuple({"flat_direction": None, "j": m, "gen_index": i} for i in range(len(ops))),
-            cert,
-        )
+        provenance = [{"flat_direction": None, "j": m, "gen_index": i} for i in range(len(ops))]
+        return _certified(arr, ops, [op.degree() for op in ops], provenance)
     if not arr.is_essential():
         return basis_nonessential(arr, m)
     return basis_3arr(arr, m, ext, profiles)

@@ -3,11 +3,10 @@
 - Rationals: ``rref``, ``rank`` and ``nullspace``, the tests' reference for
   the integer kernel; no production path uses them.
 - Integers: ``echelon_int`` is one fraction-free elimination kernel (primitive
-  rows, sparsest-row pivots); ``rank_int``, ``nullspace_int`` and
-  ``echelon_extend`` (a running echelon basis) are built on it and serve
-  arrangement kernels, the pencil membership solve and the dimension
-  oracle.  ``det_int`` is a Bareiss determinant for the determinant
-  certificate.
+  rows, sparsest-row pivots); ``rank_int`` and ``nullspace_int`` are built
+  on it and serve arrangement kernels, the flats of rank 1 and 2 bases,
+  the certificate's hyperplane lines and the dimension oracle.  ``det_int``
+  is a Bareiss determinant for the determinant certificate.
 - Polynomials: ``det_poly_matrix``, the tests' reference determinant.
 
 Everything here is deterministic: columns are processed in the order given
@@ -18,7 +17,6 @@ bit-identical results.  There is no floating point and no modular step.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -125,23 +123,6 @@ def echelon_int(rows: list[list[int]], reduce: bool = False) -> tuple[list[list[
                 if v:
                     out[j] = _combine(out[j], out[k], p, v)
     return out, pivots
-
-
-def echelon_extend(rows: list[list[int]], pivots: list[int], vec: list[int]) -> bool:
-    """Reduce ``vec`` by echelon rows with ascending pivots (as returned by
-    ``echelon_int``).  If a nonzero remainder is left, insert it in pivot
-    order and return True: ``vec`` is not in the span of the rows."""
-    rest = list(vec)
-    for row, pc in zip(rows, pivots):
-        if rest[pc]:
-            rest = _combine(rest, row, row[pc], rest[pc])
-    lead = next((c for c, v in enumerate(rest) if v), None)
-    if lead is None:
-        return False
-    k = bisect_left(pivots, lead)
-    rows.insert(k, rest)
-    pivots.insert(k, lead)
-    return True
 
 
 def _combine(row: list[int], piv_row: list[int], p: int, v: int) -> list[int]:

@@ -42,8 +42,8 @@ from operator import add, mul
 from .arrangement import Arrangement, Hyperplane
 from .diffop import DiffOp, saito_matrix
 from .errors import (
+    DimensionMismatch,
     IdentityViolated,
-    NotDivisible,
     NotEssential,
     NotMember,
     NotPurePower,
@@ -69,7 +69,7 @@ def is_member(theta: DiffOp, arr: Arrangement) -> bool:
     """Exact membership test: theta(alpha_H * x^b) in alpha_H * S for all H, b;
     the certificate's test on each homogeneous component (the module is graded)."""
     if theta.nvars != arr.dim:
-        raise NotDivisible("operator and arrangement dimensions differ")
+        raise DimensionMismatch(f"operator has {theta.nvars} variables, the arrangement {arr.dim}")
     columns = monomials_of_degree(arr.dim, theta.order)
     components: dict[int, list[dict[MultiIndex, Fraction | int]]] = {}
     for k, a in enumerate(columns):
@@ -157,9 +157,12 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
 
     Saito's criterion in Holm's version for order m: members with
     det M = c * Q^t, c != 0 and t = s_dim(m-1, l), form a basis.  The checks
-    run in this order; each failure raises a ``SaitoFailed``:
+    run in this order; operators whose variable count or order differs from
+    the arrangement's and ops[0]'s raise ``DimensionMismatch``, and every
+    other failure raises a ``SaitoFailed`` (with ``index`` set when its
+    message names an operator):
 
-    1. s_dim(m, l) operators, none zero (``ZeroDet``).
+    1. No operator is zero, and there are s_dim(m, l) of them (``ZeroDet``).
     2. Every row of M is homogeneous (``NotPurePower``).
     3. Every operator is a member at every H (``NotMember``).  Where
        alpha_H = x1, theta(x1 * x^b) = (b+e1)! f_(b+e1), so membership at H
@@ -179,15 +182,18 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
         raise ZeroDet("empty candidate basis")
     m = ops[0].order
     l = arr.dim
+    for i, op in enumerate(ops):
+        if (op.nvars, op.order) != (l, m):
+            raise DimensionMismatch(f"operator {i} has order {op.order} in {op.nvars} variables, need order {m} in {l}")
+        if op.is_zero():
+            raise ZeroDet(f"operator {i} is zero", i)
     expected = s_dim(m, l)
     if len(ops) != expected:
         raise ZeroDet(f"candidate basis has {len(ops)} operators, need {expected}")
-    for i, op in enumerate(ops):
-        if op.is_zero():
-            raise ZeroDet(f"operator {i} is zero")
     degrees = [op.degree() for op in ops]
     if None in degrees:
-        raise NotPurePower(f"operator {degrees.index(None)} has non-homogeneous coefficients")
+        i = degrees.index(None)
+        raise NotPurePower(f"operator {i} has non-homogeneous coefficients", i)
 
     scale = Fraction(1)
     rows = []
@@ -203,7 +209,7 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
         found = membership.violation(rows[-1], deg)
         if found:
             h, b = found
-            raise NotMember(f"operator {i} is not a member at {h.text()}: theta(alpha_H * x^b) is not in alpha_H * S, b = {b}")
+            raise NotMember(f"operator {i} is not a member at {h.text()}: theta(alpha_H * x^b) is not in alpha_H * S, b = {b}", i)
 
     n = arr.n
     t = s_dim(m - 1, l) if n else 0

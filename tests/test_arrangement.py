@@ -1,3 +1,5 @@
+import json
+import re
 from math import comb
 
 import pytest
@@ -67,6 +69,32 @@ def test_parse_json_dimension_must_be_integer():
             parse_arrangement('{"l": %s, "hyperplanes": [[1, 0, 0]]}' % bad)
 
 
+@pytest.mark.parametrize(
+    ("text", "named"),
+    [
+        ('{"hyperplanes": 5}', "got 5"),
+        ('{"l": 3, "hyperplanes": ["x"]}', "row 'x'"),
+        ('{"l": 3, "hyperplanes": [["abc", 0, 1]]}', "entry 'abc'"),
+        ('{"l": 3, "hyperplanes": [["1/0", 0, 1]]}', "entry '1/0'"),
+        ("1/0*x1; x2", "coefficient '1/0'"),
+        ('{"forms": [1]}', "got [1]"),
+        # a huge variable index or dimension is refused before a vector that long is built
+        ("x1000000", "got 1000000"),
+        ('{"l": 1000000, "forms": ["x1"]}', "got 1000000"),
+        ('{"l": 3, "forms": "x1"}', "got 'x1'"),
+        ('{"l": 3, "hyperplanes": [[%s, 0, 1]]}' % ("1" * 5000), "bad JSON arrangement"),
+        ('{"l": 3, "hyperplanes": [[1, 0, 0]], "forms": ["x2"]}', """"forms" ['x2'] disagree"""),
+    ],
+    ids=["rows-not-list", "row-not-list", "entry-not-number", "zero-denominator", "inline-zero-denominator",
+         "form-not-string", "variable-index-too-large", "dimension-too-large", "forms-not-list", "integer-too-long",
+         "keys-disagree"],
+)
+def test_malformed_input_is_a_parse_error(text, named):
+    # the message names the bad value, and no other exception escapes
+    with pytest.raises(ParseError, match=re.escape(named)):
+        parse_arrangement(text)
+
+
 def test_defining_polynomial(quad_arr):
     q = quad_arr.defining_polynomial()
     assert q == x1 * x2 * x3 * (x1 - x2)
@@ -125,6 +153,11 @@ def test_parse_serialize_roundtrip(quad_arr):
     assert parse_arrangement(quad_arr.text()) == quad_arr
     again = parse_arrangement("2*x2 - 4*x1; x3", dim=3)
     assert parse_arrangement(again.text(), dim=3) == again
+
+
+def test_parse_json_output_roundtrip(quad_arr):
+    # to_json writes both "hyperplanes" and "forms"; input with both must agree
+    assert parse_arrangement(json.dumps(quad_arr.to_json())) == quad_arr
 
 
 def test_hyperplane_normalization():

@@ -105,6 +105,18 @@ def test_closed_pipe_exits_without_traceback():
     assert proc.stderr == b""
 
 
+def test_malformed_input_exits_without_traceback(tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text('{"l": 3, "hyperplanes": [["1/0", 0, 1]]}', encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for args in (["--input", str(path)], ["1/0*x1", "x2", "x3"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "arrops", "lattice", *args], capture_output=True, env=env, timeout=60
+        )
+        assert proc.returncode == 1 and proc.stdout == b"", args
+        assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr, args
+
+
 def test_output_independent_of_hash_seed():
     forms = random_essential(random.Random(3), 5).text().split("; ")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

@@ -80,15 +80,16 @@ def _seeded_lines(k):
     "k, digest",
     [
         (1, "98840dabfc1498aff5ffe6c733450fbd8d262c0987421149cbc3dc8ebbeaef63"),
-        (2, "c1c3be45892e14bccf9d55c544c4b31b60e5a1cd5dfb7418f8921db540d2dd97"),
-        (3, "d685002faf663a3a6b18d72673c9a045ab05e772bb615125e3a7479eb008c16b"),
-        (4, "0576aaea765df469ef4dd5837a25307ef113e88a66a58088f1fcb375ae796add"),
-        (5, "993d236c35a8d18badc38da5ecd7c037e8162113d96966445ea4ad8c68ec758d"),
+        (2, "90503bfd8a288ee3e64b783a8a8a6a7a288a67128c25f8c4317b9062e95caf64"),
+        (3, "491bf56b0aab99713dad30703b518a01ba81825bd9c82de2503a53c1df76881c"),
+        (4, "e7cb76594153afdf322353e755819cc4964715015b069e1e322d628fb0a8265c"),
+        (5, "ab2b655024751686495b5ce3f596b58a113baedc126d2beaa572899f7a03b27c"),
     ],
 )
 def test_basis_2arr_lines_output_bytes(k, digest):
-    # pencil blocks at j = 0..6 cover the Euler-complement path (1 <= j <= k-1)
-    # and the per-line path; their bytes reach every 3-arrangement basis
+    # pencil blocks at j = 0..6 cover both closed forms, Euler plus the first
+    # j line operators (1 <= j <= k-1) and one line operator per line of a
+    # generic extension (j >= k); their bytes reach every 3-arrangement basis
     lines = _seeded_lines(k)
     payload = json.dumps([[op.to_json() for op in basis_2arr_lines(lines, j)] for j in range(7)])
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
@@ -230,7 +231,7 @@ def test_basis_nonessential_rank_one():
 @pytest.mark.parametrize(
     "text, digest",
     [
-        ("x1 + x3; x2 - x3; x1 + x2", "e500020d6731b965ec56700cebac96a50c2b5b9b8262e941f678d53884276cef"),
+        ("x1 + x3; x2 - x3; x1 + x2", "88873528f974885c93bcf70ee74c8c5c98097aeef7af6932fd21d518270082b3"),
         ("x2 + x3", "7766a35cbd6ad65d6eb02320320a2f3701185790b9d0a72e20536463fe0d847c"),
         # the section is x3 / 2: its flat's coordinate forms have denominator 2
         ("2*x1 - 3*x3", "55bd24e252ef116d415b3576c521dacfbfda1f87b7350d77161b52e0c92df473"),
@@ -251,14 +252,14 @@ QUAD = "x1; x2; x3; x1-x2"
 @pytest.mark.parametrize(
     "arr, m, digest",
     [
-        (parse_arrangement(QUAD), 3, "e3e2c8e18dd9ce016820a5feca2116b71c0265a335cc276dc402e6403cfaeb72"),
+        (parse_arrangement(QUAD), 3, "2d0df20da8c65b29123c7b27fd27f5cb1ed7db9c7f9be43ee17bbb334e80d9a2"),
         (random_essential(random.Random(7), 4), 3, "0d97b569b095493a9abc581552ab160373e31497c45b5970f78d4011526896d0"),
-        (parse_arrangement(QUAD), 4, "71842a790be7ebc5b1e9a26649be98e2cdb1707c6cd3572db9c26d24b5fb129e"),
-        (parse_arrangement(QUAD), 5, "9c808167e96be57e7e911af539a7cacf0a70ace1297b20b1847c8267e151a07b"),
+        (parse_arrangement(QUAD), 4, "0bf8805eb6ded32c4c16bd8c5de5ec8e39c80b2bd90f10b64017b41ab40c36c8"),
+        (parse_arrangement(QUAD), 5, "0c5eaa2db4b0a8825625d8aa670575eb01734ef05ffab166a192bfcd9465e963"),
         (
             parse_arrangement("x1; x2; x3; x1 - x2; x2 - x3"),
             3,
-            "ecb98616ebf3226f07e3bff3136bb9fb2289130c53ef5023fb26c12df8b2ca4c",
+            "fdc9c5bd3d0b159455484921de63bf8ba4460a140ad10f61fe68b6b5ea45884c",
         ),
         # a random (4,3) arrangement whose primitive normals have 2-bit entries
         (
@@ -271,7 +272,7 @@ QUAD = "x1; x2; x3; x1-x2"
         (
             parse_arrangement("x1; x2; x3; 2*x1 - 3*x2; x1 + x2 + x3"),
             3,
-            "1c74c5bf11dfadfe227c157b72fa68edf227d46aa5e7c791df987131bd63773e",
+            "0883fb0feabf4a3db3d9edb226168d68639798639a5cb046ee22eb364a9c9944",
         ),
     ],
     ids=["quad", "random43", "quad-m4", "quad-m5", "quad5", "random43-bits2", "triple-2-3"],

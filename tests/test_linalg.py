@@ -8,7 +8,6 @@ from arrops.linalg import (
     det_cofactor,
     det_int,
     det_poly_matrix,
-    echelon_extend,
     echelon_int,
     nullspace,
     nullspace_int,
@@ -86,18 +85,6 @@ def test_nullspace_int_is_exact_primitive_kernel():
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
             assert gcd(*v) == 1 and next(x for x in v if x) > 0
         assert kernel == [primitive_int_vector(v) for v in nullspace(F(rows), ncols)]
-
-
-def test_echelon_extend_grows_exactly_with_rank():
-    # adding each row of a matrix in turn: True exactly when the rank grows,
-    # and the running basis stays an echelon basis of the rows seen so far
-    for rows, ncols in _integer_matrices(random.Random(13)):
-        basis, pivots = [], []
-        for k, row in enumerate(rows):
-            assert echelon_extend(basis, pivots, row) == (rank_int(rows[: k + 1]) > rank_int(rows[:k]))
-            assert pivots == sorted(set(pivots)) and len(basis) == len(pivots)
-            assert all(r[pc] and not any(r[:pc]) for r, pc in zip(basis, pivots))
-            assert rank(F(basis + rows[: k + 1]), ncols) == len(basis)
 
 
 def test_det_int_matches_cofactor():

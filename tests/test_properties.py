@@ -1,6 +1,6 @@
-"""Hypothesis properties of exact division, membership, the certificate and
-the on-demand flat cofactors (profile ``arrops`` in conftest: derandomized,
-bounded example counts)."""
+"""Hypothesis properties of exact division, membership, the certificate, the
+closed-form pencil blocks and the on-demand flat cofactors (profile ``arrops``
+in conftest: derandomized, bounded example counts)."""
 
 import random
 from functools import cache
@@ -17,7 +17,8 @@ from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, euler_op
 from arrops.errors import NotDivisible, NotMember
 from arrops.extension import extend, flat_profiles
-from arrops.freebasis import build_basis
+from arrops.exponents import exp_2arr
+from arrops.freebasis import basis_2arr, build_basis
 from arrops.polynomial import Poly, monomials_of_degree
 from arrops.verify import is_member, saito_check
 
@@ -114,6 +115,15 @@ def test_saito_check_rejects_a_non_member_summand(key, data):
     ops[k] = ops[k] + psi
     with pytest.raises(NotMember, match=f"operator {k} is not a member"):
         saito_check(ops, arr)
+
+
+@given(st.lists(normals(2), min_size=1, max_size=6, unique=True), st.data())
+def test_pencil_block_certifies_with_closed_form_degrees(lines, data):
+    # j runs past k so both closed forms and the switch at j = k are drawn
+    k = len(lines)
+    j = data.draw(st.integers(0, k + 2))
+    ops = basis_2arr(Arrangement(2, [Hyperplane(line) for line in lines]), j)
+    assert sorted(op.degree() for op in ops) == list(exp_2arr(k, j))
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)

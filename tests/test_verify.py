@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from conftest import random_essential
 
+from arrops import freebasis
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.diffop import DiffOp, euler_op, partial_op, saito_matrix
-from arrops.errors import NotMember, NotPurePower, ZeroDet
+from arrops.diffop import DiffOp, euler_op, identity_op, partial_op, saito_matrix
+from arrops.errors import DimensionMismatch, NotMember, NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
-from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential
+from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential, build_basis
 from arrops.linalg import det_poly_matrix
 from arrops.polynomial import Poly
 from arrops.verify import (
@@ -86,6 +87,36 @@ def test_saito_check_rejects_non_members(quad_arr):
     ops = [partial_op(3, (1, 0, 0)), partial_op(3, (0, 1, 0)), partial_op(3, (0, 0, 1), q)]
     with pytest.raises(NotMember, match=r"operator 0 is not a member at x1: .*, b = \(0, 0, 0\)"):
         saito_check(ops, quad_arr)
+
+
+def test_dimension_mismatch(quad_arr):
+    with pytest.raises(DimensionMismatch, match="operator has 2 variables, the arrangement 3"):
+        is_member(partial_op(2, (1, 0)), quad_arr)
+    with pytest.raises(DimensionMismatch, match="operator 0 has order 0 in 2 variables, need order 0 in 3"):
+        saito_check([identity_op(2)], quad_arr)
+    # an operator of another order: its rows would read as zero columns
+    ops = list(basis_3arr(quad_arr, 2).operators)
+    ops[4] = euler_op(1, 3)
+    with pytest.raises(DimensionMismatch, match="operator 4 has order 1 in 3 variables, need order 2 in 3"):
+        saito_check(ops, quad_arr)
+
+
+def test_not_member_names_its_block(quad_arr, monkeypatch):
+    # swap generator 1 of the order-1 block of the triple point (0, 0, 1) for
+    # y2^2 * d1, which is not a member at y1 = 0
+    y1, y2 = Poly.variables(2)
+    original = freebasis.basis_2arr_lines
+
+    def patched(lines, j):
+        ops = original(lines, j)
+        if len(lines) == 3 and j == 1:
+            ops[1] = DiffOp(2, 1, {(1, 0): y2**2})
+        return ops
+
+    monkeypatch.setattr(freebasis, "basis_2arr_lines", patched)
+    with pytest.raises(NotMember, match=r"is not a member .* \(flat \[0, 0, 1\], j = 1, generator 1\)$") as info:
+        build_basis(quad_arr, 2)
+    assert info.value.index == 2
 
 
 def test_saito_check_zero_row(boolean_arr):
