@@ -62,7 +62,9 @@ class NotMember(SaitoFailed):
 
 
 class ZeroNormalizer(ArropsError):
-    """A dual-pair normalizing scalar vanished; indicates a flat-computation bug."""
+    """Unused: ``dual_pair`` has no normalizer since it takes the apolar dual
+    basis.  Kept because the CLI catches it and ``perfbench/harness.py``
+    names ``cli.ZeroNormalizer``."""
 
 
 class IdentityViolated(ArropsError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, Hyperplane
@@ -36,6 +37,11 @@ class ExtendedArrangement:
     @property
     def m(self) -> int:
         return self.base.n + len(self.added) - 2
+
+    @cached_property
+    def profiles(self) -> list[FlatProfile]:
+        """``flat_profiles(self)``, computed on first read and kept."""
+        return flat_profiles(self)
 
     def to_json(self) -> dict:
         return {

@@ -21,7 +21,8 @@ direction v (``_line_operator``):
 
 One assembly loop builds every 3-arrangement basis: an essential one flat
 by flat over its extension, a rank 1 or 2 one from its single flat (the
-common kernel line, order cap m, cofactor 1); rank 0 is the monomial
+common kernel line through ``flat_from_direction``, so the same pivot frame
+as every essential flat; order cap m, cofactor 1); rank 0 is the monomial
 derivatives.  The loop runs on integers: each pencil block is rewritten in
 the flat's integer coordinate frame (``Flat1.integer_frame``), which
 scales every operator by a nonzero constant, and ``normalized_primitive``
@@ -29,14 +30,16 @@ removes it, so the result is that of the rational frame.  A basis is
 certified where it is returned, by Saito's criterion
 (``verify.saito_check``: every operator is a member at every hyperplane,
 then one integer determinant at one point); the blocks of
-``basis_2arr_lines`` are not certified on their own.
+``basis_2arr_lines`` are not certified on their own.  ``dual_pair`` reads a
+basis of the degree-m polynomials off the same flats and pairs it with its
+dual basis under the apolar pairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import lcm
 from typing import Sequence
 
 from .arrangement import Arrangement, Hyperplane
@@ -52,15 +55,14 @@ from .errors import (
     NotEssential,
     SaitoFailed,
     SolveFailed,
-    ZeroNormalizer,
 )
-from .extension import ExtendedArrangement, FlatProfile, extend, flat_profiles
-from .flats import Flat1
+from .extension import ExtendedArrangement, FlatProfile, extend
+from .flats import Flat1, flat_from_direction
 from .linalg import echelon_int
 from .polynomial import (
-    LinearForm,
     Poly,
     form_product,
+    midx_factorial,
     monomials_of_degree,
     primitive_int_vector,
     s_dim,
@@ -236,11 +238,8 @@ def _certified(arr: Arrangement, operators: list[DiffOp], degrees: list, provena
     return FreeBasis(tuple(operators), tuple(degrees), tuple(provenance), cert)
 
 
-def basis_3arr(
-    arr: Arrangement, m: int, ext: ExtendedArrangement | None = None, profiles: list[FlatProfile] | None = None
-) -> FreeBasis:
-    """Free basis of the order-m module of an essential 3-arrangement, m >= n-2
-    (``profiles``: ``flat_profiles(ext)``, if the caller has them)."""
+def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
+    """Free basis of the order-m module of an essential 3-arrangement, m >= n-2."""
     if arr.dim != 3:
         raise BadOrder("basis_3arr expects a 3-arrangement")
     if not arr.is_essential():
@@ -251,16 +250,9 @@ def basis_3arr(
         ext = extend(arr, m)
     if ext.base != arr or ext.m != m:
         raise BadOrder("extension does not match the arrangement and order")
-
-    if profiles is None:
-        profiles = flat_profiles(ext)
-    if sum(s_dim(p.max_order, 3) for p in profiles) != s_dim(m, 3):
+    if sum(s_dim(p.max_order, 3) for p in ext.profiles) != s_dim(m, 3):
         raise IdentityViolated("flat capacities do not add up to the module rank")
-    return _assemble(arr, m, profiles)
-
-
-def _unit_form(col: int, value: Fraction | int = 1) -> LinearForm:
-    return LinearForm.make(value if i == col else 0 for i in range(3))
+    return _assemble(arr, m, ext.profiles)
 
 
 def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
@@ -277,34 +269,19 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
         provenance = [{"flat_direction": None, "j": 0, "gen_index": list(a)} for a in monomials]
         return _certified(arr, operators, [0] * len(operators), provenance)
 
-    flat = _kernel_flat(arr, kernel[-1])
+    flat = flat_from_direction(arr, kernel[-1])
     return _assemble(arr, m, [FlatProfile(flat, m, (), (), arr.n)])
 
 
-def _kernel_flat(arr: Arrangement, direction: tuple[int, ...]) -> Flat1:
-    """The single flat of a rank 1 or 2 arrangement, the kernel line of
-    ``direction``.  Kernel forms: the primitive echelon rows of the normals,
-    padded with unit forms at every free column but the last; the section is
-    the unit form at the last free column, scaled to 1 on the direction."""
-    red, pivots = echelon_int([list(h.normal) for h in arr.hyperplanes], reduce=True)
-    free_cols = [c for c in range(3) if c not in pivots]
-    kernel_forms = [LinearForm.make(primitive_int_vector(r)) for r in red]
-    kernel_forms += [_unit_form(c) for c in free_cols[:-1]]
-    section = _unit_form(free_cols[-1], Fraction(1, direction[free_cols[-1]]))
-    return Flat1(direction, tuple(range(arr.n)), section, tuple(kernel_forms))
-
-
-def build_basis(
-    arr: Arrangement, m: int, ext: ExtendedArrangement | None = None, profiles: list[FlatProfile] | None = None
-) -> FreeBasis:
-    """Dispatch on dimension and essentiality (``profiles`` as in ``basis_3arr``)."""
+def build_basis(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
+    """Dispatch on dimension and essentiality."""
     if arr.dim == 2:
         ops = basis_2arr_lines([h.normal for h in arr.hyperplanes], m)
         provenance = [{"flat_direction": None, "j": m, "gen_index": i} for i in range(len(ops))]
         return _certified(arr, ops, [op.degree() for op in ops], provenance)
     if not arr.is_essential():
         return basis_nonessential(arr, m)
-    return basis_3arr(arr, m, ext, profiles)
+    return basis_3arr(arr, m, ext)
 
 
 # -- dual pair -------------------------------------------------------------------
@@ -314,47 +291,48 @@ def dual_pair(ext: ExtendedArrangement) -> DualPair:
     """Degree-m polynomial basis built from flat data, with its dual operators.
 
     Basis entries are off_flat_product * u * section^(i - j) for u running
-    over the degree-j monomials in the flat's kernel coordinates; the dual
-    operators are the scaled mixed powers of the dual derivations.  The
-    pairing matrix is verified to be the identity.
+    over the degree-j monomials in the flat's kernel coordinates.  The dual
+    operators are the dual basis under the apolar pairing <d^a, x^b> =
+    a! delta_ab: with B the basis' coefficient matrix over the degree-m
+    monomials, operator i is sum_a ((B^T)^-1)_(i,a) / a! * d^a.  The inverse
+    comes from one reduced integer echelon form of [B^T | I]; dependent
+    polynomials raise ``IdentityViolated``, and so does a pairing matrix
+    that is not the identity.
     """
-    base = ext.base
-    if not base.is_essential():
+    if not ext.base.is_essential():
         raise NotEssential("dual pair needs an essential base arrangement")
     m = ext.m
     polys: list[Poly] = []
-    etas: list[DiffOp] = []
     labels: list[tuple] = []
-    for profile in flat_profiles(ext):
+    for profile in ext.profiles:
         flat = profile.flat
-        duals = flat.dual_derivations()
-        y1 = flat.kernel_forms[0].to_poly()
-        y2 = flat.kernel_forms[1].to_poly()
+        y1, y2 = (f.to_poly() for f in flat.kernel_forms)
         sec = flat.section.to_poly()
-        off = profile.off_flat_product
-        i_cap = profile.max_order
-        for j in range(i_cap + 1):
-            tail_poly = off * sec ** (i_cap - j)
-            delta_pow = power_of_derivation(flat.delta, m - j)
-            normalizer = delta_pow.apply(tail_poly).constant_value()
-            if normalizer == 0:
-                raise ZeroNormalizer(f"vanishing normalizer at flat {flat.direction}, j={j}")
+        for j in range(profile.max_order + 1):
+            tail_poly = profile.off_flat_product * sec ** (profile.max_order - j)
             for u in monomials_of_degree(2, j):
                 polys.append(tail_poly * y1 ** u[0] * y2 ** u[1])
-                eta = (
-                    power_of_derivation(duals[0], u[0])
-                    .compose_constant(power_of_derivation(duals[1], u[1]))
-                    .compose_constant(delta_pow)
-                    .scale(Fraction(1, factorial(u[0]) * factorial(u[1])) / normalizer)
-                )
-                etas.append(eta)
                 labels.append((flat.direction, j, u))
 
-    pair = DualPair(tuple(polys), tuple(etas), tuple(labels))
-    matrix = pair.pairing_matrix()
     size = len(polys)
     if size != s_dim(m, 3):
         raise IdentityViolated("dual pair has the wrong cardinality")
+    monomials = monomials_of_degree(3, m)
+    rows = []
+    for k, a in enumerate(monomials):
+        coeffs = [Fraction(b.terms.get(a, 0)) for b in polys]
+        den = lcm(*(c.denominator for c in coeffs))
+        rows.append([int(c * den) for c in coeffs] + [den * (i == k) for i in range(size)])
+    red, pivots = echelon_int(rows, reduce=True)
+    if pivots[:size] != list(range(size)):
+        raise IdentityViolated("dual pair polynomials are linearly dependent")
+    etas = []
+    for i, row in enumerate(red):  # row i is d * [e_i | row i of (B^T)^-1], d = row[i]
+        terms = zip(monomials, row[size:])
+        etas.append(DiffOp(3, m, {a: Poly.constant(3, Fraction(c, row[i] * midx_factorial(a))) for a, c in terms}))
+
+    pair = DualPair(tuple(polys), tuple(etas), tuple(labels))
+    matrix = pair.pairing_matrix()
     for i in range(size):
         for k in range(size):
             if matrix[i][k] != (1 if i == k else 0):

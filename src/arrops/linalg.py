@@ -4,8 +4,8 @@
   the integer kernel; no production path uses them.
 - Integers: ``echelon_int`` is one fraction-free elimination kernel (primitive
   rows, sparsest-row pivots); ``rank_int`` and ``nullspace_int`` are built
-  on it and serve arrangement kernels, the flats of rank 1 and 2 bases,
-  the certificate's hyperplane lines and the dimension oracle.  ``det_int``
+  on it and serve arrangement kernels, the certificate's hyperplane lines
+  and the dimension oracle, and ``dual_pair`` inverts with it.  ``det_int``
   is a Bareiss determinant for the determinant certificate.
 - Polynomials: ``det_poly_matrix``, the tests' reference determinant.
 

@@ -49,7 +49,7 @@ from .errors import (
     NotPurePower,
     ZeroDet,
 )
-from .extension import ExtendedArrangement, FlatProfile, flat_profiles
+from .extension import ExtendedArrangement
 from .linalg import det_int, echelon_int, nullspace_int, rank_int
 from .polynomial import (
     MultiIndex,
@@ -420,16 +420,14 @@ def hilbert_check(arr: Arrangement, m: int, exponents, d_max: int) -> OracleRepo
 # -- combinatorial identities -------------------------------------------------------
 
 
-def check_identities(ext: ExtendedArrangement, profiles: list[FlatProfile] | None = None) -> dict:
-    """Exact counting identities tying the extension's flats (``profiles``:
-    ``flat_profiles(ext)``, if the caller has them) to the module rank."""
+def check_identities(ext: ExtendedArrangement) -> dict:
+    """Exact counting identities tying the extension's flats to the module rank."""
     base = ext.base
     if not base.is_essential():
         raise NotEssential("identity checks need an essential base arrangement")
     full = ext.full
     m = ext.m
-    if profiles is None:
-        profiles = flat_profiles(ext)
+    profiles = ext.profiles
 
     lhs_rank = s_dim(m, 3)
     rhs_rank = sum(s_dim(p.max_order, 3) for p in profiles)

@@ -5,15 +5,19 @@ from math import lcm
 from conftest import random_essential
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.flats import choose_section, dim1_flats, kernel_basis
-from arrops.freebasis import _kernel_flat
+from arrops.flats import Flat1, dim1_flats, flat_from_direction
 from arrops.linalg import rank
 from arrops.polynomial import Poly
 
 x1, x2, x3 = Poly.variables(3)
 
 
+def _kernel_forms(direction):
+    return Flat1(direction, ()).kernel_forms
+
+
 def test_choose_section_values(quad_arr):
+    # the section view of the pivot frame
     flats = dim1_flats(quad_arr)
     # direction (0,0,1): section x3
     assert flats[0].section.to_poly() == x3
@@ -21,23 +25,24 @@ def test_choose_section_values(quad_arr):
     assert flats[3].section.to_poly() == x1
     for flat in flats:
         assert flat.section(flat.direction) == 1
-    assert choose_section((0, 2, 0)).to_poly() == Fraction(1, 2) * x2
+    assert Flat1((0, 2, 0), ()).section.to_poly() == Fraction(1, 2) * x2
 
 
 def test_kernel_basis_values():
-    forms = kernel_basis((0, 0, 1))
+    # the kernel-form view of the pivot frame
+    forms = _kernel_forms((0, 0, 1))
     assert [f.to_poly() for f in forms] == [x1, x2]
-    forms4 = kernel_basis((1, 1, 0))
+    forms4 = _kernel_forms((1, 1, 0))
     assert [f.to_poly() for f in forms4] == [x2 - x1, x3]
-    assert [f.to_poly() for f in kernel_basis((1, 0, 0))] == [x2, x3]
+    assert [f.to_poly() for f in _kernel_forms((1, 0, 0))] == [x2, x3]
     for v in [(0, 0, 1), (1, 1, 0), (1, -2, 3)]:
-        for f in kernel_basis(v):
+        for f in _kernel_forms(v):
             assert f(v) == 0
 
 
 def test_kernel_basis_spans_same_plane_as_alternative():
     # the subspace spanned by {x2 - x1, x3} equals span{(x1 - x2)/2, x3}
-    ours = [list(f.coeffs) for f in kernel_basis((1, 1, 0))]
+    ours = [list(f.coeffs) for f in _kernel_forms((1, 1, 0))]
     alt = [[Fraction(1, 2), Fraction(-1, 2), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]]
     assert rank(ours + alt, 3) == 2
 
@@ -62,11 +67,11 @@ def _low_rank_arrangements(rng):
 
 def test_coordinate_system_invertible_and_dual(quad_arr):
     # the flats of quad and of seeded random essential arrangements, and the
-    # kernel flat of seeded rank 1 and 2 arrangements (other denominators)
+    # kernel flat of seeded rank 1 and 2 arrangements, as their bases take it
     rng = random.Random(4242)
     flats = dim1_flats(quad_arr)
     flats += [flat for n in (3, 3, 4, 4, 5, 5, 6) for flat in dim1_flats(random_essential(rng, n))]
-    flats += [_kernel_flat(arr, direction) for arr, direction in _low_rank_arrangements(rng)]
+    flats += [flat_from_direction(arr, direction) for arr, direction in _low_rank_arrangements(rng)]
     for flat in flats:
         duals = flat.dual_derivations()
         forms = flat.coordinate_forms()

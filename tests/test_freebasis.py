@@ -231,10 +231,10 @@ def test_basis_nonessential_rank_one():
 @pytest.mark.parametrize(
     "text, digest",
     [
-        ("x1 + x3; x2 - x3; x1 + x2", "88873528f974885c93bcf70ee74c8c5c98097aeef7af6932fd21d518270082b3"),
-        ("x2 + x3", "7766a35cbd6ad65d6eb02320320a2f3701185790b9d0a72e20536463fe0d847c"),
-        # the section is x3 / 2: its flat's coordinate forms have denominator 2
-        ("2*x1 - 3*x3", "55bd24e252ef116d415b3576c521dacfbfda1f87b7350d77161b52e0c92df473"),
+        ("x1 + x3; x2 - x3; x1 + x2", "a12cc47736c741e329c1801c7977c187e8ca1e7b69e0ffc1f31579737fbd3aa3"),
+        ("x2 + x3", "4e4d11e173f06870b6fa6d1af64aaae904daa061ff7be3746bf1bc2010b21c76"),
+        # the section is x1 / 3: its flat's coordinate forms have denominator 3
+        ("2*x1 - 3*x3", "d079bc6633d87ace110a5bf1dfed0c6180895e0c21ec9a725f6417b1ca06a4ea"),
     ],
     ids=["rank2", "rank1", "rank1-section-denominator"],
 )
@@ -320,8 +320,11 @@ def test_dual_pair_minimal_extension(quad_arr):
 
 
 def test_dual_pair_identity_matrix(quad_arr):
-    for m, forms in [(2, None), (3, ["x1+x2"])]:
-        ext = extend(quad_arr, m, hyperplanes_from_forms(forms) if forms else None)
+    quad5 = parse_arrangement("x1; x2; x3; x1 - x2; x2 - x3")
+    cases = [(quad_arr, 2, None), (quad_arr, 3, ["x1+x2"])]
+    cases += [(arr, m, None) for arr in (quad_arr, quad5) for m in (3, 4, 5)]
+    for arr, m, forms in cases:
+        ext = extend(arr, m, hyperplanes_from_forms(forms) if forms else None)
         pair = dual_pair(ext)
         matrix = pair.pairing_matrix()
         size = s_dim(m, 3)
