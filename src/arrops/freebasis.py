@@ -103,7 +103,12 @@ class DualPair:
     labels: tuple[tuple, ...]
 
     def pairing_matrix(self) -> list[list[Fraction]]:
-        return [[eta.apply(b).constant_value() for b in self.basis_polys] for eta in self.dual_operators]
+        """Entries eta_i(b_k): for a constant-coefficient order-m operator on a
+        degree-m polynomial, the apolar dot product sum_a eta_a * a! * b_a."""
+        weighted = [
+            [(a, f.constant_value() * midx_factorial(a)) for a, f in eta.coeffs.items()] for eta in self.dual_operators
+        ]
+        return [[sum(w * b.terms.get(a, 0) for a, w in eta) for b in self.basis_polys] for eta in weighted]
 
 
 # -- two-variable building blocks ---------------------------------------------

@@ -2,11 +2,14 @@
 
 - Rationals: ``rref``, ``rank`` and ``nullspace``, the tests' reference for
   the integer kernel; no production path uses them.
-- Integers: ``echelon_int`` is one fraction-free elimination kernel (primitive
-  rows, sparsest-row pivots); ``rank_int`` and ``nullspace_int`` are built
-  on it and serve arrangement kernels, the certificate's hyperplane lines
-  and the dimension oracle, and ``dual_pair`` inverts with it.  ``det_int``
-  is a Bareiss determinant for the determinant certificate.
+- Integers: ``echelon_int`` is one fraction-free elimination kernel.  It
+  holds rows as sparse ``{column: value}`` dicts, bucketed by leading column,
+  takes the sparsest row of a bucket as pivot and removes a row's content
+  only when it becomes a pivot row or after a back-substitution step;
+  dense lists come in and go out.  ``rank_int`` and ``nullspace_int`` are
+  built on it and serve arrangement kernels, the certificate's hyperplane
+  lines and the dimension oracle, and ``dual_pair`` inverts with it.
+  ``det_int`` is a Bareiss determinant for the determinant certificate.
 - Polynomials: ``det_poly_matrix``, the tests' reference determinant.
 
 Everything here is deterministic: columns are processed in the order given
@@ -73,65 +76,84 @@ def echelon_int(rows: list[list[int]], reduce: bool = False) -> tuple[list[list[
     """Fraction-free row echelon form of an integer matrix.
 
     Returns (rows, pivot columns): one primitive integer row per pivot
-    column, zero left of its pivot.  With ``reduce`` every row is also zero
-    in the other rows' pivot columns.  Columns are eliminated in order; the
-    pivot row of a column is the sparsest candidate (ties by smallest
-    |pivot|, then row order), which is deterministic and controls fill-in.
-    An update ``a*row - b*pivot_row`` uses the pivot and the entry divided by
-    their gcd, and the result is divided by its content.
+    column, zero left of its pivot, with a positive pivot.  With ``reduce``
+    every row is also zero in the other rows' pivot columns.
+
+    Rows are held sparse, as ``{column: value}`` dicts, in buckets by their
+    leading column, so column c touches only the rows that start there.  The
+    pivot row of column c is the sparsest of them (ties by smallest |pivot|,
+    then input order), which is deterministic and controls fill-in.  Each
+    other row becomes ``a*row - b*pivot_row``, with a and b the pivot and
+    the row's entry divided by their gcd; the update runs over the pivot
+    row's nonzeros only, in place, and moves the row to the bucket of its
+    new leading column.  Content is removed from a row when it becomes a pivot
+    row and after each back-substitution step, not after every update.
     """
-    active: list[list[int]] = []
-    counts: list[int] = []
-    for r in rows:
-        r = list(r)
-        nz = len(r) - r.count(0)
-        if nz:
-            active.append(_strip(r))
-            counts.append(nz)
-    if not active:
-        return [], []
-    out: list[list[int]] = []
+    ncols = len(rows[0]) if rows else 0
+    sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
+    buckets: dict[int, list[int]] = {}
+    for i, row in enumerate(sparse):
+        if row:
+            buckets.setdefault(next(iter(row)), []).append(i)
+    out: list[dict[int, int]] = []
     pivots: list[int] = []
-    for c in range(len(active[0])):
-        hits = [i for i, r in enumerate(active) if r[c]]
-        if not hits:
+    for c in range(ncols):
+        hits = buckets.pop(c, None)
+        if hits is None:
             continue
-        best = min(hits, key=lambda i: (counts[i], abs(active[i][c]), i))
-        piv_row = active[best]
-        p = piv_row[c]
-        piv_tail = piv_row[c + 1 :]
+        best = min(hits, key=lambda i: (len(sparse[i]), abs(sparse[i][c]), i))
+        piv_row = _primitive(sparse[best], c)
         for i in hits:
-            if i == best:
-                continue
-            row = active[i]
-            tail = _combine(row[c + 1 :], piv_tail, p, row[c])
-            counts[i] = len(tail) - tail.count(0)
-            active[i] = [0] * (c + 1) + tail
+            if i != best:
+                row = _eliminate(sparse[i], piv_row, c)
+                if row:
+                    buckets.setdefault(min(row), []).append(i)
         out.append(piv_row)
         pivots.append(c)
-        keep = [i for i, n in enumerate(counts) if n and i != best]
-        active = [active[i] for i in keep]
-        counts = [counts[i] for i in keep]
-        if not active:
-            break
     if reduce:
         for k in range(len(out) - 1, 0, -1):
             pc = pivots[k]
-            p = out[k][pc]
             for j in range(k):
-                v = out[j][pc]
-                if v:
-                    out[j] = _combine(out[j], out[k], p, v)
-    return out, pivots
+                if pc in out[j]:
+                    _primitive(_eliminate(out[j], out[k], pc), pivots[j])
+    return [_dense(row, ncols) for row in out], pivots
 
 
-def _combine(row: list[int], piv_row: list[int], p: int, v: int) -> list[int]:
-    """Primitive form of (p*row - v*piv_row) / gcd(p, v)."""
+def _eliminate(row: dict[int, int], piv_row: dict[int, int], c: int) -> dict[int, int]:
+    """row := a*row - b*piv_row in place, with a and b the entries
+    piv_row[c] and row[c] divided by their gcd, so that column c drops out."""
+    p, v = piv_row[c], row[c]
     g = gcd(p, v)
+    a, b = p // g, v // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, w in piv_row.items():
+        x = row.get(k, 0) - b * w
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    return row
+
+
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """Divide a nonzero sparse row in place by its content, signed so that
+    the entry at ``lead`` is positive."""
+    # a loop, not gcd(*values): it stops at the first unit gcd and builds no
+    # argument tuple (CPython 3.11 parks every freed 20-item tuple on a free
+    # list that allocation never takes from)
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if row[lead] < 0:
+        g = -g
     if g != 1:
-        p //= g
-        v //= g
-    return _strip([p * a - v * b for a, b in zip(row, piv_row)])
+        for k in row:
+            row[k] //= g
+    return row
 
 
 def rank_int(rows: list[list[int]]) -> int:
@@ -157,29 +179,19 @@ def nullspace_int(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
         for row, pc in zip(red, pivots):
             if row[f]:
                 scale = lcm(scale, row[pc])
-        vec = [0] * ncols
-        vec[f] = scale
+        vec = {f: scale}
         for row, pc in zip(red, pivots):
             if row[f]:
                 vec[pc] = -row[f] * (scale // row[pc])
-        vec = _strip(vec)
-        if next(v for v in vec if v) < 0:
-            vec = [-v for v in vec]
-        basis.append(tuple(vec))
+        basis.append(tuple(_dense(_primitive(vec, min(vec)), ncols)))
     return basis
 
 
-def _strip(row: list[int]) -> list[int]:
-    # a loop, not gcd(*row): it stops at the first unit gcd and builds no
-    # argument tuple (CPython 3.11 parks every freed 20-item tuple on a free
-    # list that allocation never takes from)
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return row
-    return row if not g else [v // g for v in row]
+def _dense(row: dict[int, int], ncols: int) -> list[int]:
+    vec = [0] * ncols
+    for c, v in row.items():
+        vec[c] = v
+    return vec
 
 
 def det_int(matrix: list[list[int]]) -> int:

@@ -16,9 +16,9 @@ candidate operator, then takes one integer determinant.  The oracle computes
 the exact dimension of the degree-d slice of the module: the same conditions
 make it an integer linear system in the coefficient unknowns.  Its fast path
 also quotients out the value patterns that polynomials realize, which
-shrinks the elimination to matrices indexed by points and multi-indices;
-``oracle_dim_direct`` keeps the literal coefficient-space system as a
-cross-check.  The fast path is integer elimination only
+shrinks the elimination to matrices indexed by points and multi-indices
+(the tests keep the literal coefficient-space system as a cross-check).
+The oracle is integer elimination only
 (``linalg.echelon_int``): the functionals eta that vanish on realized value
 patterns, the contraction kernels and the hyperplane bases are integer kernel
 bases, and the dimension comes from one integer rank.  The rows of hyperplane
@@ -336,56 +336,6 @@ def _int_pow(point: tuple[int, ...], exp: MultiIndex) -> int:
         if e:
             v *= x**e
     return v
-
-
-def oracle_dim_direct(arr: Arrangement, m: int, d: int) -> int:
-    """Literal coefficient-space formulation (small instances; cross-check)."""
-    l = arr.dim
-    if d < 0 or m < 0:
-        return 0
-    mon_m = monomials_of_degree(l, m)
-    mon_d = monomials_of_degree(l, d)
-    col = {(a, c): i * len(mon_d) + ci for i, a in enumerate(mon_m) for ci, c in enumerate(mon_d)}
-    ncols = len(mon_m) * len(mon_d)
-    if m == 0 or arr.n == 0:
-        return ncols
-
-    rows: list[list[Fraction]] = []
-    for h in arr.hyperplanes:
-        normal = h.normal
-        p = next(i for i, c in enumerate(normal) if c)
-        # substitution x_p -> -(sum_{i != p} c_i x_i) / c_p realizes reduction mod alpha_H
-        images = []
-        for i in range(l):
-            if i == p:
-                images.append(
-                    Poly(l, {tuple(int(k == i2) for k in range(l)): Fraction(-normal[i2], normal[p]) for i2 in range(l) if i2 != p})
-                )
-            else:
-                images.append(Poly.variable(l, i))
-        reduced = {c: Poly(l, {c: Fraction(1)}).substitute(images) for c in mon_d}
-        reduced_monomials = sorted({mono for poly in reduced.values() for mono in poly.terms}, reverse=True)
-        rmcol = {mono: i for i, mono in enumerate(reduced_monomials)}
-        for b in monomials_of_degree(l, m - 1):
-            block = [[Fraction(0)] * ncols for _ in reduced_monomials]
-            for i in range(l):
-                if normal[i] == 0:
-                    continue
-                a = tuple(b[k] + (k == i) for k in range(l))
-                w = Fraction(normal[i] * midx_factorial(a))
-                for c in mon_d:
-                    for mono, cv in reduced[c].terms.items():
-                        block[rmcol[mono]][col[(a, c)]] += w * cv
-            rows.extend(block)
-
-    int_rows = []
-    for row in rows:
-        if any(row):
-            den = 1
-            for v in row:
-                den = den * v.denominator // gcd(den, v.denominator)
-            int_rows.append([int(v * den) for v in row])
-    return ncols - rank_int(int_rows)
 
 
 # -- Hilbert-series consistency ----------------------------------------------------

@@ -12,6 +12,7 @@ from arrops.exponents import exp_2arr, exp_for_arrangement
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.flats import dim1_flats
 from arrops.freebasis import (
+    DualPair,
     basis_2arr,
     basis_2arr_lines,
     basis_3arr,
@@ -317,6 +318,20 @@ def test_dual_pair_minimal_extension(quad_arr):
     from fractions import Fraction
 
     assert {a: f.constant_value() for a, f in eta.coeffs.items()} == {(0, 2, 0): Fraction(-1, 2)}
+
+
+def test_pairing_matrix_is_apolar_dot_product(quad_arr):
+    # the dot product against applying each operator, on the dual operators
+    # and on mixtures of them whose pairing matrix is not the identity
+    for m in (2, 3):  # extend(quad, m) needs m >= n - 2
+        pair = dual_pair(extend(quad_arr, m))
+        etas = pair.dual_operators
+        mixed = tuple(eta + etas[(i + 1) % len(etas)].scale(i + 2) for i, eta in enumerate(etas))
+        for ops in (etas, mixed):
+            probe = DualPair(pair.basis_polys, ops, pair.labels)
+            expected = [[eta.apply(b).constant_value() for b in pair.basis_polys] for eta in ops]
+            assert probe.pairing_matrix() == expected
+        assert expected != [[int(i == k) for k in range(len(etas))] for i in range(len(etas))]
 
 
 def test_dual_pair_identity_matrix(quad_arr):

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
-
-from arrops.diffop import DiffOp, power_of_derivation, saito_matrix
 from math import gcd
 
+import pytest
+
+from arrops import verify
+from arrops.arrangement import parse_arrangement
+from arrops.diffop import DiffOp, power_of_derivation, saito_matrix
 from arrops.linalg import (
     det_cofactor,
     det_int,
@@ -85,6 +88,27 @@ def test_nullspace_int_is_exact_primitive_kernel():
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
             assert gcd(*v) == 1 and next(x for x in v if x) > 0
         assert kernel == [primitive_int_vector(v) for v in nullspace(F(rows), ncols)]
+
+
+def test_rank_and_nullspace_int_match_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    cases = []
+    for nrows, ncols in [(6, 9), (9, 6), (12, 20), (20, 12)]:
+        for density in (0.1, 0.3):
+            rows = [[rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+            rows.append([a - 2 * b for a, b in zip(rows[0], rows[1])])  # rank-deficient
+            cases.append(rows)
+    # the rank matrices the oracle builds for quad at m = 2, up to its top exponent + 2
+    captured = []
+    monkeypatch.setattr(verify, "rank_int", lambda rows: captured.append(rows) or rank_int(rows))
+    verify.oracle_dims(parse_arrangement("x1; x2; x3; x1-x2"), 2, 5)
+    assert len(captured) == 6
+    for rows in cases + captured:
+        matrix = sympy.Matrix(rows)
+        assert rank_int(rows) == matrix.rank()
+        expected = [primitive_int_vector(Fraction(int(v.p), int(v.q)) for v in vec) for vec in matrix.nullspace()]
+        assert nullspace_int(rows, matrix.cols) == expected
 
 
 def test_det_int_matches_cofactor():

@@ -1,9 +1,12 @@
 """Hypothesis properties of exact division, membership, the certificate, the
-closed-form pencil blocks and the on-demand flat cofactors (profile ``arrops``
-in conftest: derandomized, bounded example counts)."""
+closed-form pencil blocks, the on-demand flat cofactors and the integer
+echelon kernel (profile ``arrops`` in conftest: derandomized, bounded example
+counts)."""
 
 import random
+from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
 
@@ -19,7 +22,8 @@ from arrops.errors import NotDivisible, NotMember
 from arrops.extension import extend, flat_profiles
 from arrops.exponents import exp_2arr
 from arrops.freebasis import basis_2arr, build_basis
-from arrops.polynomial import Poly, monomials_of_degree
+from arrops.linalg import echelon_int, rref
+from arrops.polynomial import Poly, monomials_of_degree, primitive_int_vector
 from arrops.verify import is_member, saito_check
 
 small = st.integers(-4, 4)
@@ -161,3 +165,49 @@ def test_cofactor_times_local_product_is_q(arr, extra):
         ):
             local = planes.localization(direction)
             assert cofactor * local.defining_polynomial() == planes.defining_polynomial()
+
+
+def sparse_matrix(rng, nrows, ncols, density):
+    """Seeded sparse integer matrix; its last row is the sum of two others, so
+    it is rank-deficient whenever it has three rows or more."""
+    entries = (-9, -3, -2, -1, 1, 1, 2, 5)
+    rows = [[rng.choice(entries) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 3:
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def kronecker_stack(rng, planes, etas, kappa, width):
+    """Rows of E_H (x) K_H stacked over hyperplanes H, shaped like the oracle's
+    rank matrix: E_H a rank <= 2 weight block over ``etas`` columns, K_H
+    ``kappa`` kernel vectors of length ``width``."""
+    rows = []
+    for _ in range(planes):
+        u, v = (sparse_matrix(rng, 1, etas, 0.5)[0] for _ in range(2))
+        weights = [[s * a + t * b for a, b in zip(u, v)] for s, t in ((1, 0), (0, 1), (1, -2), (3, 1))]
+        kernel = sparse_matrix(rng, kappa, width, 0.3)
+        rows += [[e * w for e in eta for w in vec] for eta in weights for vec in kernel]
+    return rows
+
+
+def assert_echelon_matches_rref(rows, ncols):
+    red, pivots = rref([[Fraction(v) for v in row] for row in rows], ncols)
+    for reduce in (False, True):
+        out, out_pivots = echelon_int(rows, reduce=reduce)
+        assert out_pivots == pivots
+        for row, pc in zip(out, pivots):
+            assert len(row) == ncols and row[pc] > 0 and not any(row[:pc])
+            assert gcd(*row) == 1
+        if reduce:  # the primitive form of the matching rref row
+            assert [primitive_int_vector(ref) for ref in red] == [tuple(row) for row in out]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 14), st.integers(1, 24), st.sampled_from([0.05, 0.15, 0.4]))
+def test_echelon_int_matches_rref_on_sparse_matrices(seed, nrows, ncols, density):
+    assert_echelon_matches_rref(sparse_matrix(random.Random(seed), nrows, ncols, density), ncols)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 5), st.integers(1, 3), st.integers(2, 6))
+def test_echelon_int_matches_rref_on_kronecker_stacks(seed, planes, etas, kappa, width):
+    rows = kronecker_stack(random.Random(seed), planes, etas, kappa, width)
+    assert_echelon_matches_rref(rows, etas * width)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import random_essential
+from reference import oracle_dim_direct
 
 from arrops import freebasis
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
@@ -17,7 +18,6 @@ from arrops.verify import (
     hilbert_check,
     is_member,
     oracle_dim,
-    oracle_dim_direct,
     oracle_dims,
     s_dim,
     saito_check,
