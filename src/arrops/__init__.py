@@ -15,10 +15,10 @@ deterministic, so identical inputs give byte-identical outputs.
 from .arrangement import Arrangement, Hyperplane, parse_arrangement
 from .diffop import DiffOp, euler_op, identity_op, partial_op, power_of_derivation
 from .errors import ArropsError
-from .exponents import ExponentMultiset, exp_2arr, exp_3arr_closed, exp_for_arrangement, exp_product
+from .exponents import ExponentMultiset, exp_2arr, exp_3arr_closed, exp_for_arrangement
 from .extension import ExtendedArrangement, extend, flat_profiles, generic_hyperplane
 from .flats import Flat1, dim1_flats
-from .freebasis import DualPair, FreeBasis, basis_2arr, basis_3arr, basis_nonessential, build_basis, dual_pair, pencil_basis
+from .freebasis import DualPair, FreeBasis, basis_3arr, basis_nonessential, build_basis, dual_pair
 from .linalg import det_poly_matrix
 from .polynomial import LinearForm, Poly
 from .verify import OracleReport, SaitoCertificate, check_identities, hilbert_check, is_member, oracle_dim, oracle_dims, saito_check
@@ -37,7 +37,6 @@ __all__ = [
     "OracleReport",
     "Poly",
     "SaitoCertificate",
-    "basis_2arr",
     "basis_3arr",
     "basis_nonessential",
     "build_basis",
@@ -49,7 +48,6 @@ __all__ = [
     "exp_2arr",
     "exp_3arr_closed",
     "exp_for_arrangement",
-    "exp_product",
     "extend",
     "flat_profiles",
     "generic_hyperplane",
@@ -60,7 +58,6 @@ __all__ = [
     "oracle_dims",
     "parse_arrangement",
     "partial_op",
-    "pencil_basis",
     "power_of_derivation",
     "saito_check",
 ]

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import DuplicateHyperplane, NotCentral, ParseError, ZeroForm
 from .linalg import nullspace_int
-from .polynomial import LinearForm, Poly, primitive_int_vector
+from .polynomial import LinearForm, Poly, form_product, primitive_int_vector
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,7 @@ class Arrangement:
 
     def defining_polynomial(self) -> Poly:
         """Product of the normalized linear forms (1 for the empty arrangement)."""
-        q = Poly.constant(self.dim, 1)
-        for h in self.hyperplanes:
-            q = q * h.poly()
-        return q
+        return form_product((h.normal for h in self.hyperplanes), self.dim)
 
     def rank_and_kernel(self) -> tuple[int, list[tuple[int, ...]]]:
         """Rank of the normal matrix and a primitive basis of the common intersection."""

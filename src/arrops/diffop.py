@@ -8,6 +8,7 @@ are immutable by convention, like polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -15,6 +16,7 @@ from .errors import DimensionMismatch
 from .polynomial import (
     MultiIndex,
     Poly,
+    form_product,
     grlex_key,
     midx_add,
     midx_factorial,
@@ -205,8 +207,25 @@ def power_of_derivation(coeffs: Sequence[Fraction | int], k: int, nvars: int | N
     return DiffOp(n, k, out)
 
 
+def derivation_monomial(derivs: Sequence[Sequence[int]], a: MultiIndex) -> DiffOp:
+    """D^a = prod_i D_i^(a_i) for the commuting constant derivations D_i with
+    coefficient vectors ``derivs``."""
+    return reduce(DiffOp.compose_constant, (power_of_derivation(d, e) for d, e in zip(derivs, a)))
+
+
+def frame_euler(m: int, forms: Sequence[Sequence[int]], derivs: Sequence[Sequence[int]]) -> DiffOp:
+    """Order-m Euler operator of a coordinate frame, sum (m!/a!) f^a D^a over
+    |a| = m: f the frame's integer linear forms, D its derivations."""
+    out = DiffOp(len(forms[0]), m)
+    for a in monomials_of_degree(len(forms), m):
+        coeff = form_product((f for f, e in zip(forms, a) for _ in range(e)), len(forms[0]))
+        out = out + derivation_monomial(derivs, a).mul_poly(coeff * (factorial(m) // midx_factorial(a)))
+    return out
+
+
 def euler_op(m: int, nvars: int) -> DiffOp:
-    """Order-m Euler operator sum (m!/a!) x^a d^a.
+    """Order-m Euler operator sum (m!/a!) x^a d^a, the coordinate frame's
+    ``frame_euler``.
 
     Acts on a homogeneous polynomial of degree d as multiplication by the
     falling factorial d(d-1)...(d-m+1); belongs to every operator module of
@@ -214,10 +233,8 @@ def euler_op(m: int, nvars: int) -> DiffOp:
     """
     if m < 0 or nvars < 1:
         raise ValueError("need m >= 0 and at least one variable")
-    out = {}
-    for a in monomials_of_degree(nvars, m):
-        out[a] = Poly(nvars, {a: factorial(m) // midx_factorial(a)})
-    return DiffOp(nvars, m, out)
+    unit = [tuple(int(i == k) for k in range(nvars)) for i in range(nvars)]
+    return frame_euler(m, unit, unit)
 
 
 # -- coefficient matrices ----------------------------------------------------
@@ -245,6 +262,8 @@ __all__ = [
     "identity_op",
     "partial_op",
     "power_of_derivation",
+    "derivation_monomial",
+    "frame_euler",
     "euler_op",
     "saito_columns",
     "saito_matrix",

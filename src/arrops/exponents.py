@@ -1,9 +1,10 @@
 """Closed-form exponent multisets.
 
-Three sources: the two-variable formula (a 2-arrangement is free at every
-order), the product formula for arrangements with a trivial factor, and the
-closed form for essential 3-arrangements at order m >= n - 2, which reads
-the multiset straight off the rank-2 flats of the base arrangement:
+Two formulas: the two-variable one (a 2-arrangement is free at every
+order; a 3-arrangement of rank <= 2 is a pencil times a trivial factor, so
+its order-m multiset is the union of the pencil's over orders j <= m), and
+the closed form for essential 3-arrangements at order m >= n - 2, which
+reads the multiset straight off the rank-2 flats of the base arrangement:
 
     {j + n - k_X : X a flat, 0 <= j <= k_X - 2}
     plus n-1 with multiplicity (m+2)n - n^2 + C(n,2) - sum_X (k_X - 1)
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arrangement import Arrangement
 from .errors import BadOrder, IdentityViolated, NotEssential
@@ -31,7 +32,6 @@ class ExponentMultiset:
 
     entries: tuple[int, ...]
     m: int
-    source: str
 
     def __iter__(self):
         return iter(self.entries)
@@ -39,12 +39,9 @@ class ExponentMultiset:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_json(self) -> dict:
-        return {"m": self.m, "exponents": list(self.entries), "source": self.source}
 
-
-def _sorted(entries: Iterable[int], m: int, source: str) -> ExponentMultiset:
-    return ExponentMultiset(tuple(sorted(entries)), m, source)
+def _sorted(entries: Iterable[int], m: int) -> ExponentMultiset:
+    return ExponentMultiset(tuple(sorted(entries)), m)
 
 
 def exp_2arr(k: int, m: int) -> ExponentMultiset:
@@ -55,24 +52,7 @@ def exp_2arr(k: int, m: int) -> ExponentMultiset:
         entries = [m] + [k - 1] * m
     else:
         entries = [k - 1] * k + [k] * (m - k + 1)
-    return _sorted(entries, m, "closed-form")
-
-
-def exp_product(lists1: Sequence[Iterable[int]], lists2: Sequence[Iterable[int]]) -> ExponentMultiset:
-    """Exponents of a product arrangement from per-order exponents of the factors.
-
-    Arguments are the exponent multisets of each factor for orders 0..m.
-    """
-    if len(lists1) != len(lists2) or not lists1:
-        raise BadOrder("need exponent lists for every order 0..m of both factors")
-    m = len(lists1) - 1
-    entries = [
-        d + e
-        for i in range(m + 1)
-        for d in lists1[i]
-        for e in lists2[m - i]
-    ]
-    return _sorted(entries, m, "closed-form")
+    return _sorted(entries, m)
 
 
 def exp_3arr_closed(arr: Arrangement, m: int) -> ExponentMultiset:
@@ -97,23 +77,18 @@ def exp_3arr_closed(arr: Arrangement, m: int) -> ExponentMultiset:
         raise IdentityViolated(f"closed form produced {len(entries)} exponents, expected {s_dim(m, 3)}")
     if sum(entries) != n * comb(m + 1, 2):
         raise IdentityViolated(f"closed form degree sum {sum(entries)} != {n * comb(m + 1, 2)}")
-    return _sorted(entries, m, "closed-form")
+    return _sorted(entries, m)
 
 
 def exp_for_arrangement(arr: Arrangement, m: int) -> ExponentMultiset:
     """Exponents of any supported arrangement at order m.
 
-    Essential 3-arrangements use the closed form (m >= n - 2 required);
-    rank <= 2 arrangements in dimension 3 split off a trivial factor, so the
-    result is the union over j <= m of the 2-variable multisets; plain
-    2-arrangements use the 2-variable formula directly.
+    Essential 3-arrangements use the closed form (m >= n - 2 required); a
+    2-arrangement uses the 2-variable formula, and a 3-arrangement of rank
+    <= 2 the union of the 2-variable multisets over orders j <= m.
     """
     if arr.dim == 2:
         return exp_2arr(arr.n, m)
     if arr.is_essential():
         return exp_3arr_closed(arr, m)
-    factor = [list(exp_2arr(arr.n, j)) for j in range(m + 1)]
-    trivial = [[0]] * (m + 1)
-    result = exp_product(factor, trivial)
-    return ExponentMultiset(result.entries, m, "closed-form")
-
+    return _sorted((e for j in range(m + 1) for e in exp_2arr(arr.n, j)), m)

@@ -81,12 +81,11 @@ class FlatProfile:
 
 def generic_hyperplane(arr: Arrangement) -> Hyperplane:
     """Smallest moment-curve hyperplane missing all current flat directions."""
-    directions = arr.flat_directions()
     existing = {h.normal for h in arr.hyperplanes}
     t = 0
     while True:
         cand = Hyperplane.make((Fraction(1), Fraction(t), Fraction(t * t)))
-        if cand.normal not in existing and all(not cand.contains(v) for v in directions):
+        if cand.normal not in existing and _misses_all_flats(cand, arr):
             return cand
         t += 1
 

@@ -23,10 +23,13 @@ One assembly loop builds every 3-arrangement basis: an essential one flat
 by flat over its extension, a rank 1 or 2 one from its single flat (the
 common kernel line through ``flat_from_direction``, so the same pivot frame
 as every essential flat; order cap m, cofactor 1); rank 0 is the monomial
-derivatives.  The loop runs on integers: each pencil block is rewritten in
-the flat's integer coordinate frame (``Flat1.integer_frame``), which
-scales every operator by a nonzero constant, and ``normalized_primitive``
-removes it, so the result is that of the rational frame.  A basis is
+derivatives.  The loop runs on integers: each pencil block is built
+directly in the flat's integer coordinate frame (``Flat1.integer_frame``:
+its first two forms for the kernel coordinates, their adjugate columns for
+d_y1, d_y2).  That frame scales every operator by a nonzero constant, and
+``normalized_primitive`` removes it, so the result is that of the rational
+frame.  A 2-arrangement's blocks are the same builder in the identity
+frame.  A basis is
 certified where it is returned, by Saito's criterion
 (``verify.saito_check``: every operator is a member at every hyperplane,
 then one integer determinant at one point); the blocks of
@@ -42,10 +45,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .arrangement import Arrangement, Hyperplane
+from .arrangement import Arrangement
 from .diffop import (
     DiffOp,
-    euler_op,
+    derivation_monomial,
+    frame_euler,
     partial_op,
     power_of_derivation,
 )
@@ -111,80 +115,56 @@ class DualPair:
         return [[sum(w * b.terms.get(a, 0) for a, w in eta) for b in self.basis_polys] for eta in weighted]
 
 
-# -- two-variable building blocks ---------------------------------------------
+# -- pencil blocks ---------------------------------------------------------------
+
+Line = tuple[int, ...]
+Frame = Sequence[Line]
+IDENTITY: Frame = ((1, 0), (0, 1))
 
 
-def _line_direction(line: tuple[int, int]) -> tuple[int, ...]:
-    return primitive_int_vector((-line[1], line[0]))
+def _in_frame(pair: Line, vectors: Frame) -> Line:
+    """pair[0] * vectors[0] + pair[1] * vectors[1]."""
+    return tuple(pair[0] * u + pair[1] * v for u, v in zip(*vectors))
 
 
-def _line_operator(lines: Sequence[tuple[int, int]], line: tuple[int, int], j: int) -> DiffOp:
-    """(product of the other lines) * d_v^j, v the direction of ``line``."""
-    pref = form_product((other for other in lines if other != line), 2)
-    return power_of_derivation(_line_direction(line), j).mul_poly(pref).normalized_primitive()
+def _line_operator(lines: Sequence[Line], line: Line, j: int, forms: Frame, derivs: Frame) -> DiffOp:
+    """(product of the other lines) * D_v^j, v the direction of ``line``."""
+    pref = form_product((_in_frame(other, forms) for other in lines if other != line), len(forms[0]))
+    direction = primitive_int_vector((-line[1], line[0]))
+    return power_of_derivation(_in_frame(direction, derivs), j).mul_poly(pref)
 
 
-def basis_2arr_lines(lines: Sequence[tuple[int, int]], j: int) -> list[DiffOp]:
-    """Free basis of the order-j module of a 2-variable line arrangement.
+def basis_2arr_lines(lines: Sequence[Line], j: int, forms: Frame = IDENTITY, derivs: Frame = IDENTITY) -> list[DiffOp]:
+    """Free basis of the order-j module of a 2-variable line arrangement,
+    built in a coordinate frame and normalized (``normalized_primitive``).
 
-    Closed forms for every k >= 0 and j >= 0 (module docstring); degrees
-    follow the two-variable exponent formula.  The result is not certified;
-    callers that return a basis certify it.
+    The frame is two integer linear forms f0, f1 and two commuting constant
+    derivations D0, D1: the line (a, b) is the form a*f0 + b*f1, its
+    direction (v0, v1) the derivation v0*D0 + v1*D1, and d^a becomes
+    D0^a0 D1^a1.  The identity frame gives the 2-variable operators; a
+    flat's gives them in ambient coordinates.  Closed forms for every
+    k >= 0 and j >= 0 (module docstring); degrees follow the two-variable
+    exponent formula.  The result is not certified; callers that return a
+    basis certify it.
     """
     lines = [tuple(int(c) for c in line) for line in lines]
     if len(set(lines)) != len(lines):
         raise SolveFailed("line arrangement has repeated lines")
     k = len(lines)
     if k == 0:
-        return [partial_op(2, a) for a in monomials_of_degree(2, j)]
-    if j < k:
-        return [euler_op(j, 2)] + [_line_operator(lines, line, j) for line in lines[:j]]
-    generic = [(1, t) for t in range(j + 1) if (1, t) not in lines][: j + 1 - k]
-    return [_line_operator(lines, line, j) for line in lines + generic]
+        ops = [derivation_monomial(derivs, a) for a in monomials_of_degree(2, j)]
+    elif j < k:
+        ops = [frame_euler(j, forms, derivs)] + [_line_operator(lines, line, j, forms, derivs) for line in lines[:j]]
+    else:
+        generic = [(1, t) for t in range(j + 1) if (1, t) not in lines][: j + 1 - k]
+        ops = [_line_operator(lines, line, j, forms, derivs) for line in lines + generic]
+    return [op.normalized_primitive() for op in ops]
 
 
-def basis_2arr(arr2: Arrangement, j: int) -> list[DiffOp]:
-    """Certified free basis of D^(j) for a 2-arrangement (j + 1 operators)."""
-    if arr2.dim != 2:
-        raise BadOrder("basis_2arr expects a 2-arrangement")
-    ops = basis_2arr_lines([h.normal for h in arr2.hyperplanes], j)
-    saito_check(ops, arr2)
-    return ops
-
-
-# -- pencil conversion into the ambient three-variable ring --------------------
-
-
-def _convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple[int, ...]]) -> DiffOp:
-    """Rewrite a 2-variable operator in ambient coordinates, over the integers.
-
-    Coefficients are composed with the coordinate forms; the two partial
-    derivatives become the derivations ``duals``, which commute, so powers
-    expand multinomially.  A flat's ``integer_frame`` scales the exact forms
-    by D and their duals by det M' / D, so a term of order j with degree-e
-    coefficients is scaled by D^e * (det M' / D)^j: one constant for each
-    (homogeneous) operator of ``basis_2arr_lines``, which
-    ``normalized_primitive`` removes.
-    """
-    nvars = len(forms[0])
-    images = [form_product([f], nvars) for f in forms]
-    total: DiffOp | None = None
-    for a, g in op2.coeffs.items():
-        const = power_of_derivation(duals[0], a[0], nvars).compose_constant(
-            power_of_derivation(duals[1], a[1], nvars)
-        )
-        term = const.mul_poly(g.substitute(images))
-        total = term if total is None else total + term
-    if total is None:
-        return DiffOp(nvars, op2.order)
-    return total
-
-
-def _pencil_lines(
-    arr: Arrangement, flat: Flat1
-) -> tuple[list[tuple[int, int]], list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Localized forms of ``arr`` through the flat in the flat's kernel
-    coordinates, and those coordinates' integer forms and duals."""
+def _pencil_lines(arr: Arrangement, flat: Flat1) -> tuple[list[Line], Frame, Frame]:
+    """Localized forms of ``arr`` through the flat as lines in the flat's
+    kernel coordinates, with the frame of those coordinates: the first two
+    integer forms of ``Flat1.integer_frame`` and their adjugate columns."""
     forms, duals, _ = flat.integer_frame()
     lines = []
     for i in arr.localization_indices(flat.direction):
@@ -193,14 +173,6 @@ def _pencil_lines(
             raise IdentityViolated("localized form does not lie in the flat's kernel coordinates")
         lines.append(primitive_int_vector(cy[:2]))
     return lines, forms[:2], duals[:2]
-
-
-def pencil_basis(arr: Arrangement, flat: Flat1, j: int) -> list[DiffOp]:
-    """Free basis of the order-j module of the localization at a flat,
-    expressed as ambient operators (``normalized_primitive``)."""
-    lines, forms, duals = _pencil_lines(arr, flat)
-    ops2 = basis_2arr(Arrangement(2, [Hyperplane.make(line) for line in lines]), j)
-    return [_convert_2var_op(op2, forms, duals).normalized_primitive() for op2 in ops2]
 
 
 # -- full three-variable constructions ------------------------------------------
@@ -215,11 +187,11 @@ def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> Free
     for profile in profiles:
         flat = profile.flat
         cofactor = profile.base_off_flat_product if profile.base_off_flat else None
-        lines, forms, duals = _pencil_lines(arr, flat)
+        lines, forms, derivs = _pencil_lines(arr, flat)
         for j in range(profile.max_order + 1):
             delta_pow = power_of_derivation(flat.direction, m - j)
-            for idx, op2 in enumerate(basis_2arr_lines(lines, j)):
-                op = _convert_2var_op(op2, forms, duals).compose_constant(delta_pow)
+            for idx, block in enumerate(basis_2arr_lines(lines, j, forms, derivs)):
+                op = block.compose_constant(delta_pow)
                 if cofactor is not None:
                     op = op.mul_poly(cofactor)
                 op = op.normalized_primitive()

@@ -2,8 +2,8 @@
 
 A polynomial is a dict mapping exponent tuples (one nonnegative int per
 variable) to nonzero coefficients, each an ``int`` or a ``Fraction``.
-Integer polynomials stay ``int`` under +, -, *, ``partial`` and
-``substitute``; ``exact_div`` divides exactly, never in floating point.
+Integer polynomials stay ``int`` under +, -, * and ``partial``;
+``exact_div`` divides exactly, never in floating point.
 All ordering, division and serialization use graded lexicographic order
 with x1 > x2 > ... > xl, which doubles as the deterministic tie-breaker
 everywhere else in the library.
@@ -114,9 +114,6 @@ class Poly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return max((sum(a) for a in self.terms), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        return len({sum(a) for a in self.terms}) <= 1
-
     def homogeneous_degree(self) -> int | None:
         """Degree if homogeneous and nonzero, else None."""
         degs = {sum(a) for a in self.terms}
@@ -126,9 +123,6 @@ class Poly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grlex_key)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
 
     def sorted_terms(self) -> list[tuple[MultiIndex, Fraction]]:
         """Terms in graded-lex descending order."""
@@ -271,57 +265,7 @@ class Poly:
                     rem.pop(k, None)
         return Poly._raw(self.nvars, quo)
 
-    # -- substitution and evaluation ------------------------------------
-
-    def substitute(self, images: list[Poly]) -> Poly:
-        """Evaluate the polynomial at x_i = images[i] (all in a common ring)."""
-        if len(images) != self.nvars:
-            raise DimensionMismatch("one image polynomial per variable required")
-        tvars = images[0].nvars if images else self.nvars
-        caches: list[dict[int, Poly]] = [{0: Poly.constant(tvars, 1)} for _ in images]
-
-        def power(i: int, e: int) -> Poly:
-            cache = caches[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
-            return cache[e]
-
-        out = Poly.zero(tvars)
-        for a, c in self.terms.items():
-            term = Poly.constant(tvars, c)
-            for i, e in enumerate(a):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
-
-    def evaluate(self, point: Iterable[Fraction | int]) -> Fraction:
-        pt = [Fraction(v) for v in point]
-        if len(pt) != self.nvars:
-            raise DimensionMismatch("point length must equal variable count")
-        total = Fraction(0)
-        for a, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, a):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
-    # -- normalization and serialization --------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational c with self / c integer-primitive; 0 for zero."""
-        return rational_content(self.terms.values())
-
-    def primitive(self) -> Poly:
-        """Scale to integer coefficients with gcd 1 and positive leading coefficient."""
-        if not self.terms:
-            return self
-        c = self.content()
-        if self.leading_coefficient() < 0:
-            c = -c
-        return self * (1 / c)
+    # -- serialization --------------------------------------------------
 
     def text(self) -> str:
         """Canonical text form: graded-lex descending terms 'c*x1^a1*...'."""

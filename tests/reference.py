@@ -4,8 +4,21 @@ from fractions import Fraction
 from math import gcd
 
 from arrops.arrangement import Arrangement
+from arrops.diffop import DiffOp, power_of_derivation
 from arrops.linalg import rank_int
-from arrops.polynomial import Poly, midx_factorial, monomials_of_degree
+from arrops.polynomial import Poly, form_product, midx_factorial, monomials_of_degree
+
+
+def substitute(f: Poly, images: list[Poly]) -> Poly:
+    """f evaluated at x_i = images[i] (all in a common ring)."""
+    assert len(images) == f.nvars
+    out = Poly.zero(images[0].nvars)
+    for a, c in f.terms.items():
+        term = Poly.constant(images[0].nvars, c)
+        for image, e in zip(images, a):
+            term = term * image**e
+        out = out + term
+    return out
 
 
 def oracle_dim_direct(arr: Arrangement, m: int, d: int) -> int:
@@ -33,7 +46,7 @@ def oracle_dim_direct(arr: Arrangement, m: int, d: int) -> int:
                 )
             else:
                 images.append(Poly.variable(l, i))
-        reduced = {c: Poly(l, {c: Fraction(1)}).substitute(images) for c in mon_d}
+        reduced = {c: substitute(Poly(l, {c: Fraction(1)}), images) for c in mon_d}
         reduced_monomials = sorted({mono for poly in reduced.values() for mono in poly.terms}, reverse=True)
         rmcol = {mono: i for i, mono in enumerate(reduced_monomials)}
         for b in monomials_of_degree(l, m - 1):
@@ -56,3 +69,17 @@ def oracle_dim_direct(arr: Arrangement, m: int, d: int) -> int:
                 den = den * v.denominator // gcd(den, v.denominator)
             int_rows.append([int(v * den) for v in row])
     return ncols - rank_int(int_rows)
+
+
+def convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple[int, ...]]) -> DiffOp:
+    """Rewrite a 2-variable operator in ambient coordinates: coefficients are
+    composed with the coordinate forms, and the two partial derivatives
+    become the derivations ``duals``, which commute, so powers expand
+    multinomially."""
+    nvars = len(forms[0])
+    images = [form_product([f], nvars) for f in forms]
+    total = DiffOp(nvars, op2.order)
+    for a, g in op2.coeffs.items():
+        const = power_of_derivation(duals[0], a[0], nvars).compose_constant(power_of_derivation(duals[1], a[1], nvars))
+        total = total + const.mul_poly(substitute(g, images))
+    return total

@@ -2,7 +2,7 @@ import pytest
 
 from arrops.arrangement import parse_arrangement
 from arrops.errors import BadOrder, NotEssential
-from arrops.exponents import exp_2arr, exp_3arr_closed, exp_for_arrangement, exp_product
+from arrops.exponents import exp_2arr, exp_3arr_closed, exp_for_arrangement
 from arrops.extension import extend, hyperplanes_from_forms
 from arrops.freebasis import basis_3arr
 from arrops.verify import hilbert_check, s_dim
@@ -22,23 +22,20 @@ def test_exp_2arr_sum_and_size():
             assert sum(exps) == k * m
 
 
-def test_exp_product_with_trivial_factor():
-    factor = [list(exp_2arr(3, j)) for j in range(3)]
-    trivial = [[0]] * 3
-    assert list(exp_product(factor, trivial)) == [0, 1, 2, 2, 2, 2]
+def test_exp_for_arrangement_triple_line_times_trivial():
+    arr = parse_arrangement("x1; x2; x1-x2", dim=3)
+    assert exp_for_arrangement(arr, 2).entries == (0, 1, 2, 2, 2, 2)
 
 
-def test_exp_product_both_trivial():
+def test_exp_for_arrangement_no_lines():
     for m in range(4):
-        trivial = [[0]] * (m + 1)
-        assert list(exp_product(trivial, trivial)) == [0] * (m + 1)
+        assert exp_for_arrangement(parse_arrangement("", dim=2), m).entries == (0,) * (m + 1)
 
 
-def test_exp_product_pencil_times_trivial():
-    factor = [list(exp_2arr(2, j)) for j in range(2)]
-    result = exp_product(factor, [[0], [0]])
-    assert list(result) == [0, 1, 1]
+def test_exp_for_arrangement_two_lines_times_trivial():
     arr = parse_arrangement("x1; x2", dim=3)
+    result = exp_for_arrangement(arr, 1)
+    assert result.entries == (0, 1, 1)
     report = hilbert_check(arr, 1, result.entries, 3)
     assert report.consistent
 

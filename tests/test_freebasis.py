@@ -13,13 +13,11 @@ from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.flats import dim1_flats
 from arrops.freebasis import (
     DualPair,
-    basis_2arr,
     basis_2arr_lines,
     basis_3arr,
     basis_nonessential,
     build_basis,
     dual_pair,
-    pencil_basis,
 )
 from arrops.polynomial import Poly, monomials_of_degree, primitive_int_vector
 from arrops.verify import is_member, oracle_dim, s_dim
@@ -35,13 +33,13 @@ def arr2(text):
 
 
 def test_basis_2arr_order_zero():
-    ops = basis_2arr(arr2("x1; x2"), 0)
-    assert ops == [identity_op(2)]
+    ops = build_basis(arr2("x1; x2"), 0).operators
+    assert ops == (identity_op(2),)
 
 
 def test_basis_2arr_triple_line_order_one():
     a = arr2("x1; x2; x1-x2")
-    ops = basis_2arr(a, 1)
+    ops = build_basis(a, 1).operators
     assert len(ops) == 2
     assert ops[0] == euler_op(1, 2)
     assert sorted(op.degree() for op in ops) == [1, 2]
@@ -54,7 +52,7 @@ def test_basis_2arr_two_lines_order_one():
     # 2-dimensional (oracle), and the emitted degrees are {1, 1}
     a = arr2("x1; x2")
     assert oracle_dim(a, 1, 1) == 2
-    ops = basis_2arr(a, 1)
+    ops = build_basis(a, 1).operators
     assert sorted(op.degree() for op in ops) == [1, 1]
 
 
@@ -62,7 +60,7 @@ def test_basis_2arr_high_order_matches_formula():
     for k, m in [(2, 3), (3, 4), (3, 3), (4, 5), (1, 2)]:
         lines = [(1, 0), (0, 1), (1, -1), (1, 1)][:k]
         a = Arrangement(2, [Hyperplane.make(line) for line in lines])
-        ops = basis_2arr(a, m)
+        ops = build_basis(a, m).operators
         assert sorted(op.degree() for op in ops) == list(exp_2arr(k, m))
         assert all(is_member(op, a) for op in ops)
 
@@ -104,9 +102,18 @@ def test_basis_2arr_no_lines():
 # -- pencils ------------------------------------------------------------------
 
 
+def pencil_block(arr, flat, j):
+    """The order-j block of a flat's pencil in ambient coordinates: the j = m
+    operators of the certified basis of its localization at m = j (no
+    cofactor, no direction power)."""
+    fb = build_basis(arr.localization(flat.direction), j)
+    assert {tuple(p["flat_direction"]) for p in fb.provenance} == {flat.direction}
+    return [op for op, p in zip(fb.operators, fb.provenance) if p["j"] == j]
+
+
 def test_pencil_basis_expressed_in_ambient_ring(quad_arr):
     flat = dim1_flats(quad_arr)[0]  # direction (0,0,1), three planes through it
-    ops = pencil_basis(quad_arr, flat, 1)
+    ops = pencil_block(quad_arr, flat, 1)
     assert len(ops) == 2
     local = quad_arr.localization(flat.direction)
     for op in ops:
@@ -118,10 +125,10 @@ def test_pencil_basis_expressed_in_ambient_ring(quad_arr):
 
 def test_pencil_basis_skew_flat(quad_arr):
     flat = dim1_flats(quad_arr)[3]  # direction (1,1,0), planes x3 and x1-x2
-    ops = pencil_basis(quad_arr, flat, 0)
+    ops = pencil_block(quad_arr, flat, 0)
     assert ops == [identity_op(3)]
     local = quad_arr.localization(flat.direction)
-    for op in pencil_basis(quad_arr, flat, 1):
+    for op in pencil_block(quad_arr, flat, 1):
         assert is_member(op, local)
 
 
@@ -268,8 +275,8 @@ QUAD = "x1; x2; x3; x1-x2"
             3,
             "c46549efd6696f33e5ecfb3af4d1ca19e81c5dff57773eae4c3a90b45dae33e6",
         ),
-        # a triple point with coefficients 2 and -3, so the pencil conversion
-        # reaches j = 1 and the bytes depend on the flats' dual derivations
+        # a triple point with coefficients 2 and -3, so the pencil blocks in
+        # the flat's frame reach j = 1 and the bytes depend on its derivations
         (
             parse_arrangement("x1; x2; x3; 2*x1 - 3*x2; x1 + x2 + x3"),
             3,
@@ -279,7 +286,7 @@ QUAD = "x1; x2; x3; x1-x2"
     ids=["quad", "random43", "quad-m4", "quad-m5", "quad5", "random43-bits2", "triple-2-3"],
 )
 def test_build_basis_output_bytes(arr, m, digest):
-    # digests of the rational pencil conversion: the integer one scales each
+    # digests of the rational-frame bases: the integer frame scales each
     # operator by a constant that normalized_primitive must remove
     fb = build_basis(arr, m)
     payload = json.dumps(fb.to_json(), sort_keys=True) + json.dumps(fb.saito.to_json(), sort_keys=True)

@@ -1,8 +1,9 @@
 """Hypothesis properties of exact division, membership, the certificate, the
-closed-form pencil blocks, the on-demand flat cofactors and the integer
-echelon kernel (profile ``arrops`` in conftest: derandomized, bounded example
-counts)."""
+closed-form pencil blocks and their frames, the on-demand flat cofactors, the
+integer echelon kernel and the parse/serialize round trip (profile ``arrops``
+in conftest: derandomized, bounded example counts)."""
 
+import json
 import random
 from fractions import Fraction
 from functools import cache
@@ -15,13 +16,15 @@ pytest.importorskip("hypothesis")
 from conftest import random_essential
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from reference import convert_2var_op
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.diffop import DiffOp, euler_op
+from arrops.diffop import DiffOp, euler_op, saito_matrix
 from arrops.errors import NotDivisible, NotMember
 from arrops.extension import extend, flat_profiles
 from arrops.exponents import exp_2arr
-from arrops.freebasis import basis_2arr, build_basis
+from arrops.flats import dim1_flats
+from arrops.freebasis import basis_2arr_lines, build_basis
 from arrops.linalg import echelon_int, rref
 from arrops.polynomial import Poly, monomials_of_degree, primitive_int_vector
 from arrops.verify import is_member, saito_check
@@ -126,7 +129,7 @@ def test_pencil_block_certifies_with_closed_form_degrees(lines, data):
     # j runs past k so both closed forms and the switch at j = k are drawn
     k = len(lines)
     j = data.draw(st.integers(0, k + 2))
-    ops = basis_2arr(Arrangement(2, [Hyperplane(line) for line in lines]), j)
+    ops = build_basis(Arrangement(2, [Hyperplane(line) for line in lines]), j).operators
     assert sorted(op.degree() for op in ops) == list(exp_2arr(k, j))
 
 
@@ -152,6 +155,75 @@ def essential(draw):
     arr = Arrangement(3, [Hyperplane(v) for v in planes])
     assume(arr.is_essential())
     return arr
+
+
+@given(essential(), st.data())
+def test_frame_blocks_match_reference_conversion(arr, data):
+    # the pencil blocks that basis assembly builds in a flat's integer frame
+    # (the j = m blocks of its localization's basis at m = j) against the
+    # certified 2-variable blocks rewritten in ambient coordinates
+    flat = data.draw(st.sampled_from(dim1_flats(arr)))
+    k = len(flat.local_indices)
+    j = data.draw(st.integers(0, k + 1))
+    forms, duals, _ = flat.integer_frame()
+    lines = []
+    for i in flat.local_indices:
+        cy = [sum(c * v for c, v in zip(arr.hyperplanes[i].normal, w)) for w in duals]
+        assert cy[2] == 0
+        lines.append(primitive_int_vector(cy[:2]))
+    ops2 = basis_2arr_lines(lines, j)
+    saito_check(ops2, Arrangement(2, [Hyperplane(line) for line in lines]))
+    expected = [convert_2var_op(op2, forms[:2], duals[:2]).normalized_primitive() for op2 in ops2]
+    fb = build_basis(arr.localization(flat.direction), j)
+    assert [op for op, p in zip(fb.operators, fb.provenance) if p["j"] == j] == expected
+
+
+def rational_vectors(nvars):
+    return st.tuples(*[st.builds(Fraction, small, st.integers(1, 4))] * nvars).filter(any)
+
+
+def form_text(vec):
+    return " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*x{i + 1}" for i, c in enumerate(vec) if c)
+
+
+@given(st.sampled_from([2, 3]), st.data())
+def test_parse_round_trips_rational_input(l, data):
+    vectors = data.draw(st.lists(rational_vectors(l), min_size=1, max_size=5, unique_by=lambda v: Hyperplane.make(v)))
+    arr = parse_arrangement("; ".join(form_text(v) for v in vectors), dim=l)
+    assert arr == Arrangement(l, [Hyperplane.make(v) for v in vectors])
+    rows = json.dumps({"l": l, "hyperplanes": [[str(c) for c in v] for v in vectors]})
+    assert parse_arrangement(rows) == arr
+    assert parse_arrangement(json.dumps(arr.to_json())) == arr
+    assert parse_arrangement(arr.text(), dim=l) == arr
+
+
+certificate_cases = st.one_of(
+    st.just((parse_arrangement("x1; x2; x3; x1 - x2"), 2)),
+    st.tuples(st.lists(normals(2), min_size=1, max_size=4, unique=True), st.integers(0, 4)).map(
+        lambda t: (Arrangement(2, [Hyperplane(v) for v in t[0]]), t[1])
+    ),
+    st.tuples(st.lists(normals(2), min_size=2, max_size=3, unique=True), small, small, st.integers(0, 2)).map(
+        lambda t: (Arrangement(3, [Hyperplane.make((a, b, a * t[1] + b * t[2])) for a, b in t[0]]), t[3])
+    ),
+)
+
+
+@given(certificate_cases)
+def test_certificate_det_matches_sympy(case):
+    # the certificate's c * Q^t against sympy's exact determinant of the
+    # Saito matrix over Q[x] (bases of at most 6 x 6)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    arr, m = case
+    fb = build_basis(arr, m)
+    ring = sympy.QQ[sympy.symbols(f"x1:{arr.dim + 1}")]
+
+    def element(f):
+        return ring.ring.from_dict({a: sympy.QQ(c.numerator, c.denominator) for a, c in f.terms.items()})
+
+    rows = [[element(f) for f in row] for row in saito_matrix(fb.operators)]
+    assert DomainMatrix(rows, (len(rows), len(rows)), ring).det() == element(fb.saito.det)
 
 
 @given(essential(), st.integers(0, 1))

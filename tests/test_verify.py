@@ -103,14 +103,13 @@ def test_dimension_mismatch(quad_arr):
 
 def test_not_member_names_its_block(quad_arr, monkeypatch):
     # swap generator 1 of the order-1 block of the triple point (0, 0, 1) for
-    # y2^2 * d1, which is not a member at y1 = 0
-    y1, y2 = Poly.variables(2)
+    # x2^2 * d1, which is not a member at x1 = 0 (the flat's frame is x1, x2)
     original = freebasis.basis_2arr_lines
 
-    def patched(lines, j):
-        ops = original(lines, j)
+    def patched(lines, j, forms=freebasis.IDENTITY, derivs=freebasis.IDENTITY):
+        ops = original(lines, j, forms, derivs)
         if len(lines) == 3 and j == 1:
-            ops[1] = DiffOp(2, 1, {(1, 0): y2**2})
+            ops[1] = DiffOp(3, 1, {(1, 0, 0): x2**2})
         return ops
 
     monkeypatch.setattr(freebasis, "basis_2arr_lines", patched)
