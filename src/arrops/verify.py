@@ -18,16 +18,33 @@ make it an integer linear system in the coefficient unknowns.  Its fast path
 also quotients out the value patterns that polynomials realize, which
 shrinks the elimination to matrices indexed by points and multi-indices
 (the tests keep the literal coefficient-space system as a cross-check).
-The oracle is integer elimination only
-(``linalg.echelon_int``): the functionals eta that vanish on realized value
-patterns, the contraction kernels and the hyperplane bases are integer kernel
-bases, and the dimension comes from one integer rank.  The rows of hyperplane
-H are the Kronecker products (weights of the etas at a point of H) (x) (a
-contraction kernel vector of H); the weight block of H is first reduced to an
-echelon basis, which spans the same rows with fewer of them (the block has
-d + 1 rows on a plane but rank at most about n - 1).  ``oracle_dims`` answers
-every degree up to d_max in one call and computes the contraction kernels and
-hyperplane bases once; nothing is cached across calls.
+
+The oracle samples its points on the intersection lattice.  Every
+hyperplane needs s_dim(d, l-1) distinct projective points (d + 1 on a
+plane, one on a line).  A plane first takes the rank-2 flats on it, which
+are points of every plane through them (one taken by an earlier plane
+counts), then fills up with points s*u + t*v of its own
+(``_oracle_points``).  The coefficient vector's value at a point p
+must lie in K_p, the kernel of the stacked contraction rows of every plane
+through p: K_H at a point of H alone, the line of delta_X^m at a flat X of
+two or more planes.  Since every plane still holds enough distinct points,
+a degree-d form vanishing at all points is a multiple of Q, so evaluation
+has kernel Q * S_(d-n) and the free part is unchanged.  The dimension is
+
+    free part + sum_p dim K_p - rank(rows),
+
+where the rows are the Kronecker products (weights at p of the functionals
+eta that vanish on realized value patterns) (x) (a vector of K_p), grouped
+by kernel; each group's weight block is first reduced to an echelon basis,
+which spans the same rows with fewer of them.  A flat point carries one
+unknown instead of m + 1, and on a generic arrangement at large d the
+points are exactly as many as the evaluation rank, so no eta remains and
+no rank is taken.  The oracle is integer elimination only
+(``linalg.echelon_int``): the etas, the contraction kernels and the
+hyperplane bases are integer kernel bases, and the dimension comes from one
+integer rank.  ``oracle_dims`` answers every degree up to d_max in one call
+and computes the kernels, the flats and the hyperplane bases once; nothing
+is cached across calls.
 """
 
 from __future__ import annotations
@@ -35,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import count, islice
 from math import comb, gcd, prod
 from operator import add, mul
 
@@ -57,6 +74,7 @@ from .polynomial import (
     form_product,
     midx_factorial,
     monomials_of_degree,
+    primitive_int_vector,
     rational_content,
     s_dim,
 )
@@ -282,52 +300,117 @@ def oracle_dim(arr: Arrangement, m: int, d: int) -> int:
 
 def oracle_dims(arr: Arrangement, m: int, d_max: int) -> list[int]:
     """``oracle_dim(arr, m, d)`` for d = 0..d_max, computing the contraction
-    kernels and the hyperplane bases once."""
+    kernels, the flats and the hyperplane bases once."""
     return _oracle(arr, m, list(range(d_max + 1)))
 
 
 def _oracle(arr: Arrangement, m: int, degrees: list[int]) -> list[int]:
-    """The degree-independent data once, then the dimension at each degree."""
+    """The degree-independent data once, then the dimension at each degree.
+
+    Per hyperplane H: a basis of H, the kernel K_H of its contraction rows
+    (the values a member's coefficient vector can take at a point of H alone)
+    and the flats on H.  Per flat X (``arr.flat_directions()``): its
+    direction, the planes through it and the kernel K_X of their stacked
+    contraction rows.  Through two or more planes K_X must be the line of
+    delta_X^m; any other dimension raises ``IdentityViolated``.  In
+    dimension 2 each line is its own flat, on that line alone, and K_X = K_H.
+    """
     l = arr.dim
     if m < 0:
         return [0] * len(degrees)
     if arr.n == 0 or m == 0:
         return [s_dim(m, l) * s_dim(d, l) for d in degrees]
-    lines = [nullspace_int([list(h.normal)], l) for h in arr.hyperplanes]
-    kernels = [nullspace_int(_contraction_rows(h.normal, m), s_dim(m, l)) for h in arr.hyperplanes]
-    kappa = s_dim(m, l) - s_dim(m - 1, l)
+    size = s_dim(m, l)
+    contraction = [_contraction_rows(h.normal, m) for h in arr.hyperplanes]
+    kernels = [nullspace_int(rows, size) for rows in contraction]
+    kappa = size - s_dim(m - 1, l)
     if any(len(basis) != kappa for basis in kernels):
         raise IdentityViolated("contraction kernel has unexpected dimension")
-    return [_oracle_at(arr, m, d, lines, kernels) for d in degrees]
+    flats = []
+    on_plane: list[list[int]] = [[] for _ in arr.hyperplanes]
+    for direction in arr.flat_directions():
+        planes = arr.localization_indices(direction)
+        kernel = kernels[planes[0]]
+        if len(planes) > 1:
+            kernel = nullspace_int([row for i in planes for row in contraction[i]], size)
+            if len(kernel) != 1:
+                raise IdentityViolated(f"contraction kernel at the flat {direction} of {len(planes)} planes has dimension {len(kernel)}, not 1")
+        for i in planes:
+            on_plane[i].append(len(flats))
+        flats.append((direction, planes, kernel))
+    lines = [nullspace_int([list(h.normal)], l) for h in arr.hyperplanes]
+    hyperplanes = list(zip(lines, kernels, on_plane))
+    return [_oracle_at(arr, m, d, _oracle_points(hyperplanes, flats, d)) for d in degrees]
 
 
-def _oracle_at(
-    arr: Arrangement, m: int, d: int, lines: list[list[tuple[int, ...]]], kernels: list[list[tuple[int, ...]]]
-) -> int:
-    """Dimension at degree d from the per-hyperplane bases and contraction kernels."""
+def _oracle_points(hyperplanes: list, flats: list, d: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """Distinct projective points, at least s_dim(d, l-1) of them on every
+    hyperplane, in groups (points, kernel) that share one kernel.
+
+    Each hyperplane H, in input order, counts the flat points already taken
+    on it, takes its own flats (``flat_directions`` order) until it has
+    s_dim(d, l-1), then fills up with the points s*u + t*v of its basis
+    (``_projective_pairs``) that are not flats.  A flat point is a group of
+    its own, with kernel K_X.  The fill-up points of H lie on H alone and
+    form one group with kernel K_H.
+    """
+    need = s_dim(d, len(hyperplanes[0][0]))
+    pairs = _projective_pairs(need + len(flats))  # at most len(flats) are flats of a plane
+    have = [0] * len(hyperplanes)
+    taken = [False] * len(flats)
+    groups = []
+    for i, (basis, kernel, on) in enumerate(hyperplanes):
+        for f in on:
+            if have[i] >= need:
+                break
+            if not taken[f]:
+                taken[f] = True
+                direction, planes, flat_kernel = flats[f]
+                groups.append(([direction], flat_kernel))
+                for j in planes:
+                    have[j] += 1
+        if have[i] < need:
+            u, v = basis
+            own = {flats[f][0] for f in on}
+            fill = (tuple(s * a + t * b for a, b in zip(u, v)) for s, t in pairs)
+            groups.append((list(islice((p for p in fill if primitive_int_vector(p) not in own), need - have[i])), kernel))
+    return groups
+
+
+def _oracle_at(arr: Arrangement, m: int, d: int, groups: list) -> int:
+    """Dimension at degree d from the sample points, grouped by kernel.
+
+    Every hyperplane holds s_dim(d, l-1) distinct points, so a degree-d form
+    vanishing at all of them vanishes on every hyperplane: evaluation has
+    kernel Q * S_(d-n) (the free part) and rank s_dim(d) - s_dim(d-n), and
+    the etas, the relations between point values, number the points minus
+    that rank (checked).
+    """
     l = arr.dim
-    groups = _hyperplane_points(lines, d)
-    points = [p for group in groups for p in group]
+    points = [p for group, _ in groups for p in group]
     mon_d = monomials_of_degree(l, d)
     # functionals vanishing on every achievable value pattern
     transpose = [[_int_pow(p, c) for p in points] for c in mon_d]
     etas = nullspace_int(transpose, len(points))
+    relations = len(points) - s_dim(d, l) + s_dim(d - arr.n, l)
+    if len(etas) != relations:
+        raise IdentityViolated(f"{len(etas)} relations between the point values at degree {d}, expected {relations}")
 
     free_part = s_dim(m, l) * s_dim(d - arr.n, l)
-    kappa = len(kernels[0])
+    unknowns = sum(len(group) * len(kernel) for group, kernel in groups)
     if not etas:
-        return free_part + len(points) * kappa
+        return free_part + unknowns
 
-    # The rows of hyperplane H are (eta weights at a point of H) (x) (a kernel
-    # vector of H); an echelon basis of H's weight block spans the same rows.
+    # The rows of a group are (eta weights at a point of it) (x) (a vector of
+    # its kernel); an echelon basis of its weight block spans the same rows.
     rows: list[list[int]] = []
     start = 0
-    for group, kernel in zip(groups, kernels):
+    for group, kernel in groups:
         block = [[eta[pi] for eta in etas] for pi in range(start, start + len(group))]
         start += len(group)
         weights, _ = echelon_int(block, reduce=True)
         rows.extend([wq * wa for wq in e for wa in w] for e in weights for w in kernel)
-    return free_part + len(points) * kappa - rank_int(rows)
+    return free_part + unknowns - rank_int(rows)
 
 
 def _int_pow(point: tuple[int, ...], exp: MultiIndex) -> int:

@@ -103,7 +103,7 @@ def test_rank_and_nullspace_int_match_sympy(monkeypatch):
     captured = []
     monkeypatch.setattr(verify, "rank_int", lambda rows: captured.append(rows) or rank_int(rows))
     verify.oracle_dims(parse_arrangement("x1; x2; x3; x1-x2"), 2, 5)
-    assert len(captured) == 6
+    assert len(captured) == 6 and all(captured)  # nonempty rank matrices
     for rows in cases + captured:
         matrix = sympy.Matrix(rows)
         assert rank_int(rows) == matrix.rank()

@@ -1,7 +1,8 @@
 """Hypothesis properties of exact division, membership, the certificate, the
 closed-form pencil blocks and their frames, the on-demand flat cofactors, the
-integer echelon kernel and the parse/serialize round trip (profile ``arrops``
-in conftest: derandomized, bounded example counts)."""
+integer echelon kernel, the parse/serialize round trip, the dimension oracle
+and the closed-form exponents (profile ``arrops`` in conftest: derandomized,
+bounded example counts)."""
 
 import json
 import random
@@ -16,18 +17,18 @@ pytest.importorskip("hypothesis")
 from conftest import random_essential
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import convert_2var_op
+from reference import convert_2var_op, oracle_dim_direct
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, euler_op, saito_matrix
 from arrops.errors import NotDivisible, NotMember
 from arrops.extension import extend, flat_profiles
-from arrops.exponents import exp_2arr
+from arrops.exponents import exp_2arr, exp_3arr_closed
 from arrops.flats import dim1_flats
 from arrops.freebasis import basis_2arr_lines, build_basis
 from arrops.linalg import echelon_int, rref
 from arrops.polynomial import Poly, monomials_of_degree, primitive_int_vector
-from arrops.verify import is_member, saito_check
+from arrops.verify import hilbert_check, is_member, oracle_dims, saito_check
 
 small = st.integers(-4, 4)
 
@@ -283,3 +284,36 @@ def test_echelon_int_matches_rref_on_sparse_matrices(seed, nrows, ncols, density
 def test_echelon_int_matches_rref_on_kronecker_stacks(seed, planes, etas, kappa, width):
     rows = kronecker_stack(random.Random(seed), planes, etas, kappa, width)
     assert_echelon_matches_rref(rows, etas * width)
+
+
+height_one = st.tuples(*[st.integers(-1, 1)] * 3).filter(any).map(lambda v: Hyperplane.make(v).normal)
+oracle_arrangements = st.one_of(
+    # height-1 normals: many triple points
+    st.lists(height_one, min_size=1, max_size=5, unique=True).map(lambda planes: Arrangement(3, [Hyperplane(v) for v in planes])),
+    # a rank-2 pencil: every plane through the line of (-s, -t, 1)
+    st.tuples(st.lists(normals(2), min_size=1, max_size=5, unique=True), small, small).map(
+        lambda t: Arrangement(3, [Hyperplane.make((a, b, a * t[1] + b * t[2])) for a, b in t[0]])
+    ),
+)
+
+
+@given(oracle_arrangements, st.integers(1, 2))
+def test_oracle_matches_direct_on_small_arrangements(arr, m):
+    # the lattice-sampled oracle against the literal coefficient-space system
+    assert oracle_dims(arr, m, 3) == [oracle_dim_direct(arr, m, d) for d in range(4)]
+
+
+@cache
+def closed_form_case(seed, n, offset):
+    arr = random_essential(random.Random(seed), n)
+    m = n - 2 + offset
+    return arr, m, exp_3arr_closed(arr, m), build_basis(arr, m)
+
+
+@given(st.integers(0, 5), st.integers(3, 5), st.integers(0, 2))
+def test_closed_form_basis_degrees_and_oracle_agree(seed, n, offset):
+    # the closed-form exponents, the certified basis degrees and the oracle's
+    # Hilbert function on small random essential arrangements at m >= n - 2
+    arr, m, exps, fb = closed_form_case(seed, n, offset)
+    assert fb.exponents == exps.entries
+    assert hilbert_check(arr, m, exps.entries, max(exps.entries) + 2).consistent

@@ -5,14 +5,14 @@ import pytest
 from conftest import random_essential
 from reference import oracle_dim_direct
 
-from arrops import freebasis
+from arrops import freebasis, verify
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, euler_op, identity_op, partial_op, saito_matrix
-from arrops.errors import DimensionMismatch, NotMember, NotPurePower, ZeroDet
+from arrops.errors import DimensionMismatch, IdentityViolated, NotMember, NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
 from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential, build_basis
 from arrops.linalg import det_poly_matrix
-from arrops.polynomial import Poly
+from arrops.polynomial import Poly, midx_factorial, monomials_of_degree, primitive_int_vector
 from arrops.verify import (
     check_identities,
     hilbert_check,
@@ -206,6 +206,70 @@ def test_oracle_dims_matches_direct():
             expected = [oracle_dim_direct(arr, m, d) for d in range(d_max + 1)]
             assert oracle_dims(arr, m, d_max) == expected, (arr.text(), m)
     assert oracle_dims(arrs[0], 2, -1) == []
+
+
+# planes through the line of (0, 0, 1) and through the line of (1, 2, 3)
+PENCILS = (
+    ((1, 0, 0), (0, 1, 0), (1, -1, 0), (1, 1, 0), (1, -2, 0), (2, 1, 0)),
+    ((2, -1, 0), (3, 0, -1), (0, 3, -2), (1, 1, -1), (1, -2, 1), (5, -1, -1)),
+)
+
+
+def test_flat_kernel_is_the_line_of_delta_power(monkeypatch):
+    # at a flat of k >= 2 planes the oracle's point carries one unknown: the
+    # coefficient vector of delta_X^m, weights m!/a! * v^a
+    seen = []
+    sample = verify._oracle_points
+    monkeypatch.setattr(verify, "_oracle_points", lambda planes, flats, d: seen.append(flats) or sample(planes, flats, d))
+    for normals in PENCILS:
+        for k in range(2, 7):
+            arr = Arrangement(3, [Hyperplane(v) for v in normals[:k]])
+            for m in range(1, 6):
+                seen.clear()
+                oracle_dims(arr, m, 1)
+                [(direction, planes, kernel)] = seen[0]
+                assert planes == tuple(range(k))
+                weights = [midx_factorial((m,)) // midx_factorial(a) * verify._int_pow(direction, a) for a in monomials_of_degree(3, m)]
+                assert kernel == [primitive_int_vector(weights)], (k, m)
+
+
+def test_flat_kernel_of_wrong_dimension_raises(monkeypatch):
+    # every plane given the first plane's contraction rows: the stacked rows
+    # at the flat then leave an (m + 1)-dimensional kernel
+    rows = verify._contraction_rows
+    monkeypatch.setattr(verify, "_contraction_rows", lambda normal, m: rows((1, 0, 0), m))
+    with pytest.raises(IdentityViolated, match="flat"):
+        oracle_dims(Arrangement(3, [Hyperplane(v) for v in PENCILS[0][:3]]), 2, 1)
+
+
+def test_too_few_points_on_a_plane_raises(generic4_arr, monkeypatch):
+    # the last plane keeps three double points and one of its two own points
+    # at d = 4: a nonzero quartic then vanishes at every point, and the
+    # relations between point values outnumber points minus rank
+    sample = verify._oracle_points
+
+    def short(planes, flats, d):
+        groups = sample(planes, flats, d)
+        points, kernel = groups[-1]
+        return groups[:-1] + [(points[:-1], kernel)]
+
+    monkeypatch.setattr(verify, "_oracle_points", short)
+    with pytest.raises(IdentityViolated, match="relations"):
+        oracle_dim(generic4_arr, 2, 4)
+
+
+def test_generic_top_degree_takes_no_rank(generic4_arr, monkeypatch):
+    # from d = 2 on, the six double points and the planes' own points are
+    # exactly as many as the evaluation rank: no eta remains, and only
+    # d = 0, 1 take a rank
+    calls = []
+    rank = verify.rank_int
+    monkeypatch.setattr(verify, "rank_int", lambda rows: calls.append(len(rows)) or rank(rows))
+    dims = oracle_dims(generic4_arr, 2, 6)
+    assert len(calls) == 2 and all(calls)
+    calls.clear()
+    assert oracle_dim(generic4_arr, 2, 6) == dims[6] == oracle_dim_direct(generic4_arr, 2, 6)
+    assert calls == []
 
 
 def test_oracle_monotone_beyond_top_exponent(quad_arr):
