@@ -115,33 +115,31 @@ class Arrangement:
         """Indices of hyperplanes containing the given direction, input order."""
         return tuple(i for i, h in enumerate(self.hyperplanes) if h.contains(direction))
 
-    def localization(self, direction: Sequence[Fraction | int]) -> Arrangement:
-        return Arrangement(self.dim, (self.hyperplanes[i] for i in self.localization_indices(direction)))
-
-    def flat_directions(self) -> list[tuple[int, ...]]:
-        """Primitive directions of the 1-dimensional lattice elements.
+    def flats(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The 1-dimensional lattice elements: (primitive direction, indices
+        of the hyperplanes through it in input order).
 
         For dimension 3 these are the pairwise intersections (deduplicated,
         first-occurrence order); for dimension 2 each line is its own flat.
         """
         if self.dim == 2:
-            dirs = []
-            for h in self.hyperplanes:
-                a, b = h.normal
-                dirs.append(primitive_int_vector((Fraction(-b), Fraction(a))))
             # distinct lines have distinct kernels, no deduplication needed
-            return dirs
-        out: list[tuple[int, ...]] = []
-        seen = set()
+            return [(primitive_int_vector((-h.normal[1], h.normal[0])), (i,)) for i, h in enumerate(self.hyperplanes)]
+        out: dict[tuple[int, ...], list[int]] = {}
         for i, j in combinations(range(self.n), 2):
             v = _cross(self.hyperplanes[i].normal, self.hyperplanes[j].normal)
             if all(c == 0 for c in v):
                 raise ZeroForm("distinct normalized hyperplanes cannot be parallel")
-            d = primitive_int_vector(v)
-            if d not in seen:
-                seen.add(d)
-                out.append(d)
-        return out
+            # the pair with the flat's first plane as i comes first, and its
+            # j run through the other planes of the flat in input order
+            planes = out.setdefault(primitive_int_vector(v), [i])
+            if planes[0] == i:
+                planes.append(j)
+        return [(d, tuple(planes)) for d, planes in out.items()]
+
+    def flat_directions(self) -> list[tuple[int, ...]]:
+        """Primitive directions of the 1-dimensional lattice elements (``flats`` order)."""
+        return [d for d, _ in self.flats()]
 
     def to_json(self) -> dict:
         return {

@@ -108,22 +108,8 @@ class DiffOp:
     def __sub__(self, other: DiffOp) -> DiffOp:
         return self + (-other)
 
-    def scale(self, c: Fraction | int) -> DiffOp:
-        return DiffOp(self.nvars, self.order, {a: f * c for a, f in self.coeffs.items()})
-
     def mul_poly(self, p: Poly) -> DiffOp:
         return DiffOp(self.nvars, self.order, {a: f * p for a, f in self.coeffs.items()})
-
-    def apply(self, f: Poly) -> Poly:
-        """Apply the operator to a polynomial."""
-        if f.nvars != self.nvars:
-            raise DimensionMismatch("operator and polynomial variable counts differ")
-        out = Poly.zero(self.nvars)
-        for a, coeff in self.coeffs.items():
-            d = f.partial(a)
-            if not d.is_zero():
-                out = out + coeff * d
-        return out
 
     def compose_constant(self, eta: DiffOp) -> DiffOp:
         """Compose with a constant-coefficient operator on the right.

@@ -65,7 +65,7 @@ def exp_3arr_closed(arr: Arrangement, m: int) -> ExponentMultiset:
     if m < n - 2:
         raise BadOrder(f"need m >= n - 2 = {n - 2}, got m = {m}")
 
-    local_sizes = [len(arr.localization_indices(v)) for v in arr.flat_directions()]
+    local_sizes = [len(planes) for _, planes in arr.flats()]
     entries: list[int] = []
     for k_x in local_sizes:
         entries.extend(j + n - k_x for j in range(k_x - 1))

@@ -12,8 +12,8 @@ so the kernel coordinates y_i span ker(delta_X) and the section y has
 delta_X(y) = 1.  Any such frame works for the theorems downstream; this one
 is canonical.  Basis assembly reads the frame as integers
 (``Flat1.integer_frame``, with an integer adjugate from cross products);
-``section``, ``kernel_forms``, ``coordinate_forms`` and
-``dual_derivations`` are its rational views.
+``section``, ``kernel_forms`` and ``coordinate_forms`` are its rational
+views.
 """
 
 from __future__ import annotations
@@ -77,15 +77,6 @@ class Flat1:
         det = sum(a * b for a, b in zip(rows[0], cols[0]))
         return rows, cols, Fraction(vp, det)
 
-    def dual_derivations(self) -> list[tuple[Fraction, ...]]:
-        """Constant derivations dual to the coordinate forms.
-
-        Rows are coefficient vectors w with (sum w_k d_k)(form_j) = delta_ij;
-        the last row always equals the flat direction.
-        """
-        _, duals, scale = self.integer_frame()
-        return [tuple(v * scale for v in w) for w in duals]
-
     def to_json(self) -> dict:
         return {
             "direction": list(self.direction),
@@ -103,4 +94,4 @@ def flat_from_direction(arr: Arrangement, direction: Sequence[int]) -> Flat1:
 
 def dim1_flats(arr: Arrangement) -> list[Flat1]:
     """All 1-dimensional flats with their localizations, deterministic order."""
-    return [flat_from_direction(arr, d) for d in arr.flat_directions()]
+    return [Flat1(d, planes) for d, planes in arr.flats()]

@@ -2,8 +2,8 @@
 
 A polynomial is a dict mapping exponent tuples (one nonnegative int per
 variable) to nonzero coefficients, each an ``int`` or a ``Fraction``.
-Integer polynomials stay ``int`` under +, -, * and ``partial``;
-``exact_div`` divides exactly, never in floating point.
+Integer polynomials stay ``int`` under +, - and *; ``exact_div`` divides
+exactly, never in floating point.
 All ordering, division and serialization use graded lexicographic order
 with x1 > x2 > ... > xl, which doubles as the deterministic tie-breaker
 everywhere else in the library.
@@ -204,35 +204,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.text()!r})"
-
-    # -- calculus ------------------------------------------------------
-
-    def partial(self, a: MultiIndex) -> Poly:
-        """Apply the monomial differential operator d^a.
-
-        d^a(x^b) = (b! / (b-a)!) x^(b-a) when b >= a componentwise, else 0.
-        """
-        if len(a) != self.nvars:
-            raise DimensionMismatch(f"multi-index {a} for {self.nvars} variables")
-        out: dict[MultiIndex, Fraction | int] = {}
-        for b, c in self.terms.items():
-            coeff = 1
-            ok = True
-            for bi, ai in zip(b, a):
-                if bi < ai:
-                    ok = False
-                    break
-                for t in range(bi, bi - ai, -1):
-                    coeff *= t
-            if not ok:
-                continue
-            k = tuple(bi - ai for bi, ai in zip(b, a))
-            s = out.get(k, 0) + c * coeff
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return Poly._raw(self.nvars, out)
 
     # -- division ------------------------------------------------------
 

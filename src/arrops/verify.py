@@ -6,29 +6,30 @@ monomial x^b of degree m-1, theta(alpha_H * x^b) is in alpha_H * S, i.e. when
 
     sum_i  c_i (b + e_i)!  f_{b+e_i}        (c = normal of H)
 
-vanishes on H (``_contraction_rows``).  A degree-d form vanishes on H
-exactly when it vanishes at the integer points of ``_hyperplane_points``: one
-point of a line, or, on a plane with basis (u, v), s*u + t*v for the d + 1
-coprime pairs (s, t) of smallest height (distinct projective points).
+vanishes on H (``_contraction_rows``).
 
-The certificate (``saito_check``) evaluates these conditions for every
-candidate operator, then takes one integer determinant.  The oracle computes
-the exact dimension of the degree-d slice of the module: the same conditions
-make it an integer linear system in the coefficient unknowns.  Its fast path
-also quotients out the value patterns that polynomials realize, which
-shrinks the elimination to matrices indexed by points and multi-indices
-(the tests keep the literal coefficient-space system as a cross-check).
+Both test these conditions at one sample of points per call (``_Planes``).
+A degree-d form vanishes on H exactly when it vanishes at s_dim(d, l-1)
+distinct projective points of H (d + 1 on a plane, one on a line).  Each
+hyperplane, in input order, first takes the rank-2 flats on it, which are
+points of every plane through them (one taken by an earlier plane
+counts), then fills up with points s*u + t*v of its own for the coprime
+pairs (s, t) of smallest height, skipping the flats.  Every point comes
+with the planes through it, and a flat point serves each of them.
 
-The oracle samples its points on the intersection lattice.  Every
-hyperplane needs s_dim(d, l-1) distinct projective points (d + 1 on a
-plane, one on a line).  A plane first takes the rank-2 flats on it, which
-are points of every plane through them (one taken by an earlier plane
-counts), then fills up with points s*u + t*v of its own
-(``_oracle_points``).  The coefficient vector's value at a point p
+The certificate (``saito_check``) evaluates an operator's coefficients
+once per point and checks the contraction rows of every plane through it,
+for every candidate operator, then takes one integer determinant.  The
+oracle computes the exact dimension of the degree-d slice of the module:
+the same conditions make it an integer linear system in the coefficient
+unknowns.  Its fast path also quotients out the value patterns that
+polynomials realize, which shrinks the elimination to matrices indexed by
+points and multi-indices (the tests keep the literal coefficient-space
+system as a cross-check).  The coefficient vector's value at a point p
 must lie in K_p, the kernel of the stacked contraction rows of every plane
 through p: K_H at a point of H alone, the line of delta_X^m at a flat X of
-two or more planes.  Since every plane still holds enough distinct points,
-a degree-d form vanishing at all points is a multiple of Q, so evaluation
+two or more planes.  Since every plane holds enough distinct points, a
+degree-d form vanishing at all points is a multiple of Q, so evaluation
 has kernel Q * S_(d-n) and the free part is unchanged.  The dimension is
 
     free part + sum_p dim K_p - rank(rows),
@@ -43,8 +44,8 @@ no rank is taken.  The oracle is integer elimination only
 (``linalg.echelon_int``): the etas, the contraction kernels and the
 hyperplane bases are integer kernel bases, and the dimension comes from one
 integer rank.  ``oracle_dims`` answers every degree up to d_max in one call
-and computes the kernels, the flats and the hyperplane bases once; nothing
-is cached across calls.
+and computes the kernels and the sample's flats once; nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from functools import cached_property
 from itertools import count, islice
 from math import comb, gcd, prod
 from operator import add, mul
+from typing import Iterator
 
 from .arrangement import Arrangement, Hyperplane
 from .diffop import DiffOp, saito_matrix
@@ -74,10 +76,109 @@ from .polynomial import (
     form_product,
     midx_factorial,
     monomials_of_degree,
-    primitive_int_vector,
     rational_content,
     s_dim,
 )
+
+
+# -- the shared sample ----------------------------------------------------------
+
+
+class _Planes:
+    """One call's sample of the arrangement, shared by the membership test
+    and the oracle.
+
+    Per plane: its contraction rows (``_contraction_rows``, order m).  Per
+    flat (``arr.flats()``): its direction and the planes through it, input
+    order.  In dimension 2 each line is its own flat, on that line alone.
+    """
+
+    def __init__(self, arr: Arrangement, m: int):
+        self.l = arr.dim
+        self.normals = [h.normal for h in arr]
+        self.contraction = [_contraction_rows(v, m) for v in self.normals]
+        self.flats = arr.flats()
+        self.on_plane: list[list[int]] = [[] for _ in self.normals]
+        for f, (_, planes) in enumerate(self.flats):
+            for i in planes:
+                self.on_plane[i].append(f)
+        # each plane's points on no other plane, drawn as the degrees need them
+        self.own: list[list[tuple[int, ...]]] = [[] for _ in self.normals]
+        self.fill = [self._fill(i) for i in range(len(self.normals))]
+
+    def points(self, d: int) -> list[tuple[list[tuple[int, ...]], tuple[int, ...]]]:
+        """Distinct projective points, at least s_dim(d, l-1) of them on every
+        plane, in groups (points, the planes through each of them).
+
+        Each plane H, in input order, counts the flat points already taken
+        on it, takes its own flats (``arr.flats()`` order) until it has
+        s_dim(d, l-1), then fills up with its points on no other plane
+        (``_fill``).  A flat point is a group of its own; the fill-up points
+        of H lie on H alone and form one group.
+        """
+        need = s_dim(d, self.l - 1)
+        have = [0] * len(self.normals)
+        taken = [False] * len(self.flats)
+        groups = []
+        for i, (on, own) in enumerate(zip(self.on_plane, self.own)):
+            for f in on:
+                if have[i] >= need:
+                    break
+                if not taken[f]:
+                    taken[f] = True
+                    direction, planes = self.flats[f]
+                    groups.append(([direction], planes))
+                    for j in planes:
+                        have[j] += 1
+            missing = need - have[i]
+            if missing > 0:
+                if len(own) < missing:
+                    own += islice(self.fill[i], missing - len(own))
+                groups.append((own[:missing], (i,)))
+        return groups
+
+    def _fill(self, i: int) -> Iterator[tuple[int, ...]]:
+        """The points s*u + t*v of plane i, for its integer basis (u, v) and
+        (s, t) in ``_projective_pairs`` order, that lie on no other plane: the
+        points of plane i that are not flats."""
+        u, v = nullspace_int([list(self.normals[i])], self.l)
+        others = self.normals[:i] + self.normals[i + 1 :]
+        for s, t in _projective_pairs():
+            p = tuple(s * a + t * b for a, b in zip(u, v))
+            if all(sum(map(mul, w, p)) for w in others):
+                yield p
+
+
+def _projective_pairs() -> Iterator[tuple[int, int]]:
+    """The coprime pairs (s, t), one per point of the projective line, by
+    height max(|s|, |t|): (1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2),
+    (2, 1), (2, -1), (1, 3), ..."""
+    yield from ((1, 0), (0, 1))
+    for h in count(1):
+        for s in range(1, h + 1):
+            if gcd(s, h) == 1:
+                yield from ((s, h), (s, -h))
+        for u in range(1, h):
+            if gcd(h, u) == 1:
+                yield from ((h, u), (h, -u))
+
+
+def _contraction_rows(normal: tuple[int, ...], m: int) -> list[list[int]]:
+    """One row per b of degree m-1, in ``monomials_of_degree`` order, over the
+    order-m multi-indices a: the weights c_i (b + e_i)! of the combination
+    sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on H for a member."""
+    l = len(normal)
+    a_idx = monomials_of_degree(l, m)
+    col = {a: i for i, a in enumerate(a_idx)}
+    rows = []
+    for b in monomials_of_degree(l, m - 1):
+        row = [0] * len(a_idx)
+        for i, c in enumerate(normal):
+            if c:
+                a = tuple(b[k] + (k == i) for k in range(l))
+                row[col[a]] += c * midx_factorial(a)
+        rows.append(row)
+    return rows
 
 
 # -- membership ---------------------------------------------------------------
@@ -98,31 +199,33 @@ def is_member(theta: DiffOp, arr: Arrangement) -> bool:
 
 
 class _Membership:
-    """The order-m membership conditions of ``arr`` at the points of each H.
+    """The order-m membership conditions of ``arr`` at the points of ``_Planes``.
     A row is one operator's coefficients f_a (term dicts, integer or rational)
     in ``saito_matrix`` column order, homogeneous of degree d."""
 
     def __init__(self, arr: Arrangement, m: int):
         self.l = arr.dim
-        self.planes = list(arr) if m > 0 else []  # order 0 has no conditions
-        self.bs = monomials_of_degree(self.l, m - 1)
-        self.lines = [nullspace_int([list(h.normal)], self.l) for h in self.planes]
-        self.slots, self.reads, self.tables = [], [], {}
-        for h in self.planes:
+        self.planes = arr.hyperplanes
+        self.sample = _Planes(arr, m)
+        self.bs = monomials_of_degree(self.l, m - 1)  # none at order 0: no conditions
+        self.slots, self.tables = [], {}
+        for rows in self.sample.contraction:
             # row b has one entry per nonzero c_i, at column b + e_i; slot j
             # holds the j-th entry of every row, as (columns, weights)
-            rows = _contraction_rows(h.normal, m)
             entries = ([(k, w) for k, w in enumerate(row) if w] for row in rows)
             self.slots.append([[list(v) for v in zip(*slot)] for slot in zip(*entries)])
-            self.reads.append([any(col) for col in zip(*rows)])
 
     def dense(self, row: list[dict[MultiIndex, int]], d: int) -> list[list[int] | None]:
         """Each f_a as a list over the degree-d monomials, None if zero."""
         if d not in self.tables:
             monos = monomials_of_degree(self.l, d)
-            groups = _hyperplane_points(self.lines, d) if self.lines else []
-            values = [[[_int_pow(p, c) for c in monos] for p in group] for group in groups]
-            self.tables[d] = ({c: i for i, c in enumerate(monos)}, values)
+            values, on = [], [[] for _ in self.planes]
+            for points, planes in self.sample.points(d) if self.bs else ():
+                for p in points:
+                    for i in planes:
+                        on[i].append(len(values))
+                    values.append([_int_pow(p, c) for c in monos])
+            self.tables[d] = ({c: i for i, c in enumerate(monos)}, values, on)
         index = self.tables[d][0]
         out = []
         for f in row:
@@ -133,13 +236,16 @@ class _Membership:
         return out
 
     def violation(self, dense: list[list[int] | None], d: int) -> tuple[Hyperplane, MultiIndex] | None:
-        """The first (H, b) whose condition a ``dense`` row of degree d breaks."""
-        for h, slots, reads, points in zip(self.planes, self.slots, self.reads, self.tables[d][1]):
-            for values in points:
-                at = [sum(map(mul, vec, values)) if vec and r else 0 for vec, r in zip(dense, reads)]
+        """The first (H, b), H in input order, whose condition a ``dense`` row
+        of degree d breaks.  The coefficients are evaluated once per point and
+        checked against the contraction rows of every plane through it."""
+        _, values, on = self.tables[d]
+        at = [[sum(map(mul, vec, v)) if vec else 0 for vec in dense] for v in values]
+        for h, slots, points in zip(self.planes, self.slots, on):
+            for k in points:
                 total = [0] * len(self.bs)
                 for cols, weights in slots:
-                    total = list(map(add, total, map(mul, weights, map(at.__getitem__, cols))))
+                    total = list(map(add, total, map(mul, weights, map(at[k].__getitem__, cols))))
                 if any(total):
                     return h, self.bs[next(i for i, v in enumerate(total) if v)]
         return None
@@ -182,11 +288,14 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
 
     1. No operator is zero, and there are s_dim(m, l) of them (``ZeroDet``).
     2. Every row of M is homogeneous (``NotPurePower``).
-    3. Every operator is a member at every H (``NotMember``).  Where
-       alpha_H = x1, theta(x1 * x^b) = (b+e1)! f_(b+e1), so membership at H
-       says x1 divides the s_dim(m-1, l) columns f_a with a_1 >= 1.  A linear
-       change of coordinates multiplies M by a constant invertible matrix, so
-       alpha_H^t divides det M; the alpha_H are pairwise coprime, so Q^t does.
+    3. Every operator is a member at every H, tested at the points of
+       ``_Planes`` (``NotMember`` names the first failing plane in input
+       order, and the first failing b at the first of its points where one
+       fails).  Where alpha_H = x1, theta(x1 * x^b) = (b+e1)! f_(b+e1), so
+       membership at H says x1 divides the s_dim(m-1, l) columns f_a with
+       a_1 >= 1.  A linear change of coordinates multiplies M by a constant
+       invertible matrix, so alpha_H^t divides det M; the alpha_H are
+       pairwise coprime, so Q^t does.
     4. The row degree sum, deg det M, is at most n * t (``NotPurePower``).  A
        smaller sum forces det M = 0, which step 5 reports.
     5. So det M = c * Q^t with c constant, and c = det M(p) / Q(p)^t at the
@@ -248,49 +357,6 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
 # -- dimension oracle -------------------------------------------------------------
 
 
-def _hyperplane_points(lines: list[list[tuple[int, ...]]], d: int) -> list[list[tuple[int, ...]]]:
-    """Deterministic integer points on each hyperplane, enough to separate
-    restricted degree-d polynomials: the basis vector of a line, or the
-    points s*u + t*v on a plane with basis (u, v) for the d + 1 projective
-    pairs (s, t) of smallest height (distinct points of the projective line,
-    so a degree-d binary form vanishing at all of them is zero)."""
-    if len(lines[0]) == 1:
-        return [basis[:1] for basis in lines]
-    pairs = _projective_pairs(d + 1)
-    return [[tuple(s * a + t * b for a, b in zip(u, v)) for s, t in pairs] for u, v in lines]
-
-
-def _projective_pairs(count: int) -> list[tuple[int, int]]:
-    """The first ``count`` coprime pairs (s, t), one per point of the projective
-    line, by height max(|s|, |t|): (1, 0), (0, 1), (1, 1), (1, -1), (1, 2),
-    (1, -2), (2, 1), (2, -1), (1, 3), ..."""
-    pairs = [(1, 0), (0, 1)]
-    h = 1
-    while len(pairs) < count:
-        pairs += [(s, t) for s in range(1, h + 1) if gcd(s, h) == 1 for t in (h, -h)]
-        pairs += [(h, t) for u in range(1, h) if gcd(h, u) == 1 for t in (u, -u)]
-        h += 1
-    return pairs[:count]
-
-
-def _contraction_rows(normal: tuple[int, ...], m: int) -> list[list[int]]:
-    """One row per b of degree m-1, in ``monomials_of_degree`` order, over the
-    order-m multi-indices a: the weights c_i (b + e_i)! of the combination
-    sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on H for a member."""
-    l = len(normal)
-    a_idx = monomials_of_degree(l, m)
-    col = {a: i for i, a in enumerate(a_idx)}
-    rows = []
-    for b in monomials_of_degree(l, m - 1):
-        row = [0] * len(a_idx)
-        for i, c in enumerate(normal):
-            if c:
-                a = tuple(b[k] + (k == i) for k in range(l))
-                row[col[a]] += c * midx_factorial(a)
-        rows.append(row)
-    return rows
-
-
 def oracle_dim(arr: Arrangement, m: int, d: int) -> int:
     """Exact dimension of the space of order-m members with degree-d coefficients."""
     if d < 0:
@@ -307,13 +373,11 @@ def oracle_dims(arr: Arrangement, m: int, d_max: int) -> list[int]:
 def _oracle(arr: Arrangement, m: int, degrees: list[int]) -> list[int]:
     """The degree-independent data once, then the dimension at each degree.
 
-    Per hyperplane H: a basis of H, the kernel K_H of its contraction rows
-    (the values a member's coefficient vector can take at a point of H alone)
-    and the flats on H.  Per flat X (``arr.flat_directions()``): its
-    direction, the planes through it and the kernel K_X of their stacked
-    contraction rows.  Through two or more planes K_X must be the line of
-    delta_X^m; any other dimension raises ``IdentityViolated``.  In
-    dimension 2 each line is its own flat, on that line alone, and K_X = K_H.
+    The sample (``_Planes``) gives each point the planes through it, and the
+    point's kernel K_p is read off that tuple: K_H, the kernel of H's
+    contraction rows, at a point of H alone; at a flat X of two or more
+    planes, K_X, the kernel of their stacked contraction rows, which must be
+    the line of delta_X^m (any other dimension raises ``IdentityViolated``).
     """
     l = arr.dim
     if m < 0:
@@ -321,60 +385,18 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int]) -> list[int]:
     if arr.n == 0 or m == 0:
         return [s_dim(m, l) * s_dim(d, l) for d in degrees]
     size = s_dim(m, l)
-    contraction = [_contraction_rows(h.normal, m) for h in arr.hyperplanes]
-    kernels = [nullspace_int(rows, size) for rows in contraction]
+    sample = _Planes(arr, m)
+    kernels = {(i,): nullspace_int(rows, size) for i, rows in enumerate(sample.contraction)}
     kappa = size - s_dim(m - 1, l)
-    if any(len(basis) != kappa for basis in kernels):
+    if any(len(basis) != kappa for basis in kernels.values()):
         raise IdentityViolated("contraction kernel has unexpected dimension")
-    flats = []
-    on_plane: list[list[int]] = [[] for _ in arr.hyperplanes]
-    for direction in arr.flat_directions():
-        planes = arr.localization_indices(direction)
-        kernel = kernels[planes[0]]
+    for direction, planes in sample.flats:
         if len(planes) > 1:
-            kernel = nullspace_int([row for i in planes for row in contraction[i]], size)
+            kernel = nullspace_int([row for i in planes for row in sample.contraction[i]], size)
             if len(kernel) != 1:
                 raise IdentityViolated(f"contraction kernel at the flat {direction} of {len(planes)} planes has dimension {len(kernel)}, not 1")
-        for i in planes:
-            on_plane[i].append(len(flats))
-        flats.append((direction, planes, kernel))
-    lines = [nullspace_int([list(h.normal)], l) for h in arr.hyperplanes]
-    hyperplanes = list(zip(lines, kernels, on_plane))
-    return [_oracle_at(arr, m, d, _oracle_points(hyperplanes, flats, d)) for d in degrees]
-
-
-def _oracle_points(hyperplanes: list, flats: list, d: int) -> list[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
-    """Distinct projective points, at least s_dim(d, l-1) of them on every
-    hyperplane, in groups (points, kernel) that share one kernel.
-
-    Each hyperplane H, in input order, counts the flat points already taken
-    on it, takes its own flats (``flat_directions`` order) until it has
-    s_dim(d, l-1), then fills up with the points s*u + t*v of its basis
-    (``_projective_pairs``) that are not flats.  A flat point is a group of
-    its own, with kernel K_X.  The fill-up points of H lie on H alone and
-    form one group with kernel K_H.
-    """
-    need = s_dim(d, len(hyperplanes[0][0]))
-    pairs = _projective_pairs(need + len(flats))  # at most len(flats) are flats of a plane
-    have = [0] * len(hyperplanes)
-    taken = [False] * len(flats)
-    groups = []
-    for i, (basis, kernel, on) in enumerate(hyperplanes):
-        for f in on:
-            if have[i] >= need:
-                break
-            if not taken[f]:
-                taken[f] = True
-                direction, planes, flat_kernel = flats[f]
-                groups.append(([direction], flat_kernel))
-                for j in planes:
-                    have[j] += 1
-        if have[i] < need:
-            u, v = basis
-            own = {flats[f][0] for f in on}
-            fill = (tuple(s * a + t * b for a, b in zip(u, v)) for s, t in pairs)
-            groups.append((list(islice((p for p in fill if primitive_int_vector(p) not in own), need - have[i])), kernel))
-    return groups
+            kernels[planes] = kernel
+    return [_oracle_at(arr, m, d, [(points, kernels[planes]) for points, planes in sample.points(d)]) for d in degrees]
 
 
 def _oracle_at(arr: Arrangement, m: int, d: int, groups: list) -> int:

@@ -5,8 +5,55 @@ from math import gcd
 
 from arrops.arrangement import Arrangement
 from arrops.diffop import DiffOp, power_of_derivation
+from arrops.errors import DimensionMismatch
+from arrops.flats import Flat1
 from arrops.linalg import rank_int
-from arrops.polynomial import Poly, form_product, midx_factorial, monomials_of_degree
+from arrops.polynomial import MultiIndex, Poly, form_product, midx_factorial, monomials_of_degree
+
+
+def partial(f: Poly, a: MultiIndex) -> Poly:
+    """Apply the monomial differential operator d^a.
+
+    d^a(x^b) = (b! / (b-a)!) x^(b-a) when b >= a componentwise, else 0.
+    """
+    if len(a) != f.nvars:
+        raise DimensionMismatch(f"multi-index {a} for {f.nvars} variables")
+    out: dict[MultiIndex, Fraction | int] = {}
+    for b, c in f.terms.items():
+        if any(bi < ai for bi, ai in zip(b, a)):
+            continue
+        coeff = 1
+        for bi, ai in zip(b, a):
+            for t in range(bi, bi - ai, -1):
+                coeff *= t
+        k = tuple(bi - ai for bi, ai in zip(b, a))
+        out[k] = out.get(k, 0) + c * coeff
+    return Poly(f.nvars, out)
+
+
+def apply(theta: DiffOp, f: Poly) -> Poly:
+    """Apply the operator to a polynomial."""
+    if f.nvars != theta.nvars:
+        raise DimensionMismatch("operator and polynomial variable counts differ")
+    out = Poly.zero(theta.nvars)
+    for a, coeff in theta.coeffs.items():
+        out = out + coeff * partial(f, a)
+    return out
+
+
+def dual_derivations(flat: Flat1) -> list[tuple[Fraction, ...]]:
+    """Constant derivations dual to the flat's coordinate forms.
+
+    Rows are coefficient vectors w with (sum w_k d_k)(form_j) = delta_ij;
+    the last row always equals the flat direction.
+    """
+    _, duals, scale = flat.integer_frame()
+    return [tuple(v * scale for v in w) for w in duals]
+
+
+def localization(arr: Arrangement, direction) -> Arrangement:
+    """The hyperplanes of ``arr`` through ``direction``, input order."""
+    return Arrangement(arr.dim, [arr.hyperplanes[i] for i in arr.localization_indices(direction)])
 
 
 def substitute(f: Poly, images: list[Poly]) -> Poly:

@@ -142,11 +142,15 @@ def test_pair_counting_identity(quad_arr, generic4_arr, random_family):
         assert pairs == comb(arr.n, 2)
 
 
-def test_flat_direction_localization_consistency(quad_arr):
+def test_flat_direction_localization_consistency(quad_arr, random_family):
     for v in quad_arr.flat_directions():
         local = set(quad_arr.localization_indices(v))
         for i, h in enumerate(quad_arr.hyperplanes):
             assert (h.form()(v) == 0) == (i in local)
+    # ``flats`` reads the incidences off the pairs of planes
+    pencil = parse_arrangement("x1; x2; x1-x2; x1+x2; x3", dim=3)
+    for arr in [quad_arr, pencil, *random_family, parse_arrangement("x1; x2; x1-x2", dim=2)]:
+        assert arr.flats() == [(v, arr.localization_indices(v)) for v in arr.flat_directions()]
 
 
 def test_parse_serialize_roundtrip(quad_arr):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 from conftest import random_essential
+from reference import dual_derivations
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.flats import Flat1, dim1_flats, flat_from_direction
@@ -73,7 +74,7 @@ def test_coordinate_system_invertible_and_dual(quad_arr):
     flats += [flat for n in (3, 3, 4, 4, 5, 5, 6) for flat in dim1_flats(random_essential(rng, n))]
     flats += [flat_from_direction(arr, direction) for arr, direction in _low_rank_arrangements(rng)]
     for flat in flats:
-        duals = flat.dual_derivations()
+        duals = dual_derivations(flat)
         forms = flat.coordinate_forms()
         for i, w in enumerate(duals):
             for j, f in enumerate(forms):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,25 @@ def test_saito_check_rejects_non_members(quad_arr):
         saito_check(ops, quad_arr)
 
 
+def test_non_member_at_one_plane_only():
+    # theta_H = (Q / alpha_H) * d_w^m with w off H: at every other plane H',
+    # theta_H(alpha_H' * x^b) is a multiple of Q / alpha_H, so of alpha_H'.
+    # At H the contraction is a nonzero multiple of Q / alpha_H, which
+    # vanishes at every flat point on H: only H's own points detect it.
+    arr = parse_arrangement("x1; x2; x3; x1+x2+x3; x1+2*x2+3*x3", dim=3)
+    basis = list(build_basis(arr, 3).operators)
+    for i, h in enumerate(arr.hyperplanes):
+        others = Arrangement(3, arr.hyperplanes[:i] + arr.hyperplanes[i + 1 :])
+        w = next(e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if not h.contains(e))
+        for m in (1, 3):
+            theta = partial_op(3, tuple(m * c for c in w), others.defining_polynomial())
+            assert not is_member(theta, arr), (h.text(), m)
+            assert is_member(theta, others), (h.text(), m)
+        ops = basis[:i] + [theta] + basis[i + 1 :]  # theta at m = 3, the basis's order
+        with pytest.raises(NotMember, match=rf"^operator {i} is not a member at {re.escape(h.text())}: "):
+            saito_check(ops, arr)
+
+
 def test_dimension_mismatch(quad_arr):
     with pytest.raises(DimensionMismatch, match="operator has 2 variables, the arrangement 3"):
         is_member(partial_op(2, (1, 0)), quad_arr)
@@ -166,8 +186,8 @@ def test_certificate_matches_direct_determinant(quad_arr, boolean_arr, pencil3_a
         for j in range(5):
             _assert_matches_direct_determinant(basis_2arr_lines(lines[:k], j), arr2)
     scaled = list(basis_3arr(quad_arr, 2).operators)
-    scaled[0] = scaled[0].scale(Fraction(3, 2))
-    scaled[4] = scaled[4].scale(-5)
+    scaled[0] = scaled[0].mul_poly(Poly.constant(3, Fraction(3, 2)))
+    scaled[4] = scaled[4].mul_poly(Poly.constant(3, -5))
     _assert_matches_direct_determinant(scaled, quad_arr)
     rank2 = parse_arrangement("x1 + x3; x2 - x3; x1 + x2", dim=3)
     for arr in (pencil3_arr, rank2):
@@ -219,16 +239,23 @@ def test_flat_kernel_is_the_line_of_delta_power(monkeypatch):
     # at a flat of k >= 2 planes the oracle's point carries one unknown: the
     # coefficient vector of delta_X^m, weights m!/a! * v^a
     seen = []
-    sample = verify._oracle_points
-    monkeypatch.setattr(verify, "_oracle_points", lambda planes, flats, d: seen.append(flats) or sample(planes, flats, d))
+    sample = verify._Planes.points
+    monkeypatch.setattr(verify._Planes, "points", lambda self, d: seen.append(self.flats) or sample(self, d))
+    kernels = []
+    at = verify._oracle_at
+    monkeypatch.setattr(verify, "_oracle_at", lambda arr, m, d, groups: kernels.append(groups) or at(arr, m, d, groups))
     for normals in PENCILS:
         for k in range(2, 7):
             arr = Arrangement(3, [Hyperplane(v) for v in normals[:k]])
             for m in range(1, 6):
                 seen.clear()
+                kernels.clear()
                 oracle_dims(arr, m, 1)
-                [(direction, planes, kernel)] = seen[0]
+                [(direction, planes)] = seen[0]
                 assert planes == tuple(range(k))
+                # at d = 0 the flat is the only point
+                [([point], kernel)] = kernels[0]
+                assert point == direction
                 weights = [midx_factorial((m,)) // midx_factorial(a) * verify._int_pow(direction, a) for a in monomials_of_degree(3, m)]
                 assert kernel == [primitive_int_vector(weights)], (k, m)
 
@@ -246,14 +273,14 @@ def test_too_few_points_on_a_plane_raises(generic4_arr, monkeypatch):
     # the last plane keeps three double points and one of its two own points
     # at d = 4: a nonzero quartic then vanishes at every point, and the
     # relations between point values outnumber points minus rank
-    sample = verify._oracle_points
+    sample = verify._Planes.points
 
-    def short(planes, flats, d):
-        groups = sample(planes, flats, d)
-        points, kernel = groups[-1]
-        return groups[:-1] + [(points[:-1], kernel)]
+    def short(self, d):
+        groups = sample(self, d)
+        points, planes = groups[-1]
+        return groups[:-1] + [(points[:-1], planes)]
 
-    monkeypatch.setattr(verify, "_oracle_points", short)
+    monkeypatch.setattr(verify._Planes, "points", short)
     with pytest.raises(IdentityViolated, match="relations"):
         oracle_dim(generic4_arr, 2, 4)
 
