@@ -3,6 +3,10 @@
 Hyperplanes are stored as primitive integer normal vectors (gcd 1, first
 nonzero entry positive), which makes equality testing and deduplication
 canonical.  Input order is preserved and drives every downstream iteration.
+
+One input path: every list of linear forms (';' text, JSON "forms", CLI
+``--extension``) goes through ``parse_forms``, and JSON "hyperplanes" rows
+through its builder.  A coefficient stays an ``int`` unless written p/q.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ class Hyperplane:
     normal: tuple[int, ...]
 
     @staticmethod
-    def make(coeffs: Iterable[Fraction | int]) -> Hyperplane:
-        vec = [Fraction(c) for c in coeffs]
-        if all(c == 0 for c in vec):
-            raise ZeroForm("hyperplane normal must be nonzero")
-        return Hyperplane(primitive_int_vector(vec))
+    def make(coeffs: Iterable[Fraction | int | str]) -> Hyperplane:
+        """Normalize a vector of ``int``, ``Fraction`` or strings that ``Fraction`` reads."""
+        try:
+            return Hyperplane(primitive_int_vector(coeffs))
+        except ZeroForm:
+            raise ZeroForm("hyperplane normal must be nonzero") from None
 
     @property
     def dim(self) -> int:
@@ -173,13 +178,14 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction]:
+def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction | int]:
     """Parse a sum of terms c*xi, xi, c into a coefficient vector.
 
-    A nonzero constant term makes the form non-central and is rejected.
+    A coefficient is an ``int`` unless it is written p/q.  A nonzero
+    constant term makes the form non-central and is rejected.
     """
-    coeffs: dict[int, Fraction] = {}
-    constant = Fraction(0)
+    coeffs: dict[int, Fraction | int] = {}
+    constant = 0
     pos = 0
     first = True
     s = text.strip()
@@ -194,14 +200,14 @@ def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction]:
             raise ParseError(f"missing '+' or '-' between terms in {text!r}")
         sgn = -1 if sign == "-" else 1
         var = m.group("var1") or m.group("var2")
-        coef = _rational(m.group("coef"), text) if m.group("coef") else Fraction(1)
+        coef = _rational(m.group("coef"), text) if m.group("coef") else 1
         if var is None:
             constant += sgn * coef
         else:
             idx = int(var[1:])
             if idx < 1:
                 raise ParseError(f"bad variable {var!r} in {text!r}")
-            coeffs[idx - 1] = coeffs.get(idx - 1, Fraction(0)) + sgn * coef
+            coeffs[idx - 1] = coeffs.get(idx - 1, 0) + sgn * coef
         pos = m.end()
         first = False
     if constant != 0:
@@ -211,10 +217,26 @@ def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction]:
         raise ParseError(f"supported ambient dimensions are 2 and 3, got {width}")
     if any(i >= width for i in coeffs):
         raise ParseError(f"form {text!r} uses a variable beyond dimension {width}")
-    vec = [coeffs.get(i, Fraction(0)) for i in range(width)]
-    if all(c == 0 for c in vec):
+    vec = [coeffs.get(i, 0) for i in range(width)]
+    if not any(vec):
         raise ZeroForm(f"form {text!r} is zero")
     return vec
+
+
+def parse_forms(forms: Sequence[str], dim: int | None = None) -> tuple[int, list[Hyperplane]]:
+    """The width and the hyperplanes of a list of linear forms; without
+    ``dim`` the width is the largest variable index used, at least 2."""
+    vectors = [parse_linear_form(f, dim=dim) for f in forms]
+    if dim is None and vectors:
+        dim = max(2, *map(len, vectors))
+    return _hyperplanes(vectors, dim)
+
+
+def _hyperplanes(vectors: list[list[Fraction | int]], dim: int | None) -> tuple[int, list[Hyperplane]]:
+    """``dim`` and the vectors, padded with zeros to that length, as hyperplanes."""
+    if dim is None:
+        raise ParseError("empty arrangement needs an explicit dimension")
+    return dim, [Hyperplane.make(v + [0] * (dim - len(v))) for v in vectors]
 
 
 def parse_arrangement(text: str, dim: int | None = None) -> Arrangement:
@@ -231,15 +253,7 @@ def parse_arrangement(text: str, dim: int | None = None) -> Arrangement:
         except ValueError as exc:  # a JSONDecodeError, or an integer longer than int() reads
             raise ParseError(f"bad JSON arrangement: {exc}") from exc
         return arrangement_from_json(data, dim=dim)
-    pieces = [p for p in (piece.strip() for piece in s.split(";")) if p]
-    if not pieces:
-        if dim is None:
-            raise ParseError("empty arrangement needs an explicit dimension")
-        return Arrangement(dim, [])
-    vectors = [parse_linear_form(p, dim=dim) for p in pieces]
-    width = dim if dim is not None else max(2, max(len(v) for v in vectors))
-    vectors = [v + [Fraction(0)] * (width - len(v)) for v in vectors]
-    return Arrangement(width, [Hyperplane.make(v) for v in vectors])
+    return Arrangement(*parse_forms([p for p in (piece.strip() for piece in s.split(";")) if p], dim))
 
 
 def arrangement_from_json(data: dict, dim: int | None = None) -> Arrangement:
@@ -265,33 +279,28 @@ def arrangement_from_json(data: dict, dim: int | None = None) -> Arrangement:
             if not isinstance(row, list):
                 raise ParseError(f"hyperplane row {row!r} must be a list of entries")
             vectors.append([_rational(entry) for entry in row])
-        if width is None:
-            if not vectors:
-                raise ParseError("empty arrangement needs an explicit dimension")
+        if width is None and vectors:
             width = len(vectors[0])
         if any(len(v) != width for v in vectors):
             raise ParseError("all normal vectors must have length l")
-        return Arrangement(width, [Hyperplane.make(v) for v in vectors])
+        return Arrangement(*_hyperplanes(vectors, width))
     if "forms" in data:
         forms = data["forms"]
         if not isinstance(forms, list) or not all(isinstance(f, str) for f in forms):
             raise ParseError(f"\"forms\" must be a list of strings, got {forms!r}")
-        vectors = [parse_linear_form(f, dim=width) for f in forms]
-        if width is None:
-            if not vectors:
-                raise ParseError("empty arrangement needs an explicit dimension")
-            width = max(2, max(len(v) for v in vectors))
-            vectors = [v + [Fraction(0)] * (width - len(v)) for v in vectors]
-        return Arrangement(width, [Hyperplane.make(v) for v in vectors])
+        return Arrangement(*parse_forms(forms, width))
     raise ParseError("JSON arrangement needs a 'hyperplanes' or 'forms' key")
 
 
-def _rational(entry: int | str, form: str | None = None) -> Fraction:
-    """A matrix entry (an integer or a fraction string like "1/2") or a term's coefficient in ``form``."""
+def _rational(entry: int | str, form: str | None = None) -> Fraction | int:
+    """A matrix entry (an ``int``, or a string ``Fraction`` reads such as "1/2")
+    or a term's coefficient in ``form`` (digits or p/q); integers stay ``int``."""
     what = f"coefficient {entry!r} in {form!r}" if form is not None else f"matrix entry {entry!r}"
     if isinstance(entry, bool) or not isinstance(entry, (int, str)):
         raise ParseError(f"{what} must be an integer or a fraction string")
+    if isinstance(entry, int):
+        return entry
     try:
-        return Fraction(entry)
+        return int(entry) if form is not None and "/" not in entry else Fraction(entry)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{what} is not an integer or a fraction with a nonzero denominator") from None

@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Subcommands: lattice, exponents, basis, verify, identities, oracle.
+Inline forms, ``--input`` and ``--extension`` share one form parser
+(integer coefficients stay ``int``).  ``basis``, ``identities`` and
+``verify`` share one sequence: extension, basis, oracle table.
 Exit codes: 0 success, 1 user error (or a reader that closed stdout early),
 2 internal verification failure (a failed determinant certificate, identity
 or oracle mismatch).  No
@@ -79,12 +82,6 @@ def _load_arrangement(args: argparse.Namespace) -> Arrangement:
     return parse_arrangement(text, dim=args.dim)
 
 
-def _extension(arr: Arrangement, m: int, choice: str):
-    if choice == "auto":
-        return extend(arr, m)
-    return extend(arr, m, hyperplanes_from_forms([s for s in choice.split(";") if s.strip()], dim=arr.dim))
-
-
 def _check_nonnegative(args: argparse.Namespace) -> None:
     if getattr(args, "m", None) is not None and args.m < 0:
         raise BadOrder(f"--m must be >= 0, got {args.m}")
@@ -117,48 +114,38 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         }
         return out, 0
 
-    if args.command == "basis":
-        ext = None
-        if arr.dim == 3 and arr.is_essential():
-            ext = _extension(arr, args.m, args.extension)
-            out["extension"] = ext.to_json()
-        basis = build_basis(arr, args.m, ext)
-        out["m"] = args.m
-        out["exponents"] = list(basis.exponents)
-        out["saito"] = basis.saito.to_json()
-        out["operators"] = basis.to_json()
-        return out, 0
-
-    if args.command == "identities":
-        ext = _extension(arr, args.m, args.extension)
-        out["extension"] = ext.to_json()
-        out["identities"] = check_identities(ext)
-        return out, 0
-
-    if args.command == "verify":
-        ext = None
-        if arr.dim == 3 and arr.is_essential():
-            ext = _extension(arr, args.m, args.extension)
-            out["extension"] = ext.to_json()
-            out["identities"] = check_identities(ext)
-        basis = build_basis(arr, args.m, ext)
-        out["m"] = args.m
-        out["exponents"] = list(basis.exponents)
-        out["saito"] = {"c": str(basis.saito.c), "t": basis.saito.t}
-        d_max = args.max_degree if args.max_degree is not None else max(basis.exponents) + 2
-        report = hilbert_check(arr, args.m, basis.exponents, d_max)
-        out["oracle"] = report.to_json()["verdict"]
-        out["oracle_table"] = report.to_json()["table"]
-        if not report.consistent:
-            return out, VERIFICATION_ERROR
-        return out, 0
-
     if args.command == "oracle":
         out["m"] = args.m
         out["dims"] = [{"d": d, "dim": dim} for d, dim in enumerate(oracle_dims(arr, args.m, args.max_degree))]
         return out, 0
 
-    raise ArropsError(f"unknown command {args.command!r}")
+    # basis, identities and verify: the extension, then the basis, then the oracle table
+    ext = None
+    if args.command == "identities" or (arr.dim == 3 and arr.is_essential()):
+        added = None
+        if args.extension != "auto":
+            added = hyperplanes_from_forms([f for f in args.extension.split(";") if f.strip()], dim=arr.dim)
+        ext = extend(arr, args.m, added)
+        out["extension"] = ext.to_json()
+        if args.command != "basis":
+            out["identities"] = check_identities(ext)
+    elif args.extension != "auto":
+        raise ArropsError(f"--extension needs an essential 3-arrangement, got dimension {arr.dim}, rank {arr.rank()}")
+    if args.command == "identities":
+        return out, 0
+    basis = build_basis(arr, args.m, ext)
+    out["m"] = args.m
+    out["exponents"] = list(basis.exponents)
+    if args.command == "basis":
+        out["saito"] = basis.saito.to_json()
+        out["operators"] = basis.to_json()
+        return out, 0
+    out["saito"] = {"c": str(basis.saito.c), "t": basis.saito.t}
+    d_max = args.max_degree if args.max_degree is not None else max(basis.exponents) + 2
+    report = hilbert_check(arr, args.m, basis.exponents, d_max)
+    out["oracle"] = report.to_json()["verdict"]
+    out["oracle_table"] = report.to_json()["table"]
+    return out, 0 if report.consistent else VERIFICATION_ERROR
 
 
 def emit_report(result: dict, fmt: str) -> str:

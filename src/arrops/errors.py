@@ -21,8 +21,9 @@ class NotCentral(ParseError):
     """A linear form carried a constant term; only central arrangements are supported."""
 
 
-class ZeroForm(ParseError):
-    """A linear form simplified to zero."""
+class ZeroForm(ParseError, ValueError):
+    """A linear form or a vector to normalize is zero (a ``ValueError`` too,
+    as ``primitive_int_vector`` raises it)."""
 
 
 class DuplicateHyperplane(ArropsError):

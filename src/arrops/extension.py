@@ -12,11 +12,10 @@ records whether the genericity condition happens to hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .arrangement import Arrangement, Hyperplane
+from .arrangement import Arrangement, Hyperplane, parse_forms
 from .errors import BadOrder, DuplicateHyperplane
 from .flats import Flat1, dim1_flats
 from .polynomial import Poly, form_product
@@ -84,7 +83,7 @@ def generic_hyperplane(arr: Arrangement) -> Hyperplane:
     existing = {h.normal for h in arr.hyperplanes}
     t = 0
     while True:
-        cand = Hyperplane.make((Fraction(1), Fraction(t), Fraction(t * t)))
+        cand = Hyperplane((1, t, t * t))  # primitive: the first entry is 1
         if cand.normal not in existing and _misses_all_flats(cand, arr):
             return cand
         t += 1
@@ -150,11 +149,5 @@ def flat_profiles(ext: ExtendedArrangement) -> list[FlatProfile]:
 
 
 def hyperplanes_from_forms(forms: Sequence[str], dim: int = 3) -> list[Hyperplane]:
-    """Convenience: parse ';'-separated or listed linear forms into hyperplanes."""
-    from .arrangement import parse_linear_form
-
-    out = []
-    for f in forms:
-        vec = parse_linear_form(f, dim=dim)
-        out.append(Hyperplane.make(vec))
-    return out
+    """The hyperplanes of listed linear forms, as ``parse_arrangement`` reads them."""
+    return parse_forms(forms, dim)[1]

@@ -38,11 +38,6 @@ class Flat1:
     def dim(self) -> int:
         return len(self.direction)
 
-    @property
-    def delta(self) -> tuple[Fraction, ...]:
-        """Coefficients of the direction derivation sum v_i d_i."""
-        return tuple(Fraction(v) for v in self.direction)
-
     def _frame_rows(self) -> tuple[list[tuple[int, ...]], int]:
         """The pivot rule's rows (kernel rows, then the section row) and v_p."""
         v = self.direction
@@ -81,7 +76,7 @@ class Flat1:
         return {
             "direction": list(self.direction),
             "localization": list(self.local_indices),
-            "delta": [str(c) for c in self.delta],
+            "delta": [str(v) for v in self.direction],
             "section": self.section.text(),
             "kernel_forms": [f.text() for f in self.kernel_forms],
         }

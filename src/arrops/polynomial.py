@@ -20,7 +20,7 @@ from functools import cache
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DimensionMismatch, NotDivisible
+from .errors import DimensionMismatch, NotDivisible, ZeroForm
 
 MultiIndex = tuple[int, ...]
 
@@ -313,14 +313,16 @@ def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
     return Poly(nvars, terms)
 
 
-def primitive_int_vector(vec: Iterable[Fraction | int]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers with first nonzero entry positive."""
-    fracs = [v if type(v) is int else Fraction(v) for v in vec]
+def primitive_int_vector(vec: Iterable[Fraction | int | str]) -> tuple[int, ...]:
+    """Scale a rational vector to coprime integers with first nonzero entry
+    positive; an entry that is neither ``int`` nor ``Fraction`` is read as
+    ``Fraction(entry)``."""
+    fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in vec]
     den = lcm(*(f.denominator for f in fracs))
     ints = [f.numerator * (den // f.denominator) for f in fracs]
     g = gcd(*ints)
     if g == 0:
-        raise ValueError("zero vector has no primitive form")
+        raise ZeroForm("zero vector has no primitive form")
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -167,3 +168,17 @@ def test_parse_json_output_roundtrip(quad_arr):
 def test_hyperplane_normalization():
     assert Hyperplane.make((-2, 4, 0)).normal == (1, -2, 0)
     assert Hyperplane.make((0, 0, 7)).normal == (0, 0, 1)
+
+
+@pytest.mark.parametrize("rows", ["[[0, 0, 0]]", '[["0", "0/5", 0]]'], ids=["int", "str"])
+def test_json_zero_row_is_zero_form(rows):
+    with pytest.raises(ZeroForm, match="hyperplane normal must be nonzero"):
+        parse_arrangement('{"l": 3, "hyperplanes": %s}' % rows)
+
+
+@pytest.mark.parametrize(
+    "entries", [(0, 0, 0), (Fraction(0), Fraction(0, 3), 0), ("0", "0/5", "-0")], ids=["int", "Fraction", "str"]
+)
+def test_hyperplane_make_zero_is_zero_form(entries):
+    with pytest.raises(ZeroForm, match="hyperplane normal must be nonzero"):
+        Hyperplane.make(entries)

@@ -47,6 +47,22 @@ def test_basis_explicit_extension_echoed(capsys):
     assert data["exponents"] == [1, 2, 2, 2, 2, 3, 3, 3, 3, 3]
 
 
+@pytest.mark.parametrize("command", ["basis", "verify"])
+@pytest.mark.parametrize(
+    ("extension", "forms"),
+    [("x1+x2", ["--dim", "2", "x1", "x2", "x1-x2"]), ("x1+x2+x3", ["--dim", "3", "x1", "x2", "x1-x2"])],
+    ids=["2-arrangement", "rank-2-3-arrangement"],
+)
+def test_unused_extension_is_user_error(capsys, command, extension, forms):
+    # only an essential 3-arrangement is extended: elsewhere a given
+    # extension would be ignored, so it is refused; 'auto' is accepted
+    code, out, err = run_cli(capsys, command, "--m", "2", "--extension", extension, *forms)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--extension" in err
+    code, _, _ = run_cli(capsys, command, "--m", "2", "--extension", "auto", *forms)
+    assert code == 0
+
+
 def test_basis_order_too_small_is_user_error(capsys):
     code, _, err = run_cli(capsys, "basis", "--m", "1", "x1", "x2", "x3", "x1-x2")
     assert code == 1

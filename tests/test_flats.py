@@ -80,7 +80,7 @@ def test_coordinate_system_invertible_and_dual(quad_arr):
             for j, f in enumerate(forms):
                 assert f(w) == (1 if i == j else 0), (flat, i, j)
         # the last dual derivation is the flat direction itself
-        assert duals[-1] == flat.delta
+        assert duals[-1] == flat.direction
         # the integer frame: D * forms, and adjugate columns pairing with them
         # to det M' * delta_ij, with D / det M' the returned scale
         rows, cols, scale = flat.integer_frame()

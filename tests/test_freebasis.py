@@ -198,7 +198,7 @@ def test_cross_flat_annihilation(quad_arr):
         ext = extend(quad_arr, m, hyperplanes_from_forms(forms) if forms else None)
         profiles = flat_profiles(ext)
         for px in profiles:
-            dx = power_of_derivation(px.flat.delta, m - px.max_order)
+            dx = power_of_derivation(px.flat.direction, m - px.max_order)
             for py in profiles:
                 if px.flat.direction == py.flat.direction:
                     continue

@@ -1,8 +1,8 @@
 """Hypothesis properties of exact division, membership, the certificate, the
 closed-form pencil blocks and their frames, the on-demand flat cofactors, the
-integer echelon kernel, the parse/serialize round trip, the dimension oracle
-and the closed-form exponents (profile ``arrops`` in conftest: derandomized,
-bounded example counts)."""
+integer echelon kernel, the parse/serialize round trip, the agreement of the
+input paths, the dimension oracle and the closed-form exponents (profile
+``arrops`` in conftest: derandomized, bounded example counts)."""
 
 import json
 import random
@@ -22,7 +22,7 @@ from reference import apply, convert_2var_op, localization, oracle_dim_direct
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, euler_op, saito_matrix
 from arrops.errors import NotDivisible, NotMember
-from arrops.extension import extend, flat_profiles
+from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.exponents import exp_2arr, exp_3arr_closed
 from arrops.flats import dim1_flats
 from arrops.freebasis import basis_2arr_lines, build_basis
@@ -196,6 +196,26 @@ def test_parse_round_trips_rational_input(l, data):
     assert parse_arrangement(rows) == arr
     assert parse_arrangement(json.dumps(arr.to_json())) == arr
     assert parse_arrangement(arr.text(), dim=l) == arr
+
+
+@given(st.sampled_from([2, 3]), st.data())
+def test_input_paths_agree(l, data):
+    # inline text, JSON "forms", JSON "hyperplanes" with "p/q" entries and
+    # hyperplanes_from_forms read the same arrangement; form_text leaves
+    # out zero terms, so a form need not name every variable
+    vectors = data.draw(st.lists(rational_vectors(l), min_size=1, max_size=5, unique_by=lambda v: Hyperplane.make(v)))
+    forms = [form_text(v) for v in vectors]
+    expected = Arrangement(l, [Hyperplane.make(v) for v in vectors])
+    assert parse_arrangement("; ".join(forms), dim=l) == expected
+    assert parse_arrangement(json.dumps({"l": l, "forms": forms})) == expected
+    rows = [[f"{c.numerator}/{c.denominator}" for c in v] for v in vectors]
+    assert parse_arrangement(json.dumps({"l": l, "hyperplanes": rows})) == expected
+    assert Arrangement(l, hyperplanes_from_forms(forms, dim=l)) == expected
+    # without a dimension the width is the largest variable index used, at least 2
+    width = max(2, *(i + 1 for v in vectors for i, c in enumerate(v) if c))
+    inferred = Arrangement(width, [Hyperplane.make(v[:width]) for v in vectors])
+    assert parse_arrangement("; ".join(forms)) == inferred
+    assert parse_arrangement(json.dumps({"forms": forms})) == inferred
 
 
 certificate_cases = st.one_of(
