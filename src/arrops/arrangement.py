@@ -31,9 +31,9 @@ class Hyperplane:
 
     @staticmethod
     def make(coeffs: Iterable[Fraction | int | str]) -> Hyperplane:
-        """Normalize a vector of ``int``, ``Fraction`` or strings that ``Fraction`` reads."""
+        """Normalize a vector of ``int``, ``Fraction`` or strings that ``_rational`` reads."""
         try:
-            return Hyperplane(primitive_int_vector(coeffs))
+            return Hyperplane(primitive_int_vector(_rational(c) if isinstance(c, str) else c for c in coeffs))
         except ZeroForm:
             raise ZeroForm("hyperplane normal must be nonzero") from None
 
@@ -246,6 +246,8 @@ def parse_arrangement(text: str, dim: int | None = None) -> Arrangement:
     {"l": 3, "forms": ["x1", "x2 - x3", ...]}; rational matrix entries may
     be written as strings like "1/2".
     """
+    if dim not in (None, 2, 3):  # before a form is read against it
+        raise ParseError(f"supported ambient dimensions are 2 and 3, got {dim}")
     s = text.strip()
     if s.startswith("{"):
         try:

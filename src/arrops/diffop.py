@@ -3,12 +3,14 @@
 An order-m operator is a finite sum over multi-indices a with |a| = m of
 coefficient polynomials f_a times the monomial derivative d^a.  Operators
 are immutable by convention, like polynomials.
+
+Every closed-form operator (derivation powers, Euler operators, the
+pencil blocks of ``freebasis``) is built by ``product_op``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -173,45 +175,38 @@ def partial_op(nvars: int, a: MultiIndex, coeff: Poly | int | Fraction = 1) -> D
     return DiffOp(nvars, sum(a), {tuple(a): f})
 
 
-def power_of_derivation(coeffs: Sequence[Fraction | int], k: int, nvars: int | None = None) -> DiffOp:
-    """Expand (sum c_i d_i)^k with multinomial coefficients k!/a! * c^a
-    (``int`` coefficients for ``int`` c)."""
+Factor = Sequence[int | Fraction]
+Term = tuple[int | Fraction, Iterable[Factor], Iterable[Factor]]
+
+
+def product_op(terms: Iterable[Term], nvars: int, order: int) -> DiffOp:
+    """Sum over terms (c, forms, derivations) of c * (product of the linear
+    forms) * (product of the constant derivations), all given by coefficient
+    vectors.  Constant derivations commute, so ``form_product`` multiplies
+    out both products, each once."""
+    out: dict[MultiIndex, dict[MultiIndex, int | Fraction]] = {}
+    for c, forms, derivs in terms:
+        xs = form_product(forms, nvars).terms
+        for a, u in form_product(derivs, nvars).terms.items():
+            cu = c * u
+            coeff = out.setdefault(a, {})
+            for b, v in xs.items():
+                coeff[b] = coeff.get(b, 0) + cu * v
+    return DiffOp(nvars, order, {a: Poly._raw(nvars, {b: v for b, v in f.items() if v}) for a, f in out.items()})
+
+
+def power_of_derivation(coeffs: Factor, k: int, nvars: int | None = None) -> DiffOp:
+    """(sum c_i d_i)^k, expanded (``int`` coefficients for ``int`` c)."""
     if k < 0:
         raise ValueError("negative power")
     n = len(coeffs) if nvars is None else nvars
-    cs = list(coeffs)
-    if len(cs) != n:
+    if len(coeffs) != n:
         raise DimensionMismatch("coefficient vector length must equal variable count")
-    out: dict[MultiIndex, Poly] = {}
-    for a in monomials_of_degree(n, k):
-        c = factorial(k) // midx_factorial(a)
-        for ci, ai in zip(cs, a):
-            if ai:
-                c *= ci**ai
-        if c:
-            out[a] = Poly.constant(n, c)
-    return DiffOp(n, k, out)
-
-
-def derivation_monomial(derivs: Sequence[Sequence[int]], a: MultiIndex) -> DiffOp:
-    """D^a = prod_i D_i^(a_i) for the commuting constant derivations D_i with
-    coefficient vectors ``derivs``."""
-    return reduce(DiffOp.compose_constant, (power_of_derivation(d, e) for d, e in zip(derivs, a)))
-
-
-def frame_euler(m: int, forms: Sequence[Sequence[int]], derivs: Sequence[Sequence[int]]) -> DiffOp:
-    """Order-m Euler operator of a coordinate frame, sum (m!/a!) f^a D^a over
-    |a| = m: f the frame's integer linear forms, D its derivations."""
-    out = DiffOp(len(forms[0]), m)
-    for a in monomials_of_degree(len(forms), m):
-        coeff = form_product((f for f, e in zip(forms, a) for _ in range(e)), len(forms[0]))
-        out = out + derivation_monomial(derivs, a).mul_poly(coeff * (factorial(m) // midx_factorial(a)))
-    return out
+    return product_op([(1, (), [coeffs] * k)], n, k)
 
 
 def euler_op(m: int, nvars: int) -> DiffOp:
-    """Order-m Euler operator sum (m!/a!) x^a d^a, the coordinate frame's
-    ``frame_euler``.
+    """Order-m Euler operator sum (m!/a!) x^a d^a over |a| = m.
 
     Acts on a homogeneous polynomial of degree d as multiplication by the
     falling factorial d(d-1)...(d-m+1); belongs to every operator module of
@@ -220,7 +215,11 @@ def euler_op(m: int, nvars: int) -> DiffOp:
     if m < 0 or nvars < 1:
         raise ValueError("need m >= 0 and at least one variable")
     unit = [tuple(int(i == k) for k in range(nvars)) for i in range(nvars)]
-    return frame_euler(m, unit, unit)
+    terms = []
+    for a in monomials_of_degree(nvars, m):
+        factors = [unit[i] for i, e in enumerate(a) for _ in range(e)]
+        terms.append((factorial(m) // midx_factorial(a), factors, factors))
+    return product_op(terms, nvars, m)
 
 
 # -- coefficient matrices ----------------------------------------------------
@@ -247,9 +246,8 @@ __all__ = [
     "DiffOp",
     "identity_op",
     "partial_op",
+    "product_op",
     "power_of_derivation",
-    "derivation_monomial",
-    "frame_euler",
     "euler_op",
     "saito_columns",
     "saito_matrix",

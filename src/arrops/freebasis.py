@@ -6,7 +6,7 @@ capacity i contributes blocks P_X * D^(j)(pencil) * delta_X^(m-j) for
 0 <= j <= i.  Pencil modules (2-variable arrangements) are free at every
 order, and their blocks are closed forms, with no linear solve.  Write
 theta_l = (product of the other lines) * d_v^j, a member, for a line l with
-direction v (``_line_operator``):
+direction v:
 
 * k = 0: the monomial derivatives themselves;
 * order j <= k-1: the order-j Euler operator E_j plus theta_l for the first
@@ -19,40 +19,36 @@ direction v (``_line_operator``):
 * order j >= k: theta_l for the k lines and for j+1-k added lines (1, t),
   whose prefactor is the product of all k lines.
 
-One assembly loop builds every 3-arrangement basis: an essential one flat
-by flat over its extension, a rank 1 or 2 one from its single flat (the
-common kernel line through ``flat_from_direction``, so the same pivot frame
-as every essential flat; order cap m, cofactor 1); rank 0 is the monomial
-derivatives.  The loop runs on integers: each pencil block is built
-directly in the flat's integer coordinate frame (``Flat1.integer_frame``:
-its first two forms for the kernel coordinates, their adjugate columns for
-d_y1, d_y2).  That frame scales every operator by a nonzero constant, and
-``normalized_primitive`` removes it, so the result is that of the rational
-frame.  A 2-arrangement's blocks are the same builder in the identity
-frame.  A basis is
-certified where it is returned, by Saito's criterion
+Each operator is a sum of products of linear forms and constant
+derivations (E_j has j+1 terms, the others one), so a block is one term
+list per operator (``_pencil_terms``).  One assembly loop builds every
+3-arrangement basis: an essential one flat by flat over its extension, a
+rank 1 or 2 one from its single flat (the common kernel line through
+``flat_from_direction``, so the same pivot frame as every essential flat;
+order cap m, cofactor 1); rank 0 is the monomial derivatives.  The terms
+are written in the flat's integer frame (``Flat1.integer_frame``: its
+first two forms for the kernel coordinates, their adjugate columns for
+d_y1, d_y2), take P_X's normals and m-j copies of delta_X as further
+factors, and ``diffop.product_op`` multiplies them out once.  The frame
+scales an operator by a nonzero constant that its one
+``normalized_primitive`` removes.  ``basis_2arr_lines`` is the block in the
+identity frame.  A basis is certified where it is returned
 (``verify.saito_check``: every operator is a member at every hyperplane,
-then one integer determinant at one point); the blocks of
-``basis_2arr_lines`` are not certified on their own.  ``dual_pair`` reads a
-basis of the degree-m polynomials off the same flats and pairs it with its
-dual basis under the apolar pairing.
+then one integer determinant at one point), so ``basis_2arr_lines`` is not
+certified on its own.  ``dual_pair`` reads a basis of the degree-m
+polynomials off the same flats and pairs it with its dual basis under the
+apolar pairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from typing import Sequence
 
 from .arrangement import Arrangement
-from .diffop import (
-    DiffOp,
-    derivation_monomial,
-    frame_euler,
-    partial_op,
-    power_of_derivation,
-)
+from .diffop import DiffOp, Term, partial_op, product_op
 from .errors import (
     BadOrder,
     IdentityViolated,
@@ -65,7 +61,6 @@ from .flats import Flat1, flat_from_direction
 from .linalg import echelon_int
 from .polynomial import (
     Poly,
-    form_product,
     midx_factorial,
     monomials_of_degree,
     primitive_int_vector,
@@ -127,38 +122,37 @@ def _in_frame(pair: Line, vectors: Frame) -> Line:
     return tuple(pair[0] * u + pair[1] * v for u, v in zip(*vectors))
 
 
-def _line_operator(lines: Sequence[Line], line: Line, j: int, forms: Frame, derivs: Frame) -> DiffOp:
-    """(product of the other lines) * D_v^j, v the direction of ``line``."""
-    pref = form_product((_in_frame(other, forms) for other in lines if other != line), len(forms[0]))
-    direction = primitive_int_vector((-line[1], line[0]))
-    return power_of_derivation(_in_frame(direction, derivs), j).mul_poly(pref)
+def _pencil_terms(lines: Sequence[Line], j: int, forms: Frame, derivs: Frame) -> list[list[Term]]:
+    """The order-j block of the pencil of ``lines`` (primitive, distinct), one
+    ``product_op`` term list per operator, in the frame of integer forms
+    f0, f1 and constant derivations D0, D1: the line (a, b) is the form
+    a*f0 + b*f1, its direction (v0, v1) is v0*D0 + v1*D1, d^a is D0^a0 D1^a1."""
 
+    def power(vectors: Frame, a: tuple[int, ...]) -> list[Line]:
+        return [v for v, e in zip(vectors, a) for _ in range(e)]
 
-def basis_2arr_lines(lines: Sequence[Line], j: int, forms: Frame = IDENTITY, derivs: Frame = IDENTITY) -> list[DiffOp]:
-    """Free basis of the order-j module of a 2-variable line arrangement,
-    built in a coordinate frame and normalized (``normalized_primitive``).
+    def line_op(line: Line) -> list[Term]:
+        others = [_in_frame(other, forms) for other in lines if other != line]
+        return [(1, others, [_in_frame((-line[1], line[0]), derivs)] * j)]
 
-    The frame is two integer linear forms f0, f1 and two commuting constant
-    derivations D0, D1: the line (a, b) is the form a*f0 + b*f1, its
-    direction (v0, v1) the derivation v0*D0 + v1*D1, and d^a becomes
-    D0^a0 D1^a1.  The identity frame gives the 2-variable operators; a
-    flat's gives them in ambient coordinates.  Closed forms for every
-    k >= 0 and j >= 0 (module docstring); degrees follow the two-variable
-    exponent formula.  The result is not certified; callers that return a
-    basis certify it.
-    """
-    lines = [tuple(int(c) for c in line) for line in lines]
-    if len(set(lines)) != len(lines):
-        raise SolveFailed("line arrangement has repeated lines")
     k = len(lines)
     if k == 0:
-        ops = [derivation_monomial(derivs, a) for a in monomials_of_degree(2, j)]
-    elif j < k:
-        ops = [frame_euler(j, forms, derivs)] + [_line_operator(lines, line, j, forms, derivs) for line in lines[:j]]
-    else:
-        generic = [(1, t) for t in range(j + 1) if (1, t) not in lines][: j + 1 - k]
-        ops = [_line_operator(lines, line, j, forms, derivs) for line in lines + generic]
-    return [op.normalized_primitive() for op in ops]
+        return [[(1, (), power(derivs, a))] for a in monomials_of_degree(2, j)]
+    if j < k:
+        euler = [(factorial(j) // midx_factorial(a), power(forms, a), power(derivs, a)) for a in monomials_of_degree(2, j)]
+        return [euler] + [line_op(line) for line in lines[:j]]
+    generic = [(1, t) for t in range(j + 1) if (1, t) not in lines][: j + 1 - k]
+    return [line_op(line) for line in [*lines, *generic]]
+
+
+def basis_2arr_lines(lines: Sequence[Sequence[int | Fraction]], j: int) -> list[DiffOp]:
+    """Free basis of the order-j module of a 2-variable line arrangement,
+    normalized, not certified; degrees follow the two-variable exponent
+    formula.  Lines are made primitive, so proportional lines are repeated."""
+    lines = [primitive_int_vector(line) for line in lines]
+    if len(set(lines)) != len(lines):
+        raise SolveFailed("line arrangement has repeated lines")
+    return [product_op(terms, 2, j).normalized_primitive() for terms in _pencil_terms(lines, j, IDENTITY, IDENTITY)]
 
 
 def _pencil_lines(arr: Arrangement, flat: Flat1) -> tuple[list[Line], Frame, Frame]:
@@ -180,20 +174,19 @@ def _pencil_lines(arr: Arrangement, flat: Flat1) -> tuple[list[Line], Frame, Fra
 
 def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> FreeBasis:
     """Direct sum over the flats of the blocks P_X * D^(j)(pencil) * delta_X^(m-j),
-    0 <= j <= max_order, with P_X the base cofactor; certified once."""
+    0 <= j <= max_order, with P_X the base cofactor: each operator's factors,
+    multiplied out and normalized once; certified once."""
     operators: list[DiffOp] = []
     degrees: list[int] = []
     provenance: list[dict] = []
     for profile in profiles:
         flat = profile.flat
-        cofactor = profile.base_off_flat_product if profile.base_off_flat else None
+        cofactor = [h.normal for h in profile.base_off_flat]
         lines, forms, derivs = _pencil_lines(arr, flat)
         for j in range(profile.max_order + 1):
-            delta_pow = power_of_derivation(flat.direction, m - j)
-            for idx, block in enumerate(basis_2arr_lines(lines, j, forms, derivs)):
-                op = block.compose_constant(delta_pow)
-                if cofactor is not None:
-                    op = op.mul_poly(cofactor)
+            delta = [flat.direction] * (m - j)
+            for idx, terms in enumerate(_pencil_terms(lines, j, forms, derivs)):
+                op = product_op([(c, [*cofactor, *fs], [*ds, *delta]) for c, fs, ds in terms], arr.dim, m)
                 op = op.normalized_primitive()
                 operators.append(op)
                 degrees.append(op.degree())

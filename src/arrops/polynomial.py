@@ -291,11 +291,11 @@ class LinearForm:
 def rational_content(values: Iterable[Fraction | int]) -> Fraction:
     """Positive rational c with every value / c an integer and their gcd 1;
     0 if every value is 0 or there are none."""
-    num, den = 0, 1
-    for v in values:
-        num = gcd(num, v.numerator)
-        den = lcm(den, v.denominator)
-    return Fraction(num, den)
+    values = list(values)
+    fracs = [v for v in values if type(v) is not int]
+    if not fracs:
+        return Fraction(gcd(*values))
+    return Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in fracs)))
 
 
 def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:

@@ -182,3 +182,11 @@ def test_json_zero_row_is_zero_form(rows):
 def test_hyperplane_make_zero_is_zero_form(entries):
     with pytest.raises(ZeroForm, match="hyperplane normal must be nonzero"):
         Hyperplane.make(entries)
+
+
+@pytest.mark.parametrize("entry", ["abc", "1/0"])
+def test_hyperplane_make_bad_string_is_parse_error(entry):
+    # a string entry is read like a JSON matrix entry, and the error names it
+    with pytest.raises(ParseError, match=rf"^matrix entry {re.escape(repr(entry))} is not an integer or a fraction"):
+        Hyperplane.make((entry, 1, 0))
+    assert Hyperplane.make(("1/2", "-1/2", 0)).normal == (1, -1, 0)

@@ -93,6 +93,14 @@ def test_dimension_one_is_user_error(capsys, tmp_path):
         assert "supported ambient dimensions are 2 and 3, got 1" in err, args
 
 
+@pytest.mark.parametrize(("dim", "form"), [("-1", "x1"), ("0", "0")])
+def test_unsupported_dimension_is_checked_before_the_forms(capsys, dim, form):
+    # a form read first would report a variable beyond the dimension or a zero form
+    code, out, err = run_cli(capsys, "lattice", "--dim", dim, form)
+    assert code == 1 and out == ""
+    assert err == f"error: supported ambient dimensions are 2 and 3, got {dim}\n"
+
+
 @pytest.mark.parametrize(("given", "declared"), [(2, 3), (3, 2)])
 def test_conflicting_dimension_is_user_error(capsys, tmp_path, given, declared):
     path = tmp_path / "arr.json"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import random_essential
@@ -8,7 +9,7 @@ from reference import apply, localization
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import euler_op, identity_op
-from arrops.errors import BadOrder, NotEssential
+from arrops.errors import BadOrder, NotEssential, SolveFailed, ZeroForm
 from arrops.exponents import exp_2arr, exp_for_arrangement
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.flats import dim1_flats
@@ -21,7 +22,7 @@ from arrops.freebasis import (
     dual_pair,
 )
 from arrops.polynomial import Poly, monomials_of_degree, primitive_int_vector
-from arrops.verify import is_member, oracle_dim, s_dim
+from arrops.verify import is_member, oracle_dim, s_dim, saito_check
 
 x1, x2, x3 = Poly.variables(3)
 
@@ -93,6 +94,22 @@ def test_basis_2arr_lines_output_bytes(k, digest):
     lines = _seeded_lines(k)
     payload = json.dumps([[op.to_json() for op in basis_2arr_lines(lines, j)] for j in range(7)])
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+def test_basis_2arr_lines_are_made_primitive():
+    # proportional lines are repeated lines
+    with pytest.raises(SolveFailed, match="repeated lines"):
+        basis_2arr_lines([(1, 0), (2, 0)], 2)
+    # (2, 0) is the line (1, 0), so the generic lines skip it
+    ops = basis_2arr_lines([(2, 0), (0, 1)], 3)
+    assert ops == basis_2arr_lines([(1, 0), (0, 1)], 3)
+    assert saito_check(ops, arr2("x1; x2")).t == 3
+    # a rational line is scaled, not truncated
+    ops = basis_2arr_lines([(Fraction(1, 2), 1), (0, 1)], 2)
+    assert ops == basis_2arr_lines([(1, 2), (0, 1)], 2)
+    saito_check(ops, arr2("x1 + 2*x2; x2"))
+    with pytest.raises(ZeroForm):
+        basis_2arr_lines([(0, 0)], 1)
 
 
 def test_basis_2arr_no_lines():

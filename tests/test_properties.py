@@ -1,14 +1,15 @@
-"""Hypothesis properties of exact division, membership, the certificate, the
-closed-form pencil blocks and their frames, the on-demand flat cofactors, the
-integer echelon kernel, the parse/serialize round trip, the agreement of the
-input paths, the dimension oracle and the closed-form exponents (profile
-``arrops`` in conftest: derandomized, bounded example counts)."""
+"""Hypothesis properties of exact division, the operator constructor,
+membership, the certificate, the closed-form pencil blocks and their
+frames, the on-demand flat cofactors, the integer echelon kernel, the
+parse/serialize round trip, the agreement of the input paths, the
+dimension oracle and the closed-form exponents (profile ``arrops`` in
+conftest: derandomized, bounded example counts)."""
 
 import json
 import random
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -20,14 +21,14 @@ from hypothesis import strategies as st
 from reference import apply, convert_2var_op, localization, oracle_dim_direct
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.diffop import DiffOp, euler_op, saito_matrix
+from arrops.diffop import DiffOp, euler_op, identity_op, partial_op, product_op, saito_matrix
 from arrops.errors import NotDivisible, NotMember
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.exponents import exp_2arr, exp_3arr_closed
 from arrops.flats import dim1_flats
 from arrops.freebasis import basis_2arr_lines, build_basis
 from arrops.linalg import echelon_int, rref
-from arrops.polynomial import Poly, monomials_of_degree, primitive_int_vector
+from arrops.polynomial import Poly, midx_factorial, monomials_of_degree, primitive_int_vector
 from arrops.verify import hilbert_check, is_member, oracle_dims, saito_check
 
 small = st.integers(-4, 4)
@@ -75,6 +76,41 @@ def test_alpha_times_operator_is_member(l, order, degree, data):
     theta = data.draw(operators(l, order, degree))
     h = Hyperplane(normal)
     assert is_member(theta.mul_poly(h.poly()), Arrangement(l, [h]))
+
+
+def unit(l, i):
+    return tuple(int(k == i) for k in range(l))
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.data())
+def test_product_op_matches_operator_algebra(l, order, data):
+    # the reference multiplies linear polynomials with Poly.__mul__ and
+    # composes order-1 operators, where product_op expands both products
+    vectors = st.lists(small, min_size=l, max_size=l)
+    terms = data.draw(
+        st.lists(
+            st.tuples(small, st.lists(vectors, max_size=3), st.lists(vectors, min_size=order, max_size=order)),
+            max_size=3,
+        )
+    )
+    expected = DiffOp(l, order)
+    for c, forms, derivs in terms:
+        x = Poly.constant(l, c)
+        for f in forms:
+            x = x * Poly(l, {unit(l, i): v for i, v in enumerate(f)})
+        d = identity_op(l)
+        for v in derivs:
+            d = d.compose_constant(DiffOp(l, 1, {unit(l, i): Poly.constant(l, w) for i, w in enumerate(v)}))
+        expected = expected + d.mul_poly(x)
+    assert product_op(terms, l, order) == expected
+
+
+@given(st.integers(0, 4), st.sampled_from([1, 2, 3]))
+def test_euler_op_is_its_sum_of_terms(m, l):
+    expected = DiffOp(l, m)
+    for a in monomials_of_degree(l, m):
+        expected = expected + partial_op(l, a, Poly(l, {a: factorial(m) // midx_factorial(a)}))
+    assert euler_op(m, l) == expected
 
 
 @st.composite

@@ -123,16 +123,17 @@ def test_dimension_mismatch(quad_arr):
 
 def test_not_member_names_its_block(quad_arr, monkeypatch):
     # swap generator 1 of the order-1 block of the triple point (0, 0, 1) for
-    # x2^2 * d1, which is not a member at x1 = 0 (the flat's frame is x1, x2)
-    original = freebasis.basis_2arr_lines
+    # the term x2^2 * d1, which is not a member at x1 = 0 (the flat's frame is
+    # x1, x2); assembly makes it x3 * x2^2 * d1 * d3
+    original = freebasis._pencil_terms
 
-    def patched(lines, j, forms=freebasis.IDENTITY, derivs=freebasis.IDENTITY):
+    def patched(lines, j, forms, derivs):
         ops = original(lines, j, forms, derivs)
         if len(lines) == 3 and j == 1:
-            ops[1] = DiffOp(3, 1, {(1, 0, 0): x2**2})
+            ops[1] = [(1, [(0, 1, 0)] * 2, [(1, 0, 0)])]
         return ops
 
-    monkeypatch.setattr(freebasis, "basis_2arr_lines", patched)
+    monkeypatch.setattr(freebasis, "_pencil_terms", patched)
     with pytest.raises(NotMember, match=r"is not a member .* \(flat \[0, 0, 1\], j = 1, generator 1\)$") as info:
         build_basis(quad_arr, 2)
     assert info.value.index == 2
