@@ -142,7 +142,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         return out, 0
     out["saito"] = {"c": str(basis.saito.c), "t": basis.saito.t}
     d_max = args.max_degree if args.max_degree is not None else max(basis.exponents) + 2
-    report = hilbert_check(arr, args.m, basis.exponents, d_max)
+    report = hilbert_check(arr, args.m, basis.exponents, d_max, basis.saito.sample)
     out["oracle"] = report.to_json()["verdict"]
     out["oracle_table"] = report.to_json()["table"]
     return out, 0 if report.consistent else VERIFICATION_ERROR

@@ -11,6 +11,7 @@ pencil blocks of ``freebasis``) is built by ``product_op``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -195,6 +196,34 @@ def product_op(terms: Iterable[Term], nvars: int, order: int) -> DiffOp:
     return DiffOp(nvars, order, {a: Poly._raw(nvars, {b: v for b, v in f.items() if v}) for a, f in out.items()})
 
 
+class FactoredOp:
+    """theta = P * theta', given by factor lists: P is the product of the
+    linear forms ``cofactor`` and theta' = ``product_op(terms)``.  ``op`` is
+    theta multiplied out and normalized (``normalized_primitive``), ``core``
+    is theta' (theta itself when P = 1); both are built from the lists on
+    first read and kept.  ``degree()``, as ``DiffOp.degree()``, is read off
+    the factor counts: every term of theta has len(cofactor) + len(forms)
+    linear factors; None when the terms disagree."""
+
+    def __init__(self, nvars: int, order: int, cofactor: Sequence[Factor], terms: Sequence[Term]):
+        self.nvars, self.order = nvars, order
+        self.cofactor = tuple(tuple(v) for v in cofactor)
+        self.terms = tuple((c, tuple(map(tuple, fs)), tuple(map(tuple, ds))) for c, fs, ds in terms)
+
+    @cached_property
+    def op(self) -> DiffOp:
+        terms = [(c, self.cofactor + fs, ds) for c, fs, ds in self.terms]
+        return product_op(terms, self.nvars, self.order).normalized_primitive()
+
+    @cached_property
+    def core(self) -> DiffOp:
+        return product_op(self.terms, self.nvars, self.order) if self.cofactor else self.op
+
+    def degree(self) -> int | None:
+        counts = {len(fs) for _, fs, _ in self.terms}
+        return len(self.cofactor) + counts.pop() if len(counts) == 1 else None
+
+
 def power_of_derivation(coeffs: Factor, k: int, nvars: int | None = None) -> DiffOp:
     """(sum c_i d_i)^k, expanded (``int`` coefficients for ``int`` c)."""
     if k < 0:
@@ -247,6 +276,7 @@ __all__ = [
     "identity_op",
     "partial_op",
     "product_op",
+    "FactoredOp",
     "power_of_derivation",
     "euler_op",
     "saito_columns",

@@ -57,10 +57,9 @@ class FlatProfile:
 
     max_order is the number of extended hyperplanes through the flat minus 2.
     off_flat holds the extended hyperplanes avoiding the flat and
-    base_off_flat the base ones; their products (the cofactors, of degree
-    m - max_order and n - base_local_count) are multiplied out over the
-    integers only when off_flat_product or base_off_flat_product is read,
-    and are not kept.
+    base_off_flat the base ones (the cofactors, of degree m - max_order and
+    n - base_local_count); the first product is multiplied out over the
+    integers only when off_flat_product is read, and is not kept.
     """
 
     flat: Flat1
@@ -72,10 +71,6 @@ class FlatProfile:
     @property
     def off_flat_product(self) -> Poly:
         return form_product((h.normal for h in self.off_flat), self.flat.dim)
-
-    @property
-    def base_off_flat_product(self) -> Poly:
-        return form_product((h.normal for h in self.base_off_flat), self.flat.dim)
 
 
 def generic_hyperplane(arr: Arrangement) -> Hyperplane:

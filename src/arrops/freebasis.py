@@ -35,7 +35,11 @@ scales an operator by a nonzero constant that its one
 identity frame.  A basis is certified where it is returned
 (``verify.saito_check``: every operator is a member at every hyperplane,
 then one integer determinant at one point), so ``basis_2arr_lines`` is not
-certified on its own.  ``dual_pair`` reads a basis of the degree-m
+certified on its own.  Assembly hands the certificate each operator's
+factor lists (``diffop.FactoredOp``): P_X's normals and the pencil terms
+with their delta_X factors.  Membership is then tested on the core
+P_X^(-1) * theta alone, at the planes P_X misses, and the operator is
+output multiplied out.  ``dual_pair`` reads a basis of the degree-m
 polynomials off the same flats and pairs it with its dual basis under the
 apolar pairing.
 """
@@ -48,7 +52,7 @@ from math import factorial, lcm
 from typing import Sequence
 
 from .arrangement import Arrangement
-from .diffop import DiffOp, Term, partial_op, product_op
+from .diffop import DiffOp, FactoredOp, Term, partial_op, product_op
 from .errors import (
     BadOrder,
     IdentityViolated,
@@ -172,12 +176,12 @@ def _pencil_lines(arr: Arrangement, flat: Flat1) -> tuple[list[Line], Frame, Fra
 # -- full three-variable constructions ------------------------------------------
 
 
-def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> FreeBasis:
+def _factored_blocks(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> tuple[list[FactoredOp], list[dict]]:
     """Direct sum over the flats of the blocks P_X * D^(j)(pencil) * delta_X^(m-j),
-    0 <= j <= max_order, with P_X the base cofactor: each operator's factors,
-    multiplied out and normalized once; certified once."""
-    operators: list[DiffOp] = []
-    degrees: list[int] = []
+    0 <= j <= max_order, with P_X the base cofactor: each operator as its
+    factor lists, P_X's normals and the pencil terms with m-j copies of
+    delta_X, with its provenance."""
+    operators: list[FactoredOp] = []
     provenance: list[dict] = []
     for profile in profiles:
         flat = profile.flat
@@ -186,17 +190,20 @@ def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> Free
         for j in range(profile.max_order + 1):
             delta = [flat.direction] * (m - j)
             for idx, terms in enumerate(_pencil_terms(lines, j, forms, derivs)):
-                op = product_op([(c, [*cofactor, *fs], [*ds, *delta]) for c, fs, ds in terms], arr.dim, m)
-                op = op.normalized_primitive()
-                operators.append(op)
-                degrees.append(op.degree())
+                operators.append(FactoredOp(arr.dim, m, cofactor, [(c, fs, [*ds, *delta]) for c, fs, ds in terms]))
                 provenance.append({"flat_direction": list(flat.direction), "j": j, "gen_index": idx})
-    return _certified(arr, operators, degrees, provenance)
+    return operators, provenance
 
 
-def _certified(arr: Arrangement, operators: list[DiffOp], degrees: list, provenance: list[dict]) -> FreeBasis:
-    """The basis with its certificate; a ``SaitoFailed`` that names an
-    operator is re-raised with that operator's flat, j and generator index."""
+def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> FreeBasis:
+    """The blocks of ``_factored_blocks``, certified once in factored form."""
+    return _certified(arr, *_factored_blocks(arr, m, profiles))
+
+
+def _certified(arr: Arrangement, operators: Sequence[DiffOp | FactoredOp], provenance: list[dict]) -> FreeBasis:
+    """The basis with its certificate (a factored operator is output multiplied
+    out, ``FactoredOp.op``); a ``SaitoFailed`` that names an operator is
+    re-raised with that operator's flat, j and generator index."""
     try:
         cert = saito_check(operators, arr)
     except SaitoFailed as exc:
@@ -205,7 +212,8 @@ def _certified(arr: Arrangement, operators: list[DiffOp], degrees: list, provena
         p = provenance[exc.index]
         where = f"flat {p['flat_direction']}, j = {p['j']}, generator {p['gen_index']}"
         raise type(exc)(f"{exc} ({where})", exc.index) from exc
-    return FreeBasis(tuple(operators), tuple(degrees), tuple(provenance), cert)
+    ops = tuple(op.op if isinstance(op, FactoredOp) else op for op in operators)
+    return FreeBasis(ops, tuple(op.degree() for op in operators), tuple(provenance), cert)
 
 
 def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
@@ -237,7 +245,7 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
         monomials = monomials_of_degree(3, m)
         operators = [partial_op(3, a) for a in monomials]
         provenance = [{"flat_direction": None, "j": 0, "gen_index": list(a)} for a in monomials]
-        return _certified(arr, operators, [0] * len(operators), provenance)
+        return _certified(arr, operators, provenance)
 
     flat = flat_from_direction(arr, kernel[-1])
     return _assemble(arr, m, [FlatProfile(flat, m, (), (), arr.n)])
@@ -248,7 +256,7 @@ def build_basis(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None
     if arr.dim == 2:
         ops = basis_2arr_lines([h.normal for h in arr.hyperplanes], m)
         provenance = [{"flat_direction": None, "j": m, "gen_index": i} for i in range(len(ops))]
-        return _certified(arr, ops, [op.degree() for op in ops], provenance)
+        return _certified(arr, ops, provenance)
     if not arr.is_essential():
         return basis_nonessential(arr, m)
     return basis_3arr(arr, m, ext)

@@ -298,19 +298,43 @@ def rational_content(values: Iterable[Fraction | int]) -> Fraction:
     return Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in fracs)))
 
 
+@cache
+def _packed_weights(radix: int, nvars: int) -> tuple[int, ...]:
+    """R^(l-1), ..., R, 1: the packed key of each variable for radix R."""
+    return tuple(radix ** (nvars - 1 - i) for i in range(nvars))
+
+
 def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
     """Product of the integer linear forms with the given coefficient vectors
-    (1 for none), multiplied out one factor at a time over the integers."""
-    terms: dict[MultiIndex, int] = {(0,) * nvars: 1}
+    (1 for none), multiplied out one factor at a time over the integers.
+
+    Inside the loop a monomial is one packed int a_1 R^(l-1) + ... + a_l with
+    R = number of factors + 1: no exponent exceeds the number of factors, so
+    x_i multiplies by adding R^(l-i) without carries.  The keys are decoded
+    to exponent tuples once, at the end."""
+    normals = list(normals)
+    weights = _packed_weights(len(normals) + 1, nvars)
+    terms: dict[int, int] = {0: 1}
     for normal in normals:
-        units = [(i, c) for i, c in enumerate(normal) if c]
-        out: dict[MultiIndex, int] = {}
-        for a, v in terms.items():
-            for i, c in units:
-                b = (*a[:i], a[i] + 1, *a[i + 1 :])
-                out[b] = out.get(b, 0) + v * c
+        units = [(weights[i], c) for i, c in enumerate(normal) if c]
+        if not units:
+            return Poly.zero(nvars)
+        w, c = units[0]
+        out = {a + w: v * c for a, v in terms.items()}
+        get = out.get
+        for w, c in units[1:]:
+            for a, v in terms.items():
+                b = a + w
+                out[b] = get(b, 0) + v * c
         terms = out
-    return Poly(nvars, terms)
+    decoded: dict[MultiIndex, int] = {}
+    for key, v in terms.items():
+        exps = []
+        for w in weights:
+            e, key = divmod(key, w)
+            exps.append(e)
+        decoded[tuple(exps)] = v
+    return Poly(nvars, decoded)
 
 
 def primitive_int_vector(vec: Iterable[Fraction | int | str]) -> tuple[int, ...]:

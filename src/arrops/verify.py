@@ -19,7 +19,11 @@ with the planes through it, and a flat point serves each of them.
 
 The certificate (``saito_check``) evaluates an operator's coefficients
 once per point and checks the contraction rows of every plane through it,
-for every candidate operator, then takes one integer determinant.  The
+for every candidate operator, then takes one integer determinant.  An
+operator given by its factor lists (``diffop.FactoredOp``, theta = P *
+theta', as basis assembly builds them) is tested through its low-degree
+core theta', at the planes whose normal is not a factor of P; its row
+enters the determinant multiplied out, evaluated at one point.  The
 oracle computes the exact dimension of the degree-d slice of the module:
 the same conditions make it an integer linear system in the coefficient
 unknowns.  Its fast path also quotients out the value patterns that
@@ -56,10 +60,10 @@ from functools import cached_property
 from itertools import count, islice
 from math import comb, gcd, prod
 from operator import add, mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .arrangement import Arrangement, Hyperplane
-from .diffop import DiffOp, saito_matrix
+from .diffop import DiffOp, FactoredOp, saito_columns
 from .errors import (
     DimensionMismatch,
     IdentityViolated,
@@ -94,7 +98,7 @@ class _Planes:
     """
 
     def __init__(self, arr: Arrangement, m: int):
-        self.l = arr.dim
+        self.l, self.m = arr.dim, m
         self.normals = [h.normal for h in arr]
         self.contraction = [_contraction_rows(v, m) for v in self.normals]
         self.flats = arr.flats()
@@ -235,14 +239,19 @@ class _Membership:
             out.append(vec)
         return out
 
-    def violation(self, dense: list[list[int] | None], d: int) -> tuple[Hyperplane, MultiIndex] | None:
-        """The first (H, b), H in input order, whose condition a ``dense`` row
-        of degree d breaks.  The coefficients are evaluated once per point and
-        checked against the contraction rows of every plane through it."""
+    def violation(self, dense: list[list[int] | None], d: int, skip: frozenset[int] = frozenset()) -> tuple[Hyperplane, MultiIndex] | None:
+        """The first (H, b), H in input order and not at an index in ``skip``,
+        whose condition a ``dense`` row of degree d breaks.  The coefficients
+        are evaluated once per point, at the points of the tested planes, and
+        checked against the contraction rows of every tested plane through it."""
         _, values, on = self.tables[d]
-        at = [[sum(map(mul, vec, v)) if vec else 0 for vec in dense] for v in values]
-        for h, slots, points in zip(self.planes, self.slots, on):
+        at: dict[int, list[int]] = {}
+        for j, (h, slots, points) in enumerate(zip(self.planes, self.slots, on)):
+            if j in skip:
+                continue
             for k in points:
+                if k not in at:
+                    at[k] = [sum(map(mul, vec, values[k])) if vec else 0 for vec in dense]
                 total = [0] * len(self.bs)
                 for cols, weights in slots:
                     total = list(map(add, total, map(mul, weights, map(at[k].__getitem__, cols))))
@@ -259,25 +268,30 @@ class SaitoCertificate:
     """det = c * Q^t witness that a candidate set is a free basis.
 
     Only c and t are certified; ``det`` expands c * Q^t on first access.
+    ``sample`` is the sample of points the membership test drew, which the
+    oracle can reuse for the same arrangement and order.
     """
 
     c: Fraction
     t: int
     arr: Arrangement = field(repr=False)
+    sample: _Planes = field(repr=False, compare=False)
 
     @cached_property
     def det(self) -> Poly:
         """c * Q^t, multiplied out one linear factor at a time over the integers."""
         normals = (h.normal for h in self.arr.hyperplanes for _ in range(self.t))
-        return form_product(normals, self.arr.dim) * self.c
+        c = self.c.numerator if self.c.denominator == 1 else self.c
+        return form_product(normals, self.arr.dim) * c
 
     def to_json(self) -> dict:
         return {"c": str(self.c), "t": self.t, "det": self.det.text()}
 
 
-def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
+def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCertificate:
     """Prove that ``ops`` is a free basis of the order-m module and return c, t
-    with det M = c * Q^t, c != 0, for M = saito_matrix(ops).
+    with det M = c * Q^t, c != 0, for M the Saito matrix of the operators
+    (``FactoredOp.op`` for a factored one).
 
     Saito's criterion in Holm's version for order m: members with
     det M = c * Q^t, c != 0 and t = s_dim(m-1, l), form a basis.  The checks
@@ -287,7 +301,8 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
     message names an operator):
 
     1. No operator is zero, and there are s_dim(m, l) of them (``ZeroDet``).
-    2. Every row of M is homogeneous (``NotPurePower``).
+    2. Every row of M is homogeneous (``NotPurePower``).  A factored
+       operator's degree is its factor count (``FactoredOp.degree()``).
     3. Every operator is a member at every H, tested at the points of
        ``_Planes`` (``NotMember`` names the first failing plane in input
        order, and the first failing b at the first of its points where one
@@ -296,12 +311,23 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
        a_1 >= 1.  A linear change of coordinates multiplies M by a constant
        invertible matrix, so alpha_H^t divides det M; the alpha_H are
        pairwise coprime, so Q^t does.
+       A factored operator theta = s * P * theta' (s the nonzero constant of
+       its normalization) is tested through its core theta', at its own
+       degree, at the planes of ``arr`` whose normal is not a factor of P.
+       If alpha_H divides P, theta(alpha_H f) = s * P * theta'(alpha_H f)
+       is in alpha_H * S: theta is a member at H.  If not, S is a UFD and
+       alpha_H is prime, so alpha_H divides P * theta'(alpha_H f) exactly
+       when it divides theta'(alpha_H f): theta is a member at H exactly
+       when theta' is.  The planes come from ``arr`` and the factors from
+       the operator itself, so a plane missing from P is tested.
     4. The row degree sum, deg det M, is at most n * t (``NotPurePower``).  A
        smaller sum forces det M = 0, which step 5 reports.
     5. So det M = c * Q^t with c constant, and c = det M(p) / Q(p)^t at the
        first p = (1, k, k^2, ...) off every plane (a plane meets this curve
        at most l - 1 times, so k <= n * (l - 1)).  det M(p) is one integer
-       Bareiss determinant of the primitive rows; c = 0 raises ``ZeroDet``.
+       Bareiss determinant of the primitive rows evaluated at p; a factored
+       operator's row is primitive already (``normalized_primitive``).
+       c = 0 raises ``ZeroDet``.
 
     No floating point and no randomness: a passing check is a proof.
     """
@@ -309,11 +335,14 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
         raise ZeroDet("empty candidate basis")
     m = ops[0].order
     l = arr.dim
+    thetas = []
     for i, op in enumerate(ops):
         if (op.nvars, op.order) != (l, m):
             raise DimensionMismatch(f"operator {i} has order {op.order} in {op.nvars} variables, need order {m} in {l}")
-        if op.is_zero():
+        theta = op.op if isinstance(op, FactoredOp) else op
+        if theta.is_zero():
             raise ZeroDet(f"operator {i} is zero", i)
+        thetas.append(theta)
     expected = s_dim(m, l)
     if len(ops) != expected:
         raise ZeroDet(f"candidate basis has {len(ops)} operators, need {expected}")
@@ -322,21 +351,32 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
         i = degrees.index(None)
         raise NotPurePower(f"operator {i} has non-homogeneous coefficients", i)
 
+    columns = saito_columns(l, m)
+
+    def row_terms(op: DiffOp) -> list[dict]:
+        return [op.coeffs[a].terms if a in op.coeffs else {} for a in columns]
+
     scale = Fraction(1)
     rows = []
     membership = _Membership(arr, m)
-    for i, (row, deg) in enumerate(zip(saito_matrix(ops), degrees)):
-        # primitive integer rows (assembled operators have content 1 already)
-        ints = [f.terms for f in row]
-        content = rational_content(v for f in ints for v in f.values())
-        if content != 1:
-            ints = [{a: int(v / content) for a, v in f.items()} for f in ints]
-            scale *= content
-        rows.append(membership.dense(ints, deg))
-        found = membership.violation(rows[-1], deg)
+    for i, (op, theta, deg) in enumerate(zip(ops, thetas, degrees)):
+        ints = row_terms(theta)
+        if isinstance(op, FactoredOp):  # content 1: op.op is normalized
+            cofactor = set(op.cofactor)
+            skip = frozenset(k for k, h in enumerate(arr) if h.normal in cofactor)
+            core_deg = deg - len(op.cofactor)
+            found = membership.violation(membership.dense(row_terms(op.core), core_deg), core_deg, skip)
+        else:
+            # primitive integer rows (a normalized operator has content 1 already)
+            content = rational_content(v for f in ints for v in f.values())
+            if content != 1:
+                ints = [{a: int(v / content) for a, v in f.items()} for f in ints]
+                scale *= content
+            found = membership.violation(membership.dense(ints, deg), deg)
         if found:
             h, b = found
             raise NotMember(f"operator {i} is not a member at {h.text()}: theta(alpha_H * x^b) is not in alpha_H * S, b = {b}", i)
+        rows.append(ints)
 
     n = arr.n
     t = s_dim(m - 1, l) if n else 0
@@ -345,13 +385,13 @@ def saito_check(ops: list[DiffOp], arr: Arrangement) -> SaitoCertificate:
         raise NotPurePower(f"row degree sum {degree_sum} exceeds n * t = {n} * {t}")
 
     point = next(p for p in (tuple(k**i for i in range(l)) for k in count()) if not any(h.contains(p) for h in arr))
-    values = {d: [_int_pow(point, c) for c in monomials_of_degree(l, d)] for d in set(degrees)}
-    matrix = [[sum(map(mul, vec, values[d])) if vec else 0 for vec in row] for row, d in zip(rows, degrees)]
+    at_point = {d: {c: _int_pow(point, c) for c in monomials_of_degree(l, d)} for d in set(degrees)}
+    matrix = [[sum(map(mul, f.values(), map(values.__getitem__, f))) for f in row] for row, values in zip(rows, map(at_point.get, degrees))]
     det = det_int(matrix)
     if not det:
         raise ZeroDet("candidate basis matrix is singular")
     q = prod(sum(map(mul, h.normal, point)) for h in arr)
-    return SaitoCertificate(scale * Fraction(det, q**t), t, arr)
+    return SaitoCertificate(scale * Fraction(det, q**t), t, arr, membership.sample)
 
 
 # -- dimension oracle -------------------------------------------------------------
@@ -364,13 +404,15 @@ def oracle_dim(arr: Arrangement, m: int, d: int) -> int:
     return _oracle(arr, m, [d])[0]
 
 
-def oracle_dims(arr: Arrangement, m: int, d_max: int) -> list[int]:
+def oracle_dims(arr: Arrangement, m: int, d_max: int, sample: _Planes | None = None) -> list[int]:
     """``oracle_dim(arr, m, d)`` for d = 0..d_max, computing the contraction
-    kernels, the flats and the hyperplane bases once."""
-    return _oracle(arr, m, list(range(d_max + 1)))
+    kernels, the flats and the hyperplane bases once; ``sample`` is a
+    ``_Planes`` of the same arrangement and order to draw the points from
+    (``SaitoCertificate.sample``), or None to build one."""
+    return _oracle(arr, m, list(range(d_max + 1)), sample)
 
 
-def _oracle(arr: Arrangement, m: int, degrees: list[int]) -> list[int]:
+def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None = None) -> list[int]:
     """The degree-independent data once, then the dimension at each degree.
 
     The sample (``_Planes``) gives each point the planes through it, and the
@@ -385,7 +427,10 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int]) -> list[int]:
     if arr.n == 0 or m == 0:
         return [s_dim(m, l) * s_dim(d, l) for d in degrees]
     size = s_dim(m, l)
-    sample = _Planes(arr, m)
+    if sample is None:
+        sample = _Planes(arr, m)
+    elif (sample.normals, sample.m) != ([h.normal for h in arr], m):
+        raise ValueError("the sample is of another arrangement or order")
     kernels = {(i,): nullspace_int(rows, size) for i, rows in enumerate(sample.contraction)}
     kappa = size - s_dim(m - 1, l)
     if any(len(basis) != kappa for basis in kernels.values()):
@@ -460,12 +505,13 @@ class OracleReport:
         }
 
 
-def hilbert_check(arr: Arrangement, m: int, exponents, d_max: int) -> OracleReport:
-    """Compare oracle dimensions against sum_i s_{d - e_i} for d <= d_max."""
+def hilbert_check(arr: Arrangement, m: int, exponents, d_max: int, sample: _Planes | None = None) -> OracleReport:
+    """Compare oracle dimensions against sum_i s_{d - e_i} for d <= d_max
+    (``sample`` as in ``oracle_dims``)."""
     exps = list(exponents)
     rows = []
     ok = True
-    for d, dim in enumerate(oracle_dims(arr, m, d_max)):
+    for d, dim in enumerate(oracle_dims(arr, m, d_max, sample)):
         pred = sum(s_dim(d - e, arr.dim) for e in exps)
         rows.append((d, dim, pred))
         ok = ok and dim == pred

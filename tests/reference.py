@@ -6,6 +6,7 @@ from math import gcd
 from arrops.arrangement import Arrangement
 from arrops.diffop import DiffOp, power_of_derivation
 from arrops.errors import DimensionMismatch
+from arrops.extension import FlatProfile
 from arrops.flats import Flat1
 from arrops.linalg import rank_int
 from arrops.polynomial import MultiIndex, Poly, form_product, midx_factorial, monomials_of_degree
@@ -49,6 +50,12 @@ def dual_derivations(flat: Flat1) -> list[tuple[Fraction, ...]]:
     """
     _, duals, scale = flat.integer_frame()
     return [tuple(v * scale for v in w) for w in duals]
+
+
+def base_off_flat_product(profile: FlatProfile) -> Poly:
+    """The base cofactor of a flat: the product of the base hyperplanes
+    avoiding it, multiplied out."""
+    return form_product((h.normal for h in profile.base_off_flat), profile.flat.dim)
 
 
 def localization(arr: Arrangement, direction) -> Arrangement:

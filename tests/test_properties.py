@@ -1,9 +1,10 @@
-"""Hypothesis properties of exact division, the operator constructor,
-membership, the certificate, the closed-form pencil blocks and their
-frames, the on-demand flat cofactors, the integer echelon kernel, the
-parse/serialize round trip, the agreement of the input paths, the
-dimension oracle and the closed-form exponents (profile ``arrops`` in
-conftest: derandomized, bounded example counts)."""
+"""Hypothesis properties of exact division, products of linear forms, the
+operator constructor, membership, the certificate and its factored form,
+the closed-form pencil blocks and their frames, the on-demand flat
+cofactors, the integer echelon kernel, the parse/serialize round trip, the
+agreement of the input paths, the dimension oracle and the closed-form
+exponents (profile ``arrops`` in conftest: derandomized, bounded example
+counts)."""
 
 import json
 import random
@@ -18,17 +19,18 @@ pytest.importorskip("hypothesis")
 from conftest import random_essential
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import apply, convert_2var_op, localization, oracle_dim_direct
+from reference import apply, base_off_flat_product, convert_2var_op, localization, oracle_dim_direct
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.diffop import DiffOp, euler_op, identity_op, partial_op, product_op, saito_matrix
-from arrops.errors import NotDivisible, NotMember
+from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op, saito_matrix
+from arrops.errors import NotDivisible, NotMember, SaitoFailed
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.exponents import exp_2arr, exp_3arr_closed
 from arrops.flats import dim1_flats
+from arrops.freebasis import _factored_blocks as factored_blocks
 from arrops.freebasis import basis_2arr_lines, build_basis
 from arrops.linalg import echelon_int, rref
-from arrops.polynomial import Poly, midx_factorial, monomials_of_degree, primitive_int_vector
+from arrops.polynomial import Poly, form_product, midx_factorial, monomials_of_degree, primitive_int_vector
 from arrops.verify import hilbert_check, is_member, oracle_dims, saito_check
 
 small = st.integers(-4, 4)
@@ -80,6 +82,17 @@ def test_alpha_times_operator_is_member(l, order, degree, data):
 
 def unit(l, i):
     return tuple(int(k == i) for k in range(l))
+
+
+@given(st.integers(1, 4), st.data())
+def test_form_product_matches_poly_multiplication(l, data):
+    # zero entries, repeated factors and up to 30 factors: an exponent can
+    # reach the number of factors, the largest digit of the packed keys
+    factors = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * l), max_size=30))
+    expected = Poly.constant(l, 1)
+    for f in factors:
+        expected = expected * Poly(l, {unit(l, i): v for i, v in enumerate(f)})
+    assert form_product(factors, l) == expected
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 3), st.data())
@@ -159,6 +172,48 @@ def test_saito_check_rejects_a_non_member_summand(key, data):
     ops[k] = ops[k] + psi
     with pytest.raises(NotMember, match=f"operator {k} is not a member"):
         saito_check(ops, arr)
+
+
+@cache
+def factored_basis(seed, n, offset):
+    arr = random_essential(random.Random(seed), n)
+    m = n - 2 + offset
+    return arr, factored_blocks(arr, m, extend(arr, m).profiles)[0]
+
+
+def certificate_verdict(ops, arr):
+    """c and t, or the failure's type, operator index and message up to the
+    first colon (the b a ``NotMember`` names depends on the sample degree)."""
+    try:
+        cert = saito_check(ops, arr)
+    except SaitoFailed as exc:
+        return type(exc), exc.index, str(exc).split(":")[0]
+    return cert.c, cert.t
+
+
+@given(st.integers(0, 5), st.integers(3, 5), st.integers(0, 1), st.data())
+def test_factored_certificate_agrees_with_the_full_test(seed, n, offset, data):
+    # the factored check (the core at the planes its cofactor misses) against
+    # the full check of the multiplied-out operators, on assembled bases and
+    # on bases with one operator's factor lists changed
+    arr, ops = factored_basis(seed, n, offset)
+    ops = list(ops)
+    k = data.draw(st.integers(0, len(ops) - 1))
+    op = ops[k]
+    change = data.draw(st.sampled_from(["none", "drop plane", "add plane", "form", "derivation"]))
+    cofactor, terms = list(op.cofactor), [(c, list(fs), list(ds)) for c, fs, ds in op.terms]
+    if change == "drop plane":
+        assume(cofactor)
+        del cofactor[data.draw(st.integers(0, len(cofactor) - 1))]
+    elif change == "add plane":
+        cofactor.append(data.draw(st.sampled_from([h.normal for h in arr])))
+    elif change != "none":
+        key = 1 if change == "form" else 2
+        t = data.draw(st.integers(0, len(terms) - 1))
+        assume(terms[t][key])
+        terms[t][key][data.draw(st.integers(0, len(terms[t][key]) - 1))] = data.draw(normals())
+    ops[k] = FactoredOp(3, op.order, cofactor, terms)
+    assert certificate_verdict(ops, arr) == certificate_verdict([op.op for op in ops], arr)
 
 
 @given(st.lists(normals(2), min_size=1, max_size=6, unique=True), st.data())
@@ -290,7 +345,7 @@ def test_cofactor_times_local_product_is_q(arr, extra):
         direction = profile.flat.direction
         for planes, cofactor in (
             (ext.full, profile.off_flat_product),
-            (arr, profile.base_off_flat_product),
+            (arr, base_off_flat_product(profile)),
         ):
             local = localization(planes, direction)
             assert cofactor * local.defining_polynomial() == planes.defining_polynomial()

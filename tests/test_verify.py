@@ -8,7 +8,7 @@ from reference import oracle_dim_direct
 
 from arrops import freebasis, verify
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.diffop import DiffOp, euler_op, identity_op, partial_op, saito_matrix
+from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, saito_matrix
 from arrops.errors import DimensionMismatch, IdentityViolated, NotMember, NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
 from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential, build_basis
@@ -137,6 +137,36 @@ def test_not_member_names_its_block(quad_arr, monkeypatch):
     with pytest.raises(NotMember, match=r"is not a member .* \(flat \[0, 0, 1\], j = 1, generator 1\)$") as info:
         build_basis(quad_arr, 2)
     assert info.value.index == 2
+
+
+def test_factored_check_tests_a_plane_dropped_from_the_cofactor(quad_arr):
+    # each core is a member only at the planes through its flat, so an
+    # operator whose cofactor lost a plane fails there, under its own index
+    ops, _ = freebasis._factored_blocks(quad_arr, 2, extend(quad_arr, 2).profiles)
+    for i, op in enumerate(ops):
+        for k, normal in enumerate(op.cofactor):
+            changed = list(ops)
+            changed[i] = FactoredOp(3, 2, op.cofactor[:k] + op.cofactor[k + 1 :], op.terms)
+            plane = Hyperplane(normal).text()
+            with pytest.raises(NotMember, match=rf"^operator {i} is not a member at {re.escape(plane)}: ") as info:
+                saito_check(changed, quad_arr)
+            assert info.value.index == i
+
+
+def test_factored_check_rejects_a_non_member_core(quad_arr):
+    # operator 3 is x2 * (x1 - x2) * d2^2 on the flat (0, 1, 0); the core
+    # d1^2 in its place is not a member at x1, which its cofactor misses
+    ops, _ = freebasis._factored_blocks(quad_arr, 2, extend(quad_arr, 2).profiles)
+    assert ops[3].cofactor == ((0, 1, 0), (1, -1, 0)) and ops[3].core == partial_op(3, (0, 2, 0))
+    changed = list(ops)
+    changed[3] = FactoredOp(3, 2, ops[3].cofactor, [(1, [], [(1, 0, 0)] * 2)])
+    for candidate in (changed, [op.op for op in changed]):
+        with pytest.raises(NotMember, match=r"^operator 3 is not a member at x1: ") as info:
+            saito_check(candidate, quad_arr)
+        assert info.value.index == 3
+    # without a cofactor the core is the operator itself, built once
+    alone = FactoredOp(3, 2, (), [(1, [], [(1, 0, 0)] * 2)])
+    assert alone.core is alone.op == partial_op(3, (2, 0, 0))
 
 
 def test_saito_check_zero_row(boolean_arr):
@@ -298,6 +328,14 @@ def test_generic_top_degree_takes_no_rank(generic4_arr, monkeypatch):
     calls.clear()
     assert oracle_dim(generic4_arr, 2, 6) == dims[6] == oracle_dim_direct(generic4_arr, 2, 6)
     assert calls == []
+
+
+def test_oracle_reuses_a_matching_sample_only(quad_arr, boolean_arr):
+    sample = basis_3arr(quad_arr, 2).saito.sample
+    assert oracle_dims(quad_arr, 2, 5, sample) == oracle_dims(quad_arr, 2, 5)
+    for arr, m in ((boolean_arr, 2), (quad_arr, 3)):
+        with pytest.raises(ValueError, match="another arrangement or order"):
+            oracle_dims(arr, m, 5, sample)
 
 
 def test_oracle_monotone_beyond_top_exponent(quad_arr):
