@@ -329,21 +329,24 @@ def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
         terms = out
     decoded: dict[MultiIndex, int] = {}
     for key, v in terms.items():
-        exps = []
-        for w in weights:
-            e, key = divmod(key, w)
-            exps.append(e)
-        decoded[tuple(exps)] = v
-    return Poly(nvars, decoded)
+        if v:
+            exps = []
+            for w in weights:
+                e, key = divmod(key, w)
+                exps.append(e)
+            decoded[tuple(exps)] = v
+    return Poly._raw(nvars, decoded)
 
 
 def primitive_int_vector(vec: Iterable[Fraction | int | str]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers with first nonzero entry
     positive; an entry that is neither ``int`` nor ``Fraction`` is read as
     ``Fraction(entry)``."""
-    fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in vec]
-    den = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    ints = list(vec)
+    if not all(type(v) is int for v in ints):
+        fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in ints]
+        den = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (den // f.denominator) for f in fracs]
     g = gcd(*ints)
     if g == 0:
         raise ZeroForm("zero vector has no primitive form")

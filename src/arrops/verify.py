@@ -31,10 +31,13 @@ polynomials realize, which shrinks the elimination to matrices indexed by
 points and multi-indices (the tests keep the literal coefficient-space
 system as a cross-check).  The coefficient vector's value at a point p
 must lie in K_p, the kernel of the stacked contraction rows of every plane
-through p: K_H at a point of H alone, the line of delta_X^m at a flat X of
-two or more planes.  Since every plane holds enough distinct points, a
-degree-d form vanishing at all points is a multiple of Q, so evaluation
-has kernel Q * S_(d-n) and the free part is unchanged.  The dimension is
+through p: K_H at a point of H alone, spanned by the products of m
+derivations along H, and the line of delta_X^m at a flat X of two or more
+planes.  Both are built in closed form and checked against the rows, not
+eliminated (proofs in ``_oracle``).  Since every plane holds enough
+distinct points, a degree-d form vanishing at all points is a multiple of
+Q, so evaluation has kernel Q * S_(d-n) and the free part is unchanged.
+The dimension is
 
     free part + sum_p dim K_p - rank(rows),
 
@@ -42,14 +45,14 @@ where the rows are the Kronecker products (weights at p of the functionals
 eta that vanish on realized value patterns) (x) (a vector of K_p), grouped
 by kernel; each group's weight block is first reduced to an echelon basis,
 which spans the same rows with fewer of them.  A flat point carries one
-unknown instead of m + 1, and on a generic arrangement at large d the
-points are exactly as many as the evaluation rank, so no eta remains and
-no rank is taken.  The oracle is integer elimination only
-(``linalg.echelon_int``): the etas, the contraction kernels and the
-hyperplane bases are integer kernel bases, and the dimension comes from one
-integer rank.  ``oracle_dims`` answers every degree up to d_max in one call
-and computes the kernels and the sample's flats once; nothing is cached
-across calls.
+unknown instead of m + 1.  The etas number the points minus the
+evaluation rank; where that count is 0 (on a generic arrangement at large
+d) no eta is computed and no rank is taken, and the points on every plane
+are counted instead.  The oracle's eliminations are integer only
+(``linalg.echelon_int``): the etas and the hyperplane bases are integer
+kernel bases, and the dimension comes from one integer rank.
+``oracle_dims`` answers every degree up to d_max in one call and computes
+the kernels and the sample's flats once; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from .polynomial import (
     form_product,
     midx_factorial,
     monomials_of_degree,
+    primitive_int_vector,
     rational_content,
     s_dim,
 )
@@ -92,15 +96,18 @@ class _Planes:
     """One call's sample of the arrangement, shared by the membership test
     and the oracle.
 
-    Per plane: its contraction rows (``_contraction_rows``, order m).  Per
-    flat (``arr.flats()``): its direction and the planes through it, input
-    order.  In dimension 2 each line is its own flat, on that line alone.
+    Per plane: its contraction rows (``_contraction_rows``, order m) and an
+    integer basis of its directions (``nullspace_int`` of its normal), which
+    spans its fill-up points and its contraction kernel.  Per flat
+    (``arr.flats()``): its direction and the planes through it, input order.
+    In dimension 2 each line is its own flat, on that line alone.
     """
 
     def __init__(self, arr: Arrangement, m: int):
         self.l, self.m = arr.dim, m
         self.normals = [h.normal for h in arr]
         self.contraction = [_contraction_rows(v, m) for v in self.normals]
+        self.basis = [nullspace_int([list(v)], self.l) for v in self.normals]
         self.flats = arr.flats()
         self.on_plane: list[list[int]] = [[] for _ in self.normals]
         for f, (_, planes) in enumerate(self.flats):
@@ -145,7 +152,7 @@ class _Planes:
         """The points s*u + t*v of plane i, for its integer basis (u, v) and
         (s, t) in ``_projective_pairs`` order, that lie on no other plane: the
         points of plane i that are not flats."""
-        u, v = nullspace_int([list(self.normals[i])], self.l)
+        u, v = self.basis[i]
         others = self.normals[:i] + self.normals[i + 1 :]
         for s, t in _projective_pairs():
             p = tuple(s * a + t * b for a, b in zip(u, v))
@@ -167,20 +174,21 @@ def _projective_pairs() -> Iterator[tuple[int, int]]:
                 yield from ((h, u), (h, -u))
 
 
-def _contraction_rows(normal: tuple[int, ...], m: int) -> list[list[int]]:
+def _contraction_rows(normal: tuple[int, ...], m: int) -> list[list[tuple[int, int]]]:
     """One row per b of degree m-1, in ``monomials_of_degree`` order, over the
-    order-m multi-indices a: the weights c_i (b + e_i)! of the combination
-    sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on H for a member."""
+    order-m multi-indices a in ``saito_columns`` order: for each nonzero c_i,
+    in index order, the column of a = b + e_i and its weight c_i a! in the
+    combination sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on H for a
+    member."""
     l = len(normal)
-    a_idx = monomials_of_degree(l, m)
-    col = {a: i for i, a in enumerate(a_idx)}
+    col = {a: i for i, a in enumerate(saito_columns(l, m))}
+    units = [(i, c) for i, c in enumerate(normal) if c]
     rows = []
     for b in monomials_of_degree(l, m - 1):
-        row = [0] * len(a_idx)
-        for i, c in enumerate(normal):
-            if c:
-                a = tuple(b[k] + (k == i) for k in range(l))
-                row[col[a]] += c * midx_factorial(a)
+        row = []
+        for i, c in units:
+            a = b[:i] + (b[i] + 1,) + b[i + 1 :]
+            row.append((col[a], c * midx_factorial(a)))
         rows.append(row)
     return rows
 
@@ -216,8 +224,7 @@ class _Membership:
         for rows in self.sample.contraction:
             # row b has one entry per nonzero c_i, at column b + e_i; slot j
             # holds the j-th entry of every row, as (columns, weights)
-            entries = ([(k, w) for k, w in enumerate(row) if w] for row in rows)
-            self.slots.append([[list(v) for v in zip(*slot)] for slot in zip(*entries)])
+            self.slots.append([[list(v) for v in zip(*slot)] for slot in zip(*rows)])
 
     def dense(self, row: list[dict[MultiIndex, int]], d: int) -> list[list[int] | None]:
         """Each f_a as a list over the degree-d monomials, None if zero."""
@@ -417,31 +424,79 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
 
     The sample (``_Planes``) gives each point the planes through it, and the
     point's kernel K_p is read off that tuple: K_H, the kernel of H's
-    contraction rows, at a point of H alone; at a flat X of two or more
-    planes, K_X, the kernel of their stacked contraction rows, which must be
-    the line of delta_X^m (any other dimension raises ``IdentityViolated``).
+    contraction rows, at a point of H alone, and K_X, the kernel of the
+    stacked rows of its planes, at a flat X of two or more.  A vector of
+    K_p is a constant order-m operator theta with theta(alpha_H * S_(m-1)) = 0
+    for each such H (row b of H is theta(alpha_H * x^b)).  Both kernels are
+    built in closed form, not eliminated:
+
+    - K_H is spanned by the s_dim(m, l-1) products of m derivations in the
+      directions of H's integer basis (``_Planes.basis``), in
+      ``saito_columns`` order, each made primitive.  A derivation D along H
+      has D(alpha_H) = 0, so it commutes with multiplication by alpha_H, and
+      a product of m of them maps alpha_H * g, deg g = m-1, to alpha_H * 0.
+      The products are independent (the monomials of degree m in a basis of
+      H's directions are a basis of Sym^m of them).  Multiplication by
+      alpha_H is injective on S_(m-1), and the apolar pairing of order-m
+      operators with S_m is perfect, so H's s_dim(m-1, l) rows are
+      independent and dim K_H = s_dim(m, l) - s_dim(m-1, l) = s_dim(m, l-1):
+      the products span K_H.
+    - K_X is the line of delta_X^m, the m-th power of the derivation along
+      X's direction w, made primitive.  K_X is the intersection of
+      Sym^m(U_H) over the planes H through X, U_H the directions of H.  Two
+      planes of a flat (l = 3) have U_1 = <w, u_1> and U_2 = <w, u_2> with
+      w, u_1, u_2 a basis, and the monomials in w, u_1, u_2 are a basis of
+      Sym^m: the two spans share the line of w^m, which lies in every
+      Sym^m(U_H).
+
+    ``_kernels`` builds them and checks every vector against the contraction
+    rows of every plane it serves (a product, not an elimination); a failure
+    raises ``IdentityViolated`` naming the plane, or the flat and the plane.
     """
     l = arr.dim
     if m < 0:
         return [0] * len(degrees)
     if arr.n == 0 or m == 0:
         return [s_dim(m, l) * s_dim(d, l) for d in degrees]
-    size = s_dim(m, l)
     if sample is None:
         sample = _Planes(arr, m)
     elif (sample.normals, sample.m) != ([h.normal for h in arr], m):
         raise ValueError("the sample is of another arrangement or order")
-    kernels = {(i,): nullspace_int(rows, size) for i, rows in enumerate(sample.contraction)}
-    kappa = size - s_dim(m - 1, l)
-    if any(len(basis) != kappa for basis in kernels.values()):
-        raise IdentityViolated("contraction kernel has unexpected dimension")
+    kernels = _kernels(arr, sample)
+    return [_oracle_at(arr, m, d, [(points, kernels[planes]) for points, planes in sample.points(d)]) for d in degrees]
+
+
+def _kernels(arr: Arrangement, sample: _Planes) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The contraction kernels of ``_oracle``, in closed form, keyed by the
+    planes through a point: K_H at (i,) for every plane, K_X at the planes
+    of every flat of two or more; each checked against those planes' rows."""
+    l, m = sample.l, sample.m
+    columns = saito_columns(l, m)
+
+    def derivations(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
+        terms = form_product(factors, l).terms
+        return primitive_int_vector([terms.get(a, 0) for a in columns])
+
+    exponents = monomials_of_degree(l - 1, m)
+    kernels = {}
+    for i, basis in enumerate(sample.basis):
+        kernels[(i,)] = [derivations([w for w, e in zip(basis, k) for _ in range(e)]) for k in exponents]
+        if _breaks(kernels[(i,)], sample.contraction[i]):
+            raise IdentityViolated(f"contraction kernel of the plane {arr.hyperplanes[i].text()}: a product of derivations along it breaks its contraction rows")
     for direction, planes in sample.flats:
         if len(planes) > 1:
-            kernel = nullspace_int([row for i in planes for row in sample.contraction[i]], size)
-            if len(kernel) != 1:
-                raise IdentityViolated(f"contraction kernel at the flat {direction} of {len(planes)} planes has dimension {len(kernel)}, not 1")
-            kernels[planes] = kernel
-    return [_oracle_at(arr, m, d, [(points, kernels[planes]) for points, planes in sample.points(d)]) for d in degrees]
+            kernels[planes] = [derivations([direction] * m)]
+            for i in planes:
+                if _breaks(kernels[planes], sample.contraction[i]):
+                    raise IdentityViolated(
+                        f"contraction kernel at the flat {direction} of {len(planes)} planes: delta_X^{m} breaks the contraction rows of {arr.hyperplanes[i].text()}"
+                    )
+    return kernels
+
+
+def _breaks(kernel: list[tuple[int, ...]], rows: list[list[tuple[int, int]]]) -> bool:
+    """Whether some contraction row takes a nonzero value on some vector."""
+    return any(sum(w * vec[k] for k, w in row) for vec in kernel for row in rows)
 
 
 def _oracle_at(arr: Arrangement, m: int, d: int, groups: list) -> int:
@@ -451,22 +506,32 @@ def _oracle_at(arr: Arrangement, m: int, d: int, groups: list) -> int:
     vanishing at all of them vanishes on every hyperplane: evaluation has
     kernel Q * S_(d-n) (the free part) and rank s_dim(d) - s_dim(d-n), and
     the etas, the relations between point values, number the points minus
-    that rank (checked).
+    that rank.  A negative count raises ``IdentityViolated``.  At a count of
+    0 no eta is computed; the premise is checked instead, by counting the
+    sample's points on every plane.  Otherwise the etas are an integer
+    kernel basis, and their number is checked against the count.
     """
     l = arr.dim
     points = [p for group, _ in groups for p in group]
+    relations = len(points) - s_dim(d, l) + s_dim(d - arr.n, l)
+    if relations < 0:
+        raise IdentityViolated(f"{len(points)} points leave {relations} relations between the point values at degree {d}, expected at least 0")
+    free_part = s_dim(m, l) * s_dim(d - arr.n, l)
+    unknowns = sum(len(group) * len(kernel) for group, kernel in groups)
+    if not relations:
+        need, distinct = s_dim(d, l - 1), set(points)
+        for h in arr:
+            on = sum(1 for p in distinct if not sum(map(mul, h.normal, p)))
+            if on < need:
+                raise IdentityViolated(f"the plane {h.text()} holds {on} of the sample's points at degree {d}, fewer than {need}")
+        return free_part + unknowns
+
     mon_d = monomials_of_degree(l, d)
     # functionals vanishing on every achievable value pattern
     transpose = [[_int_pow(p, c) for p in points] for c in mon_d]
     etas = nullspace_int(transpose, len(points))
-    relations = len(points) - s_dim(d, l) + s_dim(d - arr.n, l)
     if len(etas) != relations:
         raise IdentityViolated(f"{len(etas)} relations between the point values at degree {d}, expected {relations}")
-
-    free_part = s_dim(m, l) * s_dim(d - arr.n, l)
-    unknowns = sum(len(group) * len(kernel) for group, kernel in groups)
-    if not etas:
-        return free_part + unknowns
 
     # The rows of a group are (eta weights at a point of it) (x) (a vector of
     # its kernel); an echelon basis of its weight block spans the same rows.

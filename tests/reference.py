@@ -8,8 +8,8 @@ from arrops.diffop import DiffOp, power_of_derivation
 from arrops.errors import DimensionMismatch
 from arrops.extension import FlatProfile
 from arrops.flats import Flat1
-from arrops.linalg import rank_int
-from arrops.polynomial import MultiIndex, Poly, form_product, midx_factorial, monomials_of_degree
+from arrops.linalg import nullspace_int, rank_int
+from arrops.polynomial import MultiIndex, Poly, form_product, midx_factorial, monomials_of_degree, s_dim
 
 
 def partial(f: Poly, a: MultiIndex) -> Poly:
@@ -123,6 +123,21 @@ def oracle_dim_direct(arr: Arrangement, m: int, d: int) -> int:
                 den = den * v.denominator // gcd(den, v.denominator)
             int_rows.append([int(v * den) for v in row])
     return ncols - rank_int(int_rows)
+
+
+def contraction_kernels(sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The oracle's contraction kernels by elimination, keyed as
+    ``verify._kernels``: ``nullspace_int`` of each plane's contraction rows
+    at (i,), and of the stacked rows of a flat's two or more planes."""
+    size = s_dim(sample.m, sample.l)
+    dense = []
+    for rows in sample.contraction:
+        dense.append([[dict(row).get(k, 0) for k in range(size)] for row in rows])
+    kernels = {(i,): nullspace_int(rows, size) for i, rows in enumerate(dense)}
+    for _, planes in sample.flats:
+        if len(planes) > 1:
+            kernels[planes] = nullspace_int([row for i in planes for row in dense[i]], size)
+    return kernels
 
 
 def convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple[int, ...]]) -> DiffOp:

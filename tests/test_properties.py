@@ -2,9 +2,9 @@
 operator constructor, membership, the certificate and its factored form,
 the closed-form pencil blocks and their frames, the on-demand flat
 cofactors, the integer echelon kernel, the parse/serialize round trip, the
-agreement of the input paths, the dimension oracle and the closed-form
-exponents (profile ``arrops`` in conftest: derandomized, bounded example
-counts)."""
+agreement of the input paths, the dimension oracle and its closed-form
+contraction kernels, and the closed-form exponents (profile ``arrops`` in
+conftest: derandomized, bounded example counts)."""
 
 import json
 import random
@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from conftest import random_essential
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import apply, base_off_flat_product, convert_2var_op, localization, oracle_dim_direct
+from reference import apply, base_off_flat_product, contraction_kernels, convert_2var_op, localization, oracle_dim_direct
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op, saito_matrix
@@ -29,9 +29,9 @@ from arrops.exponents import exp_2arr, exp_3arr_closed
 from arrops.flats import dim1_flats
 from arrops.freebasis import _factored_blocks as factored_blocks
 from arrops.freebasis import basis_2arr_lines, build_basis
-from arrops.linalg import echelon_int, rref
+from arrops.linalg import echelon_int, rank_int, rref
 from arrops.polynomial import Poly, form_product, midx_factorial, monomials_of_degree, primitive_int_vector
-from arrops.verify import hilbert_check, is_member, oracle_dims, saito_check
+from arrops.verify import _kernels, _Planes, hilbert_check, is_member, oracle_dims, saito_check
 
 small = st.integers(-4, 4)
 
@@ -412,6 +412,23 @@ oracle_arrangements = st.one_of(
 def test_oracle_matches_direct_on_small_arrangements(arr, m):
     # the lattice-sampled oracle against the literal coefficient-space system
     assert oracle_dims(arr, m, 3) == [oracle_dim_direct(arr, m, d) for d in range(4)]
+
+
+kernel_arrangements = st.one_of(
+    st.tuples(st.integers(0, 2**16), st.integers(3, 6)).map(lambda t: random_essential(random.Random(t[0]), t[1])),
+    st.lists(normals(2), min_size=1, max_size=6, unique=True).map(lambda lines: Arrangement(2, [Hyperplane(v) for v in lines])),
+)
+
+
+@given(kernel_arrangements, st.integers(1, 6))
+def test_closed_form_kernels_span_the_eliminated_ones(arr, m):
+    # K_H from derivations along H and K_X = <delta_X^m> against nullspace_int
+    # of the plane's contraction rows and of the flat's stacked rows
+    sample = _Planes(arr, m)
+    closed, eliminated = _kernels(arr, sample), contraction_kernels(sample)
+    assert closed.keys() == eliminated.keys()
+    for planes, kernel in closed.items():
+        assert rank_int(kernel) == len(kernel) == len(eliminated[planes]) == rank_int(kernel + eliminated[planes]), (planes, m)
 
 
 @cache

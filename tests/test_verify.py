@@ -292,18 +292,30 @@ def test_flat_kernel_is_the_line_of_delta_power(monkeypatch):
 
 
 def test_flat_kernel_of_wrong_dimension_raises(monkeypatch):
-    # every plane given the first plane's contraction rows: the stacked rows
-    # at the flat then leave an (m + 1)-dimensional kernel
+    # every plane given the first plane's contraction rows: the products of
+    # derivations along the second plane then break the rows it was given
     rows = verify._contraction_rows
     monkeypatch.setattr(verify, "_contraction_rows", lambda normal, m: rows((1, 0, 0), m))
-    with pytest.raises(IdentityViolated, match="flat"):
+    with pytest.raises(IdentityViolated, match="kernel of the plane x2: a product of derivations"):
         oracle_dims(Arrangement(3, [Hyperplane(v) for v in PENCILS[0][:3]]), 2, 1)
 
 
-def test_too_few_points_on_a_plane_raises(generic4_arr, monkeypatch):
-    # the last plane keeps three double points and one of its two own points
-    # at d = 4: a nonzero quartic then vanishes at every point, and the
-    # relations between point values outnumber points minus rank
+def test_flat_kernel_off_its_planes_raises(monkeypatch):
+    # the flat's direction moved off its planes: every K_H passes, and
+    # delta_X^m breaks the contraction rows of the flat's first plane
+    init = verify._Planes.__init__
+
+    def moved(self, arr, m):
+        init(self, arr, m)
+        self.flats = [((1, 1, 1), planes) for _, planes in self.flats]
+
+    monkeypatch.setattr(verify._Planes, "__init__", moved)
+    with pytest.raises(IdentityViolated, match=r"at the flat \(1, 1, 1\) of 3 planes: delta_X\^2 breaks the contraction rows of x1"):
+        oracle_dims(Arrangement(3, [Hyperplane(v) for v in PENCILS[0][:3]]), 2, 1)
+
+
+def drop_last_point(monkeypatch):
+    """Make the sample leave out the last point of its last group."""
     sample = verify._Planes.points
 
     def short(self, d):
@@ -312,8 +324,27 @@ def test_too_few_points_on_a_plane_raises(generic4_arr, monkeypatch):
         return groups[:-1] + [(points[:-1], planes)]
 
     monkeypatch.setattr(verify._Planes, "points", short)
+
+
+def test_too_few_points_on_a_plane_raises(generic4_arr, monkeypatch):
+    # the last plane keeps three double points and one of its two own points
+    # at d = 4: a nonzero quartic then vanishes at every point, and the
+    # relations between point values outnumber points minus rank
+    drop_last_point(monkeypatch)
     with pytest.raises(IdentityViolated, match="relations"):
         oracle_dim(generic4_arr, 2, 4)
+
+
+def test_a_point_short_of_the_last_relation_raises(quad_arr, monkeypatch):
+    # quad has one triple point, so at d = 4 the intact sample leaves exactly
+    # one relation; without the last plane's last own point it leaves none,
+    # the oracle takes the no-eta shortcut, and its point count must see the
+    # plane left with four of the five points a quartic needs
+    intact = verify._Planes(quad_arr, 2).points(4)
+    assert len([p for points, _ in intact for p in points]) - s_dim(4, 3) + s_dim(0, 3) == 1
+    drop_last_point(monkeypatch)
+    with pytest.raises(IdentityViolated, match="the plane x1 - x2 holds 4 of the sample's points at degree 4, fewer than 5"):
+        oracle_dim(quad_arr, 2, 4)
 
 
 def test_generic_top_degree_takes_no_rank(generic4_arr, monkeypatch):
@@ -328,6 +359,21 @@ def test_generic_top_degree_takes_no_rank(generic4_arr, monkeypatch):
     calls.clear()
     assert oracle_dim(generic4_arr, 2, 6) == dims[6] == oracle_dim_direct(generic4_arr, 2, 6)
     assert calls == []
+
+
+def test_degrees_without_relations_take_no_elimination(generic4_arr, monkeypatch):
+    # from d = 2 on no relation remains: the oracle counts instead of
+    # eliminating, and the closed-form kernels take no elimination either
+    sample = verify._Planes(generic4_arr, 2)
+    dims = oracle_dims(generic4_arr, 2, 6)
+    calls = []
+    for name in ("nullspace_int", "_int_pow"):
+        wrapped = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, name=name, wrapped=wrapped: calls.append(name) or wrapped(*args))
+    assert verify._oracle(generic4_arr, 2, [2, 3, 4, 5, 6], sample) == dims[2:]
+    assert calls == []
+    assert verify._oracle(generic4_arr, 2, [1], sample) == dims[1:2]
+    assert set(calls) == {"nullspace_int", "_int_pow"}
 
 
 def test_oracle_reuses_a_matching_sample_only(quad_arr, boolean_arr):
