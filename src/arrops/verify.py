@@ -8,36 +8,34 @@ monomial x^b of degree m-1, theta(alpha_H * x^b) is in alpha_H * S, i.e. when
 
 vanishes on H (``_contraction_rows``).
 
-Both test these conditions at one sample of points per call (``_Planes``).
-A degree-d form vanishes on H exactly when it vanishes at s_dim(d, l-1)
-distinct projective points of H (d + 1 on a plane, one on a line).  Each
-hyperplane, in input order, first takes the rank-2 flats on it, which are
-points of every plane through them (one taken by an earlier plane
-counts), then fills up with points s*u + t*v of its own for the coprime
-pairs (s, t) of smallest height, skipping the flats.  Every point comes
-with the planes through it, and a flat point serves each of them.
+Both read one sample per call (``_Planes``).  A degree-d form vanishes on
+H exactly when it vanishes at s_dim(d, l-1) distinct projective points of
+H (d + 1 on a plane, one on a line).  Each hyperplane, in input order,
+first takes the rank-2 flats on it, which are points of every plane
+through them (one taken by an earlier plane counts), then fills up with
+points s*u + t*v of its own for the coprime pairs (s, t) of smallest
+height, skipping the flats.  A flat point serves every plane through it.
+Per degree the sample evaluates the monomials at its points once.
 
-The certificate (``saito_check``) evaluates an operator's coefficients
-once per point and checks the contraction rows of every plane through it,
-for every candidate operator, then takes one integer determinant.  An
-operator given by its factor lists (``diffop.FactoredOp``, theta = P *
-theta', as basis assembly builds them) is tested through its low-degree
-core theta', at the planes whose normal is not a factor of P; its row
-enters the determinant multiplied out, evaluated at one point.  The
-oracle computes the exact dimension of the degree-d slice of the module:
-the same conditions make it an integer linear system in the coefficient
-unknowns.  Its fast path also quotients out the value patterns that
-polynomials realize, which shrinks the elimination to matrices indexed by
-points and multi-indices (the tests keep the literal coefficient-space
-system as a cross-check).  The coefficient vector's value at a point p
-must lie in K_p, the kernel of the stacked contraction rows of every plane
-through p: K_H at a point of H alone, spanned by the products of m
-derivations along H, and the line of delta_X^m at a flat X of two or more
-planes.  Both are built in closed form and checked against the rows, not
-eliminated (proofs in ``_oracle``).  Since every plane holds enough
-distinct points, a degree-d form vanishing at all points is a multiple of
-Q, so evaluation has kernel Q * S_(d-n) and the free part is unchanged.
-The dimension is
+The certificate (``saito_check``) tests every candidate operator with the
+sample's membership test (``_Planes.violation``), then takes one integer
+determinant of the rows at one point off every plane.  An operator given
+by its factor lists (``diffop.FactoredOp``, theta = P * theta', as basis
+assembly builds them) is tested through its low-degree core theta', at the
+planes whose normal is not a factor of P.  The oracle computes the exact
+dimension of the degree-d slice of the module: the same conditions make it
+an integer linear system in the coefficient unknowns.  Its fast path also
+quotients out the value patterns that polynomials realize, which shrinks
+the elimination to matrices indexed by points and multi-indices (the tests
+keep the literal coefficient-space system as a cross-check).  The
+coefficient vector's value at a point p must lie in K_p, the kernel of the
+stacked contraction rows of every plane through p: K_H at a point of H
+alone, spanned by the products of m derivations along H, and the line of
+delta_X^m at a flat X of two or more planes.  Both are built in closed
+form and checked against the rows, not eliminated (proofs in ``_oracle``).
+Since every plane holds enough distinct points, a degree-d form vanishing
+at all points is a multiple of Q, so evaluation has kernel Q * S_(d-n) and
+the free part is unchanged.  The dimension is
 
     free part + sum_p dim K_p - rank(rows),
 
@@ -62,10 +60,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 from math import comb, gcd, prod
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
 
-from .arrangement import Arrangement, Hyperplane
+from .arrangement import Arrangement
 from .diffop import DiffOp, FactoredOp, saito_columns
 from .errors import (
     DimensionMismatch,
@@ -93,14 +91,16 @@ from .polynomial import (
 
 
 class _Planes:
-    """One call's sample of the arrangement, shared by the membership test
-    and the oracle.
+    """One call's sample of the arrangement and its membership test.
 
     Per plane: its contraction rows (``_contraction_rows``, order m) and an
     integer basis of its directions (``nullspace_int`` of its normal), which
     spans its fill-up points and its contraction kernel.  Per flat
     (``arr.flats()``): its direction and the planes through it, input order.
-    In dimension 2 each line is its own flat, on that line alone.
+    In dimension 2 each line is its own flat, on that line alone.  Per
+    degree, built on first read and kept here only: the table of monomial
+    values at the points (``table``), which the membership test and the
+    oracle's etas read.  ``points`` evaluates nothing.
     """
 
     def __init__(self, arr: Arrangement, m: int):
@@ -116,6 +116,7 @@ class _Planes:
         # each plane's points on no other plane, drawn as the degrees need them
         self.own: list[list[tuple[int, ...]]] = [[] for _ in self.normals]
         self.fill = [self._fill(i) for i in range(len(self.normals))]
+        self.tables: dict[int, tuple[dict[MultiIndex, int], list[list[int]], list[list[int]]]] = {}
 
     def points(self, d: int) -> list[tuple[list[tuple[int, ...]], tuple[int, ...]]]:
         """Distinct projective points, at least s_dim(d, l-1) of them on every
@@ -148,6 +149,41 @@ class _Planes:
                 groups.append((own[:missing], (i,)))
         return groups
 
+    def table(self, d: int) -> tuple[dict[MultiIndex, int], list[list[int]], list[list[int]]]:
+        """``_monomial_index(l, d)``, the values of each degree-d monomial at
+        the points of ``points(d)`` in group order (the oracle's eta matrix),
+        and the indices of each plane's points."""
+        if d not in self.tables:
+            points, on = [], [[] for _ in self.normals]
+            for group, planes in self.points(d):
+                for i in planes:
+                    on[i] += range(len(points), len(points) + len(group))
+                points += group
+            index = _monomial_index(self.l, d)
+            self.tables[d] = index, [[_int_pow(p, c) for p in points] for c in index], on
+        return self.tables[d]
+
+    def violation(self, row: list[dict[MultiIndex, int]], d: int, skip: frozenset[int] = frozenset()) -> tuple[int, MultiIndex] | None:
+        """The first (plane index, b), not in ``skip``, whose condition the
+        operator with coefficients ``row`` (term dicts in ``saito_columns``
+        order, degree d) breaks; it is evaluated once per point of a tested
+        plane and checked against every tested plane through that point."""
+        if not self.m:
+            return None  # order 0: no conditions
+        index, values, on = self.table(d)
+        dense = _dense(row, index)
+        at: dict[int, list] = {}
+        for j, (slots, points) in enumerate(zip(self.contraction, on)):
+            if j in skip:
+                continue
+            for k in points:
+                if k not in at:
+                    at[k] = _evaluate(dense, list(map(itemgetter(k), values)))
+                b = _broken(slots, at[k])
+                if b is not None:
+                    return j, monomials_of_degree(self.l, self.m - 1)[b]
+        return None
+
     def _fill(self, i: int) -> Iterator[tuple[int, ...]]:
         """The points s*u + t*v of plane i, for its integer basis (u, v) and
         (s, t) in ``_projective_pairs`` order, that lie on no other plane: the
@@ -174,23 +210,49 @@ def _projective_pairs() -> Iterator[tuple[int, int]]:
                 yield from ((h, u), (h, -u))
 
 
-def _contraction_rows(normal: tuple[int, ...], m: int) -> list[list[tuple[int, int]]]:
-    """One row per b of degree m-1, in ``monomials_of_degree`` order, over the
-    order-m multi-indices a in ``saito_columns`` order: for each nonzero c_i,
-    in index order, the column of a = b + e_i and its weight c_i a! in the
-    combination sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on H for a
-    member."""
+def _contraction_rows(normal: tuple[int, ...], m: int) -> list[tuple[list[int], list[int]]]:
+    """The rows b of degree m-1, in ``monomials_of_degree`` order, over the
+    order-m multi-indices a in ``saito_columns`` order, held by slot: for
+    each nonzero c_i, in index order, the columns of a = b + e_i and their
+    weights c_i a! over all b.  Row b is the combination
+    sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on H for a member."""
     l = len(normal)
     col = {a: i for i, a in enumerate(saito_columns(l, m))}
-    units = [(i, c) for i, c in enumerate(normal) if c]
-    rows = []
-    for b in monomials_of_degree(l, m - 1):
-        row = []
-        for i, c in units:
-            a = b[:i] + (b[i] + 1,) + b[i + 1 :]
-            row.append((col[a], c * midx_factorial(a)))
-        rows.append(row)
-    return rows
+    slots = []
+    for i, c in enumerate(normal):
+        if c:
+            a = [b[:i] + (b[i] + 1,) + b[i + 1 :] for b in monomials_of_degree(l, m - 1)]
+            slots.append(([col[x] for x in a], [c * midx_factorial(x) for x in a]))
+    return slots
+
+
+def _broken(slots: list[tuple[list[int], list[int]]], vec: Sequence[int]) -> int | None:
+    """The index of the first contraction row nonzero on ``vec``, or None."""
+    total = [0] * len(slots[0][0])
+    for cols, weights in slots:
+        total = list(map(add, total, map(mul, weights, map(vec.__getitem__, cols))))
+    return next((b for b, v in enumerate(total) if v), None) if any(total) else None
+
+
+def _monomial_index(l: int, d: int) -> dict[MultiIndex, int]:
+    """The position of each degree-d monomial in ``monomials_of_degree``."""
+    return {c: i for i, c in enumerate(monomials_of_degree(l, d))}
+
+
+def _dense(row: list[dict[MultiIndex, int]], index: dict[MultiIndex, int]) -> list[list[int] | None]:
+    """Each coefficient (term dict) of ``row`` as a list over ``index``, None if zero."""
+    out = []
+    for f in row:
+        vec = [0] * len(index) if f else None
+        for c, v in f.items():
+            vec[index[c]] = v
+        out.append(vec)
+    return out
+
+
+def _evaluate(dense: list[list[int] | None], values: list[int]) -> list[int]:
+    """Each coefficient of a ``_dense`` row where its monomials take ``values``."""
+    return [sum(map(mul, vec, values)) if vec else 0 for vec in dense]
 
 
 # -- membership ---------------------------------------------------------------
@@ -201,70 +263,13 @@ def is_member(theta: DiffOp, arr: Arrangement) -> bool:
     the certificate's test on each homogeneous component (the module is graded)."""
     if theta.nvars != arr.dim:
         raise DimensionMismatch(f"operator has {theta.nvars} variables, the arrangement {arr.dim}")
-    columns = monomials_of_degree(arr.dim, theta.order)
+    columns = saito_columns(arr.dim, theta.order)
     components: dict[int, list[dict[MultiIndex, Fraction | int]]] = {}
     for k, a in enumerate(columns):
         for c, v in theta.coeffs[a].terms.items() if a in theta.coeffs else ():
             components.setdefault(sum(c), [{} for _ in columns])[k][c] = v
-    test = _Membership(arr, theta.order)
-    return not any(test.violation(test.dense(row, d), d) for d, row in components.items())
-
-
-class _Membership:
-    """The order-m membership conditions of ``arr`` at the points of ``_Planes``.
-    A row is one operator's coefficients f_a (term dicts, integer or rational)
-    in ``saito_matrix`` column order, homogeneous of degree d."""
-
-    def __init__(self, arr: Arrangement, m: int):
-        self.l = arr.dim
-        self.planes = arr.hyperplanes
-        self.sample = _Planes(arr, m)
-        self.bs = monomials_of_degree(self.l, m - 1)  # none at order 0: no conditions
-        self.slots, self.tables = [], {}
-        for rows in self.sample.contraction:
-            # row b has one entry per nonzero c_i, at column b + e_i; slot j
-            # holds the j-th entry of every row, as (columns, weights)
-            self.slots.append([[list(v) for v in zip(*slot)] for slot in zip(*rows)])
-
-    def dense(self, row: list[dict[MultiIndex, int]], d: int) -> list[list[int] | None]:
-        """Each f_a as a list over the degree-d monomials, None if zero."""
-        if d not in self.tables:
-            monos = monomials_of_degree(self.l, d)
-            values, on = [], [[] for _ in self.planes]
-            for points, planes in self.sample.points(d) if self.bs else ():
-                for p in points:
-                    for i in planes:
-                        on[i].append(len(values))
-                    values.append([_int_pow(p, c) for c in monos])
-            self.tables[d] = ({c: i for i, c in enumerate(monos)}, values, on)
-        index = self.tables[d][0]
-        out = []
-        for f in row:
-            vec = [0] * len(index) if f else None
-            for c, v in f.items():
-                vec[index[c]] = v
-            out.append(vec)
-        return out
-
-    def violation(self, dense: list[list[int] | None], d: int, skip: frozenset[int] = frozenset()) -> tuple[Hyperplane, MultiIndex] | None:
-        """The first (H, b), H in input order and not at an index in ``skip``,
-        whose condition a ``dense`` row of degree d breaks.  The coefficients
-        are evaluated once per point, at the points of the tested planes, and
-        checked against the contraction rows of every tested plane through it."""
-        _, values, on = self.tables[d]
-        at: dict[int, list[int]] = {}
-        for j, (h, slots, points) in enumerate(zip(self.planes, self.slots, on)):
-            if j in skip:
-                continue
-            for k in points:
-                if k not in at:
-                    at[k] = [sum(map(mul, vec, values[k])) if vec else 0 for vec in dense]
-                total = [0] * len(self.bs)
-                for cols, weights in slots:
-                    total = list(map(add, total, map(mul, weights, map(at[k].__getitem__, cols))))
-                if any(total):
-                    return h, self.bs[next(i for i, v in enumerate(total) if v)]
-        return None
+    sample = _Planes(arr, theta.order)
+    return not any(sample.violation(row, d) for d, row in components.items())
 
 
 # -- determinant certificate ----------------------------------------------------
@@ -310,10 +315,10 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
     1. No operator is zero, and there are s_dim(m, l) of them (``ZeroDet``).
     2. Every row of M is homogeneous (``NotPurePower``).  A factored
        operator's degree is its factor count (``FactoredOp.degree()``).
-    3. Every operator is a member at every H, tested at the points of
-       ``_Planes`` (``NotMember`` names the first failing plane in input
-       order, and the first failing b at the first of its points where one
-       fails).  Where alpha_H = x1, theta(x1 * x^b) = (b+e1)! f_(b+e1), so
+    3. Every operator is a member at every H, by ``_Planes.violation``
+       (``NotMember`` names the first failing plane in input order, and the
+       first failing b at the first of its points where one fails).  Where
+       alpha_H = x1, theta(x1 * x^b) = (b+e1)! f_(b+e1), so
        membership at H says x1 divides the s_dim(m-1, l) columns f_a with
        a_1 >= 1.  A linear change of coordinates multiplies M by a constant
        invertible matrix, so alpha_H^t divides det M; the alpha_H are
@@ -365,24 +370,23 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
 
     scale = Fraction(1)
     rows = []
-    membership = _Membership(arr, m)
+    sample = _Planes(arr, m)
     for i, (op, theta, deg) in enumerate(zip(ops, thetas, degrees)):
         ints = row_terms(theta)
         if isinstance(op, FactoredOp):  # content 1: op.op is normalized
             cofactor = set(op.cofactor)
             skip = frozenset(k for k, h in enumerate(arr) if h.normal in cofactor)
-            core_deg = deg - len(op.cofactor)
-            found = membership.violation(membership.dense(row_terms(op.core), core_deg), core_deg, skip)
+            found = sample.violation(row_terms(op.core), deg - len(op.cofactor), skip)
         else:
             # primitive integer rows (a normalized operator has content 1 already)
             content = rational_content(v for f in ints for v in f.values())
             if content != 1:
                 ints = [{a: int(v / content) for a, v in f.items()} for f in ints]
                 scale *= content
-            found = membership.violation(membership.dense(ints, deg), deg)
+            found = sample.violation(ints, deg)
         if found:
-            h, b = found
-            raise NotMember(f"operator {i} is not a member at {h.text()}: theta(alpha_H * x^b) is not in alpha_H * S, b = {b}", i)
+            j, b = found
+            raise NotMember(f"operator {i} is not a member at {arr.hyperplanes[j].text()}: theta(alpha_H * x^b) is not in alpha_H * S, b = {b}", i)
         rows.append(ints)
 
     n = arr.n
@@ -392,13 +396,13 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
         raise NotPurePower(f"row degree sum {degree_sum} exceeds n * t = {n} * {t}")
 
     point = next(p for p in (tuple(k**i for i in range(l)) for k in count()) if not any(h.contains(p) for h in arr))
-    at_point = {d: {c: _int_pow(point, c) for c in monomials_of_degree(l, d)} for d in set(degrees)}
-    matrix = [[sum(map(mul, f.values(), map(values.__getitem__, f))) for f in row] for row, values in zip(rows, map(at_point.get, degrees))]
-    det = det_int(matrix)
+    indices = {d: _monomial_index(l, d) for d in set(degrees)}
+    at_point = {d: [_int_pow(point, c) for c in index] for d, index in indices.items()}
+    det = det_int([_evaluate(_dense(row, indices[d]), at_point[d]) for row, d in zip(rows, degrees)])
     if not det:
         raise ZeroDet("candidate basis matrix is singular")
     q = prod(sum(map(mul, h.normal, point)) for h in arr)
-    return SaitoCertificate(scale * Fraction(det, q**t), t, arr, membership.sample)
+    return SaitoCertificate(scale * Fraction(det, q**t), t, arr, sample)
 
 
 # -- dimension oracle -------------------------------------------------------------
@@ -463,7 +467,7 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
     elif (sample.normals, sample.m) != ([h.normal for h in arr], m):
         raise ValueError("the sample is of another arrangement or order")
     kernels = _kernels(arr, sample)
-    return [_oracle_at(arr, m, d, [(points, kernels[planes]) for points, planes in sample.points(d)]) for d in degrees]
+    return [_oracle_at(arr, d, sample, kernels) for d in degrees]
 
 
 def _kernels(arr: Arrangement, sample: _Planes) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -481,43 +485,40 @@ def _kernels(arr: Arrangement, sample: _Planes) -> dict[tuple[int, ...], list[tu
     kernels = {}
     for i, basis in enumerate(sample.basis):
         kernels[(i,)] = [derivations([w for w, e in zip(basis, k) for _ in range(e)]) for k in exponents]
-        if _breaks(kernels[(i,)], sample.contraction[i]):
+        if any(_broken(sample.contraction[i], vec) is not None for vec in kernels[(i,)]):
             raise IdentityViolated(f"contraction kernel of the plane {arr.hyperplanes[i].text()}: a product of derivations along it breaks its contraction rows")
     for direction, planes in sample.flats:
         if len(planes) > 1:
             kernels[planes] = [derivations([direction] * m)]
             for i in planes:
-                if _breaks(kernels[planes], sample.contraction[i]):
+                if _broken(sample.contraction[i], kernels[planes][0]) is not None:
                     raise IdentityViolated(
                         f"contraction kernel at the flat {direction} of {len(planes)} planes: delta_X^{m} breaks the contraction rows of {arr.hyperplanes[i].text()}"
                     )
     return kernels
 
 
-def _breaks(kernel: list[tuple[int, ...]], rows: list[list[tuple[int, int]]]) -> bool:
-    """Whether some contraction row takes a nonzero value on some vector."""
-    return any(sum(w * vec[k] for k, w in row) for vec in kernel for row in rows)
-
-
-def _oracle_at(arr: Arrangement, m: int, d: int, groups: list) -> int:
-    """Dimension at degree d from the sample points, grouped by kernel.
+def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: dict[tuple[int, ...], list[tuple[int, ...]]]) -> int:
+    """Dimension at degree d from the sample's points, grouped by kernel.
 
     Every hyperplane holds s_dim(d, l-1) distinct points, so a degree-d form
     vanishing at all of them vanishes on every hyperplane: evaluation has
     kernel Q * S_(d-n) (the free part) and rank s_dim(d) - s_dim(d-n), and
     the etas, the relations between point values, number the points minus
     that rank.  A negative count raises ``IdentityViolated``.  At a count of
-    0 no eta is computed; the premise is checked instead, by counting the
-    sample's points on every plane.  Otherwise the etas are an integer
-    kernel basis, and their number is checked against the count.
+    0 no eta is computed and no monomial evaluated; the premise is checked
+    instead, by counting the sample's points on every plane.  Otherwise the
+    etas are an integer kernel basis of the values in ``_Planes.table``,
+    and their number is checked against the count.
     """
-    l = arr.dim
+    l, m = arr.dim, sample.m
+    groups = sample.points(d)
     points = [p for group, _ in groups for p in group]
     relations = len(points) - s_dim(d, l) + s_dim(d - arr.n, l)
     if relations < 0:
         raise IdentityViolated(f"{len(points)} points leave {relations} relations between the point values at degree {d}, expected at least 0")
     free_part = s_dim(m, l) * s_dim(d - arr.n, l)
-    unknowns = sum(len(group) * len(kernel) for group, kernel in groups)
+    unknowns = sum(len(group) * len(kernels[planes]) for group, planes in groups)
     if not relations:
         need, distinct = s_dim(d, l - 1), set(points)
         for h in arr:
@@ -526,10 +527,8 @@ def _oracle_at(arr: Arrangement, m: int, d: int, groups: list) -> int:
                 raise IdentityViolated(f"the plane {h.text()} holds {on} of the sample's points at degree {d}, fewer than {need}")
         return free_part + unknowns
 
-    mon_d = monomials_of_degree(l, d)
     # functionals vanishing on every achievable value pattern
-    transpose = [[_int_pow(p, c) for p in points] for c in mon_d]
-    etas = nullspace_int(transpose, len(points))
+    etas = nullspace_int(sample.table(d)[1], len(points))
     if len(etas) != relations:
         raise IdentityViolated(f"{len(etas)} relations between the point values at degree {d}, expected {relations}")
 
@@ -537,20 +536,16 @@ def _oracle_at(arr: Arrangement, m: int, d: int, groups: list) -> int:
     # its kernel); an echelon basis of its weight block spans the same rows.
     rows: list[list[int]] = []
     start = 0
-    for group, kernel in groups:
+    for group, planes in groups:
         block = [[eta[pi] for eta in etas] for pi in range(start, start + len(group))]
         start += len(group)
         weights, _ = echelon_int(block, reduce=True)
-        rows.extend([wq * wa for wq in e for wa in w] for e in weights for w in kernel)
+        rows.extend([wq * wa for wq in e for wa in w] for e in weights for w in kernels[planes])
     return free_part + unknowns - rank_int(rows)
 
 
 def _int_pow(point: tuple[int, ...], exp: MultiIndex) -> int:
-    v = 1
-    for x, e in zip(point, exp):
-        if e:
-            v *= x**e
-    return v
+    return prod(map(pow, point, exp))
 
 
 # -- Hilbert-series consistency ----------------------------------------------------

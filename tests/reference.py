@@ -131,8 +131,12 @@ def contraction_kernels(sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     at (i,), and of the stacked rows of a flat's two or more planes."""
     size = s_dim(sample.m, sample.l)
     dense = []
-    for rows in sample.contraction:
-        dense.append([[dict(row).get(k, 0) for k in range(size)] for row in rows])
+    for slots in sample.contraction:  # (columns, weights) of every row, per slot
+        rows = [[0] * size for _ in slots[0][0]]
+        for cols, weights in slots:
+            for row, k, w in zip(rows, cols, weights):
+                row[k] = w
+        dense.append(rows)
     kernels = {(i,): nullspace_int(rows, size) for i, rows in enumerate(dense)}
     for _, planes in sample.flats:
         if len(planes) > 1:

@@ -47,6 +47,19 @@ def test_verify_samples_the_arrangement_once(capsys, monkeypatch):
     assert built == [3]
 
 
+def test_verify_evaluates_each_monomial_at_each_point_once(capsys, monkeypatch):
+    # the certificate's membership test, its determinant point and the
+    # oracle's etas read one table of monomial values per sample and degree
+    seen = []
+    power = verify._int_pow
+    monkeypatch.setattr(verify, "_int_pow", lambda point, exp: seen.append((point, exp)) or power(point, exp))
+    for forms in (["--m", "2", "x1", "x2", "x3", "x1-x2"], ["--m", "3", "x1", "x2", "x3", "x1-x2", "x2-x3"]):
+        seen.clear()
+        code, out, _ = run_cli(capsys, "verify", *forms)
+        assert code == 0 and json.loads(out)["oracle"] == "consistent"
+        assert seen and len(seen) == len(set(seen)), forms
+
+
 def test_basis_explicit_extension_echoed(capsys):
     code, out, _ = run_cli(
         capsys, "basis", "--m", "3", "--extension", "x1+x2-x3", "x1", "x2", "x3", "x1-x2"

@@ -445,3 +445,24 @@ def test_closed_form_basis_degrees_and_oracle_agree(seed, n, offset):
     arr, m, exps, fb = closed_form_case(seed, n, offset)
     assert fb.exponents == exps.entries
     assert hilbert_check(arr, m, exps.entries, max(exps.entries) + 2).consistent
+
+
+sample_cases = st.one_of(
+    # random essential 3-arrangements at m = n - 2, n - 1, n
+    st.tuples(st.integers(0, 7), st.integers(3, 6), st.integers(0, 2)).map(lambda t: (random_essential(random.Random(t[0]), t[1]), t[1] - 2 + t[2])),
+    st.tuples(st.lists(normals(2), min_size=1, max_size=5, unique=True), st.integers(1, 4)).map(
+        lambda t: (Arrangement(2, [Hyperplane(v) for v in t[0]]), t[1])
+    ),
+)
+
+
+@given(sample_cases)
+def test_certificate_sample_serves_the_oracle(case):
+    # the certificate's sample, with the tables its membership test filled,
+    # gives the oracle the dimensions of a fresh sample, and every operator
+    # of the certified basis passes the membership test on its own sample
+    arr, m = case
+    fb = build_basis(arr, m)
+    d_max = max(fb.exponents) + 2
+    assert oracle_dims(arr, m, d_max, fb.saito.sample) == oracle_dims(arr, m, d_max)
+    assert all(is_member(op, arr) for op in fb.operators)

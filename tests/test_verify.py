@@ -274,7 +274,13 @@ def test_flat_kernel_is_the_line_of_delta_power(monkeypatch):
     monkeypatch.setattr(verify._Planes, "points", lambda self, d: seen.append(self.flats) or sample(self, d))
     kernels = []
     at = verify._oracle_at
-    monkeypatch.setattr(verify, "_oracle_at", lambda arr, m, d, groups: kernels.append(groups) or at(arr, m, d, groups))
+
+    def grouped(arr, d, sample, by_planes):
+        # each group of points with the kernel its unknowns range over
+        kernels.append([(points, by_planes[planes]) for points, planes in sample.points(d)])
+        return at(arr, d, sample, by_planes)
+
+    monkeypatch.setattr(verify, "_oracle_at", grouped)
     for normals in PENCILS:
         for k in range(2, 7):
             arr = Arrangement(3, [Hyperplane(v) for v in normals[:k]])
