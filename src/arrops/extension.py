@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from .arrangement import Arrangement, Hyperplane, parse_forms
 from .errors import BadOrder, DuplicateHyperplane
 from .flats import Flat1, dim1_flats
-from .polynomial import Poly, form_product
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,8 @@ class FlatProfile:
     max_order is the number of extended hyperplanes through the flat minus 2.
     off_flat holds the extended hyperplanes avoiding the flat and
     base_off_flat the base ones (the cofactors, of degree m - max_order and
-    n - base_local_count); the first product is multiplied out over the
-    integers only when off_flat_product is read, and is not kept.
+    n - base_local_count).  Both are kept as planes, whose integer normals
+    basis assembly and the dual pair take as linear factors.
     """
 
     flat: Flat1
@@ -67,10 +66,6 @@ class FlatProfile:
     off_flat: tuple[Hyperplane, ...]
     base_off_flat: tuple[Hyperplane, ...]
     base_local_count: int
-
-    @property
-    def off_flat_product(self) -> Poly:
-        return form_product((h.normal for h in self.off_flat), self.flat.dim)
 
 
 def generic_hyperplane(arr: Arrangement) -> Hyperplane:

@@ -10,10 +10,10 @@ are
 
 so the kernel coordinates y_i span ker(delta_X) and the section y has
 delta_X(y) = 1.  Any such frame works for the theorems downstream; this one
-is canonical.  Basis assembly reads the frame as integers
+is canonical.  Basis assembly and the dual pair read the frame as integers
 (``Flat1.integer_frame``, with an integer adjugate from cross products);
 ``section``, ``kernel_forms`` and ``coordinate_forms`` are its rational
-views.
+views, which only the ``lattice`` output reads.
 """
 
 from __future__ import annotations

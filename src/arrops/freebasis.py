@@ -22,26 +22,23 @@ direction v:
 Each operator is a sum of products of linear forms and constant
 derivations (E_j has j+1 terms, the others one), so a block is one term
 list per operator (``_pencil_terms``).  One assembly loop builds every
-3-arrangement basis: an essential one flat by flat over its extension, a
-rank 1 or 2 one from its single flat (the common kernel line through
-``flat_from_direction``, so the same pivot frame as every essential flat;
-order cap m, cofactor 1); rank 0 is the monomial derivatives.  The terms
-are written in the flat's integer frame (``Flat1.integer_frame``: its
-first two forms for the kernel coordinates, their adjugate columns for
-d_y1, d_y2), take P_X's normals and m-j copies of delta_X as further
-factors, and ``diffop.product_op`` multiplies them out once.  The frame
-scales an operator by a nonzero constant that its one
-``normalized_primitive`` removes.  ``basis_2arr_lines`` is the block in the
-identity frame.  A basis is certified where it is returned
-(``verify.saito_check``: every operator is a member at every hyperplane,
-then one integer determinant at one point), so ``basis_2arr_lines`` is not
-certified on its own.  Assembly hands the certificate each operator's
-factor lists (``diffop.FactoredOp``): P_X's normals and the pencil terms
-with their delta_X factors.  Membership is then tested on the core
-P_X^(-1) * theta alone, at the planes P_X misses, and the operator is
-output multiplied out.  ``dual_pair`` reads a basis of the degree-m
-polynomials off the same flats and pairs it with its dual basis under the
-apolar pairing.
+basis flat by flat: an essential 3-arrangement over the flats of its
+extension, one of rank <= 2 from its single flat (the last common kernel
+vector through ``flat_from_direction``, (0, 0, 1) at rank 0; order cap m,
+cofactor 1), and a 2-arrangement as one block in the identity frame
+(``basis_2arr_lines`` returns that block uncertified).  The terms are
+written in the flat's integer frame (``Flat1.integer_frame``: its first
+two forms for the kernel coordinates, their adjugate columns for d_y1,
+d_y2), take P_X's normals and m-j copies of delta_X as further factors,
+and ``diffop.product_op`` multiplies them out once.  The frame scales an
+operator by a nonzero constant that its one ``normalized_primitive``
+removes.  Every basis reaches the certificate (``verify.saito_check``:
+every operator is a member at every hyperplane, then one integer
+determinant at one point) as factor lists (``diffop.FactoredOp``), so
+membership is tested on the core P_X^(-1) * theta alone, at the planes
+P_X misses, and the operator is output multiplied out.  ``dual_pair``
+builds a basis of the degree-m polynomials from the same flats' integer
+frames and pairs it with its dual basis under the apolar pairing.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from math import factorial, lcm
 from typing import Sequence
 
 from .arrangement import Arrangement
-from .diffop import DiffOp, FactoredOp, Term, partial_op, product_op
+from .diffop import DiffOp, FactoredOp, Term
 from .errors import (
     BadOrder,
     IdentityViolated,
@@ -65,6 +62,7 @@ from .flats import Flat1, flat_from_direction
 from .linalg import echelon_int
 from .polynomial import (
     Poly,
+    form_product,
     midx_factorial,
     monomials_of_degree,
     primitive_int_vector,
@@ -156,7 +154,7 @@ def basis_2arr_lines(lines: Sequence[Sequence[int | Fraction]], j: int) -> list[
     lines = [primitive_int_vector(line) for line in lines]
     if len(set(lines)) != len(lines):
         raise SolveFailed("line arrangement has repeated lines")
-    return [product_op(terms, 2, j).normalized_primitive() for terms in _pencil_terms(lines, j, IDENTITY, IDENTITY)]
+    return [FactoredOp(2, j, (), terms).op for terms in _pencil_terms(lines, j, IDENTITY, IDENTITY)]
 
 
 def _pencil_lines(arr: Arrangement, flat: Flat1) -> tuple[list[Line], Frame, Frame]:
@@ -195,15 +193,10 @@ def _factored_blocks(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) 
     return operators, provenance
 
 
-def _assemble(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) -> FreeBasis:
-    """The blocks of ``_factored_blocks``, certified once in factored form."""
-    return _certified(arr, *_factored_blocks(arr, m, profiles))
-
-
-def _certified(arr: Arrangement, operators: Sequence[DiffOp | FactoredOp], provenance: list[dict]) -> FreeBasis:
-    """The basis with its certificate (a factored operator is output multiplied
-    out, ``FactoredOp.op``); a ``SaitoFailed`` that names an operator is
-    re-raised with that operator's flat, j and generator index."""
+def _certified(arr: Arrangement, operators: Sequence[FactoredOp], provenance: list[dict]) -> FreeBasis:
+    """The basis with its certificate, certified once in factored form and
+    output multiplied out (``FactoredOp.op``); a ``SaitoFailed`` that names an
+    operator is re-raised with that operator's flat, j and generator index."""
     try:
         cert = saito_check(operators, arr)
     except SaitoFailed as exc:
@@ -212,8 +205,7 @@ def _certified(arr: Arrangement, operators: Sequence[DiffOp | FactoredOp], prove
         p = provenance[exc.index]
         where = f"flat {p['flat_direction']}, j = {p['j']}, generator {p['gen_index']}"
         raise type(exc)(f"{exc} ({where})", exc.index) from exc
-    ops = tuple(op.op if isinstance(op, FactoredOp) else op for op in operators)
-    return FreeBasis(ops, tuple(op.degree() for op in operators), tuple(provenance), cert)
+    return FreeBasis(tuple(op.op for op in operators), tuple(op.degree() for op in operators), tuple(provenance), cert)
 
 
 def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
@@ -230,31 +222,28 @@ def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None)
         raise BadOrder("extension does not match the arrangement and order")
     if sum(s_dim(p.max_order, 3) for p in ext.profiles) != s_dim(m, 3):
         raise IdentityViolated("flat capacities do not add up to the module rank")
-    return _assemble(arr, m, ext.profiles)
+    return _certified(arr, *_factored_blocks(arr, m, ext.profiles))
 
 
 def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
-    """Free basis for a 3-arrangement of rank <= 2 (a product with a trivial factor)."""
+    """Free basis for a 3-arrangement of rank <= 2 (a product with a trivial
+    factor): the blocks of its one flat, the last common kernel vector, at
+    order cap m with cofactor 1; at rank 0, (0, 0, 1) and d3^m first."""
     if arr.dim != 3:
         raise BadOrder("basis_nonessential expects a 3-arrangement")
     rank, kernel = arr.rank_and_kernel()
     if rank == 3:
         raise NotEssential("arrangement is essential; use basis_3arr")
-
-    if rank == 0:
-        monomials = monomials_of_degree(3, m)
-        operators = [partial_op(3, a) for a in monomials]
-        provenance = [{"flat_direction": None, "j": 0, "gen_index": list(a)} for a in monomials]
-        return _certified(arr, operators, provenance)
-
     flat = flat_from_direction(arr, kernel[-1])
-    return _assemble(arr, m, [FlatProfile(flat, m, (), (), arr.n)])
+    return _certified(arr, *_factored_blocks(arr, m, [FlatProfile(flat, m, (), (), arr.n)]))
 
 
 def build_basis(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
-    """Dispatch on dimension and essentiality."""
+    """Dispatch on dimension and essentiality; a 2-arrangement's normals are
+    primitive and distinct lines of one block in the identity frame."""
     if arr.dim == 2:
-        ops = basis_2arr_lines([h.normal for h in arr.hyperplanes], m)
+        blocks = _pencil_terms([h.normal for h in arr.hyperplanes], m, IDENTITY, IDENTITY)
+        ops = [FactoredOp(2, m, (), terms) for terms in blocks]
         provenance = [{"flat_direction": None, "j": m, "gen_index": i} for i in range(len(ops))]
         return _certified(arr, ops, provenance)
     if not arr.is_essential():
@@ -268,8 +257,11 @@ def build_basis(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None
 def dual_pair(ext: ExtendedArrangement) -> DualPair:
     """Degree-m polynomial basis built from flat data, with its dual operators.
 
-    Basis entries are off_flat_product * u * section^(i - j) for u running
-    over the degree-j monomials in the flat's kernel coordinates.  The dual
+    Basis entries are P * u * y^(i - j): P the product of the extended
+    planes off the flat, i its order cap, y its section and u a degree-j
+    monomial in its kernel coordinates y1, y2.  The rows of
+    ``Flat1.integer_frame`` are v_p * (y1, y2, y), v_p > 0 the direction's
+    first nonzero entry, so an entry is one ``form_product`` / v_p^i.  The dual
     operators are the dual basis under the apolar pairing <d^a, x^b> =
     a! delta_ab: with B the basis' coefficient matrix over the degree-m
     monomials, operator i is sum_a ((B^T)^-1)_(i,a) / a! * d^a.  The inverse
@@ -283,13 +275,14 @@ def dual_pair(ext: ExtendedArrangement) -> DualPair:
     polys: list[Poly] = []
     labels: list[tuple] = []
     for profile in ext.profiles:
-        flat = profile.flat
-        y1, y2 = (f.to_poly() for f in flat.kernel_forms)
-        sec = flat.section.to_poly()
-        for j in range(profile.max_order + 1):
-            tail_poly = profile.off_flat_product * sec ** (profile.max_order - j)
+        flat, cap = profile.flat, profile.max_order
+        (u0, u1, section), _, _ = flat.integer_frame()
+        scale = Fraction(1, next(filter(None, flat.direction)) ** cap)
+        off = [h.normal for h in profile.off_flat]
+        for j in range(cap + 1):
+            tail = [*off, *[section] * (cap - j)]
             for u in monomials_of_degree(2, j):
-                polys.append(tail_poly * y1 ** u[0] * y2 ** u[1])
+                polys.append(form_product([*tail, *[u0] * u[0], *[u1] * u[1]], 3) * scale)
                 labels.append((flat.direction, j, u))
 
     size = len(polys)

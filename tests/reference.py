@@ -52,6 +52,12 @@ def dual_derivations(flat: Flat1) -> list[tuple[Fraction, ...]]:
     return [tuple(v * scale for v in w) for w in duals]
 
 
+def off_flat_product(profile: FlatProfile) -> Poly:
+    """The extended cofactor of a flat: the product of the extended
+    hyperplanes avoiding it, multiplied out."""
+    return form_product((h.normal for h in profile.off_flat), profile.flat.dim)
+
+
 def base_off_flat_product(profile: FlatProfile) -> Poly:
     """The base cofactor of a flat: the product of the base hyperplanes
     avoiding it, multiplied out."""

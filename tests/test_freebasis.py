@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import random_essential
-from reference import apply, localization
+from reference import apply, localization, off_flat_product
 
-from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.diffop import euler_op, identity_op
+from arrops import freebasis
+from arrops.arrangement import Arrangement, Hyperplane, arrangement_from_json, parse_arrangement
+from arrops.diffop import FactoredOp, euler_op, identity_op, partial_op
 from arrops.errors import BadOrder, NotEssential, SolveFailed, ZeroForm
 from arrops.exponents import exp_2arr, exp_for_arrangement
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
@@ -220,7 +221,7 @@ def test_cross_flat_annihilation(quad_arr):
                 if px.flat.direction == py.flat.direction:
                     continue
                 for f in monomials_of_degree(3, py.max_order):
-                    val = apply(dx, py.off_flat_product * Poly(3, {f: 1}))
+                    val = apply(dx, off_flat_product(py) * Poly(3, {f: 1}))
                     assert val.is_zero()
 
 
@@ -300,8 +301,16 @@ QUAD = "x1; x2; x3; x1-x2"
             3,
             "0883fb0feabf4a3db3d9edb226168d68639798639a5cb046ee22eb364a9c9944",
         ),
+        # a 2-arrangement: one block in the identity frame, with its
+        # provenance and certificate
+        (
+            parse_arrangement("x1; x2; x1 - x2; x1 + 2*x2", dim=2),
+            3,
+            "1f142b8732c4c736022de82c59b24c57c80f60e22743b79e12f8cc34e55035be",
+        ),
+        (parse_arrangement("x1", dim=2), 0, "9b2d56c3f012f73f2c2a83740056cc52022f730e106a39d3c4005fc138988ddd"),
     ],
-    ids=["quad", "random43", "quad-m4", "quad-m5", "quad5", "random43-bits2", "triple-2-3"],
+    ids=["quad", "random43", "quad-m4", "quad-m5", "quad5", "random43-bits2", "triple-2-3", "2arr-4lines", "2arr-m0"],
 )
 def test_build_basis_output_bytes(arr, m, digest):
     # digests of the rational-frame bases: the integer frame scales each
@@ -316,6 +325,42 @@ def test_basis_nonessential_empty():
     fb = basis_nonessential(arr, 2)
     assert fb.exponents == (0,) * 6
     assert {tuple(op.coeffs) for op in fb.operators} == {(a,) for a in monomials_of_degree(3, 2)}
+    # rank 0 is the kernel-line case: its one flat is (0, 0, 1)
+    for m in range(5):
+        fb = basis_nonessential(arr, m)
+        assert fb.exponents == (0,) * s_dim(m, 3)
+        assert (fb.saito.c, fb.saito.t) == (1, 0)
+        assert set(fb.operators) == {partial_op(3, a) for a in monomials_of_degree(3, m)}
+        assert fb.operators[0] == partial_op(3, (0, 0, m))
+        assert {tuple(p["flat_direction"]) for p in fb.provenance} == {(0, 0, 1)}
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        parse_arrangement("x1; x2; x1 - x2", dim=2),
+        arrangement_from_json({"l": 2, "hyperplanes": []}),
+        parse_arrangement("", dim=3),
+        parse_arrangement("x2 + x3", dim=3),
+        parse_arrangement("x1; x2; x1 - x2", dim=3),
+        parse_arrangement(QUAD),
+    ],
+    ids=["2arr", "2arr-empty", "rank0", "rank1", "rank2", "essential"],
+)
+def test_build_basis_certifies_factored_operators_only(arr, monkeypatch):
+    # every basis reaches the certificate through the one per-flat path
+    seen = []
+
+    def spy(ops, planes):
+        seen.append(list(ops))
+        return saito_check(ops, planes)
+
+    monkeypatch.setattr(freebasis, "saito_check", spy)
+    orders = range(max(arr.n - 2, 0), 5)  # an essential input needs m >= n - 2
+    for m in orders:
+        build_basis(arr, m)
+    assert len(seen) == len(orders)
+    assert all(isinstance(op, FactoredOp) for ops in seen for op in ops)
 
 
 def test_basis_nonessential_rejects_essential(quad_arr):
@@ -357,6 +402,26 @@ def test_pairing_matrix_is_apolar_dot_product(quad_arr):
             expected = [[apply(eta, b).constant_value() for b in pair.basis_polys] for eta in ops]
             assert probe.pairing_matrix() == expected
         assert expected != [[int(i == k) for k in range(len(etas))] for i in range(len(etas))]
+
+
+@pytest.mark.parametrize(
+    "text, m, forms, digest",
+    [
+        (QUAD, 3, None, "ceb6764a98269f8cef0bb0478e6e3465bfbea61c9553e9b0c79d9c88f3503335"),
+        (QUAD, 4, None, "6d0d6664f8e997ac702ce33985c728afb38b52a08c0eaca505a8df5d16d6e07f"),
+        # condition A fails: the added plane goes through the flat (0, 0, 1)
+        (QUAD, 3, ["x1 + x2"], "95699f4f94c3284086b136bdfcf550e54a237de470da49d6bae5e5649d749201"),
+        ("x1; x2; x3; x1 - x2; x2 - x3", 3, None, "42c7693a5e37562860a66faa801a36f6621b32574a84f640aa8143c31948d994"),
+        # the flat (2, 1, 0) has order cap 1, so its polynomials carry 1/2
+        ("x1; x2; x3; x1 - 2*x2; x1 - 2*x2 + x3", 3, None, "a74f61d5f11e7fbfba440e66e6e86d0c076d104b6ecfa0ee5df5f29af7ec9827"),
+    ],
+    ids=["quad", "quad-m4", "quad-given", "quad5", "direction-2-1-0"],
+)
+def test_dual_pair_output_bytes(text, m, forms, digest):
+    pair = dual_pair(extend(parse_arrangement(text), m, hyperplanes_from_forms(forms) if forms else None))
+    polys = [b.text() for b in pair.basis_polys]
+    payload = json.dumps([polys, [eta.text() for eta in pair.dual_operators], pair.labels])
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_dual_pair_identity_matrix(quad_arr):

@@ -3,8 +3,9 @@ operator constructor, membership, the certificate and its factored form,
 the closed-form pencil blocks and their frames, the on-demand flat
 cofactors, the integer echelon kernel, the parse/serialize round trip, the
 agreement of the input paths, the dimension oracle and its closed-form
-contraction kernels, and the closed-form exponents (profile ``arrops`` in
-conftest: derandomized, bounded example counts)."""
+contraction kernels, the closed-form exponents, and the orthogonality of
+the basis and the dual pair across flats (profile ``arrops`` in conftest:
+derandomized, bounded example counts)."""
 
 import json
 import random
@@ -19,7 +20,7 @@ pytest.importorskip("hypothesis")
 from conftest import random_essential
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import apply, base_off_flat_product, contraction_kernels, convert_2var_op, localization, oracle_dim_direct
+from reference import apply, base_off_flat_product, contraction_kernels, convert_2var_op, localization, off_flat_product, oracle_dim_direct
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op, saito_matrix
@@ -28,7 +29,7 @@ from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.exponents import exp_2arr, exp_3arr_closed
 from arrops.flats import dim1_flats
 from arrops.freebasis import _factored_blocks as factored_blocks
-from arrops.freebasis import basis_2arr_lines, build_basis
+from arrops.freebasis import basis_2arr_lines, build_basis, dual_pair
 from arrops.linalg import echelon_int, rank_int, rref
 from arrops.polynomial import Poly, form_product, midx_factorial, monomials_of_degree, primitive_int_vector
 from arrops.verify import _kernels, _Planes, hilbert_check, is_member, oracle_dims, saito_check
@@ -344,7 +345,7 @@ def test_cofactor_times_local_product_is_q(arr, extra):
     for profile in flat_profiles(ext):
         direction = profile.flat.direction
         for planes, cofactor in (
-            (ext.full, profile.off_flat_product),
+            (ext.full, off_flat_product(profile)),
             (arr, base_off_flat_product(profile)),
         ):
             local = localization(planes, direction)
@@ -466,3 +467,25 @@ def test_certificate_sample_serves_the_oracle(case):
     d_max = max(fb.exponents) + 2
     assert oracle_dims(arr, m, d_max, fb.saito.sample) == oracle_dims(arr, m, d_max)
     assert all(is_member(op, arr) for op in fb.operators)
+
+
+cross_flat_arrangements = st.one_of(
+    # boolean, quad, generic four planes, quad5
+    st.sampled_from(["x1; x2; x3", "x1; x2; x3; x1 - x2", "x1; x2; x3; x1 + x2 + x3", "x1; x2; x3; x1 - x2; x2 - x3"]).map(parse_arrangement),
+    st.tuples(st.integers(0, 2**16), st.integers(3, 5)).map(lambda t: random_essential(random.Random(t[0]), t[1])),
+)
+
+
+@given(cross_flat_arrangements, st.integers(0, 2))
+def test_basis_operators_kill_the_dual_polynomials_of_other_flats(arr, offset):
+    # the direct sum over flats: an operator of flat X ends in delta_X^(m-j),
+    # j <= its order cap, so it sends every dual-pair polynomial of a flat
+    # Y != X (the extended planes off Y times a degree-cap_Y form) to 0
+    m = arr.n - 2 + offset
+    ext = extend(arr, m)
+    fb = build_basis(arr, m, ext)
+    pair = dual_pair(ext)
+    for op, p in zip(fb.operators, fb.provenance):
+        for poly, (direction, _, _) in zip(pair.basis_polys, pair.labels):
+            if tuple(p["flat_direction"]) != direction:
+                assert apply(op, poly).is_zero(), (p, direction)
