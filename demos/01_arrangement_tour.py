@@ -2,7 +2,7 @@
 # three variables, its defining polynomial, and the rank-2 flats (the lines
 # where two or more planes meet) with their adapted coordinate systems.
 
-from arrops import parse_arrangement, dim1_flats
+from arrops import parse_arrangement
 
 arr = parse_arrangement("x1; x2; x3; x1-x2")
 print("arrangement:", arr.text())
@@ -15,7 +15,7 @@ print("rank =", rank, "(essential)" if rank == arr.dim else "(degenerate)")
 # those lines gives the rank-2 flats; each flat knows which planes pass
 # through it.
 print("\nflats:")
-for flat in dim1_flats(arr):
+for flat in arr.flats():
     planes = ", ".join(arr.hyperplanes[i].text() for i in flat.local_indices)
     print(f"  direction {flat.direction}: planes {{{planes}}}")
 
@@ -23,15 +23,12 @@ for flat in dim1_flats(arr):
 # form y with delta(y) = 1, and kernel forms spanning ker(delta).  The
 # forms of the planes through the flat live in the kernel coordinates.
 print("\ncoordinate data per flat:")
-for flat in dim1_flats(arr):
-    print(
-        f"  {flat.direction}: y = {flat.section.text()},",
-        "kernel =",
-        [f.text() for f in flat.kernel_forms],
-    )
+for flat in arr.flats():
+    *kernel, section = flat.coordinate_forms()
+    print(f"  {flat.direction}: y = {section.text()},", "kernel =", [f.text() for f in kernel])
 
 # The direction derivation annihilates exactly the forms through the flat.
-flat0 = dim1_flats(arr)[0]
+flat0 = arr.flats()[0]
 print("\ndelta on each plane form (zero iff the plane contains the flat):")
 for i, h in enumerate(arr.hyperplanes):
     print(f"  {h.text():>8} -> {h.form()(flat0.direction)}")

@@ -17,7 +17,7 @@ from .diffop import DiffOp, euler_op, identity_op, partial_op, power_of_derivati
 from .errors import ArropsError
 from .exponents import ExponentMultiset, exp_2arr, exp_3arr_closed, exp_for_arrangement
 from .extension import ExtendedArrangement, extend, flat_profiles, generic_hyperplane
-from .flats import Flat1, dim1_flats
+from .flats import Flat1
 from .freebasis import DualPair, FreeBasis, basis_3arr, basis_nonessential, build_basis, dual_pair
 from .linalg import det_poly_matrix
 from .polynomial import LinearForm, Poly
@@ -42,7 +42,6 @@ __all__ = [
     "build_basis",
     "check_identities",
     "det_poly_matrix",
-    "dim1_flats",
     "dual_pair",
     "euler_op",
     "exp_2arr",

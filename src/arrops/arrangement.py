@@ -1,4 +1,4 @@
-"""Central hyperplane arrangements: parsing, normalization and rank-2 flats.
+"""Central hyperplane arrangements: parsing, normalization and the lattice.
 
 Hyperplanes are stored as primitive integer normal vectors (gcd 1, first
 nonzero entry positive), which makes equality testing and deduplication
@@ -7,6 +7,9 @@ canonical.  Input order is preserved and drives every downstream iteration.
 One input path: every list of linear forms (';' text, JSON "forms", CLI
 ``--extension``) goes through ``parse_forms``, and JSON "hyperplanes" rows
 through its builder.  A coefficient stays an ``int`` unless written p/q.
+
+Every reader of an arrangement's rank, kernel or flats (``flats.Flat1``)
+reads one record, computed once on first read (``Arrangement.lattice``).
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateHyperplane, NotCentral, ParseError, ZeroForm
+from .flats import Flat1, _cross
 from .linalg import nullspace_int
 from .polynomial import LinearForm, Poly, form_product, primitive_int_vector
 
@@ -66,6 +71,14 @@ class Hyperplane:
         return "".join(parts)
 
 
+class Lattice(NamedTuple):
+    """An arrangement's rank, common-kernel basis and 1-dimensional flats."""
+
+    rank: int
+    kernel: tuple[tuple[int, ...], ...]
+    flats: tuple[Flat1, ...]
+
+
 class Arrangement:
     """Finite ordered set of distinct central hyperplanes in fixed dimension."""
 
@@ -105,46 +118,55 @@ class Arrangement:
         """Product of the normalized linear forms (1 for the empty arrangement)."""
         return form_product((h.normal for h in self.hyperplanes), self.dim)
 
+    @cached_property
+    def lattice(self) -> Lattice:
+        """Rank, a primitive basis of the common intersection and the
+        1-dimensional flats, computed on first read and kept (the hyperplanes
+        never change).  In dimension 3 the flats are the pairwise
+        intersections (deduplicated, first-occurrence order), each with the
+        planes through it in input order; in dimension 2 they are the lines."""
+        if self.dim == 2:
+            # distinct lines have distinct kernels, no deduplication needed
+            flats = [Flat1(primitive_int_vector((-h.normal[1], h.normal[0])), (i,)) for i, h in enumerate(self.hyperplanes)]
+        else:
+            out: dict[tuple[int, ...], list[int]] = {}
+            for i, j in combinations(range(self.n), 2):
+                v = _cross(self.hyperplanes[i].normal, self.hyperplanes[j].normal)
+                if all(c == 0 for c in v):
+                    raise ZeroForm("distinct normalized hyperplanes cannot be parallel")
+                # the pair with the flat's first plane as i comes first, and
+                # its j run through the other planes of the flat in input order
+                planes = out.setdefault(primitive_int_vector(v), [i])
+                if planes[0] == i:
+                    planes.append(j)
+            flats = [Flat1(d, tuple(planes)) for d, planes in out.items()]
+        # the normals span the space exactly when there are two flats or more
+        # (normals inside one plane meet pairwise in its normal line, their one
+        # flat), and then the kernel is 0 with no elimination
+        kernel = nullspace_int([list(h.normal) for h in self.hyperplanes], self.dim) if len(flats) < 2 else []
+        return Lattice(self.dim - len(kernel), tuple(kernel), tuple(flats))
+
     def rank_and_kernel(self) -> tuple[int, list[tuple[int, ...]]]:
         """Rank of the normal matrix and a primitive basis of the common intersection."""
-        kernel = nullspace_int([list(h.normal) for h in self.hyperplanes], self.dim)
-        return self.dim - len(kernel), kernel
+        return self.lattice.rank, list(self.lattice.kernel)
 
     def rank(self) -> int:
-        return self.rank_and_kernel()[0]
+        return self.lattice.rank
 
     def is_essential(self) -> bool:
-        return self.rank() == self.dim
+        return self.lattice.rank == self.dim
 
     def localization_indices(self, direction: Sequence[Fraction | int]) -> tuple[int, ...]:
         """Indices of hyperplanes containing the given direction, input order."""
         return tuple(i for i, h in enumerate(self.hyperplanes) if h.contains(direction))
 
-    def flats(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The 1-dimensional lattice elements: (primitive direction, indices
-        of the hyperplanes through it in input order).
-
-        For dimension 3 these are the pairwise intersections (deduplicated,
-        first-occurrence order); for dimension 2 each line is its own flat.
-        """
-        if self.dim == 2:
-            # distinct lines have distinct kernels, no deduplication needed
-            return [(primitive_int_vector((-h.normal[1], h.normal[0])), (i,)) for i, h in enumerate(self.hyperplanes)]
-        out: dict[tuple[int, ...], list[int]] = {}
-        for i, j in combinations(range(self.n), 2):
-            v = _cross(self.hyperplanes[i].normal, self.hyperplanes[j].normal)
-            if all(c == 0 for c in v):
-                raise ZeroForm("distinct normalized hyperplanes cannot be parallel")
-            # the pair with the flat's first plane as i comes first, and its
-            # j run through the other planes of the flat in input order
-            planes = out.setdefault(primitive_int_vector(v), [i])
-            if planes[0] == i:
-                planes.append(j)
-        return [(d, tuple(planes)) for d, planes in out.items()]
+    def flats(self) -> list[Flat1]:
+        """The 1-dimensional lattice elements (``lattice`` order)."""
+        return list(self.lattice.flats)
 
     def flat_directions(self) -> list[tuple[int, ...]]:
         """Primitive directions of the 1-dimensional lattice elements (``flats`` order)."""
-        return [d for d, _ in self.flats()]
+        return [f.direction for f in self.lattice.flats]
 
     def to_json(self) -> dict:
         return {
@@ -156,14 +178,6 @@ class Arrangement:
 
     def text(self) -> str:
         return "; ".join(h.text() for h in self.hyperplanes)
-
-
-def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 # -- parsing ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .arrangement import Arrangement, parse_arrangement
 from .errors import ArropsError, BadOrder, IdentityViolated, SaitoFailed, ZeroNormalizer
 from .exponents import exp_for_arrangement
 from .extension import extend, hyperplanes_from_forms
-from .flats import dim1_flats
 from .freebasis import build_basis
 from .polynomial import s_dim
 from .verify import check_identities, hilbert_check, oracle_dims
@@ -99,7 +98,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         out["rank"] = rank
         out["essential"] = rank == arr.dim
         out["kernel"] = [list(v) for v in kernel]
-        out["flats"] = [f.to_json() for f in dim1_flats(arr)]
+        out["flats"] = [f.to_json() for f in arr.flats()]
         return out, 0
 
     if args.command == "exponents":

@@ -24,7 +24,7 @@ derivations (E_j has j+1 terms, the others one), so a block is one term
 list per operator (``_pencil_terms``).  One assembly loop builds every
 basis flat by flat: an essential 3-arrangement over the flats of its
 extension, one of rank <= 2 from its single flat (the last common kernel
-vector through ``flat_from_direction``, (0, 0, 1) at rank 0; order cap m,
+vector, through every plane, (0, 0, 1) at rank 0; order cap m,
 cofactor 1), and a 2-arrangement as one block in the identity frame
 (``basis_2arr_lines`` returns that block uncertified).  The terms are
 written in the flat's integer frame (``Flat1.integer_frame``: its first
@@ -58,7 +58,7 @@ from .errors import (
     SolveFailed,
 )
 from .extension import ExtendedArrangement, FlatProfile, extend
-from .flats import Flat1, flat_from_direction
+from .flats import Flat1
 from .linalg import echelon_int
 from .polynomial import (
     Poly,
@@ -158,12 +158,16 @@ def basis_2arr_lines(lines: Sequence[Sequence[int | Fraction]], j: int) -> list[
 
 
 def _pencil_lines(arr: Arrangement, flat: Flat1) -> tuple[list[Line], Frame, Frame]:
-    """Localized forms of ``arr`` through the flat as lines in the flat's
-    kernel coordinates, with the frame of those coordinates: the first two
-    integer forms of ``Flat1.integer_frame`` and their adjugate columns."""
+    """The planes of ``arr`` through the flat (``flat.local_indices`` below
+    ``arr.n``: ``arr``'s planes come first in an extension) as lines in the
+    flat's kernel coordinates, with the frame of those coordinates: the
+    first two integer forms of ``Flat1.integer_frame`` and their adjugate
+    columns."""
     forms, duals, _ = flat.integer_frame()
     lines = []
-    for i in arr.localization_indices(flat.direction):
+    for i in flat.local_indices:
+        if i >= arr.n:
+            break
         cy = [sum(c * v for c, v in zip(arr.hyperplanes[i].normal, w)) for w in duals]
         if cy[-1]:
             raise IdentityViolated("localized form does not lie in the flat's kernel coordinates")
@@ -234,7 +238,7 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
     rank, kernel = arr.rank_and_kernel()
     if rank == 3:
         raise NotEssential("arrangement is essential; use basis_3arr")
-    flat = flat_from_direction(arr, kernel[-1])
+    flat = Flat1(kernel[-1], tuple(range(arr.n)))  # every plane holds the kernel
     return _certified(arr, *_factored_blocks(arr, m, [FlatProfile(flat, m, (), (), arr.n)]))
 
 
@@ -259,9 +263,9 @@ def dual_pair(ext: ExtendedArrangement) -> DualPair:
 
     Basis entries are P * u * y^(i - j): P the product of the extended
     planes off the flat, i its order cap, y its section and u a degree-j
-    monomial in its kernel coordinates y1, y2.  The rows of
-    ``Flat1.integer_frame`` are v_p * (y1, y2, y), v_p > 0 the direction's
-    first nonzero entry, so an entry is one ``form_product`` / v_p^i.  The dual
+    monomial in its kernel coordinates y1, y2.  ``Flat1.integer_rows``
+    gives the rows v_p * (y1, y2, y) and v_p > 0, the direction's first
+    nonzero entry, so an entry is one ``form_product`` / v_p^i.  The dual
     operators are the dual basis under the apolar pairing <d^a, x^b> =
     a! delta_ab: with B the basis' coefficient matrix over the degree-m
     monomials, operator i is sum_a ((B^T)^-1)_(i,a) / a! * d^a.  The inverse
@@ -276,8 +280,8 @@ def dual_pair(ext: ExtendedArrangement) -> DualPair:
     labels: list[tuple] = []
     for profile in ext.profiles:
         flat, cap = profile.flat, profile.max_order
-        (u0, u1, section), _, _ = flat.integer_frame()
-        scale = Fraction(1, next(filter(None, flat.direction)) ** cap)
+        (u0, u1, section), vp = flat.integer_rows()
+        scale = Fraction(1, vp**cap)
         off = [h.normal for h in profile.off_flat]
         for j in range(cap + 1):
             tail = [*off, *[section] * (cap - j)]

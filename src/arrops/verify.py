@@ -586,16 +586,12 @@ def check_identities(ext: ExtendedArrangement) -> dict:
     base = ext.base
     if not base.is_essential():
         raise NotEssential("identity checks need an essential base arrangement")
-    full = ext.full
-    m = ext.m
-    profiles = ext.profiles
+    n, added, profiles = base.n, len(ext.added), ext.profiles
 
-    lhs_rank = s_dim(m, 3)
+    lhs_rank = s_dim(ext.m, 3)
     rhs_rank = sum(s_dim(p.max_order, 3) for p in profiles)
 
-    n = base.n
-    n_full = full.n
-    lhs_pairs = (n_full - 1) * n
+    lhs_pairs = (n + added - 1) * n
     rhs_pairs = sum((len(p.flat.local_indices) - 1) * p.base_local_count for p in profiles)
 
     report = {
@@ -604,8 +600,7 @@ def check_identities(ext: ExtendedArrangement) -> dict:
     }
 
     if ext.condition_a:
-        added = n_full - n
-        expected = len(base.flat_directions()) + comb(added, 2) + n * added
+        expected = len(base.flats()) + comb(added, 2) + n * added
         actual = len(profiles)
         report["flat_count_identity"] = {"lhs": actual, "rhs": expected, "ok": actual == expected}
         new_flat_orders_ok = all(

@@ -1,12 +1,14 @@
 import json
+import random
 import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from arrops.arrangement import Hyperplane, parse_arrangement, parse_linear_form
+from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement, parse_linear_form
 from arrops.errors import DuplicateHyperplane, NotCentral, ParseError, ZeroForm
+from arrops.linalg import nullspace_int
 from arrops.polynomial import Poly
 
 x1, x2, x3 = Poly.variables(3)
@@ -108,6 +110,21 @@ def test_rank_and_kernel(quad_arr, pencil3_arr):
     rank, kernel = pencil3_arr.rank_and_kernel()
     assert rank == 2 and kernel == [(0, 0, 1)]
     assert parse_arrangement("x1", dim=3).rank() == 1
+    # the lattice skips the elimination when two flats differ: it agrees with
+    # nullspace_int on seeded arrangements of every rank, pencils included
+    rng = random.Random(77)
+    for _ in range(200):
+        dim = rng.choice((2, 3))
+        u, v = ([rng.randint(-2, 2) for _ in range(dim)] for _ in range(2))
+        pencil = rng.random() < 0.5  # combinations of u and v: rank <= 2
+        vectors = []
+        for _ in range(rng.randint(0, 5)):
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            vectors.append([a * x + b * y for x, y in zip(u, v)] if pencil else [rng.randint(-2, 2) for _ in range(dim)])
+        normals = {Hyperplane.make(w).normal for w in vectors if any(w)}
+        arr = Arrangement(dim, [Hyperplane(n) for n in sorted(normals)])
+        kernel = nullspace_int([list(n) for n in sorted(normals)], dim)
+        assert arr.rank_and_kernel() == (dim - len(kernel), kernel), arr
 
 
 def test_localization(quad_arr):

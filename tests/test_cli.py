@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -236,6 +237,31 @@ def test_verify_computes_flat_profiles_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the auto extension adds two planes: the base, one intermediate and
+        # the extended arrangement each have a lattice
+        "verify --m 4 x1 x2 x3 x1-x2",
+        "identities --m 4 x1 x2 x3 x1-x2",
+        "basis --m 3 x1 x2 x3 x1-x2",
+        "exponents --m 3 x1 x2 x3 x1-x2",
+    ],
+    ids=["verify", "identities", "basis", "exponents"],
+)
+def test_each_arrangement_computes_its_lattice_once(capsys, monkeypatch, argv):
+    # wrap the lattice builder: rank, kernel and flats come from one record
+    # per arrangement object, however often they are read
+    from arrops.arrangement import Arrangement
+
+    prop = vars(Arrangement)["lattice"]
+    built = []
+    monkeypatch.setattr(prop, "func", lambda arr, build=prop.func: built.append(arr) or build(arr))
+    code, _, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and built
+    assert len({id(arr) for arr in built}) == len(built), argv
+
+
 def test_identities_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "identities", "--m", "3", "--extension", "x1+x2-x3", "x1", "x2", "x3", "x1-x2"
@@ -289,3 +315,34 @@ def test_two_variable_basis_via_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "--m", "1", "--dim", "2", "x1", "x2")
     assert code == 0
     assert json.loads(out)["oracle"] == "consistent"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("lattice x1 x2 x3 x1-x2", "733ff595b93766a4d084af61b3fbd94c3c6e88d3f39cd7acc06afb02a00aef86"),
+        ("lattice --dim 2 x1 x2 x1-x2", "4fd195a9658e32b0713bb86cb2bcd454941a5eb272fb641b77cbf76620918b9c"),
+        ("lattice --dim 2 --format text x1 x2 x1-x2", "a70ddbc21f66b45350e583ffbb49bde1edf0e048f31e3bc80da00e2db738def1"),
+        # a flat direction whose first nonzero entry is 3, so the rational
+        # section and kernel forms have denominators
+        (
+            "lattice --format text x1 x2 x3 2*x1-3*x2 x1+x2+x3",
+            "28ee30b7f5e9639acd0e276b865b6dc8dd52f2e51c428738e04a107eb9f76cce",
+        ),
+        ("identities --m 3 x1 x2 x3 x1-x2", "0bff6561e540bd13b4ccdfea147d68d2772cb4c4f71adac12d2e90bebb355779"),
+        # x1 + x2 passes through the base flat (0, 0, 1): condition A is false
+        (
+            "identities --m 3 --extension x1+x2 x1 x2 x3 x1-x2",
+            "0a4f697b1c8c31c47e8c7295d0ff9de29c9a365c77b6c93ac0f486eec3a0e0f1",
+        ),
+        ("exponents --m 3 x1 x2 x3 x1-x2", "bb4e6edfdb57c135e6f919d6b79e8d0254f6cf84f7db379c694919d094fc0e13"),
+        ("exponents --m 3 --dim 3 x1 x2 x1-x2", "bcb0fe5eb7a02940746ae5342d6c0eba2a2e1bbda0e8951a8d70b802a30f4395"),
+    ],
+    ids=["lattice-quad", "lattice-2arr", "lattice-2arr-text", "lattice-text", "identities-auto", "identities-given", "exponents-essential", "exponents-rank2"],
+)
+def test_lattice_identities_exponents_output_bytes(capsys, argv, digest):
+    # the lattice's three readers print bytes pinned before the lattice
+    # became one record per arrangement
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ from conftest import random_essential
 from reference import dual_derivations
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.flats import Flat1, dim1_flats, flat_from_direction
+from arrops.flats import Flat1
 from arrops.linalg import rank
 from arrops.polynomial import Poly
 
@@ -14,19 +14,19 @@ x1, x2, x3 = Poly.variables(3)
 
 
 def _kernel_forms(direction):
-    return Flat1(direction, ()).kernel_forms
+    return Flat1(direction, ()).coordinate_forms()[:-1]
 
 
 def test_choose_section_values(quad_arr):
-    # the section view of the pivot frame
-    flats = dim1_flats(quad_arr)
+    # the section view of the pivot frame, its last coordinate form
+    sections = [flat.coordinate_forms()[-1] for flat in quad_arr.flats()]
     # direction (0,0,1): section x3
-    assert flats[0].section.to_poly() == x3
+    assert sections[0].to_poly() == x3
     # direction (1,1,0): deterministic section x1, and it pairs to 1
-    assert flats[3].section.to_poly() == x1
-    for flat in flats:
-        assert flat.section(flat.direction) == 1
-    assert Flat1((0, 2, 0), ()).section.to_poly() == Fraction(1, 2) * x2
+    assert sections[3].to_poly() == x1
+    for flat, section in zip(quad_arr.flats(), sections):
+        assert section(flat.direction) == 1
+    assert Flat1((0, 2, 0), ()).coordinate_forms()[-1].to_poly() == Fraction(1, 2) * x2
 
 
 def test_kernel_basis_values():
@@ -67,12 +67,14 @@ def _low_rank_arrangements(rng):
 
 
 def test_coordinate_system_invertible_and_dual(quad_arr):
-    # the flats of quad and of seeded random essential arrangements, and the
-    # kernel flat of seeded rank 1 and 2 arrangements, as their bases take it
+    # the flats of quad, of seeded random essential arrangements and of
+    # 2-arrangements, and the kernel flat of seeded rank 1 and 2
+    # arrangements, as their bases take it (every plane passes through it)
     rng = random.Random(4242)
-    flats = dim1_flats(quad_arr)
-    flats += [flat for n in (3, 3, 4, 4, 5, 5, 6) for flat in dim1_flats(random_essential(rng, n))]
-    flats += [flat_from_direction(arr, direction) for arr, direction in _low_rank_arrangements(rng)]
+    flats = quad_arr.flats()
+    flats += [flat for n in (3, 3, 4, 4, 5, 5, 6) for flat in random_essential(rng, n).flats()]
+    flats += [Flat1(direction, tuple(range(arr.n))) for arr, direction in _low_rank_arrangements(rng)]
+    flats += [flat for text in ("x1; x2; x1 - x2", "x1; x2 - 2*x1; 2*x1 + 3*x2") for flat in parse_arrangement(text, dim=2).flats()]
     for flat in flats:
         duals = dual_derivations(flat)
         forms = flat.coordinate_forms()
@@ -95,7 +97,7 @@ def test_coordinate_system_invertible_and_dual(quad_arr):
 
 
 def test_direction_annihilates_exactly_localized_forms(quad_arr):
-    for flat in dim1_flats(quad_arr):
+    for flat in quad_arr.flats():
         local = set(flat.local_indices)
         for i, h in enumerate(quad_arr.hyperplanes):
             value = h.form()(flat.direction)
@@ -104,7 +106,7 @@ def test_direction_annihilates_exactly_localized_forms(quad_arr):
 
 def test_off_flat_product_times_local_product_is_q(quad_arr):
     q = quad_arr.defining_polynomial()
-    for flat in dim1_flats(quad_arr):
+    for flat in quad_arr.flats():
         local = set(flat.local_indices)
         q_local = Poly.constant(3, 1)
         p_rest = Poly.constant(3, 1)

@@ -27,7 +27,6 @@ from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op,
 from arrops.errors import NotDivisible, NotMember, SaitoFailed
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.exponents import exp_2arr, exp_3arr_closed
-from arrops.flats import dim1_flats
 from arrops.freebasis import _factored_blocks as factored_blocks
 from arrops.freebasis import basis_2arr_lines, build_basis, dual_pair
 from arrops.linalg import echelon_int, rank_int, rref
@@ -255,7 +254,7 @@ def test_frame_blocks_match_reference_conversion(arr, data):
     # the pencil blocks that basis assembly builds in a flat's integer frame
     # (the j = m blocks of its localization's basis at m = j) against the
     # certified 2-variable blocks rewritten in ambient coordinates
-    flat = data.draw(st.sampled_from(dim1_flats(arr)))
+    flat = data.draw(st.sampled_from(arr.flats()))
     k = len(flat.local_indices)
     j = data.draw(st.integers(0, k + 1))
     forms, duals, _ = flat.integer_frame()
