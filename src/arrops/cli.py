@@ -135,11 +135,10 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     basis = build_basis(arr, args.m, ext)
     out["m"] = args.m
     out["exponents"] = list(basis.exponents)
+    out["saito"] = basis.saito.to_json()
     if args.command == "basis":
-        out["saito"] = basis.saito.to_json()
         out["operators"] = basis.to_json()
         return out, 0
-    out["saito"] = {"c": str(basis.saito.c), "t": basis.saito.t}
     d_max = args.max_degree if args.max_degree is not None else max(basis.exponents) + 2
     report = hilbert_check(arr, args.m, basis.exponents, d_max, basis.saito.sample)
     out["oracle"] = report.to_json()["verdict"]

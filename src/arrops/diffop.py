@@ -198,26 +198,27 @@ def product_op(terms: Iterable[Term], nvars: int, order: int) -> DiffOp:
 
 class FactoredOp:
     """theta = P * theta', given by factor lists: P is the product of the
-    linear forms ``cofactor`` and theta' = ``product_op(terms)``.  ``op`` is
-    theta multiplied out and normalized (``normalized_primitive``), ``core``
-    is theta' (theta itself when P = 1); both are built from the lists on
-    first read and kept.  ``degree()``, as ``DiffOp.degree()``, is read off
-    the factor counts: every term of theta has len(cofactor) + len(forms)
-    linear factors; None when the terms disagree."""
+    linear forms ``cofactor``, each stored primitive with first nonzero entry
+    positive (a zero form stays zero), and theta' = ``product_op(terms)``.
+    ``core`` is theta' normalized (``normalized_primitive``) and ``op`` is
+    P * ``core``, both built on first read and kept.  ``op`` is theta
+    normalized: by Gauss's lemma content(P * theta') = content(theta'), and
+    under grlex lc(P * f) = lc(P) * lc(f), lc(P) > 0 the product of the
+    forms' first nonzero entries.  ``degree()`` is read off the factor
+    counts, len(cofactor) + len(forms) in every term; None if they differ."""
 
     def __init__(self, nvars: int, order: int, cofactor: Sequence[Factor], terms: Sequence[Term]):
         self.nvars, self.order = nvars, order
-        self.cofactor = tuple(tuple(v) for v in cofactor)
+        self.cofactor = tuple(primitive_int_vector(v) if any(v) else (0,) * len(v) for v in cofactor)
         self.terms = tuple((c, tuple(map(tuple, fs)), tuple(map(tuple, ds))) for c, fs, ds in terms)
 
     @cached_property
-    def op(self) -> DiffOp:
-        terms = [(c, self.cofactor + fs, ds) for c, fs, ds in self.terms]
-        return product_op(terms, self.nvars, self.order).normalized_primitive()
+    def core(self) -> DiffOp:
+        return product_op(self.terms, self.nvars, self.order).normalized_primitive()
 
     @cached_property
-    def core(self) -> DiffOp:
-        return product_op(self.terms, self.nvars, self.order) if self.cofactor else self.op
+    def op(self) -> DiffOp:
+        return self.core.mul_poly(form_product(self.cofactor, self.nvars)) if self.cofactor else self.core
 
     def degree(self) -> int | None:
         counts = {len(fs) for _, fs, _ in self.terms}
@@ -261,16 +262,6 @@ def saito_columns(nvars: int, order: int) -> list[MultiIndex]:
     return monomials_of_degree(nvars, order)
 
 
-def saito_matrix(ops: Iterable[DiffOp]) -> list[list[Poly]]:
-    ops = list(ops)
-    if not ops:
-        raise ValueError("no operators")
-    nvars, order = ops[0].nvars, ops[0].order
-    cols = saito_columns(nvars, order)
-    zero = Poly.zero(nvars)
-    return [[op.coeffs.get(a, zero) for a in cols] for op in ops]
-
-
 __all__ = [
     "DiffOp",
     "identity_op",
@@ -280,6 +271,5 @@ __all__ = [
     "power_of_derivation",
     "euler_op",
     "saito_columns",
-    "saito_matrix",
     "primitive_int_vector",
 ]

@@ -29,14 +29,14 @@ cofactor 1), and a 2-arrangement as one block in the identity frame
 (``basis_2arr_lines`` returns that block uncertified).  The terms are
 written in the flat's integer frame (``Flat1.integer_frame``: its first
 two forms for the kernel coordinates, their adjugate columns for d_y1,
-d_y2), take P_X's normals and m-j copies of delta_X as further factors,
-and ``diffop.product_op`` multiplies them out once.  The frame scales an
-operator by a nonzero constant that its one ``normalized_primitive``
-removes.  Every basis reaches the certificate (``verify.saito_check``:
-every operator is a member at every hyperplane, then one integer
-determinant at one point) as factor lists (``diffop.FactoredOp``), so
-membership is tested on the core P_X^(-1) * theta alone, at the planes
-P_X misses, and the operator is output multiplied out.  ``dual_pair``
+d_y2), take m-j copies of delta_X as further factors and P_X's normals
+as the cofactor, and ``diffop.product_op`` multiplies the terms out once.
+The frame scales an operator by a nonzero constant that its core's one
+``normalized_primitive`` removes.  Every basis reaches the certificate
+(``verify.saito_check``: every operator is a member at every hyperplane,
+then one integer determinant at one point) as factor lists
+(``diffop.FactoredOp``), which reads only the cores and P_X's normals;
+``FreeBasis`` multiplies the operators out on first read.  ``dual_pair``
 builds a basis of the degree-m polynomials from the same flats' integer
 frames and pairs it with its dual basis under the apolar pairing.
 """
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm
 from typing import Sequence
 
@@ -73,12 +74,17 @@ from .verify import SaitoCertificate, saito_check
 
 @dataclass(frozen=True)
 class FreeBasis:
-    """Ordered free basis with degrees, provenance tags and a determinant certificate."""
+    """Ordered free basis with degrees, provenance tags and a determinant
+    certificate; ``operators`` multiplies out ``factored`` on first read."""
 
-    operators: tuple[DiffOp, ...]
+    factored: tuple[FactoredOp, ...]
     degrees: tuple[int, ...]
     provenance: tuple[dict, ...]
     saito: SaitoCertificate
+
+    @cached_property
+    def operators(self) -> tuple[DiffOp, ...]:
+        return tuple(op.op for op in self.factored)
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -198,9 +204,9 @@ def _factored_blocks(arr: Arrangement, m: int, profiles: Sequence[FlatProfile]) 
 
 
 def _certified(arr: Arrangement, operators: Sequence[FactoredOp], provenance: list[dict]) -> FreeBasis:
-    """The basis with its certificate, certified once in factored form and
-    output multiplied out (``FactoredOp.op``); a ``SaitoFailed`` that names an
-    operator is re-raised with that operator's flat, j and generator index."""
+    """The basis with its certificate, certified once in factored form; a
+    ``SaitoFailed`` that names an operator is re-raised with that operator's
+    flat, j and generator index."""
     try:
         cert = saito_check(operators, arr)
     except SaitoFailed as exc:
@@ -209,7 +215,7 @@ def _certified(arr: Arrangement, operators: Sequence[FactoredOp], provenance: li
         p = provenance[exc.index]
         where = f"flat {p['flat_direction']}, j = {p['j']}, generator {p['gen_index']}"
         raise type(exc)(f"{exc} ({where})", exc.index) from exc
-    return FreeBasis(tuple(op.op for op in operators), tuple(op.degree() for op in operators), tuple(provenance), cert)
+    return FreeBasis(tuple(operators), tuple(op.degree() for op in operators), tuple(provenance), cert)
 
 
 def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:

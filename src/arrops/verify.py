@@ -22,7 +22,8 @@ sample's membership test (``_Planes.violation``), then takes one integer
 determinant of the rows at one point off every plane.  An operator given
 by its factor lists (``diffop.FactoredOp``, theta = P * theta', as basis
 assembly builds them) is tested through its low-degree core theta', at the
-planes whose normal is not a factor of P.  The oracle computes the exact
+planes whose normal is not a factor of P, and its determinant row is the
+core's: theta is never multiplied out.  The oracle computes the exact
 dimension of the degree-d slice of the module: the same conditions make it
 an integer linear system in the coefficient unknowns.  Its fast path also
 quotients out the value patterns that polynomials realize, which shrinks
@@ -279,9 +280,9 @@ def is_member(theta: DiffOp, arr: Arrangement) -> bool:
 class SaitoCertificate:
     """det = c * Q^t witness that a candidate set is a free basis.
 
-    Only c and t are certified; ``det`` expands c * Q^t on first access.
-    ``sample`` is the sample of points the membership test drew, which the
-    oracle can reuse for the same arrangement and order.
+    Only c and t are certified and output (``to_json``); ``det`` expands
+    c * Q^t on first read.  ``sample`` is the points the membership test
+    drew, which the oracle can reuse for the same arrangement and order.
     """
 
     c: Fraction
@@ -291,19 +292,23 @@ class SaitoCertificate:
 
     @cached_property
     def det(self) -> Poly:
-        """c * Q^t, multiplied out one linear factor at a time over the integers."""
+        """c * Q^t, multiplied out over the integers.  Read only by the tests
+        (against ``det_poly_matrix`` and sympy) and ``perfbench/spans.py``."""
         normals = (h.normal for h in self.arr.hyperplanes for _ in range(self.t))
         c = self.c.numerator if self.c.denominator == 1 else self.c
         return form_product(normals, self.arr.dim) * c
 
     def to_json(self) -> dict:
-        return {"c": str(self.c), "t": self.t, "det": self.det.text()}
+        return {"c": str(self.c), "t": self.t}
 
 
 def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCertificate:
     """Prove that ``ops`` is a free basis of the order-m module and return c, t
     with det M = c * Q^t, c != 0, for M the Saito matrix of the operators
-    (``FactoredOp.op`` for a factored one).
+    (``FactoredOp.op`` for a factored one).  Each operator is read as a pair
+    (core theta', cofactor forms) with theta = P * theta', P the product of
+    the forms: a ``FactoredOp``'s normalized ``core`` and primitive
+    ``cofactor``, or (op, ()) for a plain ``DiffOp``.
 
     Saito's criterion in Holm's version for order m: members with
     det M = c * Q^t, c != 0 and t = s_dim(m-1, l), form a basis.  The checks
@@ -312,7 +317,8 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
     other failure raises a ``SaitoFailed`` (with ``index`` set when its
     message names an operator):
 
-    1. No operator is zero, and there are s_dim(m, l) of them (``ZeroDet``).
+    1. No operator is zero (nor a cofactor form), and there are s_dim(m, l)
+       of them (``ZeroDet``).
     2. Every row of M is homogeneous (``NotPurePower``).  A factored
        operator's degree is its factor count (``FactoredOp.degree()``).
     3. Every operator is a member at every H, by ``_Planes.violation``
@@ -323,23 +329,25 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
        a_1 >= 1.  A linear change of coordinates multiplies M by a constant
        invertible matrix, so alpha_H^t divides det M; the alpha_H are
        pairwise coprime, so Q^t does.
-       A factored operator theta = s * P * theta' (s the nonzero constant of
-       its normalization) is tested through its core theta', at its own
-       degree, at the planes of ``arr`` whose normal is not a factor of P.
-       If alpha_H divides P, theta(alpha_H f) = s * P * theta'(alpha_H f)
-       is in alpha_H * S: theta is a member at H.  If not, S is a UFD and
+       The core's row, scaled to primitive integers, is tested at its own
+       degree at the planes of ``arr`` whose normal is not a cofactor form
+       (both primitive, first nonzero entry positive: the planes with
+       alpha_H not dividing P).  If alpha_H divides P, theta(alpha_H f) =
+       P * theta'(alpha_H f) is in alpha_H * S.  If not, S is a UFD and
        alpha_H is prime, so alpha_H divides P * theta'(alpha_H f) exactly
        when it divides theta'(alpha_H f): theta is a member at H exactly
-       when theta' is.  The planes come from ``arr`` and the factors from
-       the operator itself, so a plane missing from P is tested.
+       when theta' is.  The planes come from ``arr`` and the forms from the
+       operator itself, so a plane missing from P is tested.
     4. The row degree sum, deg det M, is at most n * t (``NotPurePower``).  A
        smaller sum forces det M = 0, which step 5 reports.
     5. So det M = c * Q^t with c constant, and c = det M(p) / Q(p)^t at the
        first p = (1, k, k^2, ...) off every plane (a plane meets this curve
-       at most l - 1 times, so k <= n * (l - 1)).  det M(p) is one integer
-       Bareiss determinant of the primitive rows evaluated at p; a factored
-       operator's row is primitive already (``normalized_primitive``).
-       c = 0 raises ``ZeroDet``.
+       at most l - 1 times, so k <= n * (l - 1)).  Row i of M is
+       s_i * P_i * (core row i), s_i the content taken out in step 3 (1 for
+       a ``FactoredOp``, whose ``op`` is P_i * ``core``), and a determinant
+       is linear in each row: det M(p) = prod_i s_i * P_i(p) times one
+       integer Bareiss determinant of the core rows evaluated at p.  c = 0
+       raises ``ZeroDet``.
 
     No floating point and no randomness: a passing check is a proof.
     """
@@ -347,14 +355,14 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
         raise ZeroDet("empty candidate basis")
     m = ops[0].order
     l = arr.dim
-    thetas = []
+    pairs = []
     for i, op in enumerate(ops):
         if (op.nvars, op.order) != (l, m):
             raise DimensionMismatch(f"operator {i} has order {op.order} in {op.nvars} variables, need order {m} in {l}")
-        theta = op.op if isinstance(op, FactoredOp) else op
-        if theta.is_zero():
+        core, cofactor = (op.core, op.cofactor) if isinstance(op, FactoredOp) else (op, ())
+        if core.is_zero() or not all(map(any, cofactor)):
             raise ZeroDet(f"operator {i} is zero", i)
-        thetas.append(theta)
+        pairs.append((core, cofactor))
     expected = s_dim(m, l)
     if len(ops) != expected:
         raise ZeroDet(f"candidate basis has {len(ops)} operators, need {expected}")
@@ -364,30 +372,22 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
         raise NotPurePower(f"operator {i} has non-homogeneous coefficients", i)
 
     columns = saito_columns(l, m)
-
-    def row_terms(op: DiffOp) -> list[dict]:
-        return [op.coeffs[a].terms if a in op.coeffs else {} for a in columns]
-
     scale = Fraction(1)
     rows = []
     sample = _Planes(arr, m)
-    for i, (op, theta, deg) in enumerate(zip(ops, thetas, degrees)):
-        ints = row_terms(theta)
-        if isinstance(op, FactoredOp):  # content 1: op.op is normalized
-            cofactor = set(op.cofactor)
-            skip = frozenset(k for k, h in enumerate(arr) if h.normal in cofactor)
-            found = sample.violation(row_terms(op.core), deg - len(op.cofactor), skip)
-        else:
-            # primitive integer rows (a normalized operator has content 1 already)
-            content = rational_content(v for f in ints for v in f.values())
-            if content != 1:
-                ints = [{a: int(v / content) for a, v in f.items()} for f in ints]
-                scale *= content
-            found = sample.violation(ints, deg)
+    for i, ((core, cofactor), deg) in enumerate(zip(pairs, degrees)):
+        # primitive integer rows (a normalized core has content 1 already)
+        row = [core.coeffs[a].terms if a in core.coeffs else {} for a in columns]
+        content = rational_content(v for f in row for v in f.values())
+        if content != 1:
+            row = [{a: int(v / content) for a, v in f.items()} for f in row]
+            scale *= content
+        skip = frozenset(k for k, h in enumerate(arr) if h.normal in cofactor)
+        found = sample.violation(row, deg - len(cofactor), skip)
         if found:
             j, b = found
             raise NotMember(f"operator {i} is not a member at {arr.hyperplanes[j].text()}: theta(alpha_H * x^b) is not in alpha_H * S, b = {b}", i)
-        rows.append(ints)
+        rows.append((row, deg - len(cofactor)))
 
     n = arr.n
     t = s_dim(m - 1, l) if n else 0
@@ -396,9 +396,10 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
         raise NotPurePower(f"row degree sum {degree_sum} exceeds n * t = {n} * {t}")
 
     point = next(p for p in (tuple(k**i for i in range(l)) for k in count()) if not any(h.contains(p) for h in arr))
-    indices = {d: _monomial_index(l, d) for d in set(degrees)}
+    indices = {d: _monomial_index(l, d) for _, d in rows}
     at_point = {d: [_int_pow(point, c) for c in index] for d, index in indices.items()}
-    det = det_int([_evaluate(_dense(row, indices[d]), at_point[d]) for row, d in zip(rows, degrees)])
+    det = det_int([_evaluate(_dense(row, indices[d]), at_point[d]) for row, d in rows])
+    det *= prod(sum(map(mul, v, point)) for _, cofactor in pairs for v in cofactor)
     if not det:
         raise ZeroDet("candidate basis matrix is singular")
     q = prod(sum(map(mul, h.normal, point)) for h in arr)

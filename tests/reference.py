@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 from arrops.arrangement import Arrangement
-from arrops.diffop import DiffOp, power_of_derivation
+from arrops.diffop import DiffOp, power_of_derivation, saito_columns
 from arrops.errors import DimensionMismatch
 from arrops.extension import FlatProfile
 from arrops.flats import Flat1
@@ -162,3 +162,10 @@ def convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple
         const = power_of_derivation(duals[0], a[0], nvars).compose_constant(power_of_derivation(duals[1], a[1], nvars))
         total = total + const.mul_poly(substitute(g, images))
     return total
+
+
+def saito_matrix(ops: list[DiffOp]) -> list[list[Poly]]:
+    """The coefficient matrix of multiplied-out operators, one row per
+    operator, columns in ``saito_columns`` order."""
+    zero = Poly.zero(ops[0].nvars)
+    return [[op.coeffs.get(a, zero) for a in saito_columns(op.nvars, op.order)] for op in ops]

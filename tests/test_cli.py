@@ -10,6 +10,7 @@ import pytest
 from conftest import random_essential
 
 from arrops import cli, verify
+from arrops.diffop import FactoredOp
 from arrops.errors import ZeroDet
 
 
@@ -33,9 +34,21 @@ def test_basis_subcommand(capsys):
     data = json.loads(out)
     assert data["exponents"] == [1, 2, 2, 2, 2, 3]
     assert len(data["operators"]) == 6
-    assert data["saito"]["t"] == 3
+    # the certificate's output is c and t only: the input forms and t fix Q^t
+    assert sorted(data["saito"]) == ["c", "t"] and data["saito"]["t"] == 3
     degrees = sorted(entry["degree"] for entry in data["operators"])
     assert degrees == [1, 2, 2, 2, 2, 3]
+
+
+def test_verify_expands_no_operator_and_no_determinant(capsys, monkeypatch):
+    # the certificate reads the cores only, and verify prints c and t
+    def expanded(self):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(FactoredOp, "op", property(expanded))
+    monkeypatch.setattr(verify.SaitoCertificate, "det", property(expanded))
+    code, out, _ = run_cli(capsys, "verify", "--m", "3", "x1", "x2", "x3", "x1-x2", "x2-x3")
+    assert code == 0 and json.loads(out)["oracle"] == "consistent"
 
 
 def test_verify_samples_the_arrangement_once(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from reference import apply, localization, off_flat_product
 
 from arrops import freebasis
 from arrops.arrangement import Arrangement, Hyperplane, arrangement_from_json, parse_arrangement
-from arrops.diffop import FactoredOp, euler_op, identity_op, partial_op
+from arrops.diffop import FactoredOp, euler_op, identity_op, partial_op, product_op
 from arrops.errors import BadOrder, NotEssential, SolveFailed, ZeroForm
 from arrops.exponents import exp_2arr, exp_for_arrangement
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
@@ -21,7 +21,7 @@ from arrops.freebasis import (
     build_basis,
     dual_pair,
 )
-from arrops.polynomial import Poly, monomials_of_degree, primitive_int_vector
+from arrops.polynomial import Poly, form_product, monomials_of_degree, primitive_int_vector
 from arrops.verify import is_member, oracle_dim, s_dim, saito_check
 
 x1, x2, x3 = Poly.variables(3)
@@ -257,10 +257,10 @@ def test_basis_nonessential_rank_one():
 @pytest.mark.parametrize(
     "text, digest",
     [
-        ("x1 + x3; x2 - x3; x1 + x2", "a12cc47736c741e329c1801c7977c187e8ca1e7b69e0ffc1f31579737fbd3aa3"),
-        ("x2 + x3", "4e4d11e173f06870b6fa6d1af64aaae904daa061ff7be3746bf1bc2010b21c76"),
+        ("x1 + x3; x2 - x3; x1 + x2", "9123d905889e82251d0a2017cb0e21db75d550060e273d19a608ca436237b3ec"),
+        ("x2 + x3", "0c2bf3762392fb9471690448e856ab5ed48cf8af8d271b5efd111a3d8ca187ba"),
         # the section is x1 / 3: its flat's coordinate forms have denominator 3
-        ("2*x1 - 3*x3", "d079bc6633d87ace110a5bf1dfed0c6180895e0c21ec9a725f6417b1ca06a4ea"),
+        ("2*x1 - 3*x3", "1f79531d2c69ca85b91448fb69cdb8659e84ee0b1072867cc5684951f68f9624"),
     ],
     ids=["rank2", "rank1", "rank1-section-denominator"],
 )
@@ -278,36 +278,36 @@ QUAD = "x1; x2; x3; x1-x2"
 @pytest.mark.parametrize(
     "arr, m, digest",
     [
-        (parse_arrangement(QUAD), 3, "2d0df20da8c65b29123c7b27fd27f5cb1ed7db9c7f9be43ee17bbb334e80d9a2"),
-        (random_essential(random.Random(7), 4), 3, "0d97b569b095493a9abc581552ab160373e31497c45b5970f78d4011526896d0"),
-        (parse_arrangement(QUAD), 4, "0bf8805eb6ded32c4c16bd8c5de5ec8e39c80b2bd90f10b64017b41ab40c36c8"),
-        (parse_arrangement(QUAD), 5, "0c5eaa2db4b0a8825625d8aa670575eb01734ef05ffab166a192bfcd9465e963"),
+        (parse_arrangement(QUAD), 3, "e9b1f79c407c444fcc0af7de5eb9a3de19f66db985624081bb3e60433c32cba2"),
+        (random_essential(random.Random(7), 4), 3, "786d1e3eea1cc6d626524b8d09536e41be003a14176a8720a728006e539dceba"),
+        (parse_arrangement(QUAD), 4, "d1027183e381285db74645840542586d5b8ccaa0231b96da08ac6d270124925b"),
+        (parse_arrangement(QUAD), 5, "c8ce6b8e5acb760d082ea5ed9e438fcbfac634e36c8051303a8b89fa7b42e34f"),
         (
             parse_arrangement("x1; x2; x3; x1 - x2; x2 - x3"),
             3,
-            "fdc9c5bd3d0b159455484921de63bf8ba4460a140ad10f61fe68b6b5ea45884c",
+            "b3c4a8230d35ffe3f5e2b52b57f6cfcbcd2715c2dff01ac05885115ad62de1e2",
         ),
         # a random (4,3) arrangement whose primitive normals have 2-bit entries
         (
             parse_arrangement("2*x1 - 2*x2 + x3; 2*x1 - x3; x3; x1 + x2 - x3"),
             3,
-            "c46549efd6696f33e5ecfb3af4d1ca19e81c5dff57773eae4c3a90b45dae33e6",
+            "28320fcf497f533051e50059bf494b5f1c82199b3b41946abbd3cef41e77e199",
         ),
         # a triple point with coefficients 2 and -3, so the pencil blocks in
         # the flat's frame reach j = 1 and the bytes depend on its derivations
         (
             parse_arrangement("x1; x2; x3; 2*x1 - 3*x2; x1 + x2 + x3"),
             3,
-            "0883fb0feabf4a3db3d9edb226168d68639798639a5cb046ee22eb364a9c9944",
+            "de3f3dcfd1246b2d18ca9059661c1b32c4ce54c8e547de5c8643a355b9176394",
         ),
         # a 2-arrangement: one block in the identity frame, with its
         # provenance and certificate
         (
             parse_arrangement("x1; x2; x1 - x2; x1 + 2*x2", dim=2),
             3,
-            "1f142b8732c4c736022de82c59b24c57c80f60e22743b79e12f8cc34e55035be",
+            "43ed195960ba0dc5dc62ea5449cdb91a0506373d823e63d07b931dfc20ce1aa9",
         ),
-        (parse_arrangement("x1", dim=2), 0, "9b2d56c3f012f73f2c2a83740056cc52022f730e106a39d3c4005fc138988ddd"),
+        (parse_arrangement("x1", dim=2), 0, "75b833e52d556d9d7a04d6044d1b581ff3f4389af91faa884a855ef877ba9611"),
     ],
     ids=["quad", "random43", "quad-m4", "quad-m5", "quad5", "random43-bits2", "triple-2-3", "2arr-4lines", "2arr-m0"],
 )
@@ -317,6 +317,13 @@ def test_build_basis_output_bytes(arr, m, digest):
     fb = build_basis(arr, m)
     payload = json.dumps(fb.to_json(), sort_keys=True) + json.dumps(fb.saito.to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+    # each operator is its cofactor times its core, normalized already: by
+    # Gauss's lemma and grlex, P * normalized(theta') = normalized(P * theta')
+    for op in fb.factored:
+        assert op.core.normalized_primitive() == op.core
+        assert op.op == op.core.mul_poly(form_product(op.cofactor, arr.dim))
+        whole = [(c, op.cofactor + fs, ds) for c, fs, ds in op.terms]
+        assert op.op == product_op(whole, arr.dim, m).normalized_primitive()
 
 
 def test_basis_nonessential_empty():

@@ -3,10 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from reference import saito_matrix
 
 from arrops import verify
 from arrops.arrangement import parse_arrangement
-from arrops.diffop import DiffOp, power_of_derivation, saito_matrix
+from arrops.diffop import DiffOp, power_of_derivation
 from arrops.linalg import (
     det_cofactor,
     det_int,

@@ -20,10 +20,10 @@ pytest.importorskip("hypothesis")
 from conftest import random_essential
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import apply, base_off_flat_product, contraction_kernels, convert_2var_op, localization, off_flat_product, oracle_dim_direct
+from reference import apply, base_off_flat_product, contraction_kernels, convert_2var_op, localization, off_flat_product, oracle_dim_direct, saito_matrix
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op, saito_matrix
+from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op
 from arrops.errors import NotDivisible, NotMember, SaitoFailed
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.exponents import exp_2arr, exp_3arr_closed
@@ -195,7 +195,8 @@ def certificate_verdict(ops, arr):
 def test_factored_certificate_agrees_with_the_full_test(seed, n, offset, data):
     # the factored check (the core at the planes its cofactor misses) against
     # the full check of the multiplied-out operators, on assembled bases and
-    # on bases with one operator's factor lists changed
+    # on bases with one operator's factor lists changed; one cofactor form of
+    # that operator is also scaled by 1, -1 or 2, which keeps its plane
     arr, ops = factored_basis(seed, n, offset)
     ops = list(ops)
     k = data.draw(st.integers(0, len(ops) - 1))
@@ -212,6 +213,9 @@ def test_factored_certificate_agrees_with_the_full_test(seed, n, offset, data):
         t = data.draw(st.integers(0, len(terms) - 1))
         assume(terms[t][key])
         terms[t][key][data.draw(st.integers(0, len(terms[t][key]) - 1))] = data.draw(normals())
+    if cofactor:
+        i, scale = data.draw(st.integers(0, len(cofactor) - 1)), data.draw(st.sampled_from([1, -1, 2]))
+        cofactor[i] = tuple(scale * v for v in cofactor[i])
     ops[k] = FactoredOp(3, op.order, cofactor, terms)
     assert certificate_verdict(ops, arr) == certificate_verdict([op.op for op in ops], arr)
 

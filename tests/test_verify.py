@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import random_essential
-from reference import oracle_dim_direct
+from reference import oracle_dim_direct, saito_matrix
 
 from arrops import freebasis, verify
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, saito_matrix
+from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op
 from arrops.errors import DimensionMismatch, IdentityViolated, NotMember, NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
 from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential, build_basis
@@ -173,6 +173,13 @@ def test_saito_check_zero_row(boolean_arr):
     ops = [DiffOp(3, 1, {(1, 0, 0): x1}), DiffOp(3, 1), DiffOp(3, 1, {(0, 0, 1): x3})]
     with pytest.raises(ZeroDet, match="operator 1 is zero"):
         saito_check(ops, boolean_arr)
+    # a zero cofactor form makes a factored operator zero, whatever its core
+    factored, _ = freebasis._factored_blocks(boolean_arr, 1, extend(boolean_arr, 1).profiles)
+    factored = list(factored)
+    factored[1] = FactoredOp(3, 1, [*factored[1].cofactor, (0, 0, 0)], factored[1].terms)
+    assert factored[1].op.is_zero()
+    with pytest.raises(ZeroDet, match="operator 1 is zero"):
+        saito_check(factored, boolean_arr)
 
 
 def test_saito_check_non_homogeneous_row(boolean_arr):
