@@ -156,10 +156,6 @@ class Arrangement:
     def is_essential(self) -> bool:
         return self.lattice.rank == self.dim
 
-    def localization_indices(self, direction: Sequence[Fraction | int]) -> tuple[int, ...]:
-        """Indices of hyperplanes containing the given direction, input order."""
-        return tuple(i for i, h in enumerate(self.hyperplanes) if h.contains(direction))
-
     def flats(self) -> list[Flat1]:
         """The 1-dimensional lattice elements (``lattice`` order)."""
         return list(self.lattice.flats)

@@ -21,7 +21,6 @@ from .polynomial import (
     Poly,
     form_product,
     grlex_key,
-    midx_add,
     midx_factorial,
     monomials_of_degree,
     primitive_int_vector,
@@ -51,9 +50,6 @@ class DiffOp:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_constant_coefficient(self) -> bool:
-        return all(f.total_degree() <= 0 for f in self.coeffs.values())
 
     def degree(self) -> int | None:
         """Common homogeneous degree of all coefficients, or None."""
@@ -113,29 +109,6 @@ class DiffOp:
 
     def mul_poly(self, p: Poly) -> DiffOp:
         return DiffOp(self.nvars, self.order, {a: f * p for a, f in self.coeffs.items()})
-
-    def compose_constant(self, eta: DiffOp) -> DiffOp:
-        """Compose with a constant-coefficient operator on the right.
-
-        The right factor commutes with the coefficient polynomials, so the
-        product is the multi-index convolution of the two coefficient maps.
-        """
-        if eta.nvars != self.nvars:
-            raise DimensionMismatch("operators must share variable count")
-        if not eta.is_constant_coefficient():
-            raise ValueError("right factor must have constant coefficients")
-        out: dict[MultiIndex, Poly] = {}
-        for a, f in self.coeffs.items():
-            for b, g in eta.coeffs.items():
-                k = midx_add(a, b)
-                term = f * g.constant_value()
-                s = out.get(k)
-                s = term if s is None else s + term
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return DiffOp(self.nvars, self.order + eta.order, out)
 
     # -- normalization and serialization -----------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -299,9 +300,21 @@ def rational_content(values: Iterable[Fraction | int]) -> Fraction:
 
 
 @cache
-def _packed_weights(radix: int, nvars: int) -> tuple[int, ...]:
+def packed_weights(radix: int, nvars: int) -> tuple[int, ...]:
     """R^(l-1), ..., R, 1: the packed key of each variable for radix R."""
     return tuple(radix ** (nvars - 1 - i) for i in range(nvars))
+
+
+def _times_form(terms: dict[int, int], units: list[tuple[int, int]]) -> dict[int, int]:
+    """Packed ``terms`` times the form of units (weight of x_i, c_i != 0), for ``form_product`` and ``packed_powers``."""
+    w, c = units[0]
+    out = {a + w: v * c for a, v in terms.items()}
+    get = out.get
+    for w, c in units[1:]:
+        for a, v in terms.items():
+            b = a + w
+            out[b] = get(b, 0) + v * c
+    return out
 
 
 def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
@@ -313,20 +326,13 @@ def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
     x_i multiplies by adding R^(l-i) without carries.  The keys are decoded
     to exponent tuples once, at the end."""
     normals = list(normals)
-    weights = _packed_weights(len(normals) + 1, nvars)
+    weights = packed_weights(len(normals) + 1, nvars)
     terms: dict[int, int] = {0: 1}
     for normal in normals:
         units = [(weights[i], c) for i, c in enumerate(normal) if c]
         if not units:
             return Poly.zero(nvars)
-        w, c = units[0]
-        out = {a + w: v * c for a, v in terms.items()}
-        get = out.get
-        for w, c in units[1:]:
-            for a, v in terms.items():
-                b = a + w
-                out[b] = get(b, 0) + v * c
-        terms = out
+        terms = _times_form(terms, units)
     decoded: dict[MultiIndex, int] = {}
     for key, v in terms.items():
         if v:
@@ -336,6 +342,13 @@ def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
                 exps.append(e)
             decoded[tuple(exps)] = v
     return Poly._raw(nvars, decoded)
+
+
+def packed_powers(form: Sequence[int], n: int, weights: tuple[int, ...]) -> list[dict[int, int]]:
+    """w^0, ..., w^n of the nonzero integer form w, n one-factor steps, as dicts from
+    packed keys (``weights`` of radix > n, so keys of total degree <= n add without carries)."""
+    units = [(weights[i], c) for i, c in enumerate(form) if c]
+    return list(accumulate(repeat(units, n), _times_form, initial={0: 1}))
 
 
 def primitive_int_vector(vec: Iterable[Fraction | int | str]) -> tuple[int, ...]:

@@ -33,7 +33,8 @@ coefficient vector's value at a point p must lie in K_p, the kernel of the
 stacked contraction rows of every plane through p: K_H at a point of H
 alone, spanned by the products of m derivations along H, and the line of
 delta_X^m at a flat X of two or more planes.  Both are built in closed
-form and checked against the rows, not eliminated (proofs in ``_oracle``).
+form from powers of each form computed once, with no primitive pass, and
+checked against the rows, not eliminated (proofs in ``_oracle``).
 Since every plane holds enough distinct points, a degree-d form vanishing
 at all points is a multiple of Q, so evaluation has kernel Q * S_(d-n) and
 the free part is unchanged.  The dimension is
@@ -61,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 from math import comb, gcd, prod
-from operator import add, itemgetter, mul
+from operator import add, getitem, itemgetter, mul
 from typing import Iterator, Sequence
 
 from .arrangement import Arrangement
@@ -82,7 +83,8 @@ from .polynomial import (
     form_product,
     midx_factorial,
     monomials_of_degree,
-    primitive_int_vector,
+    packed_powers,
+    packed_weights,
     rational_content,
     s_dim,
 )
@@ -437,7 +439,7 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
 
     - K_H is spanned by the s_dim(m, l-1) products of m derivations in the
       directions of H's integer basis (``_Planes.basis``), in
-      ``saito_columns`` order, each made primitive.  A derivation D along H
+      ``saito_columns`` order, each primitive.  A derivation D along H
       has D(alpha_H) = 0, so it commutes with multiplication by alpha_H, and
       a product of m of them maps alpha_H * g, deg g = m-1, to alpha_H * 0.
       The products are independent (the monomials of degree m in a basis of
@@ -447,16 +449,18 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
       independent and dim K_H = s_dim(m, l) - s_dim(m-1, l) = s_dim(m, l-1):
       the products span K_H.
     - K_X is the line of delta_X^m, the m-th power of the derivation along
-      X's direction w, made primitive.  K_X is the intersection of
+      X's direction w, primitive.  K_X is the intersection of
       Sym^m(U_H) over the planes H through X, U_H the directions of H.  Two
       planes of a flat (l = 3) have U_1 = <w, u_1> and U_2 = <w, u_2> with
       w, u_1, u_2 a basis, and the monomials in w, u_1, u_2 are a basis of
       Sym^m: the two spans share the line of w^m, which lies in every
       Sym^m(U_H).
 
-    ``_kernels`` builds them and checks every vector against the contraction
-    rows of every plane it serves (a product, not an elimination); a failure
-    raises ``IdentityViolated`` naming the plane, or the flat and the plane.
+    ``_kernels`` builds them from each form's powers, computed once, and
+    needs no primitive pass (Gauss's lemma; proof there).  It checks every
+    vector against the contraction rows of every plane it serves (a product,
+    not an elimination); a failure raises ``IdentityViolated`` naming the
+    plane, or the flat and the plane.
     """
     l = arr.dim
     if m < 0:
@@ -474,28 +478,43 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
 def _kernels(arr: Arrangement, sample: _Planes) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """The contraction kernels of ``_oracle``, in closed form, keyed by the
     planes through a point: K_H at (i,) for every plane, K_X at the planes
-    of every flat of two or more; each checked against those planes' rows."""
+    of every flat of two or more; each checked against those planes' rows.
+
+    Constant derivations multiply like the linear forms with the same
+    vectors, so the powers w^0..w^m of each basis vector w of a plane are
+    built once (``packed_powers``, radix m + 1).  Each K_H vector is the
+    product of two of them (l = 3) or one (l = 2), written straight into its
+    ``saito_columns`` slots; K_X is the m-th power of the flat's direction.
+    There is no primitive pass: the basis vectors (``nullspace_int``) and
+    the directions (``Flat1``) are primitive with first nonzero entry
+    positive, a product of primitive forms is primitive (Gauss's lemma),
+    and its first nonzero entry in ``saito_columns`` order (grlex
+    descending) is its leading coefficient, the factors' ones multiplied.
+    """
     l, m = sample.l, sample.m
-    columns = saito_columns(l, m)
+    weights = packed_weights(m + 1, l)
+    slot = {sum(map(mul, weights, a)): i for i, a in enumerate(saito_columns(l, m))}
+    one = {0: 1}
 
-    def derivations(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
-        terms = form_product(factors, l).terms
-        return primitive_int_vector([terms.get(a, 0) for a in columns])
+    def vector(first: dict[int, int], second: dict[int, int] = one) -> tuple[int, ...]:
+        vec = [0] * len(slot)
+        for a, x in first.items():
+            for b, y in second.items():
+                vec[slot[a + b]] += x * y
+        return tuple(vec)
 
-    exponents = monomials_of_degree(l - 1, m)
     kernels = {}
     for i, basis in enumerate(sample.basis):
-        kernels[(i,)] = [derivations([w for w, e in zip(basis, k) for _ in range(e)]) for k in exponents]
+        powers = [packed_powers(w, m, weights) for w in basis]
+        kernels[(i,)] = [vector(*map(getitem, powers, k)) for k in monomials_of_degree(l - 1, m)]
         if any(_broken(sample.contraction[i], vec) is not None for vec in kernels[(i,)]):
             raise IdentityViolated(f"contraction kernel of the plane {arr.hyperplanes[i].text()}: a product of derivations along it breaks its contraction rows")
     for direction, planes in sample.flats:
         if len(planes) > 1:
-            kernels[planes] = [derivations([direction] * m)]
+            kernels[planes] = [vector(packed_powers(direction, m, weights)[m])]
             for i in planes:
                 if _broken(sample.contraction[i], kernels[planes][0]) is not None:
-                    raise IdentityViolated(
-                        f"contraction kernel at the flat {direction} of {len(planes)} planes: delta_X^{m} breaks the contraction rows of {arr.hyperplanes[i].text()}"
-                    )
+                    raise IdentityViolated(f"contraction kernel at the flat {direction} of {len(planes)} planes: delta_X^{m} breaks the contraction rows of {arr.hyperplanes[i].text()}")
     return kernels
 
 

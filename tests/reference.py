@@ -9,7 +9,7 @@ from arrops.errors import DimensionMismatch
 from arrops.extension import FlatProfile
 from arrops.flats import Flat1
 from arrops.linalg import nullspace_int, rank_int
-from arrops.polynomial import MultiIndex, Poly, form_product, midx_factorial, monomials_of_degree, s_dim
+from arrops.polynomial import MultiIndex, Poly, form_product, midx_add, midx_factorial, monomials_of_degree, primitive_int_vector, s_dim
 
 
 def partial(f: Poly, a: MultiIndex) -> Poly:
@@ -30,6 +30,34 @@ def partial(f: Poly, a: MultiIndex) -> Poly:
         k = tuple(bi - ai for bi, ai in zip(b, a))
         out[k] = out.get(k, 0) + c * coeff
     return Poly(f.nvars, out)
+
+
+def is_constant_coefficient(theta: DiffOp) -> bool:
+    return all(f.total_degree() <= 0 for f in theta.coeffs.values())
+
+
+def compose_constant(theta: DiffOp, eta: DiffOp) -> DiffOp:
+    """Compose with a constant-coefficient operator on the right.
+
+    The right factor commutes with the coefficient polynomials, so the
+    product is the multi-index convolution of the two coefficient maps.
+    """
+    if eta.nvars != theta.nvars:
+        raise DimensionMismatch("operators must share variable count")
+    if not is_constant_coefficient(eta):
+        raise ValueError("right factor must have constant coefficients")
+    out: dict[MultiIndex, Poly] = {}
+    for a, f in theta.coeffs.items():
+        for b, g in eta.coeffs.items():
+            k = midx_add(a, b)
+            term = f * g.constant_value()
+            s = out.get(k)
+            s = term if s is None else s + term
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return DiffOp(theta.nvars, theta.order + eta.order, out)
 
 
 def apply(theta: DiffOp, f: Poly) -> Poly:
@@ -64,9 +92,14 @@ def base_off_flat_product(profile: FlatProfile) -> Poly:
     return form_product((h.normal for h in profile.base_off_flat), profile.flat.dim)
 
 
+def localization_indices(arr: Arrangement, direction) -> tuple[int, ...]:
+    """Indices of the hyperplanes containing the given direction, input order."""
+    return tuple(i for i, h in enumerate(arr.hyperplanes) if h.contains(direction))
+
+
 def localization(arr: Arrangement, direction) -> Arrangement:
     """The hyperplanes of ``arr`` through ``direction``, input order."""
-    return Arrangement(arr.dim, [arr.hyperplanes[i] for i in arr.localization_indices(direction)])
+    return Arrangement(arr.dim, [arr.hyperplanes[i] for i in localization_indices(arr, direction)])
 
 
 def substitute(f: Poly, images: list[Poly]) -> Poly:
@@ -150,6 +183,26 @@ def contraction_kernels(sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     return kernels
 
 
+def product_kernels(sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The oracle's closed-form kernels keyed as ``verify._kernels``, each
+    vector one ``form_product`` of its factor list (the plane's basis
+    vectors to the exponents k, or the flat's direction m times), read over
+    ``saito_columns`` and made primitive."""
+    l, m = sample.l, sample.m
+    columns = saito_columns(l, m)
+
+    def derivations(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
+        terms = form_product(factors, l).terms
+        return primitive_int_vector([terms.get(a, 0) for a in columns])
+
+    exponents = monomials_of_degree(l - 1, m)
+    kernels = {(i,): [derivations([w for w, e in zip(basis, k) for _ in range(e)]) for k in exponents] for i, basis in enumerate(sample.basis)}
+    for direction, planes in sample.flats:
+        if len(planes) > 1:
+            kernels[planes] = [derivations([direction] * m)]
+    return kernels
+
+
 def convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple[int, ...]]) -> DiffOp:
     """Rewrite a 2-variable operator in ambient coordinates: coefficients are
     composed with the coordinate forms, and the two partial derivatives
@@ -159,7 +212,7 @@ def convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple
     images = [form_product([f], nvars) for f in forms]
     total = DiffOp(nvars, op2.order)
     for a, g in op2.coeffs.items():
-        const = power_of_derivation(duals[0], a[0], nvars).compose_constant(power_of_derivation(duals[1], a[1], nvars))
+        const = compose_constant(power_of_derivation(duals[0], a[0], nvars), power_of_derivation(duals[1], a[1], nvars))
         total = total + const.mul_poly(substitute(g, images))
     return total
 

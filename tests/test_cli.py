@@ -359,3 +359,23 @@ def test_lattice_identities_exponents_output_bytes(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("oracle --m 4 --max-degree 8 x1 x2 x3 x1-x2 x1-x3 x2-x3", "7ee428890b78669f3e6c419452d66468cd638100ba73ae1f0eb8f26e11c89043"),
+        # K_X at a flat of four planes, K_H at m = 6
+        ("oracle --m 6 --max-degree 10 x1 x2 x1-x2 x1+x2 x3", "d69b27c1a807c0e7904c6796467171ad0984d3607ab581f965f17bedb26e6b0a"),
+        ("oracle --m 3 --dim 2 --max-degree 6 x1 x2 x1-x2 2*x1+x2", "8d02289a557b9b62c6dd5550aa4755de8be71e43e456b09bcfe9ba7ed634369f"),
+        ("oracle --m 3 --max-degree 6 --format text x1 x2 x3 x1-x2 x2-x3", "5808c6fd1f7e6c4709edf12ba1bb98d43aeb5c2725b253b7051a1138299ac19d"),
+        ("verify --m 3 x1 x2 x3 x1-x2 x2-x3", "8d01cdf3b39547ae583ed605d875dbe7b37682712a1b9885e3928b9cb3499646"),
+    ],
+    ids=["oracle-braid", "oracle-quadruple-point", "oracle-2arr", "oracle-text", "verify-quad5"],
+)
+def test_oracle_verify_output_bytes(capsys, argv, digest):
+    # the oracle's dimensions and verify's report, pinned before the
+    # contraction kernels were built from shared packed powers
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

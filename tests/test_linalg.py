@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from reference import saito_matrix
+from reference import compose_constant, saito_matrix
 
 from arrops import verify
 from arrops.arrangement import parse_arrangement
@@ -154,12 +154,8 @@ def quad_display_basis():
     d3sq = power_of_derivation((0, 0, 1), 2, 3)
     ops = [
         d3sq.mul_poly(x3),
-        DiffOp(3, 1, {(1, 0, 0): x1, (0, 1, 0): x2})
-        .compose_constant(power_of_derivation((0, 0, 1), 1, 3))
-        .mul_poly(x3),
-        DiffOp(3, 1, {(0, 1, 0): x2 * (x1 - x2)})
-        .compose_constant(power_of_derivation((0, 0, 1), 1, 3))
-        .mul_poly(x3),
+        compose_constant(DiffOp(3, 1, {(1, 0, 0): x1, (0, 1, 0): x2}), power_of_derivation((0, 0, 1), 1, 3)).mul_poly(x3),
+        compose_constant(DiffOp(3, 1, {(0, 1, 0): x2 * (x1 - x2)}), power_of_derivation((0, 0, 1), 1, 3)).mul_poly(x3),
         DiffOp(3, 2, {(0, 2, 0): x2 * (x1 - x2)}),
         DiffOp(3, 2, {(2, 0, 0): x1 * (x1 - x2)}),
         power_of_derivation((1, 1, 0), 2, 3).mul_poly(x1 * x2),

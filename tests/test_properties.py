@@ -3,9 +3,10 @@ operator constructor, membership, the certificate and its factored form,
 the closed-form pencil blocks and their frames, the on-demand flat
 cofactors, the integer echelon kernel, the parse/serialize round trip, the
 agreement of the input paths, the dimension oracle and its closed-form
-contraction kernels, the closed-form exponents, and the orthogonality of
-the basis and the dual pair across flats (profile ``arrops`` in conftest:
-derandomized, bounded example counts)."""
+contraction kernels (spanning the eliminated ones, and equal to the
+primitive products of their factor lists), the closed-form exponents, and
+the orthogonality of the basis and the dual pair across flats (profile
+``arrops`` in conftest: derandomized, bounded example counts)."""
 
 import json
 import random
@@ -20,7 +21,7 @@ pytest.importorskip("hypothesis")
 from conftest import random_essential
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import apply, base_off_flat_product, contraction_kernels, convert_2var_op, localization, off_flat_product, oracle_dim_direct, saito_matrix
+from reference import apply, base_off_flat_product, compose_constant, contraction_kernels, convert_2var_op, localization, off_flat_product, oracle_dim_direct, product_kernels, saito_matrix
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op
@@ -113,7 +114,7 @@ def test_product_op_matches_operator_algebra(l, order, data):
             x = x * Poly(l, {unit(l, i): v for i, v in enumerate(f)})
         d = identity_op(l)
         for v in derivs:
-            d = d.compose_constant(DiffOp(l, 1, {unit(l, i): Poly.constant(l, w) for i, w in enumerate(v)}))
+            d = compose_constant(d, DiffOp(l, 1, {unit(l, i): Poly.constant(l, w) for i, w in enumerate(v)}))
         expected = expected + d.mul_poly(x)
     assert product_op(terms, l, order) == expected
 
@@ -433,6 +434,22 @@ def test_closed_form_kernels_span_the_eliminated_ones(arr, m):
     assert closed.keys() == eliminated.keys()
     for planes, kernel in closed.items():
         assert rank_int(kernel) == len(kernel) == len(eliminated[planes]) == rank_int(kernel + eliminated[planes]), (planes, m)
+
+
+@given(
+    st.one_of(
+        kernel_arrangements,
+        # a quadruple point, and braid's four triple points
+        st.sampled_from(["x1; x2; x1 - x2; x1 + x2; x3", "x1; x2; x3; x1 - x2; x1 - x3; x2 - x3"]).map(parse_arrangement),
+    ),
+    st.integers(1, 8),
+)
+def test_kernels_from_shared_powers_equal_the_primitive_products(arr, m):
+    # every vector from the shared packed powers, with no primitive pass,
+    # equals the primitive form_product of its factor list: same keys, same
+    # order, same tuples
+    sample = _Planes(arr, m)
+    assert list(_kernels(arr, sample).items()) == list(product_kernels(sample).items()), m
 
 
 @cache
