@@ -5,27 +5,42 @@ coefficient polynomials f_a times the monomial derivative d^a.  Operators
 are immutable by convention, like polynomials.
 
 Every closed-form operator (derivation powers, Euler operators, the
-pencil blocks of ``freebasis``) is built by ``product_op``.
+pencil blocks of ``freebasis``) is built from its factor lists by one
+packed loop (``_packed_terms``), in the packed convention of
+``polynomial`` (``Packed``: derivative keys in radix m + 1, coefficient
+monomials in one radix above every exponent).  ``product_op`` decodes the
+result to a tuple-keyed ``DiffOp``; a ``FactoredOp`` keeps it packed for
+the certificate and for ``basis`` output, and decodes only when ``core``
+or ``op`` is read (by tests and demos).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
 from .polynomial import (
     MultiIndex,
     Poly,
-    form_product,
+    _times_form,
     grlex_key,
     midx_factorial,
     monomials_of_degree,
+    packed_product,
+    packed_text,
+    packed_weights,
     primitive_int_vector,
     rational_content,
+    unpack,
 )
+
+# An operator packed: derivative key (radix order + 1) -> its coefficient's
+# terms, monomial key -> value, in one radix above every exponent.
+Packed = dict[int, dict[int, int | Fraction]]
 
 
 class DiffOp:
@@ -136,6 +151,11 @@ class DiffOp:
     def to_json(self) -> list:
         return [[list(a), f.text()] for a, f in self.sorted_coeffs()]
 
+    def pack(self, radix: int) -> Packed:
+        """The operator packed (``Packed``), monomial keys in ``radix``, above every exponent."""
+        weights, dw = packed_weights(radix, self.nvars), packed_weights(self.order + 1, self.nvars)
+        return {sum(map(mul, dw, a)): {sum(map(mul, weights, c)): v for c, v in f.terms.items()} for a, f in self.coeffs.items()}
+
 
 # -- constructors -----------------------------------------------------------
 
@@ -153,49 +173,147 @@ Factor = Sequence[int | Fraction]
 Term = tuple[int | Fraction, Iterable[Factor], Iterable[Factor]]
 
 
+@cache
+def packed_columns(nvars: int, order: int) -> dict[int, MultiIndex]:
+    """The ``saito_columns`` by packed key (radix order + 1), in that order:
+    descending keys (``polynomial.packed_text``)."""
+    weights = packed_weights(order + 1, nvars)
+    return {sum(map(mul, weights, a)): a for a in saito_columns(nvars, order)}
+
+
+def _packed_terms(terms: Iterable[Term], nvars: int, order: int, radix: int) -> Packed:
+    """Sum over terms (c, forms, derivations) of c * (product of the forms) *
+    (product of the derivations), packed, monomial keys in ``radix`` (above
+    every form count); no zero value and no empty coefficient.  Constant
+    derivations commute, so ``packed_product`` multiplies out both products,
+    each once."""
+    xw, dw = packed_weights(radix, nvars), packed_weights(order + 1, nvars)
+    out: Packed = {}
+    for c, forms, derivs in terms:
+        if len(derivs) != order:
+            raise DimensionMismatch(f"a term with {len(derivs)} derivations in an operator of order {order}")
+        xs = packed_product(forms, xw)
+        for a, u in packed_product(derivs, dw).items():
+            cu = c * u
+            coeff = out.setdefault(a, {})
+            get = coeff.get
+            for b, v in xs.items():
+                coeff[b] = get(b, 0) + cu * v
+    return {a: f for a, f in ((a, {b: v for b, v in f.items() if v}) for a, f in out.items()) if f}
+
+
+def _unpacked(packed: Packed, nvars: int, order: int, radix: int) -> DiffOp:
+    """The operator of ``packed`` (monomial keys in ``radix``), tuple-keyed."""
+    weights, columns = packed_weights(radix, nvars), packed_columns(nvars, order)
+    return DiffOp(nvars, order, {columns[a]: unpack(f, weights) for a, f in packed.items()})
+
+
+def _form_count(terms: Sequence[Term]) -> int:
+    return max((len(fs) for _, fs, _ in terms), default=0)
+
+
 def product_op(terms: Iterable[Term], nvars: int, order: int) -> DiffOp:
     """Sum over terms (c, forms, derivations) of c * (product of the linear
     forms) * (product of the constant derivations), all given by coefficient
-    vectors.  Constant derivations commute, so ``form_product`` multiplies
-    out both products, each once."""
-    out: dict[MultiIndex, dict[MultiIndex, int | Fraction]] = {}
-    for c, forms, derivs in terms:
-        xs = form_product(forms, nvars).terms
-        for a, u in form_product(derivs, nvars).terms.items():
-            cu = c * u
-            coeff = out.setdefault(a, {})
-            for b, v in xs.items():
-                coeff[b] = coeff.get(b, 0) + cu * v
-    return DiffOp(nvars, order, {a: Poly._raw(nvars, {b: v for b, v in f.items() if v}) for a, f in out.items()})
+    vectors (``_packed_terms``), decoded once."""
+    terms = [(c, list(fs), list(ds)) for c, fs, ds in terms]
+    radix = _form_count(terms) + 1
+    return _unpacked(_packed_terms(terms, nvars, order, radix), nvars, order, radix)
+
+
+def _rekeyed(terms: dict[int, int], old: tuple[int, ...], new: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (key, value) pairs of packed ``terms``, keys from the weights ``old`` to ``new``."""
+    out = []
+    for key, v in terms.items():
+        k = 0
+        for w, x in zip(old, new):
+            e, key = divmod(key, w)
+            k += e * x
+        out.append((k, v))
+    return out
 
 
 class FactoredOp:
     """theta = P * theta', given by factor lists: P is the product of the
     linear forms ``cofactor``, each stored primitive with first nonzero entry
-    positive (a zero form stays zero), and theta' = ``product_op(terms)``.
-    ``core`` is theta' normalized (``normalized_primitive``) and ``op`` is
-    P * ``core``, both built on first read and kept.  ``op`` is theta
-    normalized: by Gauss's lemma content(P * theta') = content(theta'), and
-    under grlex lc(P * f) = lc(P) * lc(f), lc(P) > 0 the product of the
-    forms' first nonzero entries.  ``degree()`` is read off the factor
-    counts, len(cofactor) + len(forms) in every term; None if they differ."""
+    positive (a zero form stays zero), and theta' the sum of the ``terms``
+    (c, forms, derivations), as ``product_op`` reads them.
+
+    ``packed``, which the certificate reads, is theta' normalized as
+    ``DiffOp.normalized_primitive`` does it, packed (monomial keys in radix
+    e + 1, e the largest form count): the joint content taken out, then the
+    value at the largest monomial key under the largest derivative key made
+    positive.  Within one degree descending keys are grlex descending
+    (``packed_text``), so that value is the grlex leading coefficient;
+    terms with unequal form counts are normalized tuple-keyed instead.
+    ``to_json`` multiplies ``packed`` by P on packed keys and prints them;
+    ``core`` and ``op`` decode theta' and P * theta' (tests and demos).
+    P * theta' is theta normalized: by Gauss's lemma content(P * theta') =
+    content(theta'), and under grlex lc(P * f) = lc(P) * lc(f), lc(P) > 0
+    the product of the forms' first nonzero entries.  ``degree()`` is read
+    off the factor counts, len(cofactor) + len(forms) in every term; None if
+    they differ."""
 
     def __init__(self, nvars: int, order: int, cofactor: Sequence[Factor], terms: Sequence[Term]):
         self.nvars, self.order = nvars, order
         self.cofactor = tuple(primitive_int_vector(v) if any(v) else (0,) * len(v) for v in cofactor)
         self.terms = tuple((c, tuple(map(tuple, fs)), tuple(map(tuple, ds))) for c, fs, ds in terms)
+        self._forms = _form_count(self.terms)  # e, the core's degree
+
+    @cached_property
+    def packed(self) -> Packed:
+        radix = self._forms + 1
+        if self.degree() is None:
+            return product_op(self.terms, self.nvars, self.order).normalized_primitive().pack(radix)
+        packed = _packed_terms(self.terms, self.nvars, self.order, radix)
+        if not packed:
+            return packed
+        content = rational_content(v for f in packed.values() for v in f.values())
+        num, den = content.numerator, content.denominator
+        lead = packed[max(packed)]
+        if lead[max(lead)] < 0:
+            num = -num
+        if (num, den) == (1, 1):
+            return packed
+        # v * den / num is an integer for every value v, so // is exact
+        return {a: {k: v * den // num for k, v in f.items()} for a, f in packed.items()}
+
+    def multiplied(self) -> Packed:
+        """P * theta', packed, monomial keys in radix len(cofactor) + e + 1:
+        P multiplied out once (``packed_product``), then each coefficient of
+        ``packed`` re-keyed once and multiplied by P (``_times_form``, P's
+        terms for the form's); cancelled terms stay, valued 0.  ``packed``
+        itself when there is no cofactor."""
+        if not self.cofactor:
+            return self.packed
+        old, new = packed_weights(self._forms + 1, self.nvars), packed_weights(self._forms + len(self.cofactor) + 1, self.nvars)
+        p = {k: v for k, v in packed_product(self.cofactor, new).items() if v}
+        return {a: _times_form(p, _rekeyed(f, old, new)) if p else {} for a, f in self.packed.items()}
 
     @cached_property
     def core(self) -> DiffOp:
-        return product_op(self.terms, self.nvars, self.order).normalized_primitive()
+        return _unpacked(self.packed, self.nvars, self.order, self._forms + 1)
 
     @cached_property
     def op(self) -> DiffOp:
-        return self.core.mul_poly(form_product(self.cofactor, self.nvars)) if self.cofactor else self.core
+        if not self.cofactor:
+            return self.core
+        return _unpacked(self.multiplied(), self.nvars, self.order, self._forms + len(self.cofactor) + 1)
+
+    def is_zero(self) -> bool:
+        """A zero core or a zero cofactor form."""
+        return not self.packed or not all(map(any, self.cofactor))
 
     def degree(self) -> int | None:
         counts = {len(fs) for _, fs, _ in self.terms}
         return len(self.cofactor) + counts.pop() if len(counts) == 1 else None
+
+    def to_json(self) -> list:
+        """``op.to_json()`` of a homogeneous operator, from packed keys:
+        [multi-index, ``Poly.text`` of its coefficient] in ``saito_columns``
+        order, P * theta' never decoded."""
+        full, degree = self.multiplied(), self.degree()
+        return [[list(a), packed_text(full[k], self.nvars, degree)] for k, a in packed_columns(self.nvars, self.order).items() if k in full]
 
 
 def power_of_derivation(coeffs: Factor, k: int, nvars: int | None = None) -> DiffOp:

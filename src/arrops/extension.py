@@ -98,15 +98,18 @@ def extend(
     given = None if added is None else list(added)
     if given is not None and len(given) != want:
         raise BadOrder(f"extension must supply exactly {want} hyperplanes, got {len(given)}")
-    current = arr
+    planes = list(arr.hyperplanes)
     cond = True
     for k in range(want):
+        # the planes so far, as an arrangement for their flats; none is built
+        # after the last plane (``ExtendedArrangement.full`` builds that one)
+        current = Arrangement(3, planes) if k else arr
         h = generic_hyperplane(current) if given is None else given[k]
-        if h.normal in {g.normal for g in current.hyperplanes}:
+        if h.normal in {g.normal for g in planes}:
             raise DuplicateHyperplane(f"extension hyperplane {h.text()} already present")
         cond = cond and not any(h.contains(v) for v in current.flat_directions())
-        current = Arrangement(3, (*current.hyperplanes, h))
-    return ExtendedArrangement(arr, current.hyperplanes[arr.n :], condition_a=cond)
+        planes.append(h)
+    return ExtendedArrangement(arr, tuple(planes[arr.n :]), condition_a=cond)
 
 
 def flat_profiles(ext: ExtendedArrangement) -> list[FlatProfile]:

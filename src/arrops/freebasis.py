@@ -32,11 +32,14 @@ two forms for the kernel coordinates, their adjugate columns for d_y1,
 d_y2), take m-j copies of delta_X as further factors and P_X's normals
 as the cofactor, and ``diffop.product_op`` multiplies the terms out once.
 The frame scales an operator by a nonzero constant that its core's one
-``normalized_primitive`` removes.  Every basis reaches the certificate
+normalization removes.  Every basis reaches the certificate
 (``verify.saito_check``: every operator is a member at every hyperplane,
 then one integer determinant at one point) as factor lists
-(``diffop.FactoredOp``), which reads only the cores and P_X's normals;
-``FreeBasis`` multiplies the operators out on first read.  ``dual_pair``
+(``diffop.FactoredOp``), which reads only the packed cores and P_X's
+normals.  ``FreeBasis.to_json`` multiplies each core by P_X on packed keys
+and prints those keys (``FactoredOp.to_json``); ``FreeBasis.operators``
+decodes the operators to tuple-keyed ``DiffOp``s on first read, for tests
+and demos.  ``dual_pair``
 builds a basis of the degree-m polynomials from the same flats' integer
 frames and pairs it with its dual basis under the apolar pairing.
 """
@@ -75,7 +78,8 @@ from .verify import SaitoCertificate, saito_check
 @dataclass(frozen=True)
 class FreeBasis:
     """Ordered free basis with degrees, provenance tags and a determinant
-    certificate; ``operators`` multiplies out ``factored`` on first read."""
+    certificate; ``to_json`` prints ``factored`` from packed keys, and
+    ``operators`` decodes it to ``DiffOp``s on first read."""
 
     factored: tuple[FactoredOp, ...]
     degrees: tuple[int, ...]
@@ -97,7 +101,7 @@ class FreeBasis:
                 "provenance": p,
                 "terms": op.to_json(),
             }
-            for op, d, p in zip(self.operators, self.degrees, self.provenance)
+            for op, d, p in zip(self.factored, self.degrees, self.provenance)
         ]
 
 

@@ -10,6 +10,14 @@ everywhere else in the library.
 
 Values are immutable by convention: no method mutates ``terms`` after
 construction, so polynomials can be shared freely and used as dict keys.
+
+The packed convention lives here too: a monomial of a polynomial whose
+exponents stay below a radix R is the one int a_1 R^(l-1) + ... + a_l
+(``packed_weights``), and a term dict maps such keys to values.  The hot
+paths keep operators in it (a homogeneous degree-d coefficient in radix
+d + 1): ``packed_product`` multiplies by linear forms and ``packed_text``
+prints a packed dict byte-for-byte as ``Poly.text`` prints its decoding;
+only ``unpack`` decodes to exponent tuples.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotDivisible, ZeroForm
@@ -306,7 +315,9 @@ def packed_weights(radix: int, nvars: int) -> tuple[int, ...]:
 
 
 def _times_form(terms: dict[int, int], units: list[tuple[int, int]]) -> dict[int, int]:
-    """Packed ``terms`` times the form of units (weight of x_i, c_i != 0), for ``form_product`` and ``packed_powers``."""
+    """Packed ``terms`` times the form of units (weight of x_i, c_i != 0), for
+    ``packed_product`` and ``packed_powers``; any packed polynomial's
+    (key, value) pairs serve as units too."""
     w, c = units[0]
     out = {a + w: v * c for a, v in terms.items()}
     get = out.get
@@ -317,23 +328,23 @@ def _times_form(terms: dict[int, int], units: list[tuple[int, int]]) -> dict[int
     return out
 
 
-def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
-    """Product of the integer linear forms with the given coefficient vectors
-    (1 for none), multiplied out one factor at a time over the integers.
-
-    Inside the loop a monomial is one packed int a_1 R^(l-1) + ... + a_l with
-    R = number of factors + 1: no exponent exceeds the number of factors, so
-    x_i multiplies by adding R^(l-i) without carries.  The keys are decoded
-    to exponent tuples once, at the end."""
-    normals = list(normals)
-    weights = packed_weights(len(normals) + 1, nvars)
-    terms: dict[int, int] = {0: 1}
+def packed_product(normals: Iterable[Sequence[int]], weights: tuple[int, ...]) -> dict[int, int]:
+    """Product of the linear forms with the given coefficient vectors (1 for
+    none), one ``_times_form`` per form, as a dict from packed keys (the
+    radix of ``weights`` above every exponent the product reaches); {} if a
+    form is zero.  Cancelled terms stay, with value 0."""
+    terms = {0: 1}
     for normal in normals:
         units = [(weights[i], c) for i, c in enumerate(normal) if c]
         if not units:
-            return Poly.zero(nvars)
+            return {}
         terms = _times_form(terms, units)
-    decoded: dict[MultiIndex, int] = {}
+    return terms
+
+
+def unpack(terms: Mapping[int, Fraction | int], weights: tuple[int, ...]) -> Poly:
+    """The polynomial of a dict from packed keys (radix of ``weights``), zero values dropped."""
+    decoded: dict[MultiIndex, Fraction | int] = {}
     for key, v in terms.items():
         if v:
             exps = []
@@ -341,7 +352,45 @@ def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
                 e, key = divmod(key, w)
                 exps.append(e)
             decoded[tuple(exps)] = v
-    return Poly._raw(nvars, decoded)
+    return Poly._raw(len(weights), decoded)
+
+
+def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
+    """Product of the integer linear forms with the given coefficient vectors
+    (1 for none), multiplied out one factor at a time over the integers.
+
+    Inside the loop a monomial is one packed int a_1 R^(l-1) + ... + a_l with
+    R = number of factors + 1: no exponent exceeds the number of factors, so
+    x_i multiplies by adding R^(l-i) without carries (``packed_product``).
+    The keys are decoded to exponent tuples once, at the end (``unpack``)."""
+    normals = list(normals)
+    weights = packed_weights(len(normals) + 1, nvars)
+    return unpack(packed_product(normals, weights), weights)
+
+
+@cache
+def _monomial_names(nvars: int, degree: int) -> dict[int, str]:
+    """``Poly.text``'s name of each degree-``degree`` monomial, with its leading
+    '*' ('' for the constant), by packed key in radix degree + 1; one table
+    per degree printed."""
+    weights = packed_weights(degree + 1, nvars)
+    return {
+        sum(map(mul, weights, a)): "".join(f"*x{i + 1}" if e == 1 else f"*x{i + 1}^{e}" for i, e in enumerate(a) if e)
+        for a in monomials_of_degree(nvars, degree)
+    }
+
+
+def packed_text(terms: Mapping[int, Fraction | int], nvars: int, degree: int) -> str:
+    """``Poly.text`` of the homogeneous degree-``degree`` polynomial given by
+    packed ``terms`` (radix degree + 1), zero values skipped.
+
+    Descending keys are graded-lex descending: every exponent is at most
+    ``degree`` < radix, so a key is the numeral with digits a_1 ... a_l,
+    numerals of l digits compare as their digit tuples lexicographically, and
+    monomials of one total degree compare in graded lex as their tuples do."""
+    names = _monomial_names(nvars, degree)
+    parts = [f"{terms[k]}{names[k]}" for k in sorted(terms, reverse=True) if terms[k]]
+    return " + ".join(parts) if parts else "0"
 
 
 def packed_powers(form: Sequence[int], n: int, weights: tuple[int, ...]) -> list[dict[int, int]]:

@@ -23,7 +23,11 @@ determinant of the rows at one point off every plane.  An operator given
 by its factor lists (``diffop.FactoredOp``, theta = P * theta', as basis
 assembly builds them) is tested through its low-degree core theta', at the
 planes whose normal is not a factor of P, and its determinant row is the
-core's: theta is never multiplied out.  The oracle computes the exact
+core's: theta is never multiplied out.  Rows are read in the packed
+convention of ``polynomial``: a ``FactoredOp``'s core as assembly packed it
+(``FactoredOp.packed``), a plain ``DiffOp`` packed once on entry, and the
+sample's monomial index (``_monomial_index``) keyed the same way, so no
+exponent tuple is decoded.  The oracle computes the exact
 dimension of the degree-d slice of the module: the same conditions make it
 an integer linear system in the coefficient unknowns.  Its fast path also
 quotients out the value patterns that polynomials realize, which shrinks
@@ -62,11 +66,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 from math import comb, gcd, prod
-from operator import add, getitem, itemgetter, mul
+from operator import add, getitem, mul
 from typing import Iterator, Sequence
 
 from .arrangement import Arrangement
-from .diffop import DiffOp, FactoredOp, saito_columns
+from .diffop import DiffOp, FactoredOp, packed_columns, saito_columns
 from .errors import (
     DimensionMismatch,
     IdentityViolated,
@@ -119,7 +123,7 @@ class _Planes:
         # each plane's points on no other plane, drawn as the degrees need them
         self.own: list[list[tuple[int, ...]]] = [[] for _ in self.normals]
         self.fill = [self._fill(i) for i in range(len(self.normals))]
-        self.tables: dict[int, tuple[dict[MultiIndex, int], list[list[int]], list[list[int]]]] = {}
+        self.tables: dict[int, tuple[dict[int, int], list[list[int]], list[list[int]]]] = {}
 
     def points(self, d: int) -> list[tuple[list[tuple[int, ...]], tuple[int, ...]]]:
         """Distinct projective points, at least s_dim(d, l-1) of them on every
@@ -152,7 +156,7 @@ class _Planes:
                 groups.append((own[:missing], (i,)))
         return groups
 
-    def table(self, d: int) -> tuple[dict[MultiIndex, int], list[list[int]], list[list[int]]]:
+    def table(self, d: int) -> tuple[dict[int, int], list[list[int]], list[list[int]]]:
         """``_monomial_index(l, d)``, the values of each degree-d monomial at
         the points of ``points(d)`` in group order (the oracle's eta matrix),
         and the indices of each plane's points."""
@@ -162,18 +166,24 @@ class _Planes:
                 for i in planes:
                     on[i] += range(len(points), len(points) + len(group))
                 points += group
-            index = _monomial_index(self.l, d)
-            self.tables[d] = index, [[_int_pow(p, c) for p in points] for c in index], on
+            values = [[_int_pow(p, c) for p in points] for c in monomials_of_degree(self.l, d)]
+            self.tables[d] = _monomial_index(self.l, d), values, on
         return self.tables[d]
 
-    def violation(self, row: list[dict[MultiIndex, int]], d: int, skip: frozenset[int] = frozenset()) -> tuple[int, MultiIndex] | None:
+    def violation(self, row: list[dict[int, int]], d: int, by_point: dict[int, list[tuple[int, ...]]], skip: frozenset[int] = frozenset()) -> tuple[int, MultiIndex] | None:
         """The first (plane index, b), not in ``skip``, whose condition the
-        operator with coefficients ``row`` (term dicts in ``saito_columns``
-        order, degree d) breaks; it is evaluated once per point of a tested
-        plane and checked against every tested plane through that point."""
+        operator with coefficients ``row`` (packed term dicts, radix d + 1,
+        in ``saito_columns`` order) breaks; it is evaluated once per point of
+        a tested plane and checked against every tested plane through that
+        point.  ``by_point`` holds each degree's table by point (a point's
+        monomial values), taken on first need and kept by the caller for its
+        further rows."""
         if not self.m:
             return None  # order 0: no conditions
         index, values, on = self.table(d)
+        if d not in by_point:
+            by_point[d] = list(zip(*values))
+        columns = by_point[d]
         dense = _dense(row, index)
         at: dict[int, list] = {}
         for j, (slots, points) in enumerate(zip(self.contraction, on)):
@@ -181,7 +191,7 @@ class _Planes:
                 continue
             for k in points:
                 if k not in at:
-                    at[k] = _evaluate(dense, list(map(itemgetter(k), values)))
+                    at[k] = _evaluate(dense, columns[k])
                 b = _broken(slots, at[k])
                 if b is not None:
                     return j, monomials_of_degree(self.l, self.m - 1)[b]
@@ -237,12 +247,14 @@ def _broken(slots: list[tuple[list[int], list[int]]], vec: Sequence[int]) -> int
     return next((b for b, v in enumerate(total) if v), None) if any(total) else None
 
 
-def _monomial_index(l: int, d: int) -> dict[MultiIndex, int]:
-    """The position of each degree-d monomial in ``monomials_of_degree``."""
-    return {c: i for i, c in enumerate(monomials_of_degree(l, d))}
+def _monomial_index(l: int, d: int) -> dict[int, int]:
+    """The position of each degree-d monomial in ``monomials_of_degree`` by
+    packed key (radix d + 1)."""
+    weights = packed_weights(d + 1, l)
+    return {sum(map(mul, weights, c)): i for i, c in enumerate(monomials_of_degree(l, d))}
 
 
-def _dense(row: list[dict[MultiIndex, int]], index: dict[MultiIndex, int]) -> list[list[int] | None]:
+def _dense(row: list[dict[int, int]], index: dict[int, int]) -> list[list[int] | None]:
     """Each coefficient (term dict) of ``row`` as a list over ``index``, None if zero."""
     out = []
     for f in row:
@@ -267,12 +279,13 @@ def is_member(theta: DiffOp, arr: Arrangement) -> bool:
     if theta.nvars != arr.dim:
         raise DimensionMismatch(f"operator has {theta.nvars} variables, the arrangement {arr.dim}")
     columns = saito_columns(arr.dim, theta.order)
-    components: dict[int, list[dict[MultiIndex, Fraction | int]]] = {}
+    components: dict[int, list[dict[int, Fraction | int]]] = {}
     for k, a in enumerate(columns):
         for c, v in theta.coeffs[a].terms.items() if a in theta.coeffs else ():
-            components.setdefault(sum(c), [{} for _ in columns])[k][c] = v
-    sample = _Planes(arr, theta.order)
-    return not any(sample.violation(row, d) for d, row in components.items())
+            d = sum(c)
+            components.setdefault(d, [{} for _ in columns])[k][sum(map(mul, packed_weights(d + 1, arr.dim), c))] = v
+    sample, by_point = _Planes(arr, theta.order), {}
+    return not any(sample.violation(row, d, by_point) for d, row in components.items())
 
 
 # -- determinant certificate ----------------------------------------------------
@@ -309,8 +322,8 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
     with det M = c * Q^t, c != 0, for M the Saito matrix of the operators
     (``FactoredOp.op`` for a factored one).  Each operator is read as a pair
     (core theta', cofactor forms) with theta = P * theta', P the product of
-    the forms: a ``FactoredOp``'s normalized ``core`` and primitive
-    ``cofactor``, or (op, ()) for a plain ``DiffOp``.
+    the forms: a ``FactoredOp``'s normalized core (``packed``) and primitive
+    ``cofactor``, or (op, ()) for a plain ``DiffOp``, packed here once.
 
     Saito's criterion in Holm's version for order m: members with
     det M = c * Q^t, c != 0 and t = s_dim(m-1, l), form a basis.  The checks
@@ -357,14 +370,11 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
         raise ZeroDet("empty candidate basis")
     m = ops[0].order
     l = arr.dim
-    pairs = []
     for i, op in enumerate(ops):
         if (op.nvars, op.order) != (l, m):
             raise DimensionMismatch(f"operator {i} has order {op.order} in {op.nvars} variables, need order {m} in {l}")
-        core, cofactor = (op.core, op.cofactor) if isinstance(op, FactoredOp) else (op, ())
-        if core.is_zero() or not all(map(any, cofactor)):
+        if op.is_zero():
             raise ZeroDet(f"operator {i} is zero", i)
-        pairs.append((core, cofactor))
     expected = s_dim(m, l)
     if len(ops) != expected:
         raise ZeroDet(f"candidate basis has {len(ops)} operators, need {expected}")
@@ -373,23 +383,25 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
         i = degrees.index(None)
         raise NotPurePower(f"operator {i} has non-homogeneous coefficients", i)
 
-    columns = saito_columns(l, m)
+    columns = packed_columns(l, m)
     scale = Fraction(1)
-    rows = []
-    sample = _Planes(arr, m)
-    for i, ((core, cofactor), deg) in enumerate(zip(pairs, degrees)):
+    rows, cofactors = [], []
+    sample, by_point = _Planes(arr, m), {}
+    for i, (op, deg) in enumerate(zip(ops, degrees)):
+        core, cofactor = (op.packed, op.cofactor) if isinstance(op, FactoredOp) else (op.pack(deg + 1), ())
         # primitive integer rows (a normalized core has content 1 already)
-        row = [core.coeffs[a].terms if a in core.coeffs else {} for a in columns]
+        row = [core.get(a, {}) for a in columns]
         content = rational_content(v for f in row for v in f.values())
         if content != 1:
             row = [{a: int(v / content) for a, v in f.items()} for f in row]
             scale *= content
         skip = frozenset(k for k, h in enumerate(arr) if h.normal in cofactor)
-        found = sample.violation(row, deg - len(cofactor), skip)
+        found = sample.violation(row, deg - len(cofactor), by_point, skip)
         if found:
             j, b = found
             raise NotMember(f"operator {i} is not a member at {arr.hyperplanes[j].text()}: theta(alpha_H * x^b) is not in alpha_H * S, b = {b}", i)
         rows.append((row, deg - len(cofactor)))
+        cofactors += cofactor
 
     n = arr.n
     t = s_dim(m - 1, l) if n else 0
@@ -399,9 +411,9 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
 
     point = next(p for p in (tuple(k**i for i in range(l)) for k in count()) if not any(h.contains(p) for h in arr))
     indices = {d: _monomial_index(l, d) for _, d in rows}
-    at_point = {d: [_int_pow(point, c) for c in index] for d, index in indices.items()}
+    at_point = {d: [_int_pow(point, c) for c in monomials_of_degree(l, d)] for d in indices}
     det = det_int([_evaluate(_dense(row, indices[d]), at_point[d]) for row, d in rows])
-    det *= prod(sum(map(mul, v, point)) for _, cofactor in pairs for v in cofactor)
+    det *= prod(sum(map(mul, v, point)) for v in cofactors)
     if not det:
         raise ZeroDet("candidate basis matrix is singular")
     q = prod(sum(map(mul, h.normal, point)) for h in arr)

@@ -222,3 +222,28 @@ def saito_matrix(ops: list[DiffOp]) -> list[list[Poly]]:
     operator, columns in ``saito_columns`` order."""
     zero = Poly.zero(ops[0].nvars)
     return [[op.coeffs.get(a, zero) for a in saito_columns(op.nvars, op.order)] for op in ops]
+
+
+def tuple_product_op(terms, nvars: int, order: int) -> DiffOp:
+    """``product_op`` on exponent tuples: each term's two ``form_product``s,
+    accumulated per multi-index, no packed key outside ``form_product``."""
+    out: dict[MultiIndex, dict[MultiIndex, int | Fraction]] = {}
+    for c, forms, derivs in terms:
+        xs = form_product(forms, nvars).terms
+        for a, u in form_product(derivs, nvars).terms.items():
+            coeff = out.setdefault(a, {})
+            for b, v in xs.items():
+                coeff[b] = coeff.get(b, 0) + c * u * v
+    return DiffOp(nvars, order, {a: Poly(nvars, f) for a, f in out.items()})
+
+
+def tuple_basis_json(fb) -> list[dict]:
+    """``FreeBasis.to_json`` on tuple-keyed operators: each core normalized
+    (``normalized_primitive``), multiplied by its cofactor's ``form_product``
+    (``mul_poly``) and printed with ``Poly.text``."""
+    out = []
+    for op, degree, provenance in zip(fb.factored, fb.degrees, fb.provenance):
+        core = tuple_product_op(op.terms, op.nvars, op.order).normalized_primitive()
+        theta = core.mul_poly(form_product(op.cofactor, op.nvars))
+        out.append({"degree": degree, "provenance": provenance, "terms": [[list(a), f.text()] for a, f in theta.sorted_coeffs()]})
+    return out

@@ -12,6 +12,7 @@ from conftest import random_essential
 from arrops import cli, verify
 from arrops.diffop import FactoredOp
 from arrops.errors import ZeroDet
+from arrops.polynomial import Poly
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +50,31 @@ def test_verify_expands_no_operator_and_no_determinant(capsys, monkeypatch):
     monkeypatch.setattr(verify.SaitoCertificate, "det", property(expanded))
     code, out, _ = run_cli(capsys, "verify", "--m", "3", "x1", "x2", "x3", "x1-x2", "x2-x3")
     assert code == 0 and json.loads(out)["oracle"] == "consistent"
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        ["--m", "3", "x1", "x2", "x3", "2*x1-3*x2", "x1+x2+x3"],
+        ["--m", "3", "--dim", "2", "x1", "x2", "x1-x2"],
+        ["--m", "2", "--dim", "3", "x1", "x2", "x1-x2"],
+    ],
+    ids=["essential", "2arr", "rank2"],
+)
+def test_basis_output_decodes_no_operator(capsys, monkeypatch, forms):
+    # the certificate reads the packed cores, and the printed operators are
+    # multiplied out and printed on packed keys: no tuple-keyed core, operator
+    # or coefficient text is built
+    expected = run_cli(capsys, "basis", *forms)
+
+    def decoded(self):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(FactoredOp, "core", property(decoded))
+    monkeypatch.setattr(FactoredOp, "op", property(decoded))
+    monkeypatch.setattr(Poly, "text", decoded)
+    assert run_cli(capsys, "basis", *forms) == expected
+    assert expected[0] == 0
 
 
 def test_verify_samples_the_arrangement_once(capsys, monkeypatch):

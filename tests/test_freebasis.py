@@ -7,7 +7,7 @@ import pytest
 from conftest import random_essential
 from reference import apply, localization, localization_indices, off_flat_product
 
-from arrops import freebasis
+from arrops import extension, freebasis
 from arrops.arrangement import Arrangement, Hyperplane, arrangement_from_json, parse_arrangement
 from arrops.diffop import FactoredOp, euler_op, identity_op, partial_op, product_op
 from arrops.errors import BadOrder, NotEssential, SolveFailed, ZeroForm
@@ -222,6 +222,19 @@ def test_cross_flat_annihilation(quad_arr):
                 for f in monomials_of_degree(3, py.max_order):
                     val = apply(dx, off_flat_product(py) * Poly(3, {f: 1}))
                     assert val.is_zero()
+
+
+def test_extend_builds_no_arrangement_after_the_last_plane(quad_arr, monkeypatch):
+    # each added plane but the last is read through one new arrangement of
+    # the planes so far; the extended planes are built once, by ``full``
+    built = []
+    arrangement = extension.Arrangement
+    monkeypatch.setattr(extension, "Arrangement", lambda dim, planes: built.append(len(planes)) or arrangement(dim, planes))
+    for given in (None, hyperplanes_from_forms(["x1+x2+x3", "x1+2*x2+4*x3", "x1+3*x2+9*x3"])):
+        built.clear()
+        ext = extend(quad_arr, 5, given)
+        assert built == [5, 6]
+        assert ext.full.hyperplanes == (*quad_arr.hyperplanes, *ext.added) and built == [5, 6, 7]
 
 
 def test_basis_3arr_errors(quad_arr, pencil3_arr):

@@ -21,7 +21,20 @@ pytest.importorskip("hypothesis")
 from conftest import random_essential
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import apply, base_off_flat_product, compose_constant, contraction_kernels, convert_2var_op, localization, off_flat_product, oracle_dim_direct, product_kernels, saito_matrix
+from reference import (
+    apply,
+    base_off_flat_product,
+    compose_constant,
+    contraction_kernels,
+    convert_2var_op,
+    localization,
+    off_flat_product,
+    oracle_dim_direct,
+    product_kernels,
+    saito_matrix,
+    tuple_basis_json,
+    tuple_product_op,
+)
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op
@@ -450,6 +463,31 @@ def test_kernels_from_shared_powers_equal_the_primitive_products(arr, m):
     # order, same tuples
     sample = _Planes(arr, m)
     assert list(_kernels(arr, sample).items()) == list(product_kernels(sample).items()), m
+
+
+# rank <= 2 3-arrangements: a pencil through the line of (-s, -t, 1) (rank 1
+# for one plane) and the empty arrangement (rank 0)
+rank_at_most_two = st.one_of(
+    st.tuples(st.lists(normals(2), min_size=1, max_size=5, unique=True), small, small).map(
+        lambda t: Arrangement(3, [Hyperplane.make((a, b, a * t[1] + b * t[2])) for a, b in t[0]])
+    ),
+    st.just(Arrangement(3, [])),
+)
+
+
+@given(st.one_of(kernel_arrangements, rank_at_most_two), st.integers(0, 5))
+def test_packed_basis_output_matches_the_tuple_path(arr, m):
+    # the packed cores and their packed multiply-out and printer against
+    # tuple-keyed operators: the same normalized cores, and the same bytes
+    if arr.dim == 3 and arr.is_essential():
+        m = max(m, arr.n - 2)
+    fb = build_basis(arr, m)
+    ours, theirs = fb.to_json(), tuple_basis_json(fb)
+    assert len(ours) == len(theirs)
+    for entry, expected in zip(ours, theirs):
+        assert entry == expected
+    for op in fb.factored:
+        assert op.core == tuple_product_op(op.terms, op.nvars, op.order).normalized_primitive()
 
 
 @cache

@@ -192,6 +192,17 @@ def test_saito_check_non_homogeneous_row(boolean_arr):
         saito_check(ops, boolean_arr)
 
 
+def test_factored_core_of_unequal_form_counts(boolean_arr):
+    # x1 - x2^2 under d1: its packed key for x1 is the larger one, but grlex
+    # leads with -x2^2, so the normalized core is x2^2 - x1; the certificate
+    # then rejects the operator as non-homogeneous
+    op = FactoredOp(3, 1, (), [(1, [(1, 0, 0)], [(1, 0, 0)]), (-1, [(0, 1, 0)] * 2, [(1, 0, 0)])])
+    assert op.degree() is None
+    assert op.core == DiffOp(3, 1, {(1, 0, 0): x2**2 - x1})
+    with pytest.raises(NotPurePower, match="operator 0 has non-homogeneous"):
+        saito_check([op, partial_op(3, (0, 1, 0), x2), partial_op(3, (0, 0, 1), x3)], boolean_arr)
+
+
 def test_saito_check_excess_factor():
     # members, but x1 divides the first row three times: degree sum 4 > n * t = 2
     plane = parse_arrangement("x1; x2", dim=2)
