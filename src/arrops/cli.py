@@ -141,8 +141,8 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         return out, 0
     d_max = args.max_degree if args.max_degree is not None else max(basis.exponents) + 2
     report = hilbert_check(arr, args.m, basis.exponents, d_max, basis.saito.sample)
-    out["oracle"] = report.to_json()["verdict"]
-    out["oracle_table"] = report.to_json()["table"]
+    table = report.to_json()
+    out["oracle"], out["oracle_table"] = table["verdict"], table["table"]
     return out, 0 if report.consistent else VERIFICATION_ERROR
 
 

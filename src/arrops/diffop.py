@@ -6,20 +6,21 @@ are immutable by convention, like polynomials.
 
 Every closed-form operator (derivation powers, Euler operators, the
 pencil blocks of ``freebasis``) is built from its factor lists by one
-packed loop (``_packed_terms``), in the packed convention of
-``polynomial`` (``Packed``: derivative keys in radix m + 1, coefficient
-monomials in one radix above every exponent).  ``product_op`` decodes the
-result to a tuple-keyed ``DiffOp``; a ``FactoredOp`` keeps it packed for
-the certificate and for ``basis`` output, and decodes only when ``core``
-or ``op`` is read (by tests and demos).
+packed loop (``_packed_terms``), in the packed layout that only
+``polynomial`` computes (``Packed``: derivative keys in radix m + 1,
+coefficient monomials in one radix above every exponent); this module
+names radixes and computes no key.  ``product_op`` decodes the result to a
+tuple-keyed ``DiffOp``; a ``FactoredOp`` has one radix, fixed when it is
+built, keeps its core packed in it for the certificate and for ``basis``
+output, and decodes only when ``core`` or ``op`` is read (by tests and
+demos).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import factorial
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
@@ -30,9 +31,10 @@ from .polynomial import (
     grlex_key,
     midx_factorial,
     monomials_of_degree,
+    pack,
+    packed_index,
     packed_product,
     packed_text,
-    packed_weights,
     primitive_int_vector,
     rational_content,
     unpack,
@@ -153,8 +155,7 @@ class DiffOp:
 
     def pack(self, radix: int) -> Packed:
         """The operator packed (``Packed``), monomial keys in ``radix``, above every exponent."""
-        weights, dw = packed_weights(radix, self.nvars), packed_weights(self.order + 1, self.nvars)
-        return {sum(map(mul, dw, a)): {sum(map(mul, weights, c)): v for c, v in f.terms.items()} for a, f in self.coeffs.items()}
+        return {a: pack(f.terms, self.nvars, radix) for a, f in pack(self.coeffs, self.nvars, self.order + 1).items()}
 
 
 # -- constructors -----------------------------------------------------------
@@ -173,27 +174,18 @@ Factor = Sequence[int | Fraction]
 Term = tuple[int | Fraction, Iterable[Factor], Iterable[Factor]]
 
 
-@cache
-def packed_columns(nvars: int, order: int) -> dict[int, MultiIndex]:
-    """The ``saito_columns`` by packed key (radix order + 1), in that order:
-    descending keys (``polynomial.packed_text``)."""
-    weights = packed_weights(order + 1, nvars)
-    return {sum(map(mul, weights, a)): a for a in saito_columns(nvars, order)}
-
-
 def _packed_terms(terms: Iterable[Term], nvars: int, order: int, radix: int) -> Packed:
     """Sum over terms (c, forms, derivations) of c * (product of the forms) *
     (product of the derivations), packed, monomial keys in ``radix`` (above
     every form count); no zero value and no empty coefficient.  Constant
     derivations commute, so ``packed_product`` multiplies out both products,
     each once."""
-    xw, dw = packed_weights(radix, nvars), packed_weights(order + 1, nvars)
     out: Packed = {}
     for c, forms, derivs in terms:
         if len(derivs) != order:
             raise DimensionMismatch(f"a term with {len(derivs)} derivations in an operator of order {order}")
-        xs = packed_product(forms, xw)
-        for a, u in packed_product(derivs, dw).items():
+        xs = packed_product(forms, radix)
+        for a, u in packed_product(derivs, order + 1).items():
             cu = c * u
             coeff = out.setdefault(a, {})
             get = coeff.get
@@ -204,8 +196,8 @@ def _packed_terms(terms: Iterable[Term], nvars: int, order: int, radix: int) -> 
 
 def _unpacked(packed: Packed, nvars: int, order: int, radix: int) -> DiffOp:
     """The operator of ``packed`` (monomial keys in ``radix``), tuple-keyed."""
-    weights, columns = packed_weights(radix, nvars), packed_columns(nvars, order)
-    return DiffOp(nvars, order, {columns[a]: unpack(f, weights) for a, f in packed.items()})
+    index, columns = packed_index(nvars, order, order + 1), saito_columns(nvars, order)
+    return DiffOp(nvars, order, {columns[index[a]]: unpack(f, nvars, radix) for a, f in packed.items()})
 
 
 def _form_count(terms: Sequence[Term]) -> int:
@@ -221,51 +213,45 @@ def product_op(terms: Iterable[Term], nvars: int, order: int) -> DiffOp:
     return _unpacked(_packed_terms(terms, nvars, order, radix), nvars, order, radix)
 
 
-def _rekeyed(terms: dict[int, int], old: tuple[int, ...], new: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The (key, value) pairs of packed ``terms``, keys from the weights ``old`` to ``new``."""
-    out = []
-    for key, v in terms.items():
-        k = 0
-        for w, x in zip(old, new):
-            e, key = divmod(key, w)
-            k += e * x
-        out.append((k, v))
-    return out
-
-
 class FactoredOp:
     """theta = P * theta', given by factor lists: P is the product of the
     linear forms ``cofactor``, each stored primitive with first nonzero entry
     positive (a zero form stays zero), and theta' the sum of the ``terms``
     (c, forms, derivations), as ``product_op`` reads them.
 
+    ``degree()`` is read off the factor counts, len(cofactor) + len(forms)
+    in every term (None if they differ), and the one ``radix`` is
+    len(cofactor) + e + 1, e the largest form count, degree() + 1 if
+    homogeneous; both are computed once.  No exponent of theta' (at most e)
+    or of P * theta' (at most len(cofactor) + e) reaches it, so both and
+    their decodings (``core``, ``op``) use monomial keys in that radix.
+
     ``packed``, which the certificate reads, is theta' normalized as
-    ``DiffOp.normalized_primitive`` does it, packed (monomial keys in radix
-    e + 1, e the largest form count): the joint content taken out, then the
-    value at the largest monomial key under the largest derivative key made
-    positive.  Within one degree descending keys are grlex descending
-    (``packed_text``), so that value is the grlex leading coefficient;
-    terms with unequal form counts are normalized tuple-keyed instead.
-    ``to_json`` multiplies ``packed`` by P on packed keys and prints them;
-    ``core`` and ``op`` decode theta' and P * theta' (tests and demos).
-    P * theta' is theta normalized: by Gauss's lemma content(P * theta') =
-    content(theta'), and under grlex lc(P * f) = lc(P) * lc(f), lc(P) > 0
-    the product of the forms' first nonzero entries.  ``degree()`` is read
-    off the factor counts, len(cofactor) + len(forms) in every term; None if
-    they differ."""
+    ``DiffOp.normalized_primitive`` does it, packed: the joint content taken
+    out, then the value at the largest monomial key under the largest
+    derivative key made positive.  Within one degree descending keys are
+    grlex descending (``packed_text``), so that value is the grlex leading
+    coefficient; terms with unequal form counts are normalized tuple-keyed
+    instead.  ``to_json`` multiplies ``packed`` by P on packed keys and
+    prints them; ``core`` and ``op`` decode theta' and P * theta' (tests and
+    demos).  P * theta' is theta normalized: by Gauss's lemma
+    content(P * theta') = content(theta'), and under grlex
+    lc(P * f) = lc(P) * lc(f), lc(P) > 0 the product of the forms' first
+    nonzero entries."""
 
     def __init__(self, nvars: int, order: int, cofactor: Sequence[Factor], terms: Sequence[Term]):
         self.nvars, self.order = nvars, order
         self.cofactor = tuple(primitive_int_vector(v) if any(v) else (0,) * len(v) for v in cofactor)
         self.terms = tuple((c, tuple(map(tuple, fs)), tuple(map(tuple, ds))) for c, fs, ds in terms)
-        self._forms = _form_count(self.terms)  # e, the core's degree
+        counts = {len(fs) for _, fs, _ in self.terms}
+        self.radix = len(self.cofactor) + max(counts, default=0) + 1
+        self._degree = self.radix - 1 if len(counts) == 1 else None
 
     @cached_property
     def packed(self) -> Packed:
-        radix = self._forms + 1
-        if self.degree() is None:
-            return product_op(self.terms, self.nvars, self.order).normalized_primitive().pack(radix)
-        packed = _packed_terms(self.terms, self.nvars, self.order, radix)
+        if self._degree is None:
+            return product_op(self.terms, self.nvars, self.order).normalized_primitive().pack(self.radix)
+        packed = _packed_terms(self.terms, self.nvars, self.order, self.radix)
         if not packed:
             return packed
         content = rational_content(v for f in packed.values() for v in f.values())
@@ -279,41 +265,41 @@ class FactoredOp:
         return {a: {k: v * den // num for k, v in f.items()} for a, f in packed.items()}
 
     def multiplied(self) -> Packed:
-        """P * theta', packed, monomial keys in radix len(cofactor) + e + 1:
-        P multiplied out once (``packed_product``), then each coefficient of
-        ``packed`` re-keyed once and multiplied by P (``_times_form``, P's
-        terms for the form's); cancelled terms stay, valued 0.  ``packed``
-        itself when there is no cofactor."""
+        """P * theta', packed: P multiplied out once (``packed_product``), then
+        each coefficient of ``packed`` multiplied by it (one ``_times_form``,
+        P's terms for the form's); cancelled terms stay, valued 0.
+        ``packed`` itself when there is no cofactor."""
         if not self.cofactor:
             return self.packed
-        old, new = packed_weights(self._forms + 1, self.nvars), packed_weights(self._forms + len(self.cofactor) + 1, self.nvars)
-        p = {k: v for k, v in packed_product(self.cofactor, new).items() if v}
-        return {a: _times_form(p, _rekeyed(f, old, new)) if p else {} for a, f in self.packed.items()}
+        p = {k: v for k, v in packed_product(self.cofactor, self.radix).items() if v}
+        return {a: _times_form(p, list(f.items())) if p else {} for a, f in self.packed.items()}
 
     @cached_property
     def core(self) -> DiffOp:
-        return _unpacked(self.packed, self.nvars, self.order, self._forms + 1)
+        return _unpacked(self.packed, self.nvars, self.order, self.radix)
 
     @cached_property
     def op(self) -> DiffOp:
         if not self.cofactor:
             return self.core
-        return _unpacked(self.multiplied(), self.nvars, self.order, self._forms + len(self.cofactor) + 1)
+        return _unpacked(self.multiplied(), self.nvars, self.order, self.radix)
 
     def is_zero(self) -> bool:
         """A zero core or a zero cofactor form."""
         return not self.packed or not all(map(any, self.cofactor))
 
     def degree(self) -> int | None:
-        counts = {len(fs) for _, fs, _ in self.terms}
-        return len(self.cofactor) + counts.pop() if len(counts) == 1 else None
+        return self._degree
 
     def to_json(self) -> list:
         """``op.to_json()`` of a homogeneous operator, from packed keys:
         [multi-index, ``Poly.text`` of its coefficient] in ``saito_columns``
-        order, P * theta' never decoded."""
-        full, degree = self.multiplied(), self.degree()
-        return [[list(a), packed_text(full[k], self.nvars, degree)] for k, a in packed_columns(self.nvars, self.order).items() if k in full]
+        order, P * theta' never decoded.  ``ValueError`` if the operator is
+        not homogeneous."""
+        if self._degree is None:
+            raise ValueError("the operator is not homogeneous: its terms have unequal form counts")
+        full = self.multiplied()
+        return [[list(a), packed_text(full[k], self.nvars, self._degree)] for k, a in zip(packed_index(self.nvars, self.order, self.order + 1), saito_columns(self.nvars, self.order)) if k in full]
 
 
 def power_of_derivation(coeffs: Factor, k: int, nvars: int | None = None) -> DiffOp:

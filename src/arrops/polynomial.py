@@ -11,13 +11,14 @@ everywhere else in the library.
 Values are immutable by convention: no method mutates ``terms`` after
 construction, so polynomials can be shared freely and used as dict keys.
 
-The packed convention lives here too: a monomial of a polynomial whose
-exponents stay below a radix R is the one int a_1 R^(l-1) + ... + a_l
-(``packed_weights``), and a term dict maps such keys to values.  The hot
-paths keep operators in it (a homogeneous degree-d coefficient in radix
-d + 1): ``packed_product`` multiplies by linear forms and ``packed_text``
-prints a packed dict byte-for-byte as ``Poly.text`` prints its decoding;
-only ``unpack`` decodes to exponent tuples.
+The packed layout lives here and nowhere else: a monomial of a polynomial
+whose exponents stay below a radix R is the one int a_1 R^(l-1) + ... + a_l,
+and a term dict maps such keys to values.  Other modules name a radix and
+never compute a key: ``pack`` and ``unpack`` convert term dicts,
+``packed_index`` is the one key table per degree and radix (positions in
+``monomials_of_degree``), ``packed_product`` and ``packed_powers``
+multiply by linear forms, and ``packed_text`` prints a packed dict
+byte-for-byte as ``Poly.text`` prints its decoding.
 """
 
 from __future__ import annotations
@@ -314,6 +315,22 @@ def packed_weights(radix: int, nvars: int) -> tuple[int, ...]:
     return tuple(radix ** (nvars - 1 - i) for i in range(nvars))
 
 
+@cache
+def packed_index(nvars: int, degree: int, radix: int) -> dict[int, int]:
+    """The position of each degree-``degree`` monomial in ``monomials_of_degree``
+    by packed key (radix above ``degree``), in that order: descending keys
+    (``packed_text``).  One shared table per argument triple: callers do not
+    modify it."""
+    return pack({a: i for i, a in enumerate(monomials_of_degree(nvars, degree))}, nvars, radix)
+
+
+def pack(terms: Mapping[MultiIndex, object], nvars: int, radix: int) -> dict:
+    """``terms`` with each exponent tuple (every exponent below ``radix``)
+    replaced by its packed key, values kept."""
+    weights = packed_weights(radix, nvars)
+    return {sum(map(mul, weights, a)): v for a, v in terms.items()}
+
+
 def _times_form(terms: dict[int, int], units: list[tuple[int, int]]) -> dict[int, int]:
     """Packed ``terms`` times the form of units (weight of x_i, c_i != 0), for
     ``packed_product`` and ``packed_powers``; any packed polynomial's
@@ -328,31 +345,24 @@ def _times_form(terms: dict[int, int], units: list[tuple[int, int]]) -> dict[int
     return out
 
 
-def packed_product(normals: Iterable[Sequence[int]], weights: tuple[int, ...]) -> dict[int, int]:
+def packed_product(normals: Iterable[Sequence[int]], radix: int) -> dict[int, int]:
     """Product of the linear forms with the given coefficient vectors (1 for
-    none), one ``_times_form`` per form, as a dict from packed keys (the
-    radix of ``weights`` above every exponent the product reaches); {} if a
-    form is zero.  Cancelled terms stay, with value 0."""
+    none), one ``_times_form`` per form, as a dict from packed keys (``radix``
+    above every exponent the product reaches); {} if a form is zero.
+    Cancelled terms stay, with value 0."""
     terms = {0: 1}
     for normal in normals:
-        units = [(weights[i], c) for i, c in enumerate(normal) if c]
+        units = [(w, c) for w, c in zip(packed_weights(radix, len(normal)), normal) if c]
         if not units:
             return {}
         terms = _times_form(terms, units)
     return terms
 
 
-def unpack(terms: Mapping[int, Fraction | int], weights: tuple[int, ...]) -> Poly:
-    """The polynomial of a dict from packed keys (radix of ``weights``), zero values dropped."""
-    decoded: dict[MultiIndex, Fraction | int] = {}
-    for key, v in terms.items():
-        if v:
-            exps = []
-            for w in weights:
-                e, key = divmod(key, w)
-                exps.append(e)
-            decoded[tuple(exps)] = v
-    return Poly._raw(len(weights), decoded)
+def unpack(terms: Mapping[int, Fraction | int], nvars: int, radix: int) -> Poly:
+    """The polynomial of a dict from packed keys in ``radix``, zero values dropped."""
+    weights = packed_weights(radix, nvars)
+    return Poly._raw(nvars, {tuple(key // w % radix for w in weights): v for key, v in terms.items() if v})
 
 
 def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
@@ -364,8 +374,7 @@ def form_product(normals: Iterable[Sequence[int]], nvars: int) -> Poly:
     x_i multiplies by adding R^(l-i) without carries (``packed_product``).
     The keys are decoded to exponent tuples once, at the end (``unpack``)."""
     normals = list(normals)
-    weights = packed_weights(len(normals) + 1, nvars)
-    return unpack(packed_product(normals, weights), weights)
+    return unpack(packed_product(normals, len(normals) + 1), nvars, len(normals) + 1)
 
 
 @cache
@@ -373,10 +382,9 @@ def _monomial_names(nvars: int, degree: int) -> dict[int, str]:
     """``Poly.text``'s name of each degree-``degree`` monomial, with its leading
     '*' ('' for the constant), by packed key in radix degree + 1; one table
     per degree printed."""
-    weights = packed_weights(degree + 1, nvars)
     return {
-        sum(map(mul, weights, a)): "".join(f"*x{i + 1}" if e == 1 else f"*x{i + 1}^{e}" for i, e in enumerate(a) if e)
-        for a in monomials_of_degree(nvars, degree)
+        k: "".join(f"*x{i + 1}" if e == 1 else f"*x{i + 1}^{e}" for i, e in enumerate(a) if e)
+        for k, a in zip(packed_index(nvars, degree, degree + 1), monomials_of_degree(nvars, degree))
     }
 
 
@@ -393,10 +401,10 @@ def packed_text(terms: Mapping[int, Fraction | int], nvars: int, degree: int) ->
     return " + ".join(parts) if parts else "0"
 
 
-def packed_powers(form: Sequence[int], n: int, weights: tuple[int, ...]) -> list[dict[int, int]]:
-    """w^0, ..., w^n of the nonzero integer form w, n one-factor steps, as dicts from
-    packed keys (``weights`` of radix > n, so keys of total degree <= n add without carries)."""
-    units = [(weights[i], c) for i, c in enumerate(form) if c]
+def packed_powers(form: Sequence[int], n: int, radix: int) -> list[dict[int, int]]:
+    """w^0, ..., w^n of the nonzero integer form w, n one-factor steps, as dicts
+    from packed keys (``radix`` > n, so keys of total degree <= n add without carries)."""
+    units = [(w, c) for w, c in zip(packed_weights(radix, len(form)), form) if c]
     return list(accumulate(repeat(units, n), _times_form, initial={0: 1}))
 
 

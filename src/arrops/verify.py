@@ -23,13 +23,15 @@ determinant of the rows at one point off every plane.  An operator given
 by its factor lists (``diffop.FactoredOp``, theta = P * theta', as basis
 assembly builds them) is tested through its low-degree core theta', at the
 planes whose normal is not a factor of P, and its determinant row is the
-core's: theta is never multiplied out.  Rows are read in the packed
-convention of ``polynomial``: a ``FactoredOp``'s core as assembly packed it
-(``FactoredOp.packed``), a plain ``DiffOp`` packed once on entry, and the
-sample's monomial index (``_monomial_index``) keyed the same way, so no
-exponent tuple is decoded.  The oracle computes the exact
-dimension of the degree-d slice of the module: the same conditions make it
-an integer linear system in the coefficient unknowns.  Its fast path also
+core's: theta is never multiplied out.  A row, in the packed layout that
+only ``polynomial`` computes, is a ``FactoredOp``'s core in the operator's
+one radix (``FactoredOp.packed``), or a plain ``DiffOp`` packed once on
+entry, and it is read once: one dense list over ``polynomial.packed_index``
+(``_dense``), which the membership test evaluates at the sample's points
+(through the by-point view the sample keeps) and the determinant at its
+point.  The oracle computes the exact dimension of the degree-d slice of
+the module: the same conditions make it an integer linear system in the
+coefficient unknowns.  Its fast path also
 quotients out the value patterns that polynomials realize, which shrinks
 the elimination to matrices indexed by points and multi-indices (the tests
 keep the literal coefficient-space system as a cross-check).  The
@@ -70,7 +72,7 @@ from operator import add, getitem, mul
 from typing import Iterator, Sequence
 
 from .arrangement import Arrangement
-from .diffop import DiffOp, FactoredOp, packed_columns, saito_columns
+from .diffop import DiffOp, FactoredOp, saito_columns
 from .errors import (
     DimensionMismatch,
     IdentityViolated,
@@ -87,8 +89,9 @@ from .polynomial import (
     form_product,
     midx_factorial,
     monomials_of_degree,
+    pack,
+    packed_index,
     packed_powers,
-    packed_weights,
     rational_content,
     s_dim,
 )
@@ -106,8 +109,9 @@ class _Planes:
     (``arr.flats()``): its direction and the planes through it, input order.
     In dimension 2 each line is its own flat, on that line alone.  Per
     degree, built on first read and kept here only: the table of monomial
-    values at the points (``table``), which the membership test and the
-    oracle's etas read.  ``points`` evaluates nothing.
+    values at the points (``table``), which the oracle's etas read, and the
+    same table by point (``by_point``), which the membership test reads.
+    ``points`` evaluates nothing.
     """
 
     def __init__(self, arr: Arrangement, m: int):
@@ -123,7 +127,8 @@ class _Planes:
         # each plane's points on no other plane, drawn as the degrees need them
         self.own: list[list[tuple[int, ...]]] = [[] for _ in self.normals]
         self.fill = [self._fill(i) for i in range(len(self.normals))]
-        self.tables: dict[int, tuple[dict[int, int], list[list[int]], list[list[int]]]] = {}
+        self.tables: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
+        self.by_point: dict[int, list[tuple[int, ...]]] = {}
 
     def points(self, d: int) -> list[tuple[list[tuple[int, ...]], tuple[int, ...]]]:
         """Distinct projective points, at least s_dim(d, l-1) of them on every
@@ -156,10 +161,10 @@ class _Planes:
                 groups.append((own[:missing], (i,)))
         return groups
 
-    def table(self, d: int) -> tuple[dict[int, int], list[list[int]], list[list[int]]]:
-        """``_monomial_index(l, d)``, the values of each degree-d monomial at
-        the points of ``points(d)`` in group order (the oracle's eta matrix),
-        and the indices of each plane's points."""
+    def table(self, d: int) -> tuple[list[list[int]], list[list[int]]]:
+        """The values of each degree-d monomial, in ``monomials_of_degree``
+        order, at the points of ``points(d)`` in group order (the oracle's eta
+        matrix), and the indices of each plane's points."""
         if d not in self.tables:
             points, on = [], [[] for _ in self.normals]
             for group, planes in self.points(d):
@@ -167,24 +172,21 @@ class _Planes:
                     on[i] += range(len(points), len(points) + len(group))
                 points += group
             values = [[_int_pow(p, c) for p in points] for c in monomials_of_degree(self.l, d)]
-            self.tables[d] = _monomial_index(self.l, d), values, on
+            self.tables[d] = values, on
         return self.tables[d]
 
-    def violation(self, row: list[dict[int, int]], d: int, by_point: dict[int, list[tuple[int, ...]]], skip: frozenset[int] = frozenset()) -> tuple[int, MultiIndex] | None:
+    def violation(self, dense: list[list[int] | None], d: int, skip: frozenset[int] = frozenset()) -> tuple[int, MultiIndex] | None:
         """The first (plane index, b), not in ``skip``, whose condition the
-        operator with coefficients ``row`` (packed term dicts, radix d + 1,
-        in ``saito_columns`` order) breaks; it is evaluated once per point of
-        a tested plane and checked against every tested plane through that
-        point.  ``by_point`` holds each degree's table by point (a point's
-        monomial values), taken on first need and kept by the caller for its
-        further rows."""
+        operator with degree-d coefficients ``dense`` (a ``_dense`` row, in
+        ``saito_columns`` order) breaks; it is evaluated once per point of a
+        tested plane and checked against every tested plane through that
+        point."""
         if not self.m:
             return None  # order 0: no conditions
-        index, values, on = self.table(d)
-        if d not in by_point:
-            by_point[d] = list(zip(*values))
-        columns = by_point[d]
-        dense = _dense(row, index)
+        values, on = self.table(d)
+        if d not in self.by_point:
+            self.by_point[d] = list(zip(*values))
+        columns = self.by_point[d]
         at: dict[int, list] = {}
         for j, (slots, points) in enumerate(zip(self.contraction, on)):
             if j in skip:
@@ -247,15 +249,9 @@ def _broken(slots: list[tuple[list[int], list[int]]], vec: Sequence[int]) -> int
     return next((b for b, v in enumerate(total) if v), None) if any(total) else None
 
 
-def _monomial_index(l: int, d: int) -> dict[int, int]:
-    """The position of each degree-d monomial in ``monomials_of_degree`` by
-    packed key (radix d + 1)."""
-    weights = packed_weights(d + 1, l)
-    return {sum(map(mul, weights, c)): i for i, c in enumerate(monomials_of_degree(l, d))}
-
-
 def _dense(row: list[dict[int, int]], index: dict[int, int]) -> list[list[int] | None]:
-    """Each coefficient (term dict) of ``row`` as a list over ``index``, None if zero."""
+    """Each coefficient (packed term dict) of ``row`` as a list over ``index``
+    (``polynomial.packed_index`` of its degree and radix), None if zero."""
     out = []
     for f in row:
         vec = [0] * len(index) if f else None
@@ -278,14 +274,13 @@ def is_member(theta: DiffOp, arr: Arrangement) -> bool:
     the certificate's test on each homogeneous component (the module is graded)."""
     if theta.nvars != arr.dim:
         raise DimensionMismatch(f"operator has {theta.nvars} variables, the arrangement {arr.dim}")
-    columns = saito_columns(arr.dim, theta.order)
-    components: dict[int, list[dict[int, Fraction | int]]] = {}
+    l, columns = arr.dim, saito_columns(arr.dim, theta.order)
+    components: dict[int, list[dict[MultiIndex, Fraction | int]]] = {}
     for k, a in enumerate(columns):
         for c, v in theta.coeffs[a].terms.items() if a in theta.coeffs else ():
-            d = sum(c)
-            components.setdefault(d, [{} for _ in columns])[k][sum(map(mul, packed_weights(d + 1, arr.dim), c))] = v
-    sample, by_point = _Planes(arr, theta.order), {}
-    return not any(sample.violation(row, d, by_point) for d, row in components.items())
+            components.setdefault(sum(c), [{} for _ in columns])[k][c] = v
+    sample = _Planes(arr, theta.order)
+    return not any(sample.violation(_dense([pack(f, l, d + 1) for f in row], packed_index(l, d, d + 1)), d) for d, row in components.items())
 
 
 # -- determinant certificate ----------------------------------------------------
@@ -383,24 +378,30 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
         i = degrees.index(None)
         raise NotPurePower(f"operator {i} has non-homogeneous coefficients", i)
 
-    columns = packed_columns(l, m)
+    point = next(p for p in (tuple(k**i for i in range(l)) for k in count()) if not any(h.contains(p) for h in arr))
+    at_point: dict[int, list[int]] = {}
     scale = Fraction(1)
     rows, cofactors = [], []
-    sample, by_point = _Planes(arr, m), {}
+    sample = _Planes(arr, m)
     for i, (op, deg) in enumerate(zip(ops, degrees)):
+        # the full operator's radix, deg + 1, keys the core too
         core, cofactor = (op.packed, op.cofactor) if isinstance(op, FactoredOp) else (op.pack(deg + 1), ())
         # primitive integer rows (a normalized core has content 1 already)
-        row = [core.get(a, {}) for a in columns]
+        row = [core.get(a, {}) for a in packed_index(l, m, m + 1)]
         content = rational_content(v for f in row for v in f.values())
         if content != 1:
             row = [{a: int(v / content) for a, v in f.items()} for f in row]
             scale *= content
+        d = deg - len(cofactor)
+        dense = _dense(row, packed_index(l, d, deg + 1))
         skip = frozenset(k for k, h in enumerate(arr) if h.normal in cofactor)
-        found = sample.violation(row, deg - len(cofactor), by_point, skip)
+        found = sample.violation(dense, d, skip)
         if found:
             j, b = found
             raise NotMember(f"operator {i} is not a member at {arr.hyperplanes[j].text()}: theta(alpha_H * x^b) is not in alpha_H * S, b = {b}", i)
-        rows.append((row, deg - len(cofactor)))
+        if d not in at_point:
+            at_point[d] = [_int_pow(point, c) for c in monomials_of_degree(l, d)]
+        rows.append(_evaluate(dense, at_point[d]))
         cofactors += cofactor
 
     n = arr.n
@@ -409,10 +410,7 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
     if degree_sum > n * t:
         raise NotPurePower(f"row degree sum {degree_sum} exceeds n * t = {n} * {t}")
 
-    point = next(p for p in (tuple(k**i for i in range(l)) for k in count()) if not any(h.contains(p) for h in arr))
-    indices = {d: _monomial_index(l, d) for _, d in rows}
-    at_point = {d: [_int_pow(point, c) for c in monomials_of_degree(l, d)] for d in indices}
-    det = det_int([_evaluate(_dense(row, indices[d]), at_point[d]) for row, d in rows])
+    det = det_int(rows)
     det *= prod(sum(map(mul, v, point)) for v in cofactors)
     if not det:
         raise ZeroDet("candidate basis matrix is singular")
@@ -504,8 +502,7 @@ def _kernels(arr: Arrangement, sample: _Planes) -> dict[tuple[int, ...], list[tu
     descending) is its leading coefficient, the factors' ones multiplied.
     """
     l, m = sample.l, sample.m
-    weights = packed_weights(m + 1, l)
-    slot = {sum(map(mul, weights, a)): i for i, a in enumerate(saito_columns(l, m))}
+    slot = packed_index(l, m, m + 1)
     one = {0: 1}
 
     def vector(first: dict[int, int], second: dict[int, int] = one) -> tuple[int, ...]:
@@ -517,13 +514,13 @@ def _kernels(arr: Arrangement, sample: _Planes) -> dict[tuple[int, ...], list[tu
 
     kernels = {}
     for i, basis in enumerate(sample.basis):
-        powers = [packed_powers(w, m, weights) for w in basis]
+        powers = [packed_powers(w, m, m + 1) for w in basis]
         kernels[(i,)] = [vector(*map(getitem, powers, k)) for k in monomials_of_degree(l - 1, m)]
         if any(_broken(sample.contraction[i], vec) is not None for vec in kernels[(i,)]):
             raise IdentityViolated(f"contraction kernel of the plane {arr.hyperplanes[i].text()}: a product of derivations along it breaks its contraction rows")
     for direction, planes in sample.flats:
         if len(planes) > 1:
-            kernels[planes] = [vector(packed_powers(direction, m, weights)[m])]
+            kernels[planes] = [vector(packed_powers(direction, m, m + 1)[m])]
             for i in planes:
                 if _broken(sample.contraction[i], kernels[planes][0]) is not None:
                     raise IdentityViolated(f"contraction kernel at the flat {direction} of {len(planes)} planes: delta_X^{m} breaks the contraction rows of {arr.hyperplanes[i].text()}")
@@ -560,7 +557,7 @@ def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: dict[tuple[in
         return free_part + unknowns
 
     # functionals vanishing on every achievable value pattern
-    etas = nullspace_int(sample.table(d)[1], len(points))
+    etas = nullspace_int(sample.table(d)[0], len(points))
     if len(etas) != relations:
         raise IdentityViolated(f"{len(etas)} relations between the point values at degree {d}, expected {relations}")
 

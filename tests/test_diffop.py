@@ -6,6 +6,7 @@ from reference import apply, compose_constant
 
 from arrops.diffop import (
     DiffOp,
+    FactoredOp,
     euler_op,
     identity_op,
     partial_op,
@@ -129,6 +130,15 @@ def test_degree_and_normalization():
     assert norm.coeffs[(0, 2, 0)] == x1 * x2
     mixed = DiffOp(3, 1, {(1, 0, 0): x1 + x1**2})
     assert mixed.degree() is None
+
+
+def test_factored_output_of_unequal_form_counts_is_refused():
+    # x1 * d1 + d2: its terms have 1 and 0 forms, so its coefficients have no
+    # one degree to print in
+    op = FactoredOp(3, 1, [], [(1, [(1, 0, 0)], [(1, 0, 0)]), (1, [], [(0, 1, 0)])])
+    assert op.degree() is None
+    with pytest.raises(ValueError, match="not homogeneous"):
+        op.to_json()
 
 
 def test_saito_columns_order():

@@ -5,7 +5,17 @@ import pytest
 from reference import partial, substitute
 
 from arrops.errors import NotDivisible
-from arrops.polynomial import LinearForm, Poly, form_product, monomials_of_degree, primitive_int_vector
+from arrops.polynomial import (
+    LinearForm,
+    Poly,
+    form_product,
+    monomials_of_degree,
+    pack,
+    packed_index,
+    primitive_int_vector,
+    s_dim,
+    unpack,
+)
 
 x1, x2, x3 = Poly.variables(3)
 
@@ -96,6 +106,24 @@ def test_form_product_edges():
     assert form_product([], 2) == Poly.constant(2, 1)
     assert form_product([(1, 0), (0, 0)], 2).is_zero()
     assert form_product([(5,)] * 3, 1) == Poly(1, {(3,): 125})
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_packed_index_is_monomials_of_degree_by_descending_key(nvars):
+    # the one key table: graded-lex positions by packed key, in graded-lex
+    # order, for every radix above the degree
+    for degree in range(11):
+        monomials = monomials_of_degree(nvars, degree)
+        terms = {a: i for i, a in enumerate(monomials)}
+        for radix in range(degree + 1, degree + 4):
+            index = packed_index(nvars, degree, radix)
+            packed = pack(terms, nvars, radix)
+            assert list(packed.items()) == list(index.items())
+            assert list(index.values()) == list(range(s_dim(degree, nvars)))
+            keys = list(index)
+            assert all(a > b for a, b in zip(keys, keys[1:]))
+            assert unpack(packed, nvars, radix) == Poly(nvars, terms)
+            assert unpack({k: 1 for k in index}, nvars, radix) == Poly(nvars, dict.fromkeys(monomials, 1))
 
 
 def test_homogeneous_degree():

@@ -169,6 +169,17 @@ def test_factored_check_rejects_a_non_member_core(quad_arr):
     assert alone.core is alone.op == partial_op(3, (2, 0, 0))
 
 
+def test_saito_check_reads_each_row_once(quad_arr, monkeypatch):
+    # one dense row per operator serves its membership test and its
+    # determinant row
+    ops = build_basis(quad_arr, 3).factored
+    calls = []
+    dense = verify._dense
+    monkeypatch.setattr(verify, "_dense", lambda row, index: calls.append(len(row)) or dense(row, index))
+    saito_check(ops, quad_arr)
+    assert len(ops) == 10 and len(calls) == 10
+
+
 def test_saito_check_zero_row(boolean_arr):
     ops = [DiffOp(3, 1, {(1, 0, 0): x1}), DiffOp(3, 1), DiffOp(3, 1, {(0, 0, 1): x3})]
     with pytest.raises(ZeroDet, match="operator 1 is zero"):
