@@ -8,7 +8,11 @@ Exit codes: 0 success, 1 user error (or a reader that closed stdout early),
 2 internal verification failure (a failed determinant certificate, identity
 or oracle mismatch).  No
 environment variables are consulted; identical invocations produce
-byte-identical output.
+byte-identical output.  The JSON report is printed in one pass by one small
+recursive emitter (``_json``) that writes the bytes of
+``json.dumps(report, sort_keys=True, indent=2)``, without the stdlib's
+pure-Python indenting encoder; it refuses every non-JSON type (a float or
+``Fraction`` in an exact report is a bug) with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -146,9 +150,46 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     return out, 0 if report.consistent else VERIFICATION_ERROR
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
+    at ``indent``: only dicts with ``str`` keys, lists, tuples, ``str``,
+    ``int``, bools and None; anything else raises ``TypeError`` (a non-``str``
+    key raises it in sorting or in ``_quote``).  ``str`` and ``int`` children
+    are written inline, so only nested containers and constants recurse."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        parts = [f"{_quote(k)}: {_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json(v, inner)}" for k, v in sorted(value.items())]
+        opening, closing = "{", "}"
+    elif kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        parts = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    sep = ",\n" + inner
+    return f"{opening}\n{inner}{sep.join(parts)}\n{indent}{closing}"
+
+
 def emit_report(result: dict, fmt: str) -> str:
+    """The report as JSON (the bytes of ``json.dumps(result, sort_keys=True,
+    indent=2)``, written by ``_json``) or as text lines."""
     if fmt == "json":
-        return json.dumps(result, sort_keys=True, indent=2)
+        return _json(result, "")
     lines: list[str] = []
 
     def walk(prefix: str, value) -> None:

@@ -19,7 +19,7 @@ demos).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -241,7 +241,7 @@ class FactoredOp:
 
     def __init__(self, nvars: int, order: int, cofactor: Sequence[Factor], terms: Sequence[Term]):
         self.nvars, self.order = nvars, order
-        self.cofactor = tuple(primitive_int_vector(v) if any(v) else (0,) * len(v) for v in cofactor)
+        self.cofactor = _primitive_forms(tuple(map(tuple, cofactor)))
         self.terms = tuple((c, tuple(map(tuple, fs)), tuple(map(tuple, ds))) for c, fs, ds in terms)
         counts = {len(fs) for _, fs, _ in self.terms}
         self.radix = len(self.cofactor) + max(counts, default=0) + 1
@@ -300,6 +300,13 @@ class FactoredOp:
             raise ValueError("the operator is not homogeneous: its terms have unequal form counts")
         full = self.multiplied()
         return [[list(a), packed_text(full[k], self.nvars, self._degree)] for k, a in zip(packed_index(self.nvars, self.order, self.order + 1), saito_columns(self.nvars, self.order)) if k in full]
+
+
+@lru_cache(maxsize=256)
+def _primitive_forms(forms: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each form primitive with first nonzero entry positive, a zero form
+    zero; cached, because every operator of a flat has the same cofactor."""
+    return tuple(primitive_int_vector(v) if any(v) else (0,) * len(v) for v in forms)
 
 
 def power_of_derivation(coeffs: Factor, k: int, nvars: int | None = None) -> DiffOp:

@@ -108,9 +108,10 @@ class _Planes:
     spans its fill-up points and its contraction kernel.  Per flat
     (``arr.flats()``): its direction and the planes through it, input order.
     In dimension 2 each line is its own flat, on that line alone.  Per
-    degree, built on first read and kept here only: the table of monomial
-    values at the points (``table``), which the oracle's etas read, and the
-    same table by point (``by_point``), which the membership test reads.
+    degree, built on first read and kept here only: the point groups
+    (``points``), the table of monomial values at the points (``table``),
+    which the oracle's etas read, and the same table by point
+    (``by_point``), which the membership test reads.
     ``points`` evaluates nothing.
     """
 
@@ -127,6 +128,7 @@ class _Planes:
         # each plane's points on no other plane, drawn as the degrees need them
         self.own: list[list[tuple[int, ...]]] = [[] for _ in self.normals]
         self.fill = [self._fill(i) for i in range(len(self.normals))]
+        self.groups: dict[int, list[tuple[list[tuple[int, ...]], tuple[int, ...]]]] = {}
         self.tables: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
         self.by_point: dict[int, list[tuple[int, ...]]] = {}
 
@@ -138,8 +140,11 @@ class _Planes:
         on it, takes its own flats (``arr.flats()`` order) until it has
         s_dim(d, l-1), then fills up with its points on no other plane
         (``_fill``).  A flat point is a group of its own; the fill-up points
-        of H lie on H alone and form one group.
+        of H lie on H alone and form one group.  Computed once per degree
+        and kept, for the oracle and for ``table``.
         """
+        if d in self.groups:
+            return self.groups[d]
         need = s_dim(d, self.l - 1)
         have = [0] * len(self.normals)
         taken = [False] * len(self.flats)
@@ -159,6 +164,7 @@ class _Planes:
                 if len(own) < missing:
                     own += islice(self.fill[i], missing - len(own))
                 groups.append((own[:missing], (i,)))
+        self.groups[d] = groups
         return groups
 
     def table(self, d: int) -> tuple[list[list[int]], list[list[int]]]:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -405,3 +406,29 @@ def test_oracle_verify_output_bytes(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("basis --m 3 x1 x2 x3 x1-x2", "1265d2c45de0a783645f861a26adad8185e854bf6359b494f345c2457681b540"),
+        ("basis --m 3 --dim 2 x1 x2 x1-x2", "33f24d1d871e03f73c75b409df63eca0ce51534dbe943b99c67ca6fe22c26caa"),
+        ("basis --m 3 x1 x2 x3 2*x1-3*x2 x1+x2+x3", "edb98bf5c069bbb437681e6dbea46809d138ff6c0958a1b60441cc03c7a60082"),
+        ("basis --m 2 --format text x1 x2 x3 x1-x2", "6ac0344085fadaa252b09a83b3031b81fa9f4ef1c7bc0beed8c8a027ddb65105"),
+    ],
+    ids=["basis-quad", "basis-2arr", "basis-five-planes", "basis-text"],
+)
+def test_basis_output_bytes(capsys, argv, digest):
+    # basis prints the largest reports; pinned while the JSON report was
+    # still printed by json.dumps(..., indent=2)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {"m": [0.5]}, {1: "x"}, {"a": {2: 0}}], ids=["fraction", "float", "nested-float", "int-key", "nested-int-key"])
+def test_report_printer_refuses_non_json_types(value):
+    # reports are exact: a float or Fraction reaching the printer is a bug,
+    # and json.dumps would print an int key as a string
+    with pytest.raises(TypeError):
+        cli.emit_report(value, "json")

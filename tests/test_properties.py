@@ -5,8 +5,9 @@ cofactors, the integer echelon kernel, the parse/serialize round trip, the
 agreement of the input paths, the dimension oracle and its closed-form
 contraction kernels (spanning the eliminated ones, and equal to the
 primitive products of their factor lists), the closed-form exponents, and
-the orthogonality of the basis and the dual pair across flats (profile
-``arrops`` in conftest: derandomized, bounded example counts)."""
+the orthogonality of the basis and the dual pair across flats, and the
+JSON report printer against ``json.dumps`` (profile ``arrops`` in
+conftest: derandomized, bounded example counts)."""
 
 import json
 import random
@@ -37,6 +38,7 @@ from reference import (
 )
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
+from arrops.cli import emit_report
 from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op
 from arrops.errors import NotDivisible, NotMember, SaitoFailed
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
@@ -547,3 +549,20 @@ def test_basis_operators_kill_the_dual_polynomials_of_other_flats(arr, offset):
         for poly, (direction, _, _) in zip(pair.basis_polys, pair.labels):
             if tuple(p["flat_direction"]) != direction:
                 assert apply(op, poly).is_zero(), (p, direction)
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII and a character
+# outside the BMP (a surrogate pair in \u escapes), beside any other
+report_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\n\t\x7f\xe9\u2202\U0001d400'), st.characters()), max_size=6)
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | report_text,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple) | st.dictionaries(report_text, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(report_values)
+def test_report_printer_writes_the_bytes_of_json_dumps(value):
+    # empty containers, tuples, bools beside ints and escaped keys all print
+    # as the stdlib's indent-2 encoder prints them
+    assert emit_report(value, "json") == json.dumps(value, sort_keys=True, indent=2)
