@@ -28,7 +28,7 @@ from .errors import ArropsError, BadOrder, IdentityViolated, SaitoFailed, ZeroNo
 from .exponents import exp_for_arrangement
 from .extension import extend, hyperplanes_from_forms
 from .freebasis import build_basis
-from .polynomial import s_dim
+from .polynomial import int_text, s_dim
 from .verify import check_identities, hilbert_check, oracle_dims
 
 USER_ERROR = 1
@@ -153,17 +153,18 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json(value, indent: str) -> str:
+def _json(value, indent: str, number=int.__repr__) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
     at ``indent``: only dicts with ``str`` keys, lists, tuples, ``str``,
     ``int``, bools and None; anything else raises ``TypeError`` (a non-``str``
-    key raises it in sorting or in ``_quote``).  ``str`` and ``int`` children
-    are written inline, so only nested containers and constants recurse."""
+    key raises it in sorting or in ``_quote``).  Ints are written by
+    ``number``.  ``str`` and ``int`` children are written inline, so only
+    nested containers and constants recurse."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind is int:
-        return int.__repr__(value)
+        return number(value)
     if kind is bool:
         return "true" if value else "false"
     if value is None:
@@ -172,12 +173,12 @@ def _json(value, indent: str) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        parts = [f"{_quote(k)}: {_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json(v, inner)}" for k, v in sorted(value.items())]
+        parts = [f"{_quote(k)}: {_quote(v) if type(v) is str else number(v) if type(v) is int else _json(v, inner, number)}" for k, v in sorted(value.items())]
         opening, closing = "{", "}"
     elif kind is list or kind is tuple:
         if not value:
             return "[]"
-        parts = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        parts = [_quote(v) if type(v) is str else number(v) if type(v) is int else _json(v, inner, number) for v in value]
         opening, closing = "[", "]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -187,9 +188,15 @@ def _json(value, indent: str) -> str:
 
 def emit_report(result: dict, fmt: str) -> str:
     """The report as JSON (the bytes of ``json.dumps(result, sort_keys=True,
-    indent=2)``, written by ``_json``) or as text lines."""
+    indent=2)``, written by ``_json``) or as text lines.  Ints go through
+    ``int.__repr__``; a report holding one past the interpreter's limit on
+    int-to-str conversion, which that refuses with ``ValueError``, is
+    written again with ``int_text``, which has no limit."""
     if fmt == "json":
-        return _json(result, "")
+        try:
+            return _json(result, "")
+        except ValueError:
+            return _json(result, "", int_text)
     lines: list[str] = []
 
     def walk(prefix: str, value) -> None:
@@ -199,7 +206,7 @@ def emit_report(result: dict, fmt: str) -> str:
         elif isinstance(value, list):
             lines.append(f"{prefix[:-1]}: {json.dumps(value, sort_keys=True)}")
         else:
-            lines.append(f"{prefix[:-1]}: {value}")
+            lines.append(f"{prefix[:-1]}: {int_text(value) if type(value) is int else value}")
 
     walk("", result)
     return "\n".join(lines)

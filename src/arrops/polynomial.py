@@ -18,7 +18,8 @@ never compute a key: ``pack`` and ``unpack`` convert term dicts,
 ``packed_index`` is the one key table per degree and radix (positions in
 ``monomials_of_degree``), ``packed_product`` and ``packed_powers``
 multiply by linear forms, and ``packed_text`` prints a packed dict
-byte-for-byte as ``Poly.text`` prints its decoding.
+byte-for-byte as ``Poly.text`` prints its decoding.  ``int_text`` prints an
+int of any size.
 """
 
 from __future__ import annotations
@@ -399,6 +400,23 @@ def packed_text(terms: Mapping[int, Fraction | int], nvars: int, degree: int) ->
     names = _monomial_names(nvars, degree)
     parts = [f"{terms[k]}{names[k]}" for k in sorted(terms, reverse=True) if terms[k]]
     return " + ".join(parts) if parts else "0"
+
+
+def int_text(n: int) -> str:
+    """``str(n)`` for every int, the interpreter's settings left alone.
+    CPython (3.11 on, and 3.10.7 on) refuses to convert an int of more than
+    ``sys.get_int_max_str_digits()`` decimal digits, 4300 by default.  This
+    is ``int.__repr__`` when that succeeds; past the limit it writes the
+    quotient and the remainder by 10^k, k about half the digit count, each
+    the same way, the remainder padded to k digits."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        if n < 0:
+            return "-" + int_text(-n)
+        k = n.bit_length() * 3 // 20  # log10(2) > 0.3: n has more than 2k digits
+        high, low = divmod(n, 10**k)
+        return int_text(high) + int_text(low).zfill(k)
 
 
 def packed_powers(form: Sequence[int], n: int, radix: int) -> list[dict[int, int]]:

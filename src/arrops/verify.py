@@ -39,8 +39,10 @@ coefficient vector's value at a point p must lie in K_p, the kernel of the
 stacked contraction rows of every plane through p: K_H at a point of H
 alone, spanned by the products of m derivations along H, and the line of
 delta_X^m at a flat X of two or more planes.  Both are built in closed
-form from powers of each form computed once, with no primitive pass, and
-checked against the rows, not eliminated (proofs in ``_oracle``).
+form from powers of each form, with no primitive pass, and checked against
+the rows, not eliminated (proofs in ``_oracle``); each is built and checked
+on first read, so only the kernels that enter a rank are built, and
+dim K_p is taken from the proof, not from a built kernel.
 Since every plane holds enough distinct points, a degree-d form vanishing
 at all points is a multiple of Q, so evaluation has kernel Q * S_(d-n) and
 the free part is unchanged.  The dimension is
@@ -49,23 +51,25 @@ the free part is unchanged.  The dimension is
 
 where the rows are the Kronecker products (weights at p of the functionals
 eta that vanish on realized value patterns) (x) (a vector of K_p), grouped
-by kernel; each group's weight block is first reduced to an echelon basis,
-which spans the same rows with fewer of them.  A flat point carries one
+by kernel; a group's weight block of two or more points is first reduced
+to an echelon basis, which spans the same rows with fewer of them, and a
+group whose weights are all zero adds no row.  A flat point carries one
 unknown instead of m + 1.  The etas number the points minus the
 evaluation rank; where that count is 0 (on a generic arrangement at large
 d) no eta is computed and no rank is taken, and the points on every plane
 are counted instead.  The oracle's eliminations are integer only
 (``linalg.echelon_int``): the etas and the hyperplane bases are integer
 kernel bases, and the dimension comes from one integer rank.
-``oracle_dims`` answers every degree up to d_max in one call and computes
-the kernels and the sample's flats once; nothing is cached across calls.
+``oracle_dims`` answers every degree up to d_max in one call and builds
+each kernel and the sample's flats at most once; nothing is cached across
+calls but the contraction table per (l, m) (``_contraction_table``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count, islice
 from math import comb, gcd, prod
 from operator import add, getitem, mul
@@ -87,6 +91,7 @@ from .polynomial import (
     MultiIndex,
     Poly,
     form_product,
+    int_text,
     midx_factorial,
     monomials_of_degree,
     pack,
@@ -231,23 +236,30 @@ def _projective_pairs() -> Iterator[tuple[int, int]]:
                 yield from ((h, u), (h, -u))
 
 
-def _contraction_rows(normal: tuple[int, ...], m: int) -> list[tuple[list[int], list[int]]]:
+def _contraction_rows(normal: tuple[int, ...], m: int) -> list[tuple[tuple[int, ...], list[int]]]:
     """The rows b of degree m-1, in ``monomials_of_degree`` order, over the
     order-m multi-indices a in ``saito_columns`` order, held by slot: for
     each nonzero c_i, in index order, the columns of a = b + e_i and their
-    weights c_i a! over all b.  Row b is the combination
-    sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on H for a member."""
-    l = len(normal)
+    weights c_i a! over all b (``_contraction_table``'s a!, scaled by c_i).
+    Row b is the combination sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on
+    H for a member."""
+    return [(cols, [c * f for f in factorials]) for c, (cols, factorials) in zip(normal, _contraction_table(len(normal), m)) if c]
+
+
+@cache
+def _contraction_table(l: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For each i < l: the ``saito_columns`` positions of a = b + e_i over the
+    b of degree m-1, in ``monomials_of_degree`` order, and their a!.  One
+    shared table per (l, m), as ``packed_index``; callers do not modify it."""
     col = {a: i for i, a in enumerate(saito_columns(l, m))}
-    slots = []
-    for i, c in enumerate(normal):
-        if c:
-            a = [b[:i] + (b[i] + 1,) + b[i + 1 :] for b in monomials_of_degree(l, m - 1)]
-            slots.append(([col[x] for x in a], [c * midx_factorial(x) for x in a]))
-    return slots
+    table = []
+    for i in range(l):
+        a = [b[:i] + (b[i] + 1,) + b[i + 1 :] for b in monomials_of_degree(l, m - 1)]
+        table.append((tuple(col[x] for x in a), tuple(map(midx_factorial, a))))
+    return tuple(table)
 
 
-def _broken(slots: list[tuple[list[int], list[int]]], vec: Sequence[int]) -> int | None:
+def _broken(slots: list[tuple[Sequence[int], list[int]]], vec: Sequence[int]) -> int | None:
     """The index of the first contraction row nonzero on ``vec``, or None."""
     total = [0] * len(slots[0][0])
     for cols, weights in slots:
@@ -315,7 +327,9 @@ class SaitoCertificate:
         return form_product(normals, self.arr.dim) * c
 
     def to_json(self) -> dict:
-        return {"c": str(self.c), "t": self.t}
+        """c as ``str(self.c)`` writes it, at any size (``int_text``), and t."""
+        num, den = self.c.numerator, self.c.denominator
+        return {"c": int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}", "t": self.t}
 
 
 def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCertificate:
@@ -435,8 +449,8 @@ def oracle_dim(arr: Arrangement, m: int, d: int) -> int:
 
 
 def oracle_dims(arr: Arrangement, m: int, d_max: int, sample: _Planes | None = None) -> list[int]:
-    """``oracle_dim(arr, m, d)`` for d = 0..d_max, computing the contraction
-    kernels, the flats and the hyperplane bases once; ``sample`` is a
+    """``oracle_dim(arr, m, d)`` for d = 0..d_max, computing each contraction
+    kernel, the flats and the hyperplane bases at most once; ``sample`` is a
     ``_Planes`` of the same arrangement and order to draw the points from
     (``SaitoCertificate.sample``), or None to build one."""
     return _oracle(arr, m, list(range(d_max + 1)), sample)
@@ -472,11 +486,15 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
       Sym^m: the two spans share the line of w^m, which lies in every
       Sym^m(U_H).
 
-    ``_kernels`` builds them from each form's powers, computed once, and
-    needs no primitive pass (Gauss's lemma; proof there).  It checks every
-    vector against the contraction rows of every plane it serves (a product,
+    ``_Kernels`` builds them from each form's powers and needs no primitive
+    pass (Gauss's lemma; proof there).  It builds a key the first time a
+    group whose eta weights are not all zero reads it, so only vectors that
+    enter a rank are built, and it checks every vector against the
+    contraction rows of every plane it serves before it is used (a product,
     not an elimination); a failure raises ``IdentityViolated`` naming the
-    plane, or the flat and the plane.
+    plane, or the flat and the plane.  The unknowns are counted from the
+    dimensions proven above, s_dim(m, l-1) at a point of one plane and 1 at
+    a flat point, without building a kernel.
     """
     l = arr.dim
     if m < 0:
@@ -487,53 +505,64 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
         sample = _Planes(arr, m)
     elif (sample.normals, sample.m) != ([h.normal for h in arr], m):
         raise ValueError("the sample is of another arrangement or order")
-    kernels = _kernels(arr, sample)
+    kernels = _Kernels(arr, sample)
     return [_oracle_at(arr, d, sample, kernels) for d in degrees]
 
 
-def _kernels(arr: Arrangement, sample: _Planes) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+class _Kernels(dict):
     """The contraction kernels of ``_oracle``, in closed form, keyed by the
-    planes through a point: K_H at (i,) for every plane, K_X at the planes
-    of every flat of two or more; each checked against those planes' rows.
+    planes through a point: K_H at (i,), K_X at the planes of a flat of two
+    or more.  One per call; a key is built on first read (``__missing__``)
+    and kept, and each of its vectors is checked against the contraction
+    rows of every plane it serves before it is returned.
 
     Constant derivations multiply like the linear forms with the same
     vectors, so the powers w^0..w^m of each basis vector w of a plane are
-    built once (``packed_powers``, radix m + 1).  Each K_H vector is the
-    product of two of them (l = 3) or one (l = 2), written straight into its
-    ``saito_columns`` slots; K_X is the m-th power of the flat's direction.
-    There is no primitive pass: the basis vectors (``nullspace_int``) and
-    the directions (``Flat1``) are primitive with first nonzero entry
-    positive, a product of primitive forms is primitive (Gauss's lemma),
-    and its first nonzero entry in ``saito_columns`` order (grlex
-    descending) is its leading coefficient, the factors' ones multiplied.
+    built once per key (``packed_powers``, radix m + 1).  Each K_H vector is
+    the product of two of them (l = 3) or one (l = 2), written straight into
+    its ``saito_columns`` slots; K_X is the m-th power of the flat's
+    direction.  There is no primitive pass: the basis vectors
+    (``nullspace_int``) and the directions (``Flat1``) are primitive with
+    first nonzero entry positive, a product of primitive forms is primitive
+    (Gauss's lemma), and its first nonzero entry in ``saito_columns`` order
+    (grlex descending) is its leading coefficient, the factors' ones
+    multiplied.
     """
-    l, m = sample.l, sample.m
-    slot = packed_index(l, m, m + 1)
-    one = {0: 1}
 
-    def vector(first: dict[int, int], second: dict[int, int] = one) -> tuple[int, ...]:
-        vec = [0] * len(slot)
-        for a, x in first.items():
-            for b, y in second.items():
-                vec[slot[a + b]] += x * y
-        return tuple(vec)
+    def __init__(self, arr: Arrangement, sample: _Planes):
+        super().__init__()
+        self.arr, self.sample = arr, sample
 
-    kernels = {}
-    for i, basis in enumerate(sample.basis):
-        powers = [packed_powers(w, m, m + 1) for w in basis]
-        kernels[(i,)] = [vector(*map(getitem, powers, k)) for k in monomials_of_degree(l - 1, m)]
-        if any(_broken(sample.contraction[i], vec) is not None for vec in kernels[(i,)]):
-            raise IdentityViolated(f"contraction kernel of the plane {arr.hyperplanes[i].text()}: a product of derivations along it breaks its contraction rows")
-    for direction, planes in sample.flats:
-        if len(planes) > 1:
-            kernels[planes] = [vector(packed_powers(direction, m, m + 1)[m])]
+    def __missing__(self, planes: tuple[int, ...]) -> list[tuple[int, ...]]:
+        sample, hyperplanes = self.sample, self.arr.hyperplanes
+        l, m = sample.l, sample.m
+        slot = packed_index(l, m, m + 1)
+        one = {0: 1}
+
+        def vector(first: dict[int, int], second: dict[int, int] = one) -> tuple[int, ...]:
+            vec = [0] * len(slot)
+            for a, x in first.items():
+                for b, y in second.items():
+                    vec[slot[a + b]] += x * y
+            return tuple(vec)
+
+        if len(planes) == 1:
+            (i,) = planes
+            powers = [packed_powers(w, m, m + 1) for w in sample.basis[i]]
+            kernel = [vector(*map(getitem, powers, k)) for k in monomials_of_degree(l - 1, m)]
+            if any(_broken(sample.contraction[i], vec) is not None for vec in kernel):
+                raise IdentityViolated(f"contraction kernel of the plane {hyperplanes[i].text()}: a product of derivations along it breaks its contraction rows")
+        else:
+            direction = next(direction for direction, through in sample.flats if through == planes)
+            kernel = [vector(packed_powers(direction, m, m + 1)[m])]
             for i in planes:
-                if _broken(sample.contraction[i], kernels[planes][0]) is not None:
-                    raise IdentityViolated(f"contraction kernel at the flat {direction} of {len(planes)} planes: delta_X^{m} breaks the contraction rows of {arr.hyperplanes[i].text()}")
-    return kernels
+                if _broken(sample.contraction[i], kernel[0]) is not None:
+                    raise IdentityViolated(f"contraction kernel at the flat {direction} of {len(planes)} planes: delta_X^{m} breaks the contraction rows of {hyperplanes[i].text()}")
+        self[planes] = kernel
+        return kernel
 
 
-def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: dict[tuple[int, ...], list[tuple[int, ...]]]) -> int:
+def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: _Kernels) -> int:
     """Dimension at degree d from the sample's points, grouped by kernel.
 
     Every hyperplane holds s_dim(d, l-1) distinct points, so a degree-d form
@@ -553,7 +582,8 @@ def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: dict[tuple[in
     if relations < 0:
         raise IdentityViolated(f"{len(points)} points leave {relations} relations between the point values at degree {d}, expected at least 0")
     free_part = s_dim(m, l) * s_dim(d - arr.n, l)
-    unknowns = sum(len(group) * len(kernels[planes]) for group, planes in groups)
+    # dim K_H and dim K_X, proven in ``_oracle``
+    unknowns = sum(len(group) * (s_dim(m, l - 1) if len(planes) == 1 else 1) for group, planes in groups)
     if not relations:
         need, distinct = s_dim(d, l - 1), set(points)
         for h in arr:
@@ -568,14 +598,18 @@ def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: dict[tuple[in
         raise IdentityViolated(f"{len(etas)} relations between the point values at degree {d}, expected {relations}")
 
     # The rows of a group are (eta weights at a point of it) (x) (a vector of
-    # its kernel); an echelon basis of its weight block spans the same rows.
+    # its kernel); an echelon basis of its weight block spans the same rows,
+    # as does the one row of a one-point block.  A group whose weights are
+    # all zero adds no row and reads no kernel.
     rows: list[list[int]] = []
     start = 0
     for group, planes in groups:
         block = [[eta[pi] for eta in etas] for pi in range(start, start + len(group))]
         start += len(group)
-        weights, _ = echelon_int(block, reduce=True)
-        rows.extend([wq * wa for wq in e for wa in w] for e in weights for w in kernels[planes])
+        if len(block) > 1:
+            block = echelon_int(block, reduce=True)[0]
+        if any(map(any, block)):
+            rows.extend([wq * wa for wq in e for wa in w] for e in block for w in kernels[planes])
     return free_part + unknowns - rank_int(rows)
 
 

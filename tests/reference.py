@@ -8,8 +8,9 @@ from arrops.diffop import DiffOp, power_of_derivation, saito_columns
 from arrops.errors import DimensionMismatch
 from arrops.extension import FlatProfile
 from arrops.flats import Flat1
-from arrops.linalg import nullspace_int, rank_int
+from arrops.linalg import echelon_int, nullspace_int, rank_int
 from arrops.polynomial import MultiIndex, Poly, form_product, midx_add, midx_factorial, monomials_of_degree, primitive_int_vector, s_dim
+from arrops.verify import _Kernels, _Planes
 
 
 def partial(f: Poly, a: MultiIndex) -> Poly:
@@ -164,9 +165,40 @@ def oracle_dim_direct(arr: Arrangement, m: int, d: int) -> int:
     return ncols - rank_int(int_rows)
 
 
+def every_kernel(arr: Arrangement, sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Every key of the oracle's kernel builder (``verify._Kernels``), read
+    through it in order: K_H at (i,) for every plane, then K_X at the planes
+    of every flat of two or more, each built and checked as on a first read
+    by a rank."""
+    kernels = _Kernels(arr, sample)
+    return {key: kernels[key] for key in [(i,) for i in range(arr.n)] + [planes for _, planes in sample.flats if len(planes) > 1]}
+
+
+def eager_oracle_dims(arr: Arrangement, m: int, d_max: int) -> list[int]:
+    """``verify.oracle_dims`` (m >= 1, at least one plane) with every kernel
+    built and checked first (``every_kernel``), the unknowns counted as the
+    kernels' lengths, the etas solved at every degree and every group's
+    weight block reduced by ``echelon_int``, zero and one-row blocks
+    included."""
+    l, sample = arr.dim, _Planes(arr, m)
+    kernels = every_kernel(arr, sample)
+    dims = []
+    for d in range(d_max + 1):
+        groups = sample.points(d)
+        etas = nullspace_int(sample.table(d)[0], sum(len(points) for points, _ in groups))
+        rows, start = [], 0
+        for points, planes in groups:
+            block = [[eta[k] for eta in etas] for k in range(start, start + len(points))]
+            start += len(points)
+            rows += [[wq * wa for wq in e for wa in w] for e in echelon_int(block, reduce=True)[0] for w in kernels[planes]]
+        unknowns = sum(len(points) * len(kernels[planes]) for points, planes in groups)
+        dims.append(s_dim(m, l) * s_dim(d - arr.n, l) + unknowns - rank_int(rows))
+    return dims
+
+
 def contraction_kernels(sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """The oracle's contraction kernels by elimination, keyed as
-    ``verify._kernels``: ``nullspace_int`` of each plane's contraction rows
+    ``every_kernel``: ``nullspace_int`` of each plane's contraction rows
     at (i,), and of the stacked rows of a flat's two or more planes."""
     size = s_dim(sample.m, sample.l)
     dense = []
@@ -184,7 +216,7 @@ def contraction_kernels(sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
 
 
 def product_kernels(sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """The oracle's closed-form kernels keyed as ``verify._kernels``, each
+    """The oracle's closed-form kernels keyed as ``every_kernel``, each
     vector one ``form_product`` of its factor list (the plane's basis
     vectors to the exponents k, or the flat's direction m times), read over
     ``saito_columns`` and made primitive."""

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import random_essential
 
-from arrops import cli, verify
+from arrops import cli, freebasis, verify
 from arrops.diffop import FactoredOp
 from arrops.errors import ZeroDet
 from arrops.polynomial import Poly
@@ -432,3 +433,29 @@ def test_report_printer_refuses_non_json_types(value):
     # and json.dumps would print an int key as a string
     with pytest.raises(TypeError):
         cli.emit_report(value, "json")
+
+
+def decimal_digits(n: int) -> str:
+    """The decimal digits of n > 0, 100 at a time by repeated divmod."""
+    chunks = []
+    while n:
+        n, r = divmod(n, 10**100)
+        chunks.append(r)
+    return str(chunks[-1]) + "".join(f"{r:0100d}" for r in reversed(chunks[:-1]))
+
+
+def test_report_prints_ints_past_the_conversion_limit(monkeypatch):
+    # CPython refuses str() of an int of more than 4300 digits; a certified c
+    # of 5000 digits, and a bare int of as many, still print exactly, through
+    # run and emit_report in JSON and text
+    big = 3**10478
+    digits = decimal_digits(big)
+    assert len(digits) == 5000
+    check = freebasis.saito_check
+    monkeypatch.setattr(freebasis, "saito_check", lambda ops, arr: dataclasses.replace(check(ops, arr), c=Fraction(-big, 7)))
+    result, code = cli.run(cli._make_parser().parse_args("basis --m 2 x1 x2 x3 x1-x2".split()))
+    assert code == 0
+    assert json.loads(cli.emit_report(result, "json"))["saito"]["c"] == f"-{digits}/7"
+    assert f"saito.c: -{digits}/7" in cli.emit_report(result, "text").splitlines()
+    assert cli.emit_report({"n": big, "signs": [big, -big]}, "json") == f'{{\n  "n": {digits},\n  "signs": [\n    {digits},\n    -{digits}\n  ]\n}}'
+    assert cli.emit_report({"n": big}, "text") == f"n: {digits}"

@@ -28,6 +28,8 @@ from reference import (
     compose_constant,
     contraction_kernels,
     convert_2var_op,
+    eager_oracle_dims,
+    every_kernel,
     localization,
     off_flat_product,
     oracle_dim_direct,
@@ -47,7 +49,7 @@ from arrops.freebasis import _factored_blocks as factored_blocks
 from arrops.freebasis import basis_2arr_lines, build_basis, dual_pair
 from arrops.linalg import echelon_int, rank_int, rref
 from arrops.polynomial import Poly, form_product, midx_factorial, monomials_of_degree, primitive_int_vector
-from arrops.verify import _kernels, _Planes, hilbert_check, is_member, oracle_dims, saito_check
+from arrops.verify import _Planes, hilbert_check, is_member, oracle_dims, saito_check
 
 small = st.integers(-4, 4)
 
@@ -439,32 +441,39 @@ kernel_arrangements = st.one_of(
     st.lists(normals(2), min_size=1, max_size=6, unique=True).map(lambda lines: Arrangement(2, [Hyperplane(v) for v in lines])),
 )
 
+with_multiple_points = st.one_of(
+    kernel_arrangements,
+    # a quadruple point, and braid's four triple points
+    st.sampled_from(["x1; x2; x1 - x2; x1 + x2; x3", "x1; x2; x3; x1 - x2; x1 - x3; x2 - x3"]).map(parse_arrangement),
+)
+
 
 @given(kernel_arrangements, st.integers(1, 6))
 def test_closed_form_kernels_span_the_eliminated_ones(arr, m):
     # K_H from derivations along H and K_X = <delta_X^m> against nullspace_int
     # of the plane's contraction rows and of the flat's stacked rows
     sample = _Planes(arr, m)
-    closed, eliminated = _kernels(arr, sample), contraction_kernels(sample)
+    closed, eliminated = every_kernel(arr, sample), contraction_kernels(sample)
     assert closed.keys() == eliminated.keys()
     for planes, kernel in closed.items():
         assert rank_int(kernel) == len(kernel) == len(eliminated[planes]) == rank_int(kernel + eliminated[planes]), (planes, m)
 
 
-@given(
-    st.one_of(
-        kernel_arrangements,
-        # a quadruple point, and braid's four triple points
-        st.sampled_from(["x1; x2; x1 - x2; x1 + x2; x3", "x1; x2; x3; x1 - x2; x1 - x3; x2 - x3"]).map(parse_arrangement),
-    ),
-    st.integers(1, 8),
-)
+@given(with_multiple_points, st.integers(1, 8))
 def test_kernels_from_shared_powers_equal_the_primitive_products(arr, m):
     # every vector from the shared packed powers, with no primitive pass,
     # equals the primitive form_product of its factor list: same keys, same
     # order, same tuples
     sample = _Planes(arr, m)
-    assert list(_kernels(arr, sample).items()) == list(product_kernels(sample).items()), m
+    assert list(every_kernel(arr, sample).items()) == list(product_kernels(sample).items()), m
+
+
+@given(with_multiple_points, st.integers(1, 4))
+def test_lazy_kernels_give_the_eager_dimensions(arr, m):
+    # kernels built on first read, counted from their proven dimensions, and
+    # one-point weight blocks taken as they are, against every kernel built
+    # first and every block reduced
+    assert oracle_dims(arr, m, arr.n + 2) == eager_oracle_dims(arr, m, arr.n + 2), m
 
 
 # rank <= 2 3-arrangements: a pencil through the line of (-s, -t, 1) (rank 1

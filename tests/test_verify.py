@@ -12,7 +12,7 @@ from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op
 from arrops.errors import DimensionMismatch, IdentityViolated, NotMember, NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
 from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential, build_basis
-from arrops.linalg import det_poly_matrix
+from arrops.linalg import det_poly_matrix, nullspace_int
 from arrops.polynomial import Poly, midx_factorial, monomials_of_degree, primitive_int_vector
 from arrops.verify import (
     check_identities,
@@ -337,7 +337,10 @@ def test_flat_kernel_of_wrong_dimension_raises(monkeypatch):
 
 def test_flat_kernel_off_its_planes_raises(monkeypatch):
     # the flat's direction moved off its planes: every K_H passes, and
-    # delta_X^m breaks the contraction rows of the flat's first plane
+    # delta_X^m breaks the contraction rows of the flat's first plane.  A
+    # kernel is built only where it enters a rank: at d = 0 the moved flat
+    # is the only point and the point count on the planes fails first, and
+    # at d = 1 the flat point carries no eta weight, so take d = 2
     init = verify._Planes.__init__
 
     def moved(self, arr, m):
@@ -346,7 +349,70 @@ def test_flat_kernel_off_its_planes_raises(monkeypatch):
 
     monkeypatch.setattr(verify._Planes, "__init__", moved)
     with pytest.raises(IdentityViolated, match=r"at the flat \(1, 1, 1\) of 3 planes: delta_X\^2 breaks the contraction rows of x1"):
-        oracle_dims(Arrangement(3, [Hyperplane(v) for v in PENCILS[0][:3]]), 2, 1)
+        verify._oracle(Arrangement(3, [Hyperplane(v) for v in PENCILS[0][:3]]), 2, [2])
+
+
+def record_kernels(monkeypatch, sample):
+    """Record each kernel key the oracle builds and, by plane index, each
+    plane whose contraction rows a kernel vector is checked against."""
+    built, checked = [], []
+    missing, broken = verify._Kernels.__missing__, verify._broken
+
+    def build(self, planes):
+        built.append(planes)
+        return missing(self, planes)
+
+    def check(slots, vec):
+        checked.append(next(i for i, rows in enumerate(sample.contraction) if rows is slots))
+        return broken(slots, vec)
+
+    monkeypatch.setattr(verify._Kernels, "__missing__", build)
+    monkeypatch.setattr(verify, "_broken", check)
+    return built, checked
+
+
+def test_generic_oracle_builds_no_plane_kernel(generic4_arr, monkeypatch):
+    # etas exist at d = 0, 1 only, where every point is a double point: no
+    # K_H is built, and each K_X built is checked against both its planes
+    sample = verify._Planes(generic4_arr, 2)
+    built, checked = record_kernels(monkeypatch, sample)
+    assert oracle_dims(generic4_arr, 2, 6, sample) == [oracle_dim_direct(generic4_arr, 2, d) for d in range(7)]
+    assert built and all(len(planes) == 2 for planes in built)
+    assert checked == [i for planes in built for i in planes]
+
+
+def test_oracle_builds_the_kernels_of_groups_with_eta_weights(quad_arr, monkeypatch):
+    # K_H at (i,) is built exactly for the planes whose own points carry a
+    # nonzero eta weight at some degree; quad's x3 never does at m = 2
+    sample = verify._Planes(quad_arr, 2)
+    built, checked = record_kernels(monkeypatch, sample)
+    oracle_dims(quad_arr, 2, 6, sample)
+    carriers = set()
+    for d in range(7):
+        groups = sample.points(d)
+        etas = nullspace_int(sample.table(d)[0], sum(len(points) for points, _ in groups))
+        start = 0
+        for points, planes in groups:
+            if any(eta[k] for eta in etas for k in range(start, start + len(points))):
+                carriers.add(planes)
+            start += len(points)
+    assert len(built) == len(set(built)) and set(built) == carriers
+    assert {planes for planes in built if len(planes) == 1} == {(0,), (1,), (3,)}
+    # a flat's one vector against each of its planes, a plane's s_dim(2, 2)
+    # vectors against that plane
+    assert checked == [i for planes in built for i in (planes if len(planes) > 1 else planes * s_dim(2, 2))]
+
+
+def test_wrong_plane_kernel_that_enters_a_rank_raises(quad_arr):
+    # the first basis vector of x1 - x2 replaced by its normal once the
+    # points are drawn: no K_H enters a rank below d = 2, and at d = 2 the
+    # wrong products of derivations along it do
+    sample = verify._Planes(quad_arr, 2)
+    sample.points(2)
+    sample.basis[3] = [(1, -1, 0), sample.basis[3][1]]
+    assert oracle_dims(quad_arr, 2, 1, sample) == [0, 1]
+    with pytest.raises(IdentityViolated, match="contraction kernel of the plane x1 - x2: a product of derivations along it breaks its contraction rows"):
+        oracle_dims(quad_arr, 2, 2, sample)
 
 
 def drop_last_point(monkeypatch):
