@@ -12,7 +12,9 @@ byte-identical output.  The JSON report is printed in one pass by one small
 recursive emitter (``_json``) that writes the bytes of
 ``json.dumps(report, sort_keys=True, indent=2)``, without the stdlib's
 pure-Python indenting encoder; it refuses every non-JSON type (a float or
-``Fraction`` in an exact report is a bug) with ``TypeError``.
+``Fraction`` in an exact report is a bug) with ``TypeError``.  The text
+format writes lists with the same emitter, on one line.  Ints of any size
+print exactly (``polynomial.int_text``).
 """
 
 from __future__ import annotations
@@ -153,50 +155,50 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json(value, indent: str, number=int.__repr__) -> str:
+def _json(value, indent: str | None) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
-    at ``indent``: only dicts with ``str`` keys, lists, tuples, ``str``,
-    ``int``, bools and None; anything else raises ``TypeError`` (a non-``str``
-    key raises it in sorting or in ``_quote``).  Ints are written by
-    ``number``.  ``str`` and ``int`` children are written inline, so only
-    nested containers and constants recurse."""
+    at ``indent``, or as ``json.dumps(value, sort_keys=True)`` writes it on
+    one line if ``indent`` is None: only dicts with ``str`` keys, lists,
+    tuples, ``str``, ``int``, bools and None; anything else raises
+    ``TypeError`` (a non-``str`` key raises it in sorting or in ``_quote``).
+    Ints are written by ``int_text``, so past the interpreter's limit on
+    int-to-str conversion too.  ``str`` and ``int`` children are written
+    inline, so only nested containers and constants recurse."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind is int:
-        return number(value)
+        return int_text(value)
     if kind is bool:
         return "true" if value else "false"
     if value is None:
         return "null"
-    inner = indent + "  "
+    inner = None if indent is None else indent + "  "
     if kind is dict:
         if not value:
             return "{}"
-        parts = [f"{_quote(k)}: {_quote(v) if type(v) is str else number(v) if type(v) is int else _json(v, inner, number)}" for k, v in sorted(value.items())]
+        parts = [f"{_quote(k)}: {_quote(v) if type(v) is str else int_text(v) if type(v) is int else _json(v, inner)}" for k, v in sorted(value.items())]
         opening, closing = "{", "}"
     elif kind is list or kind is tuple:
         if not value:
             return "[]"
-        parts = [_quote(v) if type(v) is str else number(v) if type(v) is int else _json(v, inner, number) for v in value]
+        parts = [_quote(v) if type(v) is str else int_text(v) if type(v) is int else _json(v, inner) for v in value]
         opening, closing = "[", "]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if indent is None:
+        return f"{opening}{', '.join(parts)}{closing}"
     sep = ",\n" + inner
     return f"{opening}\n{inner}{sep.join(parts)}\n{indent}{closing}"
 
 
 def emit_report(result: dict, fmt: str) -> str:
     """The report as JSON (the bytes of ``json.dumps(result, sort_keys=True,
-    indent=2)``, written by ``_json``) or as text lines.  Ints go through
-    ``int.__repr__``; a report holding one past the interpreter's limit on
-    int-to-str conversion, which that refuses with ``ValueError``, is
-    written again with ``int_text``, which has no limit."""
+    indent=2)``, written by ``_json``) or as text lines, a list on one line
+    as ``json.dumps(value, sort_keys=True)`` writes it.  Ints of any size
+    are written exactly (``int_text``)."""
     if fmt == "json":
-        try:
-            return _json(result, "")
-        except ValueError:
-            return _json(result, "", int_text)
+        return _json(result, "")
     lines: list[str] = []
 
     def walk(prefix: str, value) -> None:
@@ -204,7 +206,7 @@ def emit_report(result: dict, fmt: str) -> str:
             for key in sorted(value):
                 walk(f"{prefix}{key}.", value[key])
         elif isinstance(value, list):
-            lines.append(f"{prefix[:-1]}: {json.dumps(value, sort_keys=True)}")
+            lines.append(f"{prefix[:-1]}: {_json(value, None)}")
         else:
             lines.append(f"{prefix[:-1]}: {int_text(value) if type(value) is int else value}")
 

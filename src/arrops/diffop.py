@@ -265,14 +265,13 @@ class FactoredOp:
         return {a: {k: v * den // num for k, v in f.items()} for a, f in packed.items()}
 
     def multiplied(self) -> Packed:
-        """P * theta', packed: P multiplied out once per (cofactor, radix)
-        (``_cofactor_product``), then each coefficient of ``packed``
-        multiplied by it (one ``_times_form``, P's terms for the form's);
-        cancelled terms stay, valued 0.
+        """P * theta', packed: P multiplied out once (``packed_product``), then
+        each coefficient of ``packed`` multiplied by it (one ``_times_form``,
+        P's terms for the form's); cancelled terms stay, valued 0.
         ``packed`` itself when there is no cofactor."""
         if not self.cofactor:
             return self.packed
-        p = _cofactor_product(self.cofactor, self.radix)
+        p = {k: v for k, v in packed_product(self.cofactor, self.radix).items() if v}
         return {a: _times_form(p, list(f.items())) if p else {} for a, f in self.packed.items()}
 
     @cached_property
@@ -301,14 +300,6 @@ class FactoredOp:
             raise ValueError("the operator is not homogeneous: its terms have unequal form counts")
         full = self.multiplied()
         return [[list(a), packed_text(full[k], self.nvars, self._degree)] for k, a in zip(packed_index(self.nvars, self.order, self.order + 1), saito_columns(self.nvars, self.order)) if k in full]
-
-
-@lru_cache(maxsize=256)
-def _cofactor_product(cofactor: tuple[tuple[int, ...], ...], radix: int) -> dict[int, int]:
-    """The product of the forms (``packed_product``) without its cancelled
-    terms; cached, because every operator of a flat has the same cofactor
-    and radix.  Callers do not modify it."""
-    return {k: v for k, v in packed_product(cofactor, radix).items() if v}
 
 
 @lru_cache(maxsize=256)

@@ -458,4 +458,4 @@ def test_report_prints_ints_past_the_conversion_limit(monkeypatch):
     assert json.loads(cli.emit_report(result, "json"))["saito"]["c"] == f"-{digits}/7"
     assert f"saito.c: -{digits}/7" in cli.emit_report(result, "text").splitlines()
     assert cli.emit_report({"n": big, "signs": [big, -big]}, "json") == f'{{\n  "n": {digits},\n  "signs": [\n    {digits},\n    -{digits}\n  ]\n}}'
-    assert cli.emit_report({"n": big}, "text") == f"n: {digits}"
+    assert cli.emit_report({"n": big, "signs": [big, {"c": -big}]}, "text") == f'n: {digits}\nsigns: [{digits}, {{"c": -{digits}}}]'

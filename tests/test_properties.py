@@ -575,3 +575,10 @@ def test_report_printer_writes_the_bytes_of_json_dumps(value):
     # empty containers, tuples, bools beside ints and escaped keys all print
     # as the stdlib's indent-2 encoder prints them
     assert emit_report(value, "json") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@given(st.lists(report_values, max_size=4))
+def test_report_text_prints_a_list_as_json_dumps_does(value):
+    # the text format writes a list on one line, as the stdlib's encoder
+    # writes it without indent
+    assert emit_report({"key": value}, "text") == "key: " + json.dumps(value, sort_keys=True)
