@@ -7,8 +7,10 @@
   takes the sparsest row of a bucket as pivot and removes a row's content
   only when it becomes a pivot row or after a back-substitution step;
   dense lists come in and go out.  ``rank_int`` and ``nullspace_int`` are
-  built on it and serve arrangement kernels, the certificate's hyperplane
-  lines and the dimension oracle, and ``dual_pair`` inverts with it.
+  built on it.  ``nullspace_int`` serves arrangement kernels and the
+  sample's hyperplane bases (the dimension oracle builds its relations
+  between point values in closed form), ``rank_int`` the dimension oracle,
+  and ``dual_pair`` inverts with ``echelon_int``.
   ``det_int`` is a Bareiss determinant for the determinant certificate.
 - Polynomials: ``det_poly_matrix``, the tests' reference determinant.
 

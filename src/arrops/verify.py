@@ -15,7 +15,8 @@ first takes the rank-2 flats on it, which are points of every plane
 through them (one taken by an earlier plane counts), then fills up with
 points s*u + t*v of its own for the coprime pairs (s, t) of smallest
 height, skipping the flats.  A flat point serves every plane through it.
-Per degree the sample evaluates the monomials at its points once.
+Per degree the membership test evaluates the monomials at the sample's
+points once; the oracle evaluates no monomial.
 
 The certificate (``saito_check``) tests every candidate operator with the
 sample's membership test (``_Planes.violation``), then takes one integer
@@ -28,11 +29,11 @@ only ``polynomial`` computes, is a ``FactoredOp``'s core in the operator's
 one radix (``FactoredOp.packed``), or a plain ``DiffOp`` packed once on
 entry, and it is read once: one dense list over ``polynomial.packed_index``
 (``_dense``), which the membership test evaluates at the sample's points
-(through the by-point view the sample keeps) and the determinant at its
-point.  The oracle computes the exact dimension of the degree-d slice of
-the module: the same conditions make it an integer linear system in the
-coefficient unknowns.  Its fast path also
-quotients out the value patterns that polynomials realize, which shrinks
+(through the sample's table of monomial values by point) and the
+determinant at its point.  The oracle computes the exact dimension of the
+degree-d slice of the module: the same conditions make it an integer
+linear system in the coefficient unknowns.  Its fast path also quotients
+out the value patterns that polynomials realize, which shrinks
 the elimination to matrices indexed by points and multi-indices (the tests
 keep the literal coefficient-space system as a cross-check).  The
 coefficient vector's value at a point p must lie in K_p, the kernel of the
@@ -56,10 +57,13 @@ to an echelon basis, which spans the same rows with fewer of them, and a
 group whose weights are all zero adds no row.  A flat point carries one
 unknown instead of m + 1.  The etas number the points minus the
 evaluation rank; where that count is 0 (on a generic arrangement at large
-d) no eta is computed and no rank is taken, and the points on every plane
-are counted instead.  The oracle's eliminations are integer only
-(``linalg.echelon_int``): the etas and the hyperplane bases are integer
-kernel bases, and the dimension comes from one integer rank.
+d) no eta is computed and no rank is taken.  Otherwise they are built in
+closed form, plane by plane in input order, from Lagrange weights on each
+plane (``_oracle_at``): no table of monomial values and no elimination.
+At every degree no sample point may repeat, and the points on every plane
+are counted.  The oracle's eliminations are integer only
+(``linalg.echelon_int``): the hyperplane bases are integer kernel bases,
+and the dimension comes from one integer rank.
 ``oracle_dims`` answers every degree up to d_max in one call and builds
 each kernel and the sample's flats at most once; nothing is cached across
 calls but the contraction table per (l, m) (``_contraction_table``).
@@ -70,10 +74,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import count, islice
-from math import comb, gcd, prod
-from operator import add, getitem, mul
-from typing import Iterator, Sequence
+from itertools import count, islice, repeat
+from math import comb, gcd, lcm, prod
+from operator import add, floordiv, getitem, mul, neg
+from typing import Callable, Iterator, Sequence
 
 from .arrangement import Arrangement
 from .diffop import DiffOp, FactoredOp, saito_columns
@@ -114,9 +118,8 @@ class _Planes:
     (``arr.flats()``): its direction and the planes through it, input order.
     In dimension 2 each line is its own flat, on that line alone.  Per
     degree, built on first read and kept here only: the point groups
-    (``points``), the table of monomial values at the points (``table``),
-    which the oracle's etas read, and the same table by point
-    (``by_point``), which the membership test reads.
+    (``points``), which the oracle reads, and the values of the monomials
+    at each point (``table``), which only the membership test reads.
     ``points`` evaluates nothing.
     """
 
@@ -135,7 +138,6 @@ class _Planes:
         self.fill = [self._fill(i) for i in range(len(self.normals))]
         self.groups: dict[int, list[tuple[list[tuple[int, ...]], tuple[int, ...]]]] = {}
         self.tables: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
-        self.by_point: dict[int, list[tuple[int, ...]]] = {}
 
     def points(self, d: int) -> list[tuple[list[tuple[int, ...]], tuple[int, ...]]]:
         """Distinct projective points, at least s_dim(d, l-1) of them on every
@@ -173,17 +175,17 @@ class _Planes:
         return groups
 
     def table(self, d: int) -> tuple[list[list[int]], list[list[int]]]:
-        """The values of each degree-d monomial, in ``monomials_of_degree``
-        order, at the points of ``points(d)`` in group order (the oracle's eta
-        matrix), and the indices of each plane's points."""
+        """The values of the degree-d monomials, in ``monomials_of_degree``
+        order, at each point of ``points(d)`` in group order, and the indices
+        of each plane's points."""
         if d not in self.tables:
             points, on = [], [[] for _ in self.normals]
             for group, planes in self.points(d):
                 for i in planes:
                     on[i] += range(len(points), len(points) + len(group))
                 points += group
-            values = [[_int_pow(p, c) for p in points] for c in monomials_of_degree(self.l, d)]
-            self.tables[d] = values, on
+            monomials = monomials_of_degree(self.l, d)
+            self.tables[d] = [[_int_pow(p, c) for c in monomials] for p in points], on
         return self.tables[d]
 
     def violation(self, dense: list[list[int] | None], d: int, skip: frozenset[int] = frozenset()) -> tuple[int, MultiIndex] | None:
@@ -195,16 +197,13 @@ class _Planes:
         if not self.m:
             return None  # order 0: no conditions
         values, on = self.table(d)
-        if d not in self.by_point:
-            self.by_point[d] = list(zip(*values))
-        columns = self.by_point[d]
         at: dict[int, list] = {}
         for j, (slots, points) in enumerate(zip(self.contraction, on)):
             if j in skip:
                 continue
             for k in points:
                 if k not in at:
-                    at[k] = _evaluate(dense, columns[k])
+                    at[k] = _evaluate(dense, values[k])
                 b = _broken(slots, at[k])
                 if b is not None:
                     return j, monomials_of_degree(self.l, self.m - 1)[b]
@@ -569,11 +568,53 @@ def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: _Kernels) -> 
     vanishing at all of them vanishes on every hyperplane: evaluation has
     kernel Q * S_(d-n) (the free part) and rank s_dim(d) - s_dim(d-n), and
     the etas, the relations between point values, number the points minus
-    that rank.  A negative count raises ``IdentityViolated``.  At a count of
-    0 no eta is computed and no monomial evaluated; the premise is checked
-    instead, by counting the sample's points on every plane.  Otherwise the
-    etas are an integer kernel basis of the values in ``_Planes.table``,
-    and their number is checked against the count.
+    that rank.  A negative count raises ``IdentityViolated``.  The premise
+    is checked at every degree: no point repeats, and each plane holds
+    enough of them.  A full evaluation rank does not show it, since a plane
+    short of points can leave the rank to the others.  At a count of 0 no
+    eta is computed.  Otherwise ``_etas`` peels the planes in input order.
+    Let P_i be the points off H_0..H_(i-1), in sample order, and e = d - i:
+
+    - At each plane H_i with e >= 0, the points ``on`` of P_i on H_i must
+      number at least need = s_dim(e, l-1), or ``IdentityViolated`` names
+      the plane and d.  The first need of them are the base.  The
+      Lagrange weights L_q of the degree-e forms in the coordinates other
+      than the first c with alpha_c != 0 interpolate at the base: for
+      l = 3, L_q(t) = prod_(q' != q) [t, q'] / [q, q'] (``_lagrange``),
+      with [.,.] the 2x2 bracket of the two kept coordinates; for l = 2,
+      L_q(t) = (t_a / q_a)^e.
+    - A relation rho of P_(i+1) at degree e - 1 lifts to eta_p =
+      rho_p / alpha_i(p) off H_i, eta_q = -sum_p eta_p L_q(p) at each base
+      point q and 0 at the rest of ``on``.  Each further point t of ``on``
+      gives one relation: eta_t = 1 and eta_q = -L_q(t).
+    - At e < 0 every point is its own relation; no point is left past the
+      last plane.
+
+    Proof.  S_e = C + alpha_i * S_(e-1), a direct sum, where C is the forms
+    in the two kept coordinates, and restriction maps C isomorphically onto
+    the forms on H_i, which the base points (distinct, need of them)
+    interpolate.  So eta is a relation at degree e exactly when
+    (alpha_i(p) eta_p) off H_i is a relation of P_(i+1) at degree e - 1 and
+    sum_p eta_p L_q(p) = 0 at every base point q.  The map
+    eta -> (alpha_i(p) eta_p) is therefore onto, the lift being a
+    preimage, and its kernel is the relations supported on H_i, which the
+    further points span, one free point each.  By induction the result is
+    a basis, with sum_i (|on_i| - need_i) + |P at e < 0| elements; their
+    number is checked against the count above.  In dimension 2 a line is
+    one point of the projective line, so every level holds one base point
+    and no further point.  The lift of a point t left at e < 0 is then a
+    relation supported on t and the d + 1 base points, distinct points of
+    the projective line, and such a relation is unique up to a factor:
+    ``_etas`` builds it in one step, as the Lagrange relation of t at the
+    base points on the whole projective line.
+
+    Each relation is cleared of denominators, made primitive with its
+    first nonzero entry positive, and the relations are sorted by their
+    free points (t, or the point at e < 0).  Each is supported on base
+    points and its free point, and they then equal ``nullspace_int`` of
+    the table of monomial values at the points vector for vector (tested),
+    so the Kronecker rows, and with them the rank's pivots and work, are
+    those of that global solve.
     """
     l, m = arr.dim, sample.m
     groups = sample.points(d)
@@ -581,19 +622,23 @@ def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: _Kernels) -> 
     relations = len(points) - s_dim(d, l) + s_dim(d - arr.n, l)
     if relations < 0:
         raise IdentityViolated(f"{len(points)} points leave {relations} relations between the point values at degree {d}, expected at least 0")
+    if len(set(points)) < len(points):
+        raise IdentityViolated(f"the sample repeats a point at degree {d}")
+    # each plane's form at each point, for the point count and the peel
+    values = [_values(h.normal, points) for h in arr]
+    need = s_dim(d, l - 1)
+    for h, at in zip(arr, values):
+        on = at.count(0)
+        if on < need:
+            raise IdentityViolated(f"the plane {h.text()} holds {on} of the sample's points at degree {d}, fewer than {need}")
     free_part = s_dim(m, l) * s_dim(d - arr.n, l)
     # dim K_H and dim K_X, proven in ``_oracle``
-    unknowns = sum(len(group) * (s_dim(m, l - 1) if len(planes) == 1 else 1) for group, planes in groups)
+    plane_dim = s_dim(m, l - 1)
+    unknowns = sum(len(group) * (plane_dim if len(planes) == 1 else 1) for group, planes in groups)
     if not relations:
-        need, distinct = s_dim(d, l - 1), set(points)
-        for h in arr:
-            on = sum(1 for p in distinct if not sum(map(mul, h.normal, p)))
-            if on < need:
-                raise IdentityViolated(f"the plane {h.text()} holds {on} of the sample's points at degree {d}, fewer than {need}")
         return free_part + unknowns
 
-    # functionals vanishing on every achievable value pattern
-    etas = nullspace_int(sample.table(d)[0], len(points))
+    etas = _etas(arr, points, d, values)
     if len(etas) != relations:
         raise IdentityViolated(f"{len(etas)} relations between the point values at degree {d}, expected {relations}")
 
@@ -602,15 +647,149 @@ def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: _Kernels) -> 
     # as does the one row of a one-point block.  A group whose weights are
     # all zero adds no row and reads no kernel.
     rows: list[list[int]] = []
-    start = 0
+    weights, start = list(zip(*etas)), 0
     for group, planes in groups:
-        block = [[eta[pi] for eta in etas] for pi in range(start, start + len(group))]
+        block = weights[start : start + len(group)]
         start += len(group)
         if len(block) > 1:
             block = echelon_int(block, reduce=True)[0]
         if any(map(any, block)):
             rows.extend([wq * wa for wq in e for wa in w] for e in block for w in kernels[planes])
     return free_part + unknowns - rank_int(rows)
+
+
+def _etas(arr: Arrangement, points: list[tuple[int, ...]], d: int, values: list[list[int]]) -> list[tuple[int, ...]]:
+    """The relations between the values of the degree-d forms at ``points``,
+    peeled plane by plane in input order (construction and proof in
+    ``_oracle_at``): primitive, first nonzero entry positive, sorted by
+    their free points.  ``values`` holds each plane's form at each point."""
+    l, size = arr.dim, len(points)
+    alive, levels = list(range(size)), []
+    for i, (h, at) in enumerate(zip(arr, values)):
+        e = d - i
+        if e < 0:
+            break
+        on = [k for k in alive if not at[k]]
+        need = s_dim(e, l - 1)
+        if len(on) < need:
+            raise IdentityViolated(f"the plane {h.text()} holds {len(on)} of the sample's points off the planes before it at degree {d}, fewer than {need}")
+        off = {k: at[k] for k in alive if at[k]}
+        levels.append((h.normal, on[:need], on[need:], off))
+        alive = list(off)
+    else:
+        if alive:
+            raise IdentityViolated(f"{len(alive)} of the sample's points lie on no plane at degree {d}")
+    if l == 2:
+        # one base point per level and no further point: the lift of a point
+        # t left at e < 0 is its Lagrange relation at the base points of
+        # every level on the projective line, eta_t = 1 and eta_q = -L_q(t)
+        # over both coordinates.  No bracket [t, q] is 0, and the least
+        # common denominator leaves the relation primitive.
+        base = [q for _, (q,), _, _ in levels]
+        kept = [points[q] for q in base]
+        den, etas = _denominators(kept), []
+        for t in alive:
+            ta, tb = points[t]
+            row = [ta * y - tb * x for x, y in kept]
+            full = prod(row)
+            sums = [full // x for x in row]
+            scale = lcm(*map(floordiv, den, map(gcd, sums, den)))
+            vec = [0] * size
+            vec[t] = scale
+            for q, x, D in zip(base, sums, den):
+                vec[q] = -x * scale // D
+            etas.append(tuple(vec) if next(filter(None, vec)) > 0 else tuple(map(neg, vec)))
+        return etas
+    # at e < 0 every point left is a relation of its own
+    relations = []
+    for k in alive:
+        vec = [0] * size
+        vec[k] = 1
+        relations.append((k, vec))
+    support = alive
+    for normal, base, extra, off in reversed(levels):
+        if not relations and not extra:
+            continue
+        # the coordinates other than the first c with normal[c] != 0
+        c = next(j for j, x in enumerate(normal) if x)
+        weights, den = _lagrange(*(j for j in range(3) if j != c), [points[q] for q in base])
+
+        def lifted(vec: list[int], sums: list[int]) -> list[int]:
+            # vec off the plane, -sums / den at the base points, made primitive
+            scale = lcm(*map(floordiv, den, map(gcd, sums, den)))
+            if scale != 1:
+                vec = list(map(mul, vec, repeat(scale)))
+            for q, x, D in zip(base, sums, den):
+                vec[q] = -x * scale // D
+            g = gcd(*vec)
+            return vec if g == 1 else [x // g for x in vec]
+
+        if relations:
+            # divide by alpha off the plane, over one common multiple
+            support = sorted(support)
+            common = lcm(*(off[k] for k in support))
+            divide = [0] * size
+            for k in support:
+                divide[k] = common // off[k]
+            columns = list(zip(*weights([points[k] for k in support])))
+            lift = []
+            for k, vec in relations:
+                vec = list(map(mul, vec, divide))
+                at = list(map(vec.__getitem__, support))
+                lift.append((k, lifted(vec, [sum(map(mul, at, col)) for col in columns])))
+            relations = lift
+        for t, row in zip(extra, weights([points[t] for t in extra])):
+            vec = [0] * size
+            vec[t] = 1
+            relations.append((t, lifted(vec, row)))
+        support = [*support, *base, *extra]
+    relations.sort()
+    return [tuple(vec) if next(filter(None, vec)) > 0 else tuple(map(neg, vec)) for _, vec in relations]
+
+
+def _lagrange(a: int, b: int, base: list[tuple[int, ...]]) -> tuple[Callable[[list[tuple[int, ...]]], list[list[int]]], list[int]]:
+    """The map from points p to their rows [N_q(p) for q in base], where
+    N_q(p) is the product of the brackets [p, q'] = p_a q'_b - p_b q'_a over
+    the other base points q', and the denominators N_q(q): the Lagrange
+    weight L_q(p) = N_q(p) / N_q(q) of the forms of degree len(base) - 1 in
+    the coordinates a and b."""
+    kept = [(q[a], q[b]) for q in base]
+    den = _denominators(kept)
+
+    def weights(pts: list[tuple[int, ...]]) -> list[list[int]]:
+        out = []
+        for p in pts:
+            pa, pb = p[a], p[b]
+            row = [pa * y - pb * x for x, y in kept]
+            if all(row):
+                full = prod(row)
+                out.append([full // x for x in row])
+                continue
+            # N_q(p) is 0 unless [p, q] is the only zero bracket
+            zeros = [j for j, x in enumerate(row) if not x]
+            weight = [0] * len(row)
+            if len(zeros) == 1:
+                (j,) = zeros
+                weight[j] = prod(row[:j]) * prod(row[j + 1 :])
+            out.append(weight)
+        return out
+
+    return weights, den
+
+
+def _denominators(kept: list[tuple[int, ...]]) -> list[int]:
+    """For each base point q, given by its two kept coordinates, N_q(q):
+    the product of its brackets with the other base points."""
+    return [prod([qa * y - qb * x for k, (x, y) in enumerate(kept) if k != j]) for j, (qa, qb) in enumerate(kept)]
+
+
+def _values(normal: tuple[int, ...], points: list[tuple[int, ...]]) -> list[int]:
+    """The form with coefficients ``normal`` at each of ``points``."""
+    if len(normal) == 3:
+        a, b, c = normal
+        return [a * x + b * y + c * z for x, y, z in points]
+    a, b = normal
+    return [a * x + b * y for x, y in points]
 
 
 def _int_pow(point: tuple[int, ...], exp: MultiIndex) -> int:

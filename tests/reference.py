@@ -1,7 +1,7 @@
 """Test-side reference implementations that no production path uses."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from arrops.arrangement import Arrangement
 from arrops.diffop import DiffOp, power_of_derivation, saito_columns
@@ -174,18 +174,27 @@ def every_kernel(arr: Arrangement, sample) -> dict[tuple[int, ...], list[tuple[i
     return {key: kernels[key] for key in [(i,) for i in range(arr.n)] + [planes for _, planes in sample.flats if len(planes) > 1]}
 
 
+def global_etas(points: list[tuple[int, ...]], l: int, d: int) -> list[tuple[int, ...]]:
+    """The relations between the values of the degree-d forms at ``points``
+    by one elimination: ``nullspace_int`` of the table of every degree-d
+    monomial's values at the points, monomials in ``monomials_of_degree``
+    order."""
+    table = [[prod(map(pow, p, c)) for p in points] for c in monomials_of_degree(l, d)]
+    return nullspace_int(table, len(points))
+
+
 def eager_oracle_dims(arr: Arrangement, m: int, d_max: int) -> list[int]:
     """``verify.oracle_dims`` (m >= 1, at least one plane) with every kernel
     built and checked first (``every_kernel``), the unknowns counted as the
-    kernels' lengths, the etas solved at every degree and every group's
-    weight block reduced by ``echelon_int``, zero and one-row blocks
-    included."""
+    kernels' lengths, the etas solved at every degree by one elimination
+    (``global_etas``) and every group's weight block reduced by
+    ``echelon_int``, zero and one-row blocks included."""
     l, sample = arr.dim, _Planes(arr, m)
     kernels = every_kernel(arr, sample)
     dims = []
     for d in range(d_max + 1):
         groups = sample.points(d)
-        etas = nullspace_int(sample.table(d)[0], sum(len(points) for points, _ in groups))
+        etas = global_etas([p for points, _ in groups for p in points], l, d)
         rows, start = [], 0
         for points, planes in groups:
             block = [[eta[k] for eta in etas] for k in range(start, start + len(points))]

@@ -90,8 +90,9 @@ def test_verify_samples_the_arrangement_once(capsys, monkeypatch):
 
 
 def test_verify_evaluates_each_monomial_at_each_point_once(capsys, monkeypatch):
-    # the certificate's membership test, its determinant point and the
-    # oracle's etas read one table of monomial values per sample and degree
+    # the certificate's membership test and its determinant point read one
+    # table of monomial values per sample and degree; the oracle's peeled
+    # etas evaluate no monomial
     seen = []
     power = verify._int_pow
     monkeypatch.setattr(verify, "_int_pow", lambda point, exp: seen.append((point, exp)) or power(point, exp))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import random_essential
-from reference import oracle_dim_direct, saito_matrix
+from reference import global_etas, oracle_dim_direct, saito_matrix
 
 from arrops import freebasis, verify
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
@@ -12,7 +12,7 @@ from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op
 from arrops.errors import DimensionMismatch, IdentityViolated, NotMember, NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
 from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential, build_basis
-from arrops.linalg import det_poly_matrix, nullspace_int
+from arrops.linalg import det_poly_matrix
 from arrops.polynomial import Poly, midx_factorial, monomials_of_degree, primitive_int_vector
 from arrops.verify import (
     check_identities,
@@ -336,11 +336,18 @@ def test_flat_kernel_of_wrong_dimension_raises(monkeypatch):
 
 
 def test_flat_kernel_off_its_planes_raises(monkeypatch):
-    # the flat's direction moved off its planes: every K_H passes, and
-    # delta_X^m breaks the contraction rows of the flat's first plane.  A
-    # kernel is built only where it enters a rank: at d = 0 the moved flat
-    # is the only point and the point count on the planes fails first, and
-    # at d = 1 the flat point carries no eta weight, so take d = 2
+    # the flat's direction moved off its planes once the points are drawn:
+    # every K_H passes, and delta_X^m breaks the contraction rows of the
+    # flat's first plane.  A kernel is built only where it enters a rank: at
+    # d = 1 the flat point carries no eta weight, so take d = 2
+    arr = Arrangement(3, [Hyperplane(v) for v in PENCILS[0][:3]])
+    sample = verify._Planes(arr, 2)
+    sample.points(2)
+    sample.flats = [((1, 1, 1), planes) for _, planes in sample.flats]
+    with pytest.raises(IdentityViolated, match=r"at the flat \(1, 1, 1\) of 3 planes: delta_X\^2 breaks the contraction rows of x1"):
+        verify._oracle(arr, 2, [2], sample)
+    # moved before the points are drawn, the flat point lands on the fill
+    # point (1, 1, 1) of x1 - x2, and the sample's repeated point fails first
     init = verify._Planes.__init__
 
     def moved(self, arr, m):
@@ -348,8 +355,8 @@ def test_flat_kernel_off_its_planes_raises(monkeypatch):
         self.flats = [((1, 1, 1), planes) for _, planes in self.flats]
 
     monkeypatch.setattr(verify._Planes, "__init__", moved)
-    with pytest.raises(IdentityViolated, match=r"at the flat \(1, 1, 1\) of 3 planes: delta_X\^2 breaks the contraction rows of x1"):
-        verify._oracle(Arrangement(3, [Hyperplane(v) for v in PENCILS[0][:3]]), 2, [2])
+    with pytest.raises(IdentityViolated, match="the sample repeats a point at degree 2"):
+        verify._oracle(arr, 2, [2])
 
 
 def record_kernels(monkeypatch, sample):
@@ -390,7 +397,7 @@ def test_oracle_builds_the_kernels_of_groups_with_eta_weights(quad_arr, monkeypa
     carriers = set()
     for d in range(7):
         groups = sample.points(d)
-        etas = nullspace_int(sample.table(d)[0], sum(len(points) for points, _ in groups))
+        etas = global_etas([p for points, _ in groups for p in points], 3, d)
         start = 0
         for points, planes in groups:
             if any(eta[k] for eta in etas for k in range(start, start + len(points))):
@@ -464,17 +471,91 @@ def test_generic_top_degree_takes_no_rank(generic4_arr, monkeypatch):
 
 def test_degrees_without_relations_take_no_elimination(generic4_arr, monkeypatch):
     # from d = 2 on no relation remains: the oracle counts instead of
-    # eliminating, and the closed-form kernels take no elimination either
+    # peeling etas, and the closed-form kernels take no elimination either;
+    # at d = 1 the etas are peeled, with no elimination and no monomial
+    # evaluated
     sample = verify._Planes(generic4_arr, 2)
     dims = oracle_dims(generic4_arr, 2, 6)
     calls = []
-    for name in ("nullspace_int", "_int_pow"):
+    for name in ("nullspace_int", "_int_pow", "_etas"):
         wrapped = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda *args, name=name, wrapped=wrapped: calls.append(name) or wrapped(*args))
     assert verify._oracle(generic4_arr, 2, [2, 3, 4, 5, 6], sample) == dims[2:]
     assert calls == []
     assert verify._oracle(generic4_arr, 2, [1], sample) == dims[1:2]
-    assert set(calls) == {"nullspace_int", "_int_pow"}
+    assert calls == ["_etas"]
+
+
+def test_degrees_with_relations_take_no_elimination(quad_arr, monkeypatch):
+    # wherever relations remain, the peeled etas call neither nullspace_int
+    # nor _int_pow: no table of monomial values and no global solve
+    braid = parse_arrangement("x1; x2; x3; x1 - x2; x1 - x3; x2 - x3")
+    lines = parse_arrangement("x1; x2; x1 - x2; x1 + x2; 2*x1 + x2", dim=2)
+    cases = [(quad_arr, 2, 6), (braid, 3, 9), (lines, 3, 6)]
+    samples = [verify._Planes(arr, m) for arr, m, _ in cases]
+    dims = [oracle_dims(arr, m, d_max) for arr, m, d_max in cases]
+    calls = []
+    for name in ("nullspace_int", "_int_pow", "_etas"):
+        wrapped = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, name=name, wrapped=wrapped: calls.append(name) or wrapped(*args))
+    for (arr, m, d_max), sample, expected in zip(cases, samples, dims):
+        calls.clear()
+        assert oracle_dims(arr, m, d_max, sample) == expected
+        assert calls and set(calls) == {"_etas"}, arr.text()
+
+
+def test_peeled_etas_equal_the_global_elimination(random_family, quad_arr, generic4_arr):
+    # the relations by peeling the planes, vector for vector and in order,
+    # against nullspace_int of the table of monomial values at the points
+    forms = [
+        "x1; x2; x3; x1 - x2; x1 - x3; x2 - x3",
+        "x1; x2; x3; x1 - x2; x2 - x3",
+        "x1; x2; x1 - x2; x1 + x2; x3",
+        "x1; x2; x3; x1 - x2; x2 - x3; x1 + x2 + x3; x1 - x3; 2*x1 + x2",
+    ]
+    arrs = [*random_family, quad_arr, generic4_arr, *map(parse_arrangement, forms)]
+    arrs += [Arrangement(3, [Hyperplane(v) for v in normals[:k]]) for normals in PENCILS for k in range(1, 7)]
+    for lines in ("x1", "x1; x2", "x1; x2; x1 - x2", "x1; x2; x1 + 3*x2; 2*x1 - x2", "x1; x2; x1 - x2; x1 + x2; 2*x1 + x2; x1 - 3*x2"):
+        arrs.append(parse_arrangement(lines, dim=2))
+    solves = 0
+    for arr in arrs:
+        sample = verify._Planes(arr, 1)
+        for d in range(arr.n + 4):
+            points = [p for group, _ in sample.points(d) for p in group]
+            etas = verify._etas(arr, points, d, [verify._values(h.normal, points) for h in arr])
+            assert etas == global_etas(points, arr.dim, d), (arr.text(), d)
+            solves += bool(etas)
+    assert solves > 150
+
+
+def test_a_plane_short_at_its_peel_level_raises():
+    # braid at d = 4 without the last own point of x2: x2 keeps three points
+    # off x1, one fewer than the cubics on it need, while the four triple
+    # points leave relations between the point values
+    braid = parse_arrangement("x1; x2; x3; x1 - x2; x1 - x3; x2 - x3")
+    points = [p for group, _ in verify._Planes(braid, 2).points(4) for p in group if p != (1, 0, 2)]
+    assert len(points) - s_dim(4, 3) == 3
+    with pytest.raises(IdentityViolated, match="the plane x2 holds 3 of the sample's points off the planes before it at degree 4, fewer than 4"):
+        verify._etas(braid, points, 4, [verify._values(h.normal, points) for h in braid])
+
+
+def test_a_short_plane_with_relations_left_raises(monkeypatch):
+    # braid without the last own point of its last plane: the evaluation
+    # rank stays full and relations remain, so neither count notices, but a
+    # cubic vanishing at the plane's three points need not vanish on it; the
+    # point count on every plane raises instead of the wrong dimension
+    braid = parse_arrangement("x1; x2; x3; x1 - x2; x1 - x3; x2 - x3")
+    assert oracle_dim(braid, 2, 3) == 7
+    drop_last_point(monkeypatch)
+    with pytest.raises(IdentityViolated, match="the plane x2 - x3 holds 3 of the sample's points at degree 3, fewer than 4"):
+        oracle_dim(braid, 2, 3)
+
+
+def test_oracle_dims_at_high_degree_are_pinned():
+    # eight planes with several multiple points at m = 2 up to d = 24
+    arr = parse_arrangement("x1; x2; x3; x1 - x2; x2 - x3; x1 + x2 + x3; x1 - x3; 2*x1 + x2")
+    expected = [0, 0, 1, 3, 7, 18, 36, 60, 90, 126, 168, 216, 270, 330, 396, 468, 546, 630, 720, 816, 918, 1026, 1140, 1260, 1386]
+    assert oracle_dims(arr, 2, 24) == expected
 
 
 def test_oracle_reuses_a_matching_sample_only(quad_arr, boolean_arr):
