@@ -24,8 +24,8 @@ for flat in arr.flats():
 # forms of the planes through the flat live in the kernel coordinates.
 print("\ncoordinate data per flat:")
 for flat in arr.flats():
-    *kernel, section = flat.coordinate_forms()
-    print(f"  {flat.direction}: y = {section.text()},", "kernel =", [f.text() for f in kernel])
+    frame = flat.to_json()
+    print(f"  {flat.direction}: y = {frame['section']},", "kernel =", frame["kernel_forms"])
 
 # The direction derivation annihilates exactly the forms through the flat.
 flat0 = arr.flats()[0]

@@ -132,7 +132,7 @@ class Arrangement:
             out: dict[tuple[int, ...], list[int]] = {}
             for i, j in combinations(range(self.n), 2):
                 v = _cross(self.hyperplanes[i].normal, self.hyperplanes[j].normal)
-                if all(c == 0 for c in v):
+                if not any(v):
                     raise ZeroForm("distinct normalized hyperplanes cannot be parallel")
                 # the pair with the flat's first plane as i comes first, and
                 # its j run through the other planes of the flat in input order
@@ -205,19 +205,20 @@ def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction | int]
         m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos:
             raise ParseError(f"cannot parse {text!r} at position {pos}")
-        sign = m.group("sign")
+        sign, digits, var1, var2 = m.groups()
         if sign is None and not first:
             raise ParseError(f"missing '+' or '-' between terms in {text!r}")
-        sgn = -1 if sign == "-" else 1
-        var = m.group("var1") or m.group("var2")
-        coef = _rational(m.group("coef"), text) if m.group("coef") else 1
+        # int() reads 640 digits under any digit limit; _rational reads more or fails
+        coef = 1 if digits is None else int(digits) if len(digits) <= 640 and "/" not in digits else _rational(digits, text)
+        coef = -coef if sign == "-" else coef
+        var = var1 or var2
         if var is None:
-            constant += sgn * coef
+            constant += coef
         else:
             idx = int(var[1:])
             if idx < 1:
                 raise ParseError(f"bad variable {var!r} in {text!r}")
-            coeffs[idx - 1] = coeffs.get(idx - 1, 0) + sgn * coef
+            coeffs[idx - 1] = coeffs.get(idx - 1, 0) + coef
         pos = m.end()
         first = False
     if constant != 0:

@@ -14,9 +14,9 @@ so the kernel coordinates y_i span ker(delta_X) and the section y has
 delta_X(y) = 1.  Any such frame works for the theorems downstream; this one
 is canonical.  Basis assembly reads the frame as integers
 (``Flat1.integer_frame``, with an integer adjugate), the dual pair its rows
-and v_p (``Flat1.integer_rows``); ``coordinate_forms`` is its rational
-view (the kernel forms, then the section), which only the ``lattice``
-output reads.
+and v_p (``Flat1.integer_rows``), and the ``lattice`` output prints the
+rows over v_p (``Flat1.to_json``).  The kernel rows alone
+(``pivot_rows``) also give the sample's basis of a plane from its normal.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import ZeroForm
-from .polynomial import LinearForm
 
 
 class Flat1(NamedTuple):
@@ -40,19 +39,8 @@ class Flat1(NamedTuple):
 
     def integer_rows(self) -> tuple[list[tuple[int, ...]], int]:
         """The pivot rule's rows (kernel rows, then the section row) and v_p."""
-        v = self.direction
-        p = next((i for i, c in enumerate(v) if c), None)
-        if p is None:
-            raise ZeroForm("flat direction must be nonzero")
-        n = len(v)
-        rows = [tuple(v[p] if k == i else -v[i] if k == p else 0 for k in range(n)) for i in range(n) if i != p]
-        return [*rows, tuple(int(k == p) for k in range(n))], v[p]
-
-    def coordinate_forms(self) -> list[LinearForm]:
-        """The frame's rows over v_p: the kernel forms y_i = x_i - (v_i / v_p) x_p,
-        then the section y = x_p / v_p; a basis of the dual space."""
-        rows, vp = self.integer_rows()
-        return [LinearForm(tuple(Fraction(c, vp) for c in row)) for row in rows]
+        rows, p = pivot_rows(self.direction)
+        return [*rows, tuple(int(k == p) for k in range(self.dim))], self.direction[p]
 
     def integer_frame(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], Fraction]:
         """Rows of M' = v_p * (coordinate forms), columns of adj(M') and
@@ -69,14 +57,26 @@ class Flat1(NamedTuple):
         return rows, cols, Fraction(vp, det)
 
     def to_json(self) -> dict:
-        *kernel, section = self.coordinate_forms()
+        """The frame's rows over v_p (kernel forms, then the section) as
+        ``Poly.text`` prints them: "c*xi" per nonzero c / v_p, index order."""
+        rows, vp = self.integer_rows()
+        *kernel, section = [" + ".join(f"{c if vp == 1 else Fraction(c, vp)}*x{i + 1}" for i, c in enumerate(row) if c) for row in rows]
         return {
             "direction": list(self.direction),
             "localization": list(self.local_indices),
             "delta": [str(v) for v in self.direction],
-            "section": section.text(),
-            "kernel_forms": [f.text() for f in kernel],
+            "section": section,
+            "kernel_forms": kernel,
         }
+
+
+def pivot_rows(v: Sequence[int]) -> tuple[list[tuple[int, ...]], int]:
+    """The rows v_p * e_i - v_i * e_p, i != p ascending, for p the first index
+    with v_p != 0 (a basis of the vectors orthogonal to v), and p."""
+    p = next((i for i, c in enumerate(v) if c), None)
+    if p is None:
+        raise ZeroForm("flat direction must be nonzero")
+    return [tuple(v[p] if k == i else -v[i] if k == p else 0 for k in range(len(v))) for i in range(len(v)) if i != p], p
 
 
 def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:

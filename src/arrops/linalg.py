@@ -6,10 +6,10 @@
   holds rows as sparse ``{column: value}`` dicts, bucketed by leading column,
   takes the sparsest row of a bucket as pivot and removes a row's content
   only when it becomes a pivot row or after a back-substitution step;
-  dense lists come in and go out.  ``rank_int`` and ``nullspace_int`` are
-  built on it.  ``nullspace_int`` serves arrangement kernels and the
-  sample's hyperplane bases (the dimension oracle builds its relations
-  between point values in closed form), ``rank_int`` the dimension oracle,
+  dense lists come in and go out.  ``rank_int`` counts its pivots and
+  ``nullspace_int`` solves its reduced rows.  ``nullspace_int`` serves only
+  the kernel of an arrangement of rank < 3 (plane bases and the oracle's
+  relations have closed forms), ``rank_int`` the dimension oracle,
   and ``dual_pair`` inverts with ``echelon_int``.
   ``det_int`` is a Bareiss determinant for the determinant certificate.
 - Polynomials: ``det_poly_matrix``, the tests' reference determinant.
@@ -92,6 +92,18 @@ def echelon_int(rows: list[list[int]], reduce: bool = False) -> tuple[list[list[
     row and after each back-substitution step, not after every update.
     """
     ncols = len(rows[0]) if rows else 0
+    out, pivots = _echelon_sparse(rows, ncols)
+    if reduce:
+        for k in range(len(out) - 1, 0, -1):
+            pc = pivots[k]
+            for j in range(k):
+                if pc in out[j]:
+                    _primitive(_eliminate(out[j], out[k], pc), pivots[j])
+    return [_dense(row, ncols) for row in out], pivots
+
+
+def _echelon_sparse(rows: list[list[int]], ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """``echelon_int``'s pivot rows, sparse and not reduced, and their columns."""
     sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
     buckets: dict[int, list[int]] = {}
     for i, row in enumerate(sparse):
@@ -112,13 +124,7 @@ def echelon_int(rows: list[list[int]], reduce: bool = False) -> tuple[list[list[
                     buckets.setdefault(min(row), []).append(i)
         out.append(piv_row)
         pivots.append(c)
-    if reduce:
-        for k in range(len(out) - 1, 0, -1):
-            pc = pivots[k]
-            for j in range(k):
-                if pc in out[j]:
-                    _primitive(_eliminate(out[j], out[k], pc), pivots[j])
-    return [_dense(row, ncols) for row in out], pivots
+    return out, pivots
 
 
 def _eliminate(row: dict[int, int], piv_row: dict[int, int], c: int) -> dict[int, int]:
@@ -159,8 +165,8 @@ def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
 
 
 def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix (``echelon_int``)."""
-    return len(echelon_int(rows)[1])
+    """Rank of an integer matrix: the pivot count of ``echelon_int``, no dense rows."""
+    return len(_echelon_sparse(rows, len(rows[0]) if rows else 0)[1])
 
 
 def nullspace_int(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:

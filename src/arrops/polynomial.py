@@ -428,16 +428,18 @@ def packed_powers(form: Sequence[int], n: int, radix: int) -> list[dict[int, int
 
 def primitive_int_vector(vec: Iterable[Fraction | int | str]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers with first nonzero entry
-    positive; an entry that is neither ``int`` nor ``Fraction`` is read as
-    ``Fraction(entry)``."""
-    ints = list(vec)
-    if not all(type(v) is int for v in ints):
+    positive (``ZeroForm`` if zero).  An all-``int`` vector takes one ``gcd``;
+    otherwise an entry neither ``int`` nor ``Fraction`` is read as ``Fraction(entry)``."""
+    ints = tuple(vec)  # a tuple is not copied
+    try:
+        g = gcd(*ints)
+    except TypeError:
         fracs = [v if type(v) in (int, Fraction) else Fraction(v) for v in ints]
         den = lcm(*(f.denominator for f in fracs))
         ints = [f.numerator * (den // f.denominator) for f in fracs]
-    g = gcd(*ints)
+        g = gcd(*ints)
     if g == 0:
         raise ZeroForm("zero vector has no primitive form")
-    if next(v for v in ints if v) < 0:
+    if next(filter(None, ints)) < 0:
         g = -g
-    return tuple(v // g for v in ints)
+    return tuple([v // g for v in ints])

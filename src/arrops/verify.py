@@ -62,8 +62,8 @@ closed form, plane by plane in input order, from Lagrange weights on each
 plane (``_oracle_at``): no table of monomial values and no elimination.
 At every degree no sample point may repeat, and the points on every plane
 are counted.  The oracle's eliminations are integer only
-(``linalg.echelon_int``): the hyperplane bases are integer kernel bases,
-and the dimension comes from one integer rank.
+(``linalg.echelon_int``): the hyperplane bases are integer, from the
+flats' pivot rule, and the dimension comes from one integer rank.
 ``oracle_dims`` answers every degree up to d_max in one call and builds
 each kernel and the sample's flats at most once; nothing is cached across
 calls but the contraction table per (l, m) (``_contraction_table``).
@@ -90,7 +90,8 @@ from .errors import (
     ZeroDet,
 )
 from .extension import ExtendedArrangement
-from .linalg import det_int, echelon_int, nullspace_int, rank_int
+from .flats import pivot_rows
+from .linalg import det_int, echelon_int, rank_int
 from .polynomial import (
     MultiIndex,
     Poly,
@@ -101,6 +102,7 @@ from .polynomial import (
     pack,
     packed_index,
     packed_powers,
+    primitive_int_vector,
     rational_content,
     s_dim,
 )
@@ -113,8 +115,9 @@ class _Planes:
     """One call's sample of the arrangement and its membership test.
 
     Per plane: its contraction rows (``_contraction_rows``, order m) and an
-    integer basis of its directions (``nullspace_int`` of its normal), which
-    spans its fill-up points and its contraction kernel.  Per flat
+    integer basis of its directions, which spans its fill-up points and its
+    contraction kernel: the flats' pivot rule on its normal, each row made
+    primitive, which is ``nullspace_int([normal], l)`` (tested).  Per flat
     (``arr.flats()``): its direction and the planes through it, input order.
     In dimension 2 each line is its own flat, on that line alone.  Per
     degree, built on first read and kept here only: the point groups
@@ -127,7 +130,7 @@ class _Planes:
         self.l, self.m = arr.dim, m
         self.normals = [h.normal for h in arr]
         self.contraction = [_contraction_rows(v, m) for v in self.normals]
-        self.basis = [nullspace_int([list(v)], self.l) for v in self.normals]
+        self.basis = [[primitive_int_vector(row) for row in pivot_rows(v)[0]] for v in self.normals]
         self.flats = arr.flats()
         self.on_plane: list[list[int]] = [[] for _ in self.normals]
         for f, (_, planes) in enumerate(self.flats):
@@ -358,7 +361,7 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
        a_1 >= 1.  A linear change of coordinates multiplies M by a constant
        invertible matrix, so alpha_H^t divides det M; the alpha_H are
        pairwise coprime, so Q^t does.
-       The core's row, scaled to primitive integers, is tested at its own
+       The core's row, as primitive integers, is tested at its own
        degree at the planes of ``arr`` whose normal is not a cofactor form
        (both primitive, first nonzero entry positive: the planes with
        alpha_H not dividing P).  If alpha_H divides P, theta(alpha_H f) =
@@ -366,7 +369,8 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
        alpha_H is prime, so alpha_H divides P * theta'(alpha_H f) exactly
        when it divides theta'(alpha_H f): theta is a member at H exactly
        when theta' is.  The planes come from ``arr`` and the forms from the
-       operator itself, so a plane missing from P is tested.
+       operator itself, so a plane missing from P is tested.  Only a plain
+       ``DiffOp``'s content is taken: a normalized core has content 1.
     4. The row degree sum, deg det M, is at most n * t (``NotPurePower``).  A
        smaller sum forces det M = 0, which step 5 reports.
     5. So det M = c * Q^t with c constant, and c = det M(p) / Q(p)^t at the
@@ -405,12 +409,12 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
     for i, (op, deg) in enumerate(zip(ops, degrees)):
         # the full operator's radix, deg + 1, keys the core too
         core, cofactor = (op.packed, op.cofactor) if isinstance(op, FactoredOp) else (op.pack(deg + 1), ())
-        # primitive integer rows (a normalized core has content 1 already)
         row = [core.get(a, {}) for a in packed_index(l, m, m + 1)]
-        content = rational_content(v for f in row for v in f.values())
-        if content != 1:
-            row = [{a: int(v / content) for a, v in f.items()} for f in row]
-            scale *= content
+        if not isinstance(op, FactoredOp):  # a normalized core has content 1
+            content = rational_content(v for f in row for v in f.values())
+            if content != 1:
+                row = [{a: int(v / content) for a, v in f.items()} for f in row]
+                scale *= content
         d = deg - len(cofactor)
         dense = _dense(row, packed_index(l, d, deg + 1))
         skip = frozenset(k for k, h in enumerate(arr) if h.normal in cofactor)
@@ -520,12 +524,12 @@ class _Kernels(dict):
     built once per key (``packed_powers``, radix m + 1).  Each K_H vector is
     the product of two of them (l = 3) or one (l = 2), written straight into
     its ``saito_columns`` slots; K_X is the m-th power of the flat's
-    direction.  There is no primitive pass: the basis vectors
-    (``nullspace_int``) and the directions (``Flat1``) are primitive with
-    first nonzero entry positive, a product of primitive forms is primitive
-    (Gauss's lemma), and its first nonzero entry in ``saito_columns`` order
-    (grlex descending) is its leading coefficient, the factors' ones
-    multiplied.
+    direction.  There is no primitive pass, which rests on exactly this form
+    of the factors: the plane basis vectors (``_Planes.basis``) and the
+    directions (``Flat1``) are primitive with first nonzero entry positive,
+    a product of primitive forms is primitive (Gauss's lemma), and its
+    first nonzero entry in ``saito_columns`` order (grlex descending) is its
+    leading coefficient, the factors' ones multiplied.
     """
 
     def __init__(self, arr: Arrangement, sample: _Planes):

@@ -1,15 +1,15 @@
 """Test-side reference implementations that no production path uses."""
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
-from arrops.arrangement import Arrangement
+from arrops.arrangement import _TERM_RE, Arrangement, _rational
 from arrops.diffop import DiffOp, power_of_derivation, saito_columns
-from arrops.errors import DimensionMismatch
+from arrops.errors import DimensionMismatch, NotCentral, ParseError, ZeroForm
 from arrops.extension import FlatProfile
 from arrops.flats import Flat1
 from arrops.linalg import echelon_int, nullspace_int, rank_int
-from arrops.polynomial import MultiIndex, Poly, form_product, midx_add, midx_factorial, monomials_of_degree, primitive_int_vector, s_dim
+from arrops.polynomial import LinearForm, MultiIndex, Poly, form_product, midx_add, midx_factorial, monomials_of_degree, primitive_int_vector, s_dim
 from arrops.verify import _Kernels, _Planes
 
 
@@ -69,6 +69,14 @@ def apply(theta: DiffOp, f: Poly) -> Poly:
     for a, coeff in theta.coeffs.items():
         out = out + coeff * partial(f, a)
     return out
+
+
+def coordinate_forms(flat: Flat1) -> list[LinearForm]:
+    """The flat's frame rows over v_p: the kernel forms y_i = x_i - (v_i / v_p) x_p,
+    then the section y = x_p / v_p; a basis of the dual space, whose texts
+    ``Flat1.to_json`` prints."""
+    rows, vp = flat.integer_rows()
+    return [LinearForm(tuple(Fraction(c, vp) for c in row)) for row in rows]
 
 
 def dual_derivations(flat: Flat1) -> list[tuple[Fraction, ...]]:
@@ -288,3 +296,61 @@ def tuple_basis_json(fb) -> list[dict]:
         theta = core.mul_poly(form_product(op.cofactor, op.nvars))
         out.append({"degree": degree, "provenance": provenance, "terms": [[list(a), f.text()] for a, f in theta.sorted_coeffs()]})
     return out
+
+
+def parse_linear_form_loop(text: str, dim: int | None = None) -> list[Fraction | int]:
+    """``arrangement.parse_linear_form`` as a term loop that reads each group
+    by name, every coefficient through ``_rational`` and each term's sign as
+    a factor: the reference for the parser's values and error messages."""
+    coeffs: dict[int, Fraction | int] = {}
+    constant = 0
+    pos = 0
+    first = True
+    s = text.strip()
+    if not s:
+        raise ParseError("empty linear form")
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if not m or m.end() == pos:
+            raise ParseError(f"cannot parse {text!r} at position {pos}")
+        sign = m.group("sign")
+        if sign is None and not first:
+            raise ParseError(f"missing '+' or '-' between terms in {text!r}")
+        sgn = -1 if sign == "-" else 1
+        var = m.group("var1") or m.group("var2")
+        coef = _rational(m.group("coef"), text) if m.group("coef") else 1
+        if var is None:
+            constant += sgn * coef
+        else:
+            idx = int(var[1:])
+            if idx < 1:
+                raise ParseError(f"bad variable {var!r} in {text!r}")
+            coeffs[idx - 1] = coeffs.get(idx - 1, 0) + sgn * coef
+        pos = m.end()
+        first = False
+    if constant != 0:
+        raise NotCentral(f"form {text!r} has constant term {constant}")
+    width = dim if dim is not None else max(coeffs, default=-1) + 1
+    if width > 3:
+        raise ParseError(f"supported ambient dimensions are 2 and 3, got {width}")
+    if any(i >= width for i in coeffs):
+        raise ParseError(f"form {text!r} uses a variable beyond dimension {width}")
+    vec = [coeffs.get(i, 0) for i in range(width)]
+    if not any(vec):
+        raise ZeroForm(f"form {text!r} is zero")
+    return vec
+
+
+def rational_primitive_vector(vec) -> tuple[int, ...]:
+    """``polynomial.primitive_int_vector`` through one rational path: every
+    entry read as a ``Fraction``, scaled by the lcm of the denominators,
+    divided by the gcd and signed by the first nonzero entry."""
+    fracs = [Fraction(v) for v in vec]
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    g = gcd(*ints)
+    if g == 0:
+        raise ZeroForm("zero vector has no primitive form")
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 from conftest import random_essential
-from reference import dual_derivations
+from reference import coordinate_forms, dual_derivations
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.flats import Flat1
@@ -14,19 +14,19 @@ x1, x2, x3 = Poly.variables(3)
 
 
 def _kernel_forms(direction):
-    return Flat1(direction, ()).coordinate_forms()[:-1]
+    return coordinate_forms(Flat1(direction, ()))[:-1]
 
 
 def test_choose_section_values(quad_arr):
     # the section view of the pivot frame, its last coordinate form
-    sections = [flat.coordinate_forms()[-1] for flat in quad_arr.flats()]
+    sections = [coordinate_forms(flat)[-1] for flat in quad_arr.flats()]
     # direction (0,0,1): section x3
     assert sections[0].to_poly() == x3
     # direction (1,1,0): deterministic section x1, and it pairs to 1
     assert sections[3].to_poly() == x1
     for flat, section in zip(quad_arr.flats(), sections):
         assert section(flat.direction) == 1
-    assert Flat1((0, 2, 0), ()).coordinate_forms()[-1].to_poly() == Fraction(1, 2) * x2
+    assert coordinate_forms(Flat1((0, 2, 0), ()))[-1].to_poly() == Fraction(1, 2) * x2
 
 
 def test_kernel_basis_values():
@@ -77,7 +77,7 @@ def test_coordinate_system_invertible_and_dual(quad_arr):
     flats += [flat for text in ("x1; x2; x1 - x2", "x1; x2 - 2*x1; 2*x1 + 3*x2") for flat in parse_arrangement(text, dim=2).flats()]
     for flat in flats:
         duals = dual_derivations(flat)
-        forms = flat.coordinate_forms()
+        forms = coordinate_forms(flat)
         for i, w in enumerate(duals):
             for j, f in enumerate(forms):
                 assert f(w) == (1 if i == j else 0), (flat, i, j)

@@ -20,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from conftest import random_essential
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (
     apply,
@@ -28,22 +28,26 @@ from reference import (
     compose_constant,
     contraction_kernels,
     convert_2var_op,
+    coordinate_forms,
     eager_oracle_dims,
     every_kernel,
     localization,
     off_flat_product,
     oracle_dim_direct,
+    parse_linear_form_loop,
     product_kernels,
+    rational_primitive_vector,
     saito_matrix,
     tuple_basis_json,
     tuple_product_op,
 )
 
-from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
+from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement, parse_linear_form
 from arrops.cli import emit_report
 from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op
-from arrops.errors import NotDivisible, NotMember, SaitoFailed
+from arrops.errors import ArropsError, NotDivisible, NotMember, SaitoFailed, ZeroForm
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
+from arrops.flats import Flat1
 from arrops.exponents import exp_2arr, exp_3arr_closed
 from arrops.freebasis import _factored_blocks as factored_blocks
 from arrops.freebasis import basis_2arr_lines, build_basis, dual_pair
@@ -329,6 +333,77 @@ def test_input_paths_agree(l, data):
     inferred = Arrangement(width, [Hyperplane.make(v[:width]) for v in vectors])
     assert parse_arrangement("; ".join(forms)) == inferred
     assert parse_arrangement(json.dumps({"forms": forms})) == inferred
+
+
+# well-formed terms, and fragments that break a term, a variable, a p/q
+# coefficient or the separator between terms
+form_tokens = st.sampled_from(["+", "-", " ", "*", "/", "x", "x0", "x1", "x2", "x3", "x4", "y2", "0", "1", "2", "12", "3/4", "1/0", "0/5", "07", "2/3*x2"])
+well_formed_terms = st.tuples(
+    st.sampled_from(["+", "-", " - ", " + ", ""]),
+    st.sampled_from(["", "", "0", "1", "3", "10", "1/2", "6/4", "2/1"]),
+    st.sampled_from(["x1", "x2", "x3", "x1", "x2", "x3", "x4", ""]),
+)
+
+
+def term_text(terms):
+    return "".join(sign + coef + ("*" if coef and var else "") + var for sign, coef, var in terms)
+
+
+@given(
+    st.one_of(st.lists(form_tokens, max_size=8).map("".join), st.lists(well_formed_terms, max_size=5).map(term_text)),
+    st.sampled_from([None, 2, 3]),
+)
+@example("1" * 5000 + "*x1", None)  # more digits than int() reads
+@example("- " + "9" * 700 + "*x2", 3)  # more than 640 digits, within the default limit
+@settings(max_examples=200)
+@example("x1 + 2/0*x2", 3)
+def test_parser_matches_the_reference_loop(text, dim):
+    # the same vector, or the same exception type with the same message
+    try:
+        expected = parse_linear_form_loop(text, dim)
+    except ArropsError as exc:
+        with pytest.raises(type(exc)) as raised:
+            parse_linear_form(text, dim)
+        assert str(raised.value) == str(exc)
+    else:
+        got = parse_linear_form(text, dim)
+        assert got == expected and list(map(type, got)) == list(map(type, expected))
+
+
+entries = st.one_of(
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)).map(str),
+)
+
+
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=4), st.lists(entries, min_size=1, max_size=4))
+def test_primitive_int_vector_matches_the_rational_path(ints, mixed):
+    # all-int vectors (the gcd path) and vectors with Fraction or string
+    # entries give the rational path's tuple of ints, or both raise ZeroForm
+    for vec in (ints, mixed):
+        zero = not any(Fraction(v) for v in vec)
+        for arg in (vec, tuple(vec), iter(vec)):
+            if zero:
+                with pytest.raises(ZeroForm):
+                    primitive_int_vector(arg)
+            else:
+                got = primitive_int_vector(arg)
+                assert got == rational_primitive_vector(vec) and all(type(v) is int for v in got)
+
+
+@given(st.sampled_from([2, 3]), st.data())
+def test_flat_printer_matches_the_rational_forms(l, data):
+    # kernel forms and section printed from the integer rows equal the
+    # texts of the rational coordinate forms: directions with a zero lead,
+    # negative entries and v_p > 1, primitive or not
+    v = data.draw(st.tuples(*[st.integers(-9, 9)] * l).filter(any))
+    for direction in (v, primitive_int_vector(v)):
+        flat = Flat1(direction, ())
+        *kernel, section = coordinate_forms(flat)
+        printed = flat.to_json()
+        assert printed["kernel_forms"] == [f.text() for f in kernel]
+        assert printed["section"] == section.text()
 
 
 certificate_cases = st.one_of(

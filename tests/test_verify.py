@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import random_essential
@@ -12,7 +13,7 @@ from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op
 from arrops.errors import DimensionMismatch, IdentityViolated, NotMember, NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
 from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential, build_basis
-from arrops.linalg import det_poly_matrix
+from arrops.linalg import det_poly_matrix, nullspace_int
 from arrops.polynomial import Poly, midx_factorial, monomials_of_degree, primitive_int_vector
 from arrops.verify import (
     check_identities,
@@ -477,7 +478,8 @@ def test_degrees_without_relations_take_no_elimination(generic4_arr, monkeypatch
     sample = verify._Planes(generic4_arr, 2)
     dims = oracle_dims(generic4_arr, 2, 6)
     calls = []
-    for name in ("nullspace_int", "_int_pow", "_etas"):
+    assert not hasattr(verify, "nullspace_int")  # the plane bases come from the pivot rule
+    for name in ("_int_pow", "_etas"):
         wrapped = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda *args, name=name, wrapped=wrapped: calls.append(name) or wrapped(*args))
     assert verify._oracle(generic4_arr, 2, [2, 3, 4, 5, 6], sample) == dims[2:]
@@ -495,7 +497,8 @@ def test_degrees_with_relations_take_no_elimination(quad_arr, monkeypatch):
     samples = [verify._Planes(arr, m) for arr, m, _ in cases]
     dims = [oracle_dims(arr, m, d_max) for arr, m, d_max in cases]
     calls = []
-    for name in ("nullspace_int", "_int_pow", "_etas"):
+    assert not hasattr(verify, "nullspace_int")  # the plane bases come from the pivot rule
+    for name in ("_int_pow", "_etas"):
         wrapped = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda *args, name=name, wrapped=wrapped: calls.append(name) or wrapped(*args))
     for (arr, m, d_max), sample, expected in zip(cases, samples, dims):
@@ -556,6 +559,15 @@ def test_oracle_dims_at_high_degree_are_pinned():
     arr = parse_arrangement("x1; x2; x3; x1 - x2; x2 - x3; x1 + x2 + x3; x1 - x3; 2*x1 + x2")
     expected = [0, 0, 1, 3, 7, 18, 36, 60, 90, 126, 168, 216, 270, 330, 396, 468, 546, 630, 720, 816, 918, 1026, 1140, 1260, 1386]
     assert oracle_dims(arr, 2, 24) == expected
+
+
+def test_plane_bases_by_the_pivot_rule_equal_the_integer_kernel():
+    # the sample's basis of each plane, from the flats' pivot rule, against
+    # nullspace_int of its normal, for every primitive normal in [-5, 5]^l
+    normals = [v for l in (2, 3) for v in product(range(-5, 6), repeat=l) if any(v) and Hyperplane.make(v).normal == v]
+    assert len(normals) == 617
+    for v in normals:
+        assert verify._Planes(Arrangement(len(v), [Hyperplane(v)]), 1).basis == [nullspace_int([list(v)], len(v))], v
 
 
 def test_oracle_reuses_a_matching_sample_only(quad_arr, boolean_arr):
