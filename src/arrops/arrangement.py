@@ -208,8 +208,7 @@ def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction | int]
         sign, digits, var1, var2 = m.groups()
         if sign is None and not first:
             raise ParseError(f"missing '+' or '-' between terms in {text!r}")
-        # int() reads 640 digits under any digit limit; _rational reads more or fails
-        coef = 1 if digits is None else int(digits) if len(digits) <= 640 and "/" not in digits else _rational(digits, text)
+        coef = 1 if digits is None else _rational(digits, text)
         coef = -coef if sign == "-" else coef
         var = var1 or var2
         if var is None:
@@ -308,12 +307,13 @@ def arrangement_from_json(data: dict, dim: int | None = None) -> Arrangement:
 def _rational(entry: int | str, form: str | None = None) -> Fraction | int:
     """A matrix entry (an ``int``, or a string ``Fraction`` reads such as "1/2")
     or a term's coefficient in ``form`` (digits or p/q); integers stay ``int``."""
-    what = f"coefficient {entry!r} in {form!r}" if form is not None else f"matrix entry {entry!r}"
-    if isinstance(entry, bool) or not isinstance(entry, (int, str)):
-        raise ParseError(f"{what} must be an integer or a fraction string")
-    if isinstance(entry, int):
+    problem = "must be an integer or a fraction string"
+    if isinstance(entry, int) and not isinstance(entry, bool):
         return entry
-    try:
-        return int(entry) if form is not None and "/" not in entry else Fraction(entry)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{what} is not an integer or a fraction with a nonzero denominator") from None
+    if isinstance(entry, str):
+        try:
+            return int(entry) if form is not None and "/" not in entry else Fraction(entry)
+        except (ValueError, ZeroDivisionError):
+            problem = "is not an integer or a fraction with a nonzero denominator"
+    what = f"coefficient {entry!r} in {form!r}" if form is not None else f"matrix entry {entry!r}"
+    raise ParseError(f"{what} {problem}")

@@ -60,7 +60,7 @@ class Flat1(NamedTuple):
         """The frame's rows over v_p (kernel forms, then the section) as
         ``Poly.text`` prints them: "c*xi" per nonzero c / v_p, index order."""
         rows, vp = self.integer_rows()
-        *kernel, section = [" + ".join(f"{c if vp == 1 else Fraction(c, vp)}*x{i + 1}" for i, c in enumerate(row) if c) for row in rows]
+        *kernel, section = [" + ".join(f"{Fraction(c, vp)}*x{i + 1}" for i, c in enumerate(row) if c) for row in rows]
         return {
             "direction": list(self.direction),
             "localization": list(self.local_indices),

@@ -354,7 +354,7 @@ def term_text(terms):
     st.sampled_from([None, 2, 3]),
 )
 @example("1" * 5000 + "*x1", None)  # more digits than int() reads
-@example("- " + "9" * 700 + "*x2", 3)  # more than 640 digits, within the default limit
+@example("- " + "9" * 700 + "*x2", 3)  # a long coefficient within the default limit
 @settings(max_examples=200)
 @example("x1 + 2/0*x2", 3)
 def test_parser_matches_the_reference_loop(text, dim):
