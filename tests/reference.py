@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from arrops.arrangement import _TERM_RE, Arrangement, _rational
+from arrops.arrangement import _TERM_RE, Arrangement
 from arrops.diffop import DiffOp, power_of_derivation, saito_columns
 from arrops.errors import DimensionMismatch, NotCentral, ParseError, ZeroForm
 from arrops.extension import FlatProfile
@@ -298,10 +298,21 @@ def tuple_basis_json(fb) -> list[dict]:
     return out
 
 
+def rational_coefficient(entry: str, form: str) -> Fraction | int:
+    """A term's coefficient as ``arrangement._rational`` reads it (digits as
+    ``int``, p/q as ``Fraction``), written apart from it so that the parser's
+    property compares two independent readings."""
+    try:
+        return int(entry) if "/" not in entry else Fraction(entry)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"coefficient {entry!r} in {form!r} is not an integer or a fraction with a nonzero denominator") from None
+
+
 def parse_linear_form_loop(text: str, dim: int | None = None) -> list[Fraction | int]:
     """``arrangement.parse_linear_form`` as a term loop that reads each group
-    by name, every coefficient through ``_rational`` and each term's sign as
-    a factor: the reference for the parser's values and error messages."""
+    by name, every coefficient through ``rational_coefficient`` and each
+    term's sign as a factor: the reference for the parser's values and error
+    messages."""
     coeffs: dict[int, Fraction | int] = {}
     constant = 0
     pos = 0
@@ -318,7 +329,7 @@ def parse_linear_form_loop(text: str, dim: int | None = None) -> list[Fraction |
             raise ParseError(f"missing '+' or '-' between terms in {text!r}")
         sgn = -1 if sign == "-" else 1
         var = m.group("var1") or m.group("var2")
-        coef = _rational(m.group("coef"), text) if m.group("coef") else 1
+        coef = rational_coefficient(m.group("coef"), text) if m.group("coef") else 1
         if var is None:
             constant += sgn * coef
         else:

@@ -67,6 +67,12 @@ def test_parse_json_fraction_entries():
     assert arr.hyperplanes[0].normal == (3, -2, 0)
 
 
+def test_parse_json_entry_must_be_integer_or_string():
+    for bad, shown in (("true", "True"), ("1.5", "1.5"), ("null", "None"), ("[1]", "[1]")):
+        with pytest.raises(ParseError, match=rf"^matrix entry {re.escape(shown)} must be an integer or a fraction string$"):
+            parse_arrangement('{"l": 2, "hyperplanes": [[%s, 1]]}' % bad)
+
+
 def test_parse_json_dimension_must_be_integer():
     for bad in ('3.0', '"3"', "true", "null"):
         with pytest.raises(ParseError, match='"l" must be an integer'):
