@@ -8,7 +8,7 @@ arr = parse_arrangement("x1; x2; x3; x1-x2")
 print("arrangement:", arr.text())
 print("defining polynomial Q =", arr.defining_polynomial().text())
 
-rank, kernel = arr.rank_and_kernel()
+rank = arr.rank()
 print("rank =", rank, "(essential)" if rank == arr.dim else "(degenerate)")
 
 # Every pair of planes meets in a line through the origin.  Deduplicating
@@ -31,4 +31,4 @@ for flat in arr.flats():
 flat0 = arr.flats()[0]
 print("\ndelta on each plane form (zero iff the plane contains the flat):")
 for i, h in enumerate(arr.hyperplanes):
-    print(f"  {h.text():>8} -> {h.form()(flat0.direction)}")
+    print(f"  {h.text():>8} -> {sum(c * v for c, v in zip(h.normal, flat0.direction))}")

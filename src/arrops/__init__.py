@@ -20,7 +20,7 @@ from .extension import ExtendedArrangement, extend, flat_profiles, generic_hyper
 from .flats import Flat1
 from .freebasis import DualPair, FreeBasis, basis_3arr, basis_nonessential, build_basis, dual_pair
 from .linalg import det_poly_matrix
-from .polynomial import LinearForm, Poly
+from .polynomial import Poly
 from .verify import OracleReport, SaitoCertificate, check_identities, hilbert_check, is_member, oracle_dim, oracle_dims, saito_check
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Flat1",
     "FreeBasis",
     "Hyperplane",
-    "LinearForm",
     "OracleReport",
     "Poly",
     "SaitoCertificate",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DuplicateHyperplane, NotCentral, ParseError, ZeroForm
 from .flats import Flat1, _cross
 from .linalg import nullspace_int
-from .polynomial import LinearForm, Poly, form_product, primitive_int_vector
+from .polynomial import Poly, form_product, primitive_int_vector
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,6 @@ class Hyperplane:
     @property
     def dim(self) -> int:
         return len(self.normal)
-
-    def form(self) -> LinearForm:
-        return LinearForm.make(self.normal)
-
-    def poly(self) -> Poly:
-        return self.form().to_poly()
 
     def contains(self, vector: Sequence[Fraction | int]) -> bool:
         return sum(c * v for c, v in zip(self.normal, vector)) == 0
@@ -146,10 +141,6 @@ class Arrangement:
         kernel = nullspace_int([list(h.normal) for h in self.hyperplanes], self.dim) if len(flats) < 2 else []
         return Lattice(self.dim - len(kernel), tuple(kernel), tuple(flats))
 
-    def rank_and_kernel(self) -> tuple[int, list[tuple[int, ...]]]:
-        """Rank of the normal matrix and a primitive basis of the common intersection."""
-        return self.lattice.rank, list(self.lattice.kernel)
-
     def rank(self) -> int:
         return self.lattice.rank
 
@@ -159,10 +150,6 @@ class Arrangement:
     def flats(self) -> list[Flat1]:
         """The 1-dimensional lattice elements (``lattice`` order)."""
         return list(self.lattice.flats)
-
-    def flat_directions(self) -> list[tuple[int, ...]]:
-        """Primitive directions of the 1-dimensional lattice elements (``flats`` order)."""
-        return [f.direction for f in self.lattice.flats]
 
     def to_json(self) -> dict:
         return {
@@ -214,7 +201,10 @@ def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction | int]
         if var is None:
             constant += coef
         else:
-            idx = int(var[1:])
+            try:
+                idx = int(var[1:])
+            except ValueError:  # \d+ is read by int() unless it has too many digits
+                raise ParseError(f"variable index in {text!r} {_digit_limit_problem(var)}") from None
             if idx < 1:
                 raise ParseError(f"bad variable {var!r} in {text!r}")
             coeffs[idx - 1] = coeffs.get(idx - 1, 0) + coef
@@ -314,6 +304,13 @@ def _rational(entry: int | str, form: str | None = None) -> Fraction | int:
         try:
             return int(entry) if form is not None and "/" not in entry else Fraction(entry)
         except (ValueError, ZeroDivisionError):
-            problem = "is not an integer or a fraction with a nonzero denominator"
+            problem = _digit_limit_problem(entry) or "is not an integer or a fraction with a nonzero denominator"
     what = f"coefficient {entry!r} in {form!r}" if form is not None else f"matrix entry {entry!r}"
     raise ParseError(f"{what} {problem}")
+
+
+def _digit_limit_problem(text: str) -> str:
+    """The error for a run of digits in ``text`` longer than ``int`` reads from a string, or ''."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
+    too_long = limit and any(len(run) > limit for run in re.findall(r"\d+", text))
+    return f"exceeds the limit ({limit} digits) for integer string conversion" if too_long else ""

@@ -100,11 +100,11 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     out: dict = {"input": arr.to_json()}
 
     if args.command == "lattice":
-        rank, kernel = arr.rank_and_kernel()
+        rank, kernel, flats = arr.lattice
         out["rank"] = rank
         out["essential"] = rank == arr.dim
         out["kernel"] = [list(v) for v in kernel]
-        out["flats"] = [f.to_json() for f in arr.flats()]
+        out["flats"] = [f.to_json() for f in flats]
         return out, 0
 
     if args.command == "exponents":

@@ -10,10 +10,10 @@ packed loop (``_packed_terms``), in the packed layout that only
 ``polynomial`` computes (``Packed``: derivative keys in radix m + 1,
 coefficient monomials in one radix above every exponent); this module
 names radixes and computes no key.  ``product_op`` decodes the result to a
-tuple-keyed ``DiffOp``; a ``FactoredOp`` has one radix, fixed when it is
-built, keeps its core packed in it for the certificate and for ``basis``
-output, and decodes only when ``core`` or ``op`` is read (by tests and
-demos).
+tuple-keyed ``DiffOp``; a ``FactoredOp`` is homogeneous (its terms have one
+form count), has one radix, its degree + 1, keeps its core packed in it for
+the certificate and for ``basis`` output, and decodes only when ``core`` or
+``op`` is read (by tests and demos).
 """
 
 from __future__ import annotations
@@ -200,16 +200,12 @@ def _unpacked(packed: Packed, nvars: int, order: int, radix: int) -> DiffOp:
     return DiffOp(nvars, order, {columns[index[a]]: unpack(f, nvars, radix) for a, f in packed.items()})
 
 
-def _form_count(terms: Sequence[Term]) -> int:
-    return max((len(fs) for _, fs, _ in terms), default=0)
-
-
 def product_op(terms: Iterable[Term], nvars: int, order: int) -> DiffOp:
     """Sum over terms (c, forms, derivations) of c * (product of the linear
     forms) * (product of the constant derivations), all given by coefficient
     vectors (``_packed_terms``), decoded once."""
     terms = [(c, list(fs), list(ds)) for c, fs, ds in terms]
-    radix = _form_count(terms) + 1
+    radix = max((len(fs) for _, fs, _ in terms), default=0) + 1
     return _unpacked(_packed_terms(terms, nvars, order, radix), nvars, order, radix)
 
 
@@ -217,22 +213,21 @@ class FactoredOp:
     """theta = P * theta', given by factor lists: P is the product of the
     linear forms ``cofactor``, each stored primitive with first nonzero entry
     positive (a zero form stays zero), and theta' the sum of the ``terms``
-    (c, forms, derivations), as ``product_op`` reads them.
+    (c, forms, derivations), as ``product_op`` reads them.  Every term has
+    the same number e of forms (``DimensionMismatch`` otherwise), so theta
+    is homogeneous.
 
-    ``degree()`` is read off the factor counts, len(cofactor) + len(forms)
-    in every term (None if they differ), and the one ``radix`` is
-    len(cofactor) + e + 1, e the largest form count, degree() + 1 if
-    homogeneous; both are computed once.  No exponent of theta' (at most e)
-    or of P * theta' (at most len(cofactor) + e) reaches it, so both and
-    their decodings (``core``, ``op``) use monomial keys in that radix.
+    ``degree()`` is read off the factor counts, len(cofactor) + e, and the
+    one ``radix`` is degree() + 1.  No exponent of theta' (at most e) or of
+    P * theta' (at most degree()) reaches it, so both and their decodings
+    (``core``, ``op``) use monomial keys in that radix.
 
     ``packed``, which the certificate reads, is theta' normalized as
     ``DiffOp.normalized_primitive`` does it, packed: the joint content taken
     out, then the value at the largest monomial key under the largest
     derivative key made positive.  Within one degree descending keys are
     grlex descending (``packed_text``), so that value is the grlex leading
-    coefficient; terms with unequal form counts are normalized tuple-keyed
-    instead.  ``to_json`` multiplies ``packed`` by P on packed keys and
+    coefficient.  ``to_json`` multiplies ``packed`` by P on packed keys and
     prints them; ``core`` and ``op`` decode theta' and P * theta' (tests and
     demos).  P * theta' is theta normalized: by Gauss's lemma
     content(P * theta') = content(theta'), and under grlex
@@ -244,13 +239,12 @@ class FactoredOp:
         self.cofactor = _primitive_forms(tuple(map(tuple, cofactor)))
         self.terms = tuple((c, tuple(map(tuple, fs)), tuple(map(tuple, ds))) for c, fs, ds in terms)
         counts = {len(fs) for _, fs, _ in self.terms}
+        if len(counts) > 1:
+            raise DimensionMismatch(f"a factored operator's terms have unequal form counts {sorted(counts)}")
         self.radix = len(self.cofactor) + max(counts, default=0) + 1
-        self._degree = self.radix - 1 if len(counts) == 1 else None
 
     @cached_property
     def packed(self) -> Packed:
-        if self._degree is None:
-            return product_op(self.terms, self.nvars, self.order).normalized_primitive().pack(self.radix)
         packed = _packed_terms(self.terms, self.nvars, self.order, self.radix)
         if not packed:
             return packed
@@ -288,18 +282,14 @@ class FactoredOp:
         """A zero core or a zero cofactor form."""
         return not self.packed or not all(map(any, self.cofactor))
 
-    def degree(self) -> int | None:
-        return self._degree
+    def degree(self) -> int:
+        return self.radix - 1
 
     def to_json(self) -> list:
-        """``op.to_json()`` of a homogeneous operator, from packed keys:
-        [multi-index, ``Poly.text`` of its coefficient] in ``saito_columns``
-        order, P * theta' never decoded.  ``ValueError`` if the operator is
-        not homogeneous."""
-        if self._degree is None:
-            raise ValueError("the operator is not homogeneous: its terms have unequal form counts")
+        """``op.to_json()`` from packed keys: [multi-index, ``Poly.text`` of its
+        coefficient] in ``saito_columns`` order, P * theta' never decoded."""
         full = self.multiplied()
-        return [[list(a), packed_text(full[k], self.nvars, self._degree)] for k, a in zip(packed_index(self.nvars, self.order, self.order + 1), saito_columns(self.nvars, self.order)) if k in full]
+        return [[list(a), packed_text(full[k], self.nvars, self.radix - 1)] for k, a in zip(packed_index(self.nvars, self.order, self.order + 1), saito_columns(self.nvars, self.order)) if k in full]
 
 
 @lru_cache(maxsize=256)

@@ -1,16 +1,17 @@
 """Extensions of an essential 3-arrangement to m + 2 hyperplanes.
 
 ``extend`` adds one hyperplane at a time and reads each intermediate
-arrangement's flats (``Arrangement.flats``, computed once per arrangement).
+arrangement's flats (``Arrangement.lattice``, computed once per arrangement).
 Auto mode takes each hyperplane from the integer moment-curve family
 x1 + t*x2 + t^2*x3 (t = 0, 1, 2, ...), accepting the first candidate that
 misses every current rank-2 flat direction and is not already present.  A
 fixed flat direction rules out at most two t values, so the search always
-terminates quickly and reproducibly, and the genericity condition holds by
-construction.  Given mode accepts arbitrary distinct hyperplanes and merely
-records whether the genericity condition happens to hold.  The extended
-arrangement (``ExtendedArrangement.full``, base planes first) and its flat
-profiles are built once per extension.
+terminates quickly and reproducibly; each plane is new and the genericity
+condition holds by construction, so auto mode checks neither again.  Given
+mode rejects a hyperplane already present and merely records whether the
+genericity condition happens to hold.  The extended arrangement
+(``ExtendedArrangement.full``, base planes first) and its flat profiles are
+built once per extension.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class FlatProfile:
 def generic_hyperplane(arr: Arrangement) -> Hyperplane:
     """Smallest moment-curve hyperplane missing all current flat directions."""
     existing = {h.normal for h in arr.hyperplanes}
-    directions = arr.flat_directions()
+    directions = [f.direction for f in arr.lattice.flats]
     for t in count():
         cand = Hyperplane((1, t, t * t))  # primitive: the first entry is 1
         if cand.normal not in existing and not any(cand.contains(v) for v in directions):
@@ -104,10 +105,13 @@ def extend(
         # the planes so far, as an arrangement for their flats; none is built
         # after the last plane (``ExtendedArrangement.full`` builds that one)
         current = Arrangement(3, planes) if k else arr
-        h = generic_hyperplane(current) if given is None else given[k]
-        if h.normal in {g.normal for g in planes}:
-            raise DuplicateHyperplane(f"extension hyperplane {h.text()} already present")
-        cond = cond and not any(h.contains(v) for v in current.flat_directions())
+        if given is None:  # new and generic by construction
+            h = generic_hyperplane(current)
+        else:
+            h = given[k]
+            if h.normal in {g.normal for g in planes}:
+                raise DuplicateHyperplane(f"extension hyperplane {h.text()} already present")
+            cond = cond and not any(h.contains(f.direction) for f in current.lattice.flats)
         planes.append(h)
     return ExtendedArrangement(arr, tuple(planes[arr.n :]), condition_a=cond)
 

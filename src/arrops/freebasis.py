@@ -245,7 +245,7 @@ def basis_nonessential(arr: Arrangement, m: int) -> FreeBasis:
     order cap m with cofactor 1; at rank 0, (0, 0, 1) and d3^m first."""
     if arr.dim != 3:
         raise BadOrder("basis_nonessential expects a 3-arrangement")
-    rank, kernel = arr.rank_and_kernel()
+    rank, kernel, _ = arr.lattice
     if rank == 3:
         raise NotEssential("arrangement is essential; use basis_3arr")
     flat = Flat1(kernel[-1], tuple(range(arr.n)))  # every plane holds the kernel

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals, the integers and the polynomial ring.
 
-- Rationals: ``rref``, ``rank`` and ``nullspace``, the tests' reference for
-  the integer kernel; no production path uses them.
+- Rationals: ``rref`` and ``nullspace``, the tests' reference for the
+  integer kernel and rank; no production path uses them.
 - Integers: ``echelon_int`` is one fraction-free elimination kernel.  It
   holds rows as sparse ``{column: value}`` dicts, bucketed by leading column,
   takes the sparsest row of a bucket as pivot and removes a row's content
@@ -52,10 +52,6 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def rank(rows: list[Row], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[tuple[Fraction, ...]]:

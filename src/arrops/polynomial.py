@@ -24,13 +24,12 @@ int of any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotDivisible, ZeroForm
 
@@ -261,43 +260,6 @@ class Poly:
             )
             parts.append(f"{c}*{mono}" if mono else f"{c}")
         return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """Homogeneous degree-1 form given by its coefficient vector."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def make(coeffs: Iterable[Fraction | int]) -> LinearForm:
-        return LinearForm(tuple(Fraction(c) for c in coeffs))
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coeffs)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def to_poly(self) -> Poly:
-        n = len(self.coeffs)
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return Poly(n, terms)
-
-    def __call__(self, vector: Iterable[Fraction | int]) -> Fraction:
-        return sum((c * Fraction(v) for c, v in zip(self.coeffs, vector)), Fraction(0))
-
-    def text(self) -> str:
-        return self.to_poly().text()
 
 
 def rational_content(values: Iterable[Fraction | int]) -> Fraction:

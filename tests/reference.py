@@ -1,5 +1,6 @@
 """Test-side reference implementations that no production path uses."""
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -9,7 +10,7 @@ from arrops.errors import DimensionMismatch, NotCentral, ParseError, ZeroForm
 from arrops.extension import FlatProfile
 from arrops.flats import Flat1
 from arrops.linalg import echelon_int, nullspace_int, rank_int
-from arrops.polynomial import LinearForm, MultiIndex, Poly, form_product, midx_add, midx_factorial, monomials_of_degree, primitive_int_vector, s_dim
+from arrops.polynomial import MultiIndex, Poly, form_product, midx_add, midx_factorial, monomials_of_degree, primitive_int_vector, s_dim
 from arrops.verify import _Kernels, _Planes
 
 
@@ -71,12 +72,12 @@ def apply(theta: DiffOp, f: Poly) -> Poly:
     return out
 
 
-def coordinate_forms(flat: Flat1) -> list[LinearForm]:
+def coordinate_forms(flat: Flat1) -> list[Poly]:
     """The flat's frame rows over v_p: the kernel forms y_i = x_i - (v_i / v_p) x_p,
     then the section y = x_p / v_p; a basis of the dual space, whose texts
     ``Flat1.to_json`` prints."""
     rows, vp = flat.integer_rows()
-    return [LinearForm(tuple(Fraction(c, vp) for c in row)) for row in rows]
+    return [form_product([row], flat.dim) * Fraction(1, vp) for row in rows]
 
 
 def dual_derivations(flat: Flat1) -> list[tuple[Fraction, ...]]:
@@ -304,8 +305,10 @@ def rational_coefficient(entry: str, form: str) -> Fraction | int:
     property compares two independent readings."""
     try:
         return int(entry) if "/" not in entry else Fraction(entry)
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise ParseError(f"coefficient {entry!r} in {form!r} is not an integer or a fraction with a nonzero denominator") from None
+    except ValueError:  # digits past the int-string conversion limit
+        raise ParseError(f"coefficient {entry!r} in {form!r} exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion") from None
 
 
 def parse_linear_form_loop(text: str, dim: int | None = None) -> list[Fraction | int]:
@@ -333,7 +336,10 @@ def parse_linear_form_loop(text: str, dim: int | None = None) -> list[Fraction |
         if var is None:
             constant += sgn * coef
         else:
-            idx = int(var[1:])
+            try:
+                idx = int(var[1:])
+            except ValueError:
+                raise ParseError(f"variable index in {text!r} exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion") from None
             if idx < 1:
                 raise ParseError(f"bad variable {var!r} in {text!r}")
             coeffs[idx - 1] = coeffs.get(idx - 1, 0) + sgn * coef

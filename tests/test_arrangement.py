@@ -113,9 +113,9 @@ def test_defining_polynomial(quad_arr):
 
 
 def test_rank_and_kernel(quad_arr, pencil3_arr):
-    assert quad_arr.rank_and_kernel() == (3, [])
-    rank, kernel = pencil3_arr.rank_and_kernel()
-    assert rank == 2 and kernel == [(0, 0, 1)]
+    assert quad_arr.lattice[:2] == (3, ())
+    rank, kernel, _ = pencil3_arr.lattice
+    assert rank == 2 and kernel == ((0, 0, 1),)
     assert parse_arrangement("x1", dim=3).rank() == 1
     # the lattice skips the elimination when two flats differ: it agrees with
     # nullspace_int on seeded arrangements of every rank, pencils included
@@ -131,7 +131,7 @@ def test_rank_and_kernel(quad_arr, pencil3_arr):
         normals = {Hyperplane.make(w).normal for w in vectors if any(w)}
         arr = Arrangement(dim, [Hyperplane(n) for n in sorted(normals)])
         kernel = nullspace_int([list(n) for n in sorted(normals)], dim)
-        assert arr.rank_and_kernel() == (dim - len(kernel), kernel), arr
+        assert arr.lattice[:2] == (dim - len(kernel), tuple(kernel)), arr
 
 
 def test_localization(quad_arr):
@@ -141,41 +141,41 @@ def test_localization(quad_arr):
 
 
 def test_flat_directions_quad(quad_arr):
-    assert quad_arr.flat_directions() == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+    assert [f.direction for f in quad_arr.lattice.flats] == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
 
 
 def test_flat_directions_with_extra_plane():
     arr = parse_arrangement("x1; x2; x3; x1-x2; x1+x2")
-    assert len(arr.flat_directions()) == 5
+    assert len(arr.lattice.flats) == 5
 
 
 def test_flat_directions_two_planes():
     arr = parse_arrangement("x1; x2", dim=3)
-    assert arr.flat_directions() == [(0, 0, 1)]
+    assert [f.direction for f in arr.lattice.flats] == [(0, 0, 1)]
 
 
 def test_flat_directions_dim2():
     arr = parse_arrangement("x1; x2; x1-x2", dim=2)
-    assert arr.flat_directions() == [(0, 1), (1, 0), (1, 1)]
+    assert [f.direction for f in arr.lattice.flats] == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_pair_counting_identity(quad_arr, generic4_arr, random_family):
     for arr in [quad_arr, generic4_arr, *random_family]:
         pairs = sum(
-            comb(len(localization_indices(arr, v)), 2) for v in arr.flat_directions()
+            comb(len(localization_indices(arr, f.direction)), 2) for f in arr.lattice.flats
         )
         assert pairs == comb(arr.n, 2)
 
 
 def test_flat_direction_localization_consistency(quad_arr, random_family):
-    for v in quad_arr.flat_directions():
+    for v, _ in quad_arr.lattice.flats:
         local = set(localization_indices(quad_arr, v))
         for i, h in enumerate(quad_arr.hyperplanes):
-            assert (h.form()(v) == 0) == (i in local)
+            assert h.contains(v) == (i in local)
     # ``flats`` reads the incidences off the pairs of planes
     pencil = parse_arrangement("x1; x2; x1-x2; x1+x2; x3", dim=3)
     for arr in [quad_arr, pencil, *random_family, parse_arrangement("x1; x2; x1-x2", dim=2)]:
-        assert arr.flats() == [(v, localization_indices(arr, v)) for v in arr.flat_directions()]
+        assert arr.flats() == [(v, localization_indices(arr, v)) for v, _ in arr.lattice.flats]
 
 
 def test_parse_serialize_roundtrip(quad_arr):

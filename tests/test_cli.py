@@ -207,6 +207,25 @@ def test_malformed_input_exits_without_traceback(tmp_path):
         assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr, args
 
 
+LONG = "1" * 5000  # more digits than int() reads from a string
+
+
+@pytest.mark.parametrize(
+    ("args", "what"),
+    [(["x" + LONG], "variable index in"), ([LONG + "*x1", "x2"], f"coefficient '{LONG}' in"), (["--input"], f"matrix entry '{LONG}'")],
+    ids=["variable", "coefficient", "JSON entry"],
+)
+def test_digits_past_the_conversion_limit_are_user_errors(capsys, tmp_path, args, what):
+    if args == ["--input"]:
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps({"l": 3, "hyperplanes": [[LONG, 0, 1], [0, 1, 0]]}), encoding="utf-8")
+        args = ["--input", str(path)]
+    code, out, err = run_cli(capsys, "lattice", *args)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {what}")
+    assert err.endswith(f" exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion\n")
+
+
 def test_output_independent_of_hash_seed():
     forms = random_essential(random.Random(3), 5).text().split("; ")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

@@ -13,6 +13,7 @@ from arrops.diffop import (
     power_of_derivation,
     saito_columns,
 )
+from arrops.errors import DimensionMismatch
 from arrops.polynomial import Poly
 
 x1, x2, x3 = Poly.variables(3)
@@ -132,13 +133,13 @@ def test_degree_and_normalization():
     assert mixed.degree() is None
 
 
-def test_factored_output_of_unequal_form_counts_is_refused():
-    # x1 * d1 + d2: its terms have 1 and 0 forms, so its coefficients have no
-    # one degree to print in
-    op = FactoredOp(3, 1, [], [(1, [(1, 0, 0)], [(1, 0, 0)]), (1, [], [(0, 1, 0)])])
-    assert op.degree() is None
-    with pytest.raises(ValueError, match="not homogeneous"):
-        op.to_json()
+def test_factored_op_refuses_unequal_form_counts():
+    # x1 * d1 + d2 and x1 * d1 - x2^2 * d1: their terms have 1 and 0, and 1
+    # and 2 forms, so their coefficients have no one degree
+    x1_d1 = (1, [(1, 0, 0)], [(1, 0, 0)])
+    for terms in ([x1_d1, (1, [], [(0, 1, 0)])], [x1_d1, (-1, [(0, 1, 0)] * 2, [(1, 0, 0)])]):
+        with pytest.raises(DimensionMismatch, match=r"unequal form counts \[\d, \d\]$"):
+            FactoredOp(3, 1, [(0, 0, 1)], terms)
 
 
 def test_saito_columns_order():

@@ -9,7 +9,7 @@ from arrops.extension import (
     hyperplanes_from_forms,
 )
 from arrops.arrangement import Hyperplane, parse_arrangement
-from arrops.polynomial import Poly
+from arrops.polynomial import Poly, form_product
 from arrops.verify import s_dim
 
 x1, x2, x3 = Poly.variables(3)
@@ -19,7 +19,7 @@ def test_generic_hyperplane_first_acceptance(quad_arr):
     # candidates x1 + t x2 + t^2 x3 evaluated on the four flat directions
     # (0,0,1), (0,1,0), (1,0,0), (1,1,0): t = 0 vanishes on (0,0,1), t = 1
     # is nonzero on all four and is not already a hyperplane.
-    vals_t0 = [v[0] for v in quad_arr.flat_directions()]
+    vals_t0 = [v[0] for v, _ in quad_arr.lattice.flats]
     assert 0 in vals_t0
     h = generic_hyperplane(quad_arr)
     assert h.normal == (1, 1, 1)
@@ -33,7 +33,7 @@ def test_generic_hyperplane_skips_existing():
     arr = parse_arrangement("x1; x2; x3; x1+x2+x3")
     h = generic_hyperplane(arr)
     assert h.normal != (1, 1, 1)
-    assert all(not h.contains(v) for v in arr.flat_directions())
+    assert all(not h.contains(v) for v, _ in arr.lattice.flats)
 
 
 def test_extend_trivial_at_minimum_order(quad_arr):
@@ -105,7 +105,7 @@ def test_profile_invariants(quad_arr):
             # cofactor times localized product reconstructs the full polynomial
             local = Poly.constant(3, 1)
             for i in p.flat.local_indices:
-                local = local * ext.full.hyperplanes[i].poly()
+                local = local * form_product([ext.full.hyperplanes[i].normal], 3)
             assert off_flat_product(p) * local == q_full
 
 
@@ -118,7 +118,7 @@ def test_rank_counting_identity(quad_arr, random_family):
 
 def test_condition_a_flats_have_zero_capacity(quad_arr):
     ext = extend(quad_arr, 5)
-    base_dirs = set(quad_arr.flat_directions())
+    base_dirs = {v for v, _ in quad_arr.lattice.flats}
     for p in flat_profiles(ext):
         if p.flat.direction not in base_dirs:
             assert p.max_order == 0

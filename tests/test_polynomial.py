@@ -6,7 +6,6 @@ from reference import partial, substitute
 
 from arrops.errors import NotDivisible
 from arrops.polynomial import (
-    LinearForm,
     Poly,
     form_product,
     monomials_of_degree,
@@ -141,10 +140,10 @@ def test_text_canonical():
 
 
 def test_linear_form():
-    f = LinearForm.make((1, -1, 0))
-    assert f.to_poly() == x1 - x2
-    assert f((1, 1, 5)) == 0
-    assert f((2, 1, 0)) == 1
+    f = form_product([(1, -1, 0)], 3)
+    assert f == x1 - x2
+    assert substitute(f, [Poly.constant(3, v) for v in (1, 1, 5)]).is_zero()
+    assert substitute(f, [Poly.constant(3, v) for v in (2, 1, 0)]) == Poly.constant(3, 1)
 
 
 def test_primitive_int_vector():

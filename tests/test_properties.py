@@ -85,7 +85,7 @@ def member_by_definition(theta, arr):
     """The reference: theta(alpha_H * x^b) in alpha_H * S for every H and b,
     by rational polynomial division."""
     for h in arr.hyperplanes:
-        alpha = h.poly()
+        alpha = form_product([h.normal], arr.dim)
         for b in monomials_of_degree(arr.dim, theta.order - 1):
             try:
                 apply(theta, alpha * Poly(arr.dim, {b: 1})).exact_div(alpha)
@@ -99,7 +99,7 @@ def test_alpha_times_operator_is_member(l, order, degree, data):
     normal = data.draw(normals(l))
     theta = data.draw(operators(l, order, degree))
     h = Hyperplane(normal)
-    assert is_member(theta.mul_poly(h.poly()), Arrangement(l, [h]))
+    assert is_member(theta.mul_poly(form_product([h.normal], l)), Arrangement(l, [h]))
 
 
 def unit(l, i):
@@ -354,6 +354,8 @@ def term_text(terms):
     st.sampled_from([None, 2, 3]),
 )
 @example("1" * 5000 + "*x1", None)  # more digits than int() reads
+@example("x2 - 3/" + "7" * 5000 + "*x1", 3)
+@example("x" + "1" * 5000, None)
 @example("- " + "9" * 700 + "*x2", 3)  # a long coefficient within the default limit
 @settings(max_examples=200)
 @example("x1 + 2/0*x2", 3)
