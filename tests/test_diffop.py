@@ -133,13 +133,12 @@ def test_degree_and_normalization():
     assert mixed.degree() is None
 
 
-def test_factored_op_refuses_unequal_form_counts():
-    # x1 * d1 + d2 and x1 * d1 - x2^2 * d1: their terms have 1 and 0, and 1
-    # and 2 forms, so their coefficients have no one degree
-    x1_d1 = (1, [(1, 0, 0)], [(1, 0, 0)])
-    for terms in ([x1_d1, (1, [], [(0, 1, 0)])], [x1_d1, (-1, [(0, 1, 0)] * 2, [(1, 0, 0)])]):
-        with pytest.raises(DimensionMismatch, match=r"unequal form counts \[\d, \d\]$"):
-            FactoredOp(3, 1, [(0, 0, 1)], terms)
+def test_factored_output_of_unequal_form_counts_is_refused():
+    # x1 * d1 + d2: its terms have 1 and 0 forms, so its coefficients have no
+    # one degree to print in; the constructor refuses it before any output
+    terms = [(1, [(1, 0, 0)], [(1, 0, 0)]), (1, [], [(0, 1, 0)])]
+    with pytest.raises(DimensionMismatch, match=r"unequal form counts \[0, 1\]$"):
+        FactoredOp(3, 1, [], terms)
 
 
 def test_saito_columns_order():

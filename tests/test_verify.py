@@ -204,6 +204,14 @@ def test_saito_check_non_homogeneous_row(boolean_arr):
         saito_check(ops, boolean_arr)
 
 
+def test_factored_core_of_unequal_form_counts():
+    # x1 - x2^2 under d1: its terms have 1 and 2 forms, so it has no
+    # homogeneous core for a certificate to check; the constructor refuses it
+    terms = [(1, [(1, 0, 0)], [(1, 0, 0)]), (-1, [(0, 1, 0)] * 2, [(1, 0, 0)])]
+    with pytest.raises(DimensionMismatch, match=r"unequal form counts \[1, 2\]$"):
+        FactoredOp(3, 1, (), terms)
+
+
 def test_saito_check_excess_factor():
     # members, but x1 divides the first row three times: degree sum 4 > n * t = 2
     plane = parse_arrangement("x1; x2", dim=2)
