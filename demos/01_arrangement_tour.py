@@ -15,7 +15,7 @@ print("rank =", rank, "(essential)" if rank == arr.dim else "(degenerate)")
 # those lines gives the rank-2 flats; each flat knows which planes pass
 # through it.
 print("\nflats:")
-for flat in arr.flats():
+for flat in arr.lattice.flats:
     planes = ", ".join(arr.hyperplanes[i].text() for i in flat.local_indices)
     print(f"  direction {flat.direction}: planes {{{planes}}}")
 
@@ -23,12 +23,12 @@ for flat in arr.flats():
 # form y with delta(y) = 1, and kernel forms spanning ker(delta).  The
 # forms of the planes through the flat live in the kernel coordinates.
 print("\ncoordinate data per flat:")
-for flat in arr.flats():
+for flat in arr.lattice.flats:
     frame = flat.to_json()
     print(f"  {flat.direction}: y = {frame['section']},", "kernel =", frame["kernel_forms"])
 
 # The direction derivation annihilates exactly the forms through the flat.
-flat0 = arr.flats()[0]
+flat0 = arr.lattice.flats[0]
 print("\ndelta on each plane form (zero iff the plane contains the flat):")
 for i, h in enumerate(arr.hyperplanes):
     print(f"  {h.text():>8} -> {sum(c * v for c, v in zip(h.normal, flat0.direction))}")

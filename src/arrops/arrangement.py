@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DuplicateHyperplane, NotCentral, ParseError, ZeroForm
 from .flats import Flat1, _cross
 from .linalg import nullspace_int
-from .polynomial import Poly, form_product, primitive_int_vector
+from .polynomial import Poly, form_product, int_text, primitive_int_vector, rational_text
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,12 @@ class Hyperplane:
                 continue
             var = f"x{i + 1}"
             if not parts:
-                head = "" if c == 1 else "-" if c == -1 else str(c) + "*"
+                head = "" if c == 1 else "-" if c == -1 else int_text(c) + "*"
                 parts.append(head + var)
             else:
                 sign = " + " if c > 0 else " - "
                 mag = abs(c)
-                parts.append(sign + (var if mag == 1 else f"{mag}*{var}"))
+                parts.append(sign + (var if mag == 1 else f"{int_text(mag)}*{var}"))
         return "".join(parts)
 
 
@@ -147,10 +147,6 @@ class Arrangement:
     def is_essential(self) -> bool:
         return self.lattice.rank == self.dim
 
-    def flats(self) -> list[Flat1]:
-        """The 1-dimensional lattice elements (``lattice`` order)."""
-        return list(self.lattice.flats)
-
     def to_json(self) -> dict:
         return {
             "l": self.dim,
@@ -211,7 +207,7 @@ def parse_linear_form(text: str, dim: int | None = None) -> list[Fraction | int]
         pos = m.end()
         first = False
     if constant != 0:
-        raise NotCentral(f"form {text!r} has constant term {constant}")
+        raise NotCentral(f"form {text!r} has constant term {rational_text(constant)}")
     width = dim if dim is not None else max(coeffs, default=-1) + 1
     if width > 3:  # checked before a coefficient vector of that length is built
         raise ParseError(f"supported ambient dimensions are 2 and 3, got {width}")

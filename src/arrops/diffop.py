@@ -19,7 +19,7 @@ the certificate and for ``basis`` output, and decodes only when ``core`` or
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -196,7 +196,7 @@ def _packed_terms(terms: Iterable[Term], nvars: int, order: int, radix: int) -> 
 
 def _unpacked(packed: Packed, nvars: int, order: int, radix: int) -> DiffOp:
     """The operator of ``packed`` (monomial keys in ``radix``), tuple-keyed."""
-    index, columns = packed_index(nvars, order, order + 1), saito_columns(nvars, order)
+    index, columns = packed_index(nvars, order, order + 1), monomials_of_degree(nvars, order)
     return DiffOp(nvars, order, {columns[index[a]]: unpack(f, nvars, radix) for a, f in packed.items()})
 
 
@@ -236,7 +236,7 @@ class FactoredOp:
 
     def __init__(self, nvars: int, order: int, cofactor: Sequence[Factor], terms: Sequence[Term]):
         self.nvars, self.order = nvars, order
-        self.cofactor = _primitive_forms(tuple(map(tuple, cofactor)))
+        self.cofactor = tuple(primitive_int_vector(v) if any(v) else (0,) * len(v) for v in cofactor)
         self.terms = tuple((c, tuple(map(tuple, fs)), tuple(map(tuple, ds))) for c, fs, ds in terms)
         counts = {len(fs) for _, fs, _ in self.terms}
         if len(counts) > 1:
@@ -286,27 +286,19 @@ class FactoredOp:
         return self.radix - 1
 
     def to_json(self) -> list:
-        """``op.to_json()`` from packed keys: [multi-index, ``Poly.text`` of its
-        coefficient] in ``saito_columns`` order, P * theta' never decoded."""
+        """``op.to_json()`` from packed keys: [multi-index, ``Poly.text`` of
+        its coefficient] in ``monomials_of_degree`` order, P * theta' never
+        decoded."""
         full = self.multiplied()
-        return [[list(a), packed_text(full[k], self.nvars, self.radix - 1)] for k, a in zip(packed_index(self.nvars, self.order, self.order + 1), saito_columns(self.nvars, self.order)) if k in full]
+        return [[list(a), packed_text(full[k], self.nvars, self.radix - 1)] for k, a in zip(packed_index(self.nvars, self.order, self.order + 1), monomials_of_degree(self.nvars, self.order)) if k in full]
 
 
-@lru_cache(maxsize=256)
-def _primitive_forms(forms: tuple[tuple, ...]) -> tuple[tuple[int, ...], ...]:
-    """Each form primitive with first nonzero entry positive, a zero form
-    zero; cached, because every operator of a flat has the same cofactor."""
-    return tuple(primitive_int_vector(v) if any(v) else (0,) * len(v) for v in forms)
-
-
-def power_of_derivation(coeffs: Factor, k: int, nvars: int | None = None) -> DiffOp:
-    """(sum c_i d_i)^k, expanded (``int`` coefficients for ``int`` c)."""
+def power_of_derivation(coeffs: Factor, k: int) -> DiffOp:
+    """(sum c_i d_i)^k in len(coeffs) variables, expanded (``int``
+    coefficients for ``int`` c)."""
     if k < 0:
         raise ValueError("negative power")
-    n = len(coeffs) if nvars is None else nvars
-    if len(coeffs) != n:
-        raise DimensionMismatch("coefficient vector length must equal variable count")
-    return product_op([(1, (), [coeffs] * k)], n, k)
+    return product_op([(1, (), [coeffs] * k)], len(coeffs), k)
 
 
 def euler_op(m: int, nvars: int) -> DiffOp:
@@ -326,16 +318,6 @@ def euler_op(m: int, nvars: int) -> DiffOp:
     return product_op(terms, nvars, m)
 
 
-# -- coefficient matrices ----------------------------------------------------
-
-# Interface constant: the coefficient matrix of a candidate basis has one row
-# per operator and one column per multi-index d^a, columns in graded-lex
-# descending order.
-
-def saito_columns(nvars: int, order: int) -> list[MultiIndex]:
-    return monomials_of_degree(nvars, order)
-
-
 __all__ = [
     "DiffOp",
     "identity_op",
@@ -344,6 +326,4 @@ __all__ = [
     "FactoredOp",
     "power_of_derivation",
     "euler_op",
-    "saito_columns",
-    "primitive_int_vector",
 ]

@@ -31,7 +31,6 @@ class ExponentMultiset:
     """Sorted multiset of basis degrees for one operator order."""
 
     entries: tuple[int, ...]
-    m: int
 
     def __iter__(self):
         return iter(self.entries)
@@ -40,8 +39,8 @@ class ExponentMultiset:
         return len(self.entries)
 
 
-def _sorted(entries: Iterable[int], m: int) -> ExponentMultiset:
-    return ExponentMultiset(tuple(sorted(entries)), m)
+def _sorted(entries: Iterable[int]) -> ExponentMultiset:
+    return ExponentMultiset(tuple(sorted(entries)))
 
 
 def exp_2arr(k: int, m: int) -> ExponentMultiset:
@@ -52,7 +51,7 @@ def exp_2arr(k: int, m: int) -> ExponentMultiset:
         entries = [m] + [k - 1] * m
     else:
         entries = [k - 1] * k + [k] * (m - k + 1)
-    return _sorted(entries, m)
+    return _sorted(entries)
 
 
 def exp_3arr_closed(arr: Arrangement, m: int) -> ExponentMultiset:
@@ -65,7 +64,7 @@ def exp_3arr_closed(arr: Arrangement, m: int) -> ExponentMultiset:
     if m < n - 2:
         raise BadOrder(f"need m >= n - 2 = {n - 2}, got m = {m}")
 
-    local_sizes = [len(planes) for _, planes in arr.flats()]
+    local_sizes = [len(planes) for _, planes in arr.lattice.flats]
     entries: list[int] = []
     for k_x in local_sizes:
         entries.extend(j + n - k_x for j in range(k_x - 1))
@@ -77,7 +76,7 @@ def exp_3arr_closed(arr: Arrangement, m: int) -> ExponentMultiset:
         raise IdentityViolated(f"closed form produced {len(entries)} exponents, expected {s_dim(m, 3)}")
     if sum(entries) != n * comb(m + 1, 2):
         raise IdentityViolated(f"closed form degree sum {sum(entries)} != {n * comb(m + 1, 2)}")
-    return _sorted(entries, m)
+    return _sorted(entries)
 
 
 def exp_for_arrangement(arr: Arrangement, m: int) -> ExponentMultiset:
@@ -91,4 +90,4 @@ def exp_for_arrangement(arr: Arrangement, m: int) -> ExponentMultiset:
         return exp_2arr(arr.n, m)
     if arr.is_essential():
         return exp_3arr_closed(arr, m)
-    return _sorted((e for j in range(m + 1) for e in exp_2arr(arr.n, j)), m)
+    return _sorted(e for j in range(m + 1) for e in exp_2arr(arr.n, j))

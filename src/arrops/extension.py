@@ -123,7 +123,7 @@ def flat_profiles(ext: ExtendedArrangement) -> list[FlatProfile]:
     n_base = ext.base.n
     full = ext.full
     profiles = []
-    for flat in full.flats():
+    for flat in full.lattice.flats:
         local = set(flat.local_indices)
         base_local = sum(i < n_base for i in local)
         # a list, then tuple(): a tuple built from a generator is allocated at

@@ -1,6 +1,6 @@
 """Per-flat geometry for 1-dimensional intersection lattice elements.
 
-``Arrangement.flats`` returns each rank-2 flat X (each line of a
+``Arrangement.lattice`` holds each rank-2 flat X (each line of a
 2-arrangement) as a ``Flat1``: a primitive direction v and the indices of
 the planes through it.  X carries the constant derivation
 delta_X = sum v_i d_i and one integer coordinate frame read off v by a
@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import ZeroForm
+from .polynomial import int_text, rational_text
 
 
 class Flat1(NamedTuple):
@@ -60,11 +61,11 @@ class Flat1(NamedTuple):
         """The frame's rows over v_p (kernel forms, then the section) as
         ``Poly.text`` prints them: "c*xi" per nonzero c / v_p, index order."""
         rows, vp = self.integer_rows()
-        *kernel, section = [" + ".join(f"{Fraction(c, vp)}*x{i + 1}" for i, c in enumerate(row) if c) for row in rows]
+        *kernel, section = [" + ".join(f"{rational_text(Fraction(c, vp))}*x{i + 1}" for i, c in enumerate(row) if c) for row in rows]
         return {
             "direction": list(self.direction),
             "localization": list(self.local_indices),
-            "delta": [str(v) for v in self.direction],
+            "delta": [int_text(v) for v in self.direction],
             "section": section,
             "kernel_forms": kernel,
         }

@@ -82,13 +82,16 @@ class FreeBasis:
     ``operators`` decodes it to ``DiffOp``s on first read."""
 
     factored: tuple[FactoredOp, ...]
-    degrees: tuple[int, ...]
     provenance: tuple[dict, ...]
     saito: SaitoCertificate
 
     @cached_property
     def operators(self) -> tuple[DiffOp, ...]:
         return tuple(op.op for op in self.factored)
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(op.degree() for op in self.factored)
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -219,7 +222,7 @@ def _certified(arr: Arrangement, operators: Sequence[FactoredOp], provenance: li
         p = provenance[exc.index]
         where = f"flat {p['flat_direction']}, j = {p['j']}, generator {p['gen_index']}"
         raise type(exc)(f"{exc} ({where})", exc.index) from exc
-    return FreeBasis(tuple(operators), tuple(op.degree() for op in operators), tuple(provenance), cert)
+    return FreeBasis(tuple(operators), tuple(provenance), cert)
 
 
 def basis_3arr(arr: Arrangement, m: int, ext: ExtendedArrangement | None = None) -> FreeBasis:
@@ -308,7 +311,7 @@ def dual_pair(ext: ExtendedArrangement) -> DualPair:
         coeffs = [Fraction(b.terms.get(a, 0)) for b in polys]
         den = lcm(*(c.denominator for c in coeffs))
         rows.append([int(c * den) for c in coeffs] + [den * (i == k) for i in range(size)])
-    red, pivots = echelon_int(rows, reduce=True)
+    red, pivots = echelon_int(rows)
     if pivots[:size] != list(range(size)):
         raise IdentityViolated("dual pair polynomials are linearly dependent")
     etas = []

@@ -70,12 +70,12 @@ def nullspace(rows: list[Row], ncols: int) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def echelon_int(rows: list[list[int]], reduce: bool = False) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
+def echelon_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of an integer matrix.
 
     Returns (rows, pivot columns): one primitive integer row per pivot
-    column, zero left of its pivot, with a positive pivot.  With ``reduce``
-    every row is also zero in the other rows' pivot columns.
+    column, zero left of its pivot and in the other rows' pivot columns,
+    with a positive pivot.
 
     Rows are held sparse, as ``{column: value}`` dicts, in buckets by their
     leading column, so column c touches only the rows that start there.  The
@@ -89,12 +89,11 @@ def echelon_int(rows: list[list[int]], reduce: bool = False) -> tuple[list[list[
     """
     ncols = len(rows[0]) if rows else 0
     out, pivots = _echelon_sparse(rows, ncols)
-    if reduce:
-        for k in range(len(out) - 1, 0, -1):
-            pc = pivots[k]
-            for j in range(k):
-                if pc in out[j]:
-                    _primitive(_eliminate(out[j], out[k], pc), pivots[j])
+    for k in range(len(out) - 1, 0, -1):
+        pc = pivots[k]
+        for j in range(k):
+            if pc in out[j]:
+                _primitive(_eliminate(out[j], out[k], pc), pivots[j])
     return [_dense(row, ncols) for row in out], pivots
 
 
@@ -173,7 +172,7 @@ def nullspace_int(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
     nonzero entry positive; so it is ``primitive_int_vector`` of the
     corresponding ``nullspace`` vector.
     """
-    red, pivots = echelon_int(rows, reduce=True)
+    red, pivots = echelon_int(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):

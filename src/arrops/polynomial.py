@@ -19,7 +19,8 @@ never compute a key: ``pack`` and ``unpack`` convert term dicts,
 ``monomials_of_degree``), ``packed_product`` and ``packed_powers``
 multiply by linear forms, and ``packed_text`` prints a packed dict
 byte-for-byte as ``Poly.text`` prints its decoding.  ``int_text`` prints an
-int of any size.
+int of any size and ``rational_text`` an int or ``Fraction``; every number
+the library prints goes through them.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ class Poly:
             mono = "*".join(
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(a) if e
             )
-            parts.append(f"{c}*{mono}" if mono else f"{c}")
+            parts.append(f"{rational_text(c)}*{mono}" if mono else rational_text(c))
         return " + ".join(parts)
 
 
@@ -360,7 +361,7 @@ def packed_text(terms: Mapping[int, Fraction | int], nvars: int, degree: int) ->
     numerals of l digits compare as their digit tuples lexicographically, and
     monomials of one total degree compare in graded lex as their tuples do."""
     names = _monomial_names(nvars, degree)
-    parts = [f"{terms[k]}{names[k]}" for k in sorted(terms, reverse=True) if terms[k]]
+    parts = [rational_text(terms[k]) + names[k] for k in sorted(terms, reverse=True) if terms[k]]
     return " + ".join(parts) if parts else "0"
 
 
@@ -379,6 +380,17 @@ def int_text(n: int) -> str:
         k = n.bit_length() * 3 // 20  # log10(2) > 0.3: n has more than 2k digits
         high, low = divmod(n, 10**k)
         return int_text(high) + int_text(low).zfill(k)
+
+
+def rational_text(c: Fraction | int) -> str:
+    """``str(c)`` for every int and ``Fraction``, at any size: ``str`` when
+    that succeeds; past the limit p, or p/q when the denominator q is not
+    1, each written by ``int_text``."""
+    try:
+        return str(c)
+    except ValueError:
+        num, den = c.numerator, c.denominator
+        return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
 
 
 def packed_powers(form: Sequence[int], n: int, radix: int) -> list[dict[int, int]]:
@@ -404,4 +416,4 @@ def primitive_int_vector(vec: Iterable[Fraction | int | str]) -> tuple[int, ...]
         raise ZeroForm("zero vector has no primitive form")
     if next(filter(None, ints)) < 0:
         g = -g
-    return tuple([v // g for v in ints])
+    return tuple([v // g for v in ints]) if g != 1 else tuple(ints)

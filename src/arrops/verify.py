@@ -80,7 +80,7 @@ from operator import add, floordiv, getitem, mul, neg
 from typing import Callable, Iterator, Sequence
 
 from .arrangement import Arrangement
-from .diffop import DiffOp, FactoredOp, saito_columns
+from .diffop import DiffOp, FactoredOp
 from .errors import (
     DimensionMismatch,
     IdentityViolated,
@@ -96,7 +96,6 @@ from .polynomial import (
     MultiIndex,
     Poly,
     form_product,
-    int_text,
     midx_factorial,
     monomials_of_degree,
     pack,
@@ -104,6 +103,7 @@ from .polynomial import (
     packed_powers,
     primitive_int_vector,
     rational_content,
+    rational_text,
     s_dim,
 )
 
@@ -118,8 +118,8 @@ class _Planes:
     integer basis of its directions, which spans its fill-up points and its
     contraction kernel: the flats' pivot rule on its normal, each row made
     primitive, which is ``nullspace_int([normal], l)`` (tested).  Per flat
-    (``arr.flats()``): its direction and the planes through it, input order.
-    In dimension 2 each line is its own flat, on that line alone.  Per
+    (``arr.lattice.flats``): its direction and the planes through it, input
+    order.  In dimension 2 each line is its own flat, on that line alone.  Per
     degree, built on first read and kept here only: the point groups
     (``points``), which the oracle reads, and the values of the monomials
     at each point (``table``), which only the membership test reads.
@@ -131,7 +131,7 @@ class _Planes:
         self.normals = [h.normal for h in arr]
         self.contraction = [_contraction_rows(v, m) for v in self.normals]
         self.basis = [[primitive_int_vector(row) for row in pivot_rows(v)[0]] for v in self.normals]
-        self.flats = arr.flats()
+        self.flats = arr.lattice.flats
         self.on_plane: list[list[int]] = [[] for _ in self.normals]
         for f, (_, planes) in enumerate(self.flats):
             for i in planes:
@@ -147,8 +147,8 @@ class _Planes:
         plane, in groups (points, the planes through each of them).
 
         Each plane H, in input order, counts the flat points already taken
-        on it, takes its own flats (``arr.flats()`` order) until it has
-        s_dim(d, l-1), then fills up with its points on no other plane
+        on it, takes its own flats (``arr.lattice.flats`` order) until it
+        has s_dim(d, l-1), then fills up with its points on no other plane
         (``_fill``).  A flat point is a group of its own; the fill-up points
         of H lie on H alone and form one group.  Computed once per degree
         and kept, for the oracle and for ``table``.
@@ -194,9 +194,9 @@ class _Planes:
     def violation(self, dense: list[list[int] | None], d: int, skip: frozenset[int] = frozenset()) -> tuple[int, MultiIndex] | None:
         """The first (plane index, b), not in ``skip``, whose condition the
         operator with degree-d coefficients ``dense`` (a ``_dense`` row, in
-        ``saito_columns`` order) breaks; it is evaluated once per point of a
-        tested plane and checked against every tested plane through that
-        point."""
+        ``monomials_of_degree`` order) breaks; it is evaluated once per point
+        of a tested plane and checked against every tested plane through
+        that point."""
         if not self.m:
             return None  # order 0: no conditions
         values, on = self.table(d)
@@ -240,7 +240,7 @@ def _projective_pairs() -> Iterator[tuple[int, int]]:
 
 def _contraction_rows(normal: tuple[int, ...], m: int) -> list[tuple[tuple[int, ...], list[int]]]:
     """The rows b of degree m-1, in ``monomials_of_degree`` order, over the
-    order-m multi-indices a in ``saito_columns`` order, held by slot: for
+    order-m multi-indices a in ``monomials_of_degree`` order, held by slot: for
     each nonzero c_i, in index order, the columns of a = b + e_i and their
     weights c_i a! over all b (``_contraction_table``'s a!, scaled by c_i).
     Row b is the combination sum_i c_i (b + e_i)! f_{b+e_i} that vanishes on
@@ -250,10 +250,11 @@ def _contraction_rows(normal: tuple[int, ...], m: int) -> list[tuple[tuple[int, 
 
 @cache
 def _contraction_table(l: int, m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """For each i < l: the ``saito_columns`` positions of a = b + e_i over the
-    b of degree m-1, in ``monomials_of_degree`` order, and their a!.  One
+    """For each i < l: the positions of a = b + e_i in
+    ``monomials_of_degree(l, m)`` over the b of degree m-1, in
+    ``monomials_of_degree`` order, and their a!.  One
     shared table per (l, m), as ``packed_index``; callers do not modify it."""
-    col = {a: i for i, a in enumerate(saito_columns(l, m))}
+    col = {a: i for i, a in enumerate(monomials_of_degree(l, m))}
     table = []
     for i in range(l):
         a = [b[:i] + (b[i] + 1,) + b[i + 1 :] for b in monomials_of_degree(l, m - 1)]
@@ -294,7 +295,7 @@ def is_member(theta: DiffOp, arr: Arrangement) -> bool:
     the certificate's test on each homogeneous component (the module is graded)."""
     if theta.nvars != arr.dim:
         raise DimensionMismatch(f"operator has {theta.nvars} variables, the arrangement {arr.dim}")
-    l, columns = arr.dim, saito_columns(arr.dim, theta.order)
+    l, columns = arr.dim, monomials_of_degree(arr.dim, theta.order)
     components: dict[int, list[dict[MultiIndex, Fraction | int]]] = {}
     for k, a in enumerate(columns):
         for c, v in theta.coeffs[a].terms.items() if a in theta.coeffs else ():
@@ -329,9 +330,9 @@ class SaitoCertificate:
         return form_product(normals, self.arr.dim) * c
 
     def to_json(self) -> dict:
-        """c as ``str(self.c)`` writes it, at any size (``int_text``), and t."""
-        num, den = self.c.numerator, self.c.denominator
-        return {"c": int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}", "t": self.t}
+        """c as ``str(self.c)`` writes it, at any size (``rational_text``),
+        and t."""
+        return {"c": rational_text(self.c), "t": self.t}
 
 
 def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCertificate:
@@ -472,7 +473,7 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
 
     - K_H is spanned by the s_dim(m, l-1) products of m derivations in the
       directions of H's integer basis (``_Planes.basis``), in
-      ``saito_columns`` order, each primitive.  A derivation D along H
+      ``monomials_of_degree`` order, each primitive.  A derivation D along H
       has D(alpha_H) = 0, so it commutes with multiplication by alpha_H, and
       a product of m of them maps alpha_H * g, deg g = m-1, to alpha_H * 0.
       The products are independent (the monomials of degree m in a basis of
@@ -523,13 +524,13 @@ class _Kernels(dict):
     vectors, so the powers w^0..w^m of each basis vector w of a plane are
     built once per key (``packed_powers``, radix m + 1).  Each K_H vector is
     the product of two of them (l = 3) or one (l = 2), written straight into
-    its ``saito_columns`` slots; K_X is the m-th power of the flat's
+    its ``monomials_of_degree`` slots; K_X is the m-th power of the flat's
     direction.  There is no primitive pass, which rests on exactly this form
     of the factors: the plane basis vectors (``_Planes.basis``) and the
     directions (``Flat1``) are primitive with first nonzero entry positive,
     a product of primitive forms is primitive (Gauss's lemma), and its
-    first nonzero entry in ``saito_columns`` order (grlex descending) is its
-    leading coefficient, the factors' ones multiplied.
+    first nonzero entry in ``monomials_of_degree`` order (grlex descending)
+    is its leading coefficient, the factors' ones multiplied.
     """
 
     def __init__(self, arr: Arrangement, sample: _Planes):
@@ -656,7 +657,7 @@ def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: _Kernels) -> 
         block = weights[start : start + len(group)]
         start += len(group)
         if len(block) > 1:
-            block = echelon_int(block, reduce=True)[0]
+            block = echelon_int(block)[0]
         if any(map(any, block)):
             rows.extend([wq * wa for wq in e for wa in w] for e in block for w in kernels[planes])
     return free_part + unknowns - rank_int(rows)
@@ -808,7 +809,10 @@ class OracleReport:
     """Per-degree comparison of oracle dimensions with the free-module prediction."""
 
     rows: tuple[tuple[int, int, int], ...]  # (degree, oracle, predicted)
-    consistent: bool
+
+    @property
+    def consistent(self) -> bool:
+        return all(dim == pred for _, dim, pred in self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -822,12 +826,9 @@ def hilbert_check(arr: Arrangement, m: int, exponents, d_max: int, sample: _Plan
     (``sample`` as in ``oracle_dims``)."""
     exps = list(exponents)
     rows = []
-    ok = True
     for d, dim in enumerate(oracle_dims(arr, m, d_max, sample)):
-        pred = sum(s_dim(d - e, arr.dim) for e in exps)
-        rows.append((d, dim, pred))
-        ok = ok and dim == pred
-    return OracleReport(tuple(rows), ok)
+        rows.append((d, dim, sum(s_dim(d - e, arr.dim) for e in exps)))
+    return OracleReport(tuple(rows))
 
 
 # -- combinatorial identities -------------------------------------------------------
@@ -852,7 +853,7 @@ def check_identities(ext: ExtendedArrangement) -> dict:
     }
 
     if ext.condition_a:
-        expected = len(base.flats()) + comb(added, 2) + n * added
+        expected = len(base.lattice.flats) + comb(added, 2) + n * added
         actual = len(profiles)
         report["flat_count_identity"] = {"lhs": actual, "rhs": expected, "ok": actual == expected}
         new_flat_orders_ok = all(

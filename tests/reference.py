@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from arrops.arrangement import _TERM_RE, Arrangement
-from arrops.diffop import DiffOp, power_of_derivation, saito_columns
+from arrops.diffop import DiffOp, power_of_derivation
 from arrops.errors import DimensionMismatch, NotCentral, ParseError, ZeroForm
 from arrops.extension import FlatProfile
 from arrops.flats import Flat1
@@ -208,7 +208,7 @@ def eager_oracle_dims(arr: Arrangement, m: int, d_max: int) -> list[int]:
         for points, planes in groups:
             block = [[eta[k] for eta in etas] for k in range(start, start + len(points))]
             start += len(points)
-            rows += [[wq * wa for wq in e for wa in w] for e in echelon_int(block, reduce=True)[0] for w in kernels[planes]]
+            rows += [[wq * wa for wq in e for wa in w] for e in echelon_int(block)[0] for w in kernels[planes]]
         unknowns = sum(len(points) * len(kernels[planes]) for points, planes in groups)
         dims.append(s_dim(m, l) * s_dim(d - arr.n, l) + unknowns - rank_int(rows))
     return dims
@@ -237,9 +237,9 @@ def product_kernels(sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """The oracle's closed-form kernels keyed as ``every_kernel``, each
     vector one ``form_product`` of its factor list (the plane's basis
     vectors to the exponents k, or the flat's direction m times), read over
-    ``saito_columns`` and made primitive."""
+    ``monomials_of_degree`` and made primitive."""
     l, m = sample.l, sample.m
-    columns = saito_columns(l, m)
+    columns = monomials_of_degree(l, m)
 
     def derivations(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
         terms = form_product(factors, l).terms
@@ -262,16 +262,16 @@ def convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple
     images = [form_product([f], nvars) for f in forms]
     total = DiffOp(nvars, op2.order)
     for a, g in op2.coeffs.items():
-        const = compose_constant(power_of_derivation(duals[0], a[0], nvars), power_of_derivation(duals[1], a[1], nvars))
+        const = compose_constant(power_of_derivation(duals[0], a[0]), power_of_derivation(duals[1], a[1]))
         total = total + const.mul_poly(substitute(g, images))
     return total
 
 
 def saito_matrix(ops: list[DiffOp]) -> list[list[Poly]]:
     """The coefficient matrix of multiplied-out operators, one row per
-    operator, columns in ``saito_columns`` order."""
+    operator, columns in ``monomials_of_degree`` order."""
     zero = Poly.zero(ops[0].nvars)
-    return [[op.coeffs.get(a, zero) for a in saito_columns(op.nvars, op.order)] for op in ops]
+    return [[op.coeffs.get(a, zero) for a in monomials_of_degree(op.nvars, op.order)] for op in ops]
 
 
 def tuple_product_op(terms, nvars: int, order: int) -> DiffOp:

@@ -175,7 +175,7 @@ def test_flat_direction_localization_consistency(quad_arr, random_family):
     # ``flats`` reads the incidences off the pairs of planes
     pencil = parse_arrangement("x1; x2; x1-x2; x1+x2; x3", dim=3)
     for arr in [quad_arr, pencil, *random_family, parse_arrangement("x1; x2; x1-x2", dim=2)]:
-        assert arr.flats() == [(v, localization_indices(arr, v)) for v, _ in arr.lattice.flats]
+        assert list(arr.lattice.flats) == [(v, localization_indices(arr, v)) for v, _ in arr.lattice.flats]
 
 
 def test_parse_serialize_roundtrip(quad_arr):

@@ -13,7 +13,7 @@ from conftest import random_essential
 
 from arrops import cli, freebasis, verify
 from arrops.diffop import FactoredOp
-from arrops.errors import ZeroDet
+from arrops.errors import ParseError, ZeroDet
 from arrops.polynomial import Poly
 
 
@@ -479,3 +479,37 @@ def test_report_prints_ints_past_the_conversion_limit(monkeypatch):
     assert f"saito.c: -{digits}/7" in cli.emit_report(result, "text").splitlines()
     assert cli.emit_report({"n": big, "signs": [big, -big]}, "json") == f'{{\n  "n": {digits},\n  "signs": [\n    {digits},\n    -{digits}\n  ]\n}}'
     assert cli.emit_report({"n": big, "signs": [big, {"c": -big}]}, "text") == f'n: {digits}\nsigns: [{digits}, {{"c": -{digits}}}]'
+
+
+A, B = 10**2500 - 1, 10**2500  # 2500 nines; 1 and 2500 zeros
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        # the flat of A*x1 + x2 and x3 has direction (1, -A, 0), and its
+        # operator x2 * (d1 - A*d2)^2 the coefficient A^2 (packed_text)
+        (f"basis --m 2 {A}*x1+x2 x2 x3", f'"{decimal_digits(A * A)}*x2"'),
+        # the first two planes meet in the direction (B, -AB, A): its delta
+        (f"lattice {A}*x1+x2 x2+{B}*x3 x1", f'"-{decimal_digits(A * B)}"'),
+        # the normal of 1/A*x1 + 1/A8*x2 + x3 is (A8, A, A * A8), A8 = 10A + 8,
+        # coprime to A: its form text (Hyperplane.text)
+        (f"lattice 1/{A}*x1+1/{A}8*x2+x3 x2 x3", f'"{10 * A + 8}*x1 + {A}*x2 + {decimal_digits(A * (10 * A + 8))}*x3"'),
+    ],
+    ids=["basis-terms", "lattice-flat", "lattice-form"],
+)
+def test_report_prints_every_number_past_the_conversion_limit(argv, printed):
+    # each input has 2500-digit coefficients and prints a number of about
+    # 5000 digits, past the 4300 at which CPython's str() of an int stops
+    result, code = cli.run(cli._make_parser().parse_args(argv.split()))
+    assert code == 0
+    for fmt in ("json", "text"):
+        assert printed in cli.emit_report(result, fmt)
+
+
+def test_constant_past_the_conversion_limit_is_named():
+    # two constants of 4300 digits each, within the limit, sum to 4301 digits
+    c = 10**4300 - 1
+    with pytest.raises(ParseError) as info:
+        cli.run(cli._make_parser().parse_args(["lattice", f"{c} + {c} + x1", "x2", "x3"]))
+    assert str(info.value).endswith(f" has constant term {decimal_digits(2 * c)}")

@@ -11,7 +11,6 @@ from arrops.diffop import (
     identity_op,
     partial_op,
     power_of_derivation,
-    saito_columns,
 )
 from arrops.errors import DimensionMismatch
 from arrops.polynomial import Poly
@@ -53,19 +52,19 @@ def test_apply_linear_in_argument():
 
 
 def test_power_of_derivation_expansion():
-    op = power_of_derivation((1, 1, 0), 2, 3)
+    op = power_of_derivation((1, 1, 0), 2)
     expected = {(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}
     assert {a: f.constant_value() for a, f in op.coeffs.items()} == expected
-    assert power_of_derivation((0, 0, 1), 3, 3).coeffs.keys() == {(0, 0, 3)}
-    assert power_of_derivation((5, -7, 2), 0, 3) == identity_op(3)
+    assert power_of_derivation((0, 0, 1), 3).coeffs.keys() == {(0, 0, 3)}
+    assert power_of_derivation((5, -7, 2), 0) == identity_op(3)
 
 
 def test_power_of_derivation_is_iterated_application():
     rng = random.Random(4)
     c = (Fraction(2), Fraction(-1, 2), Fraction(3))
     for k in (1, 2, 3):
-        opk = power_of_derivation(c, k, 3)
-        first = power_of_derivation(c, 1, 3)
+        opk = power_of_derivation(c, k)
+        first = power_of_derivation(c, 1)
         for _ in range(5):
             f = random_poly(rng, max_deg=4)
             once = f
@@ -97,7 +96,7 @@ def test_compose_constant_rejects_polynomial_right_factor():
 def test_compose_constant_matches_nested_application():
     rng = random.Random(5)
     theta = DiffOp(3, 1, {(1, 0, 0): x3, (0, 0, 1): x1 * x2})
-    eta = power_of_derivation((1, 2, 0), 2, 3)
+    eta = power_of_derivation((1, 2, 0), 2)
     comp = compose_constant(theta, eta)
     for _ in range(8):
         f = random_poly(rng, max_deg=4)
@@ -139,8 +138,3 @@ def test_factored_output_of_unequal_form_counts_is_refused():
     terms = [(1, [(1, 0, 0)], [(1, 0, 0)]), (1, [], [(0, 1, 0)])]
     with pytest.raises(DimensionMismatch, match=r"unequal form counts \[0, 1\]$"):
         FactoredOp(3, 1, [], terms)
-
-
-def test_saito_columns_order():
-    assert saito_columns(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert saito_columns(3, 2)[0] == (2, 0, 0)

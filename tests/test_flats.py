@@ -19,12 +19,12 @@ def _kernel_forms(direction):
 
 def test_choose_section_values(quad_arr):
     # the section view of the pivot frame, its last coordinate form
-    sections = [coordinate_forms(flat)[-1] for flat in quad_arr.flats()]
+    sections = [coordinate_forms(flat)[-1] for flat in quad_arr.lattice.flats]
     # direction (0,0,1): section x3
     assert sections[0] == x3
     # direction (1,1,0): deterministic section x1, and it pairs to 1
     assert sections[3] == x1
-    for flat, section in zip(quad_arr.flats(), sections):
+    for flat, section in zip(quad_arr.lattice.flats, sections):
         assert substitute(section, [Poly.constant(3, v) for v in flat.direction]) == Poly.constant(3, 1)
     assert coordinate_forms(Flat1((0, 2, 0), ()))[-1] == Fraction(1, 2) * x2
 
@@ -71,10 +71,10 @@ def test_coordinate_system_invertible_and_dual(quad_arr):
     # 2-arrangements, and the kernel flat of seeded rank 1 and 2
     # arrangements, as their bases take it (every plane passes through it)
     rng = random.Random(4242)
-    flats = quad_arr.flats()
-    flats += [flat for n in (3, 3, 4, 4, 5, 5, 6) for flat in random_essential(rng, n).flats()]
+    flats = list(quad_arr.lattice.flats)
+    flats += [flat for n in (3, 3, 4, 4, 5, 5, 6) for flat in random_essential(rng, n).lattice.flats]
     flats += [Flat1(direction, tuple(range(arr.n))) for arr, direction in _low_rank_arrangements(rng)]
-    flats += [flat for text in ("x1; x2; x1 - x2", "x1; x2 - 2*x1; 2*x1 + 3*x2") for flat in parse_arrangement(text, dim=2).flats()]
+    flats += [flat for text in ("x1; x2; x1 - x2", "x1; x2 - 2*x1; 2*x1 + 3*x2") for flat in parse_arrangement(text, dim=2).lattice.flats]
     for flat in flats:
         duals = dual_derivations(flat)
         forms = coordinate_forms(flat)
@@ -97,7 +97,7 @@ def test_coordinate_system_invertible_and_dual(quad_arr):
 
 
 def test_direction_annihilates_exactly_localized_forms(quad_arr):
-    for flat in quad_arr.flats():
+    for flat in quad_arr.lattice.flats:
         local = set(flat.local_indices)
         for i, h in enumerate(quad_arr.hyperplanes):
             assert h.contains(flat.direction) == (i in local)
@@ -105,7 +105,7 @@ def test_direction_annihilates_exactly_localized_forms(quad_arr):
 
 def test_off_flat_product_times_local_product_is_q(quad_arr):
     q = quad_arr.defining_polynomial()
-    for flat in quad_arr.flats():
+    for flat in quad_arr.lattice.flats:
         local = set(flat.local_indices)
         q_local = Poly.constant(3, 1)
         p_rest = Poly.constant(3, 1)

@@ -130,7 +130,7 @@ def pencil_block(arr, flat, j):
 
 
 def test_pencil_basis_expressed_in_ambient_ring(quad_arr):
-    flat = quad_arr.flats()[0]  # direction (0,0,1), three planes through it
+    flat = quad_arr.lattice.flats[0]  # direction (0,0,1), three planes through it
     ops = pencil_block(quad_arr, flat, 1)
     assert len(ops) == 2
     local = localization(quad_arr, flat.direction)
@@ -142,7 +142,7 @@ def test_pencil_basis_expressed_in_ambient_ring(quad_arr):
 
 
 def test_pencil_basis_skew_flat(quad_arr):
-    flat = quad_arr.flats()[3]  # direction (1,1,0), planes x3 and x1-x2
+    flat = quad_arr.lattice.flats[3]  # direction (1,1,0), planes x3 and x1-x2
     ops = pencil_block(quad_arr, flat, 0)
     assert ops == [identity_op(3)]
     local = localization(quad_arr, flat.direction)

@@ -66,17 +66,15 @@ def _integer_matrices(rng):
 def test_echelon_int_rank_matches_rational_rank():
     for rows, ncols in _integer_matrices(random.Random(11)):
         expected = len(rref(F(rows), ncols)[1])
-        for reduce in (False, True):
-            red, pivots = echelon_int(rows, reduce=reduce)
-            assert len(red) == len(pivots) == expected == rank_int(rows)
-            assert pivots == sorted(set(pivots))
-            for k, (row, pc) in enumerate(zip(red, pivots)):
-                assert row[pc] != 0 and not any(row[:pc])
-                assert gcd(*row) == 1
-                if reduce:
-                    assert all(other[pc] == 0 for j, other in enumerate(red) if j != k)
-            # same row space: stacking the echelon rows adds no rank
-            assert len(rref(F(red + rows), ncols)[1]) == expected
+        red, pivots = echelon_int(rows)
+        assert len(red) == len(pivots) == expected == rank_int(rows)
+        assert pivots == sorted(set(pivots))
+        for k, (row, pc) in enumerate(zip(red, pivots)):
+            assert row[pc] != 0 and not any(row[:pc])
+            assert gcd(*row) == 1
+            assert all(other[pc] == 0 for j, other in enumerate(red) if j != k)
+        # same row space: stacking the echelon rows adds no rank
+        assert len(rref(F(red + rows), ncols)[1]) == expected
 
 
 def test_nullspace_int_is_exact_primitive_kernel():
@@ -150,14 +148,14 @@ def test_det_elimination_matches_cofactor():
 
 def quad_display_basis():
     """The six order-2 summand generators of the quad arrangement, written out."""
-    d3sq = power_of_derivation((0, 0, 1), 2, 3)
+    d3sq = power_of_derivation((0, 0, 1), 2)
     ops = [
         d3sq.mul_poly(x3),
-        compose_constant(DiffOp(3, 1, {(1, 0, 0): x1, (0, 1, 0): x2}), power_of_derivation((0, 0, 1), 1, 3)).mul_poly(x3),
-        compose_constant(DiffOp(3, 1, {(0, 1, 0): x2 * (x1 - x2)}), power_of_derivation((0, 0, 1), 1, 3)).mul_poly(x3),
+        compose_constant(DiffOp(3, 1, {(1, 0, 0): x1, (0, 1, 0): x2}), power_of_derivation((0, 0, 1), 1)).mul_poly(x3),
+        compose_constant(DiffOp(3, 1, {(0, 1, 0): x2 * (x1 - x2)}), power_of_derivation((0, 0, 1), 1)).mul_poly(x3),
         DiffOp(3, 2, {(0, 2, 0): x2 * (x1 - x2)}),
         DiffOp(3, 2, {(2, 0, 0): x1 * (x1 - x2)}),
-        power_of_derivation((1, 1, 0), 2, 3).mul_poly(x1 * x2),
+        power_of_derivation((1, 1, 0), 2).mul_poly(x1 * x2),
     ]
     return ops
 

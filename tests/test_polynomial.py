@@ -45,6 +45,7 @@ def test_graded_lex_leading():
 def test_monomials_of_degree_order():
     assert monomials_of_degree(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert monomials_of_degree(2, 2) == [(2, 0), (1, 1), (0, 2)]
+    assert monomials_of_degree(3, 2)[0] == (2, 0, 0)
     assert len(monomials_of_degree(3, 4)) == 15
 
 
