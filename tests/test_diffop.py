@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference import apply, compose_constant
+from reference import apply, compose_constant, saito_matrix
 
 from arrops.diffop import (
     DiffOp,
@@ -13,7 +13,7 @@ from arrops.diffop import (
     power_of_derivation,
 )
 from arrops.errors import DimensionMismatch
-from arrops.polynomial import Poly
+from arrops.polynomial import Poly, monomials_of_degree
 
 x1, x2, x3 = Poly.variables(3)
 
@@ -138,3 +138,11 @@ def test_factored_output_of_unequal_form_counts_is_refused():
     terms = [(1, [(1, 0, 0)], [(1, 0, 0)]), (1, [], [(0, 1, 0)])]
     with pytest.raises(DimensionMismatch, match=r"unequal form counts \[0, 1\]$"):
         FactoredOp(3, 1, [], terms)
+
+
+def test_saito_columns_order():
+    assert monomials_of_degree(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert monomials_of_degree(3, 2)[0] == (2, 0, 0)
+    partials = [partial_op(3, a) for a in monomials_of_degree(3, 1)]
+    one, zero = Poly.constant(3, 1), Poly.zero(3)
+    assert saito_matrix(partials) == [[one if i == j else zero for j in range(3)] for i in range(3)]
