@@ -13,7 +13,7 @@ deterministic, so identical inputs give byte-identical outputs.
 """
 
 from .arrangement import Arrangement, Hyperplane, parse_arrangement
-from .diffop import DiffOp, euler_op, identity_op, partial_op, power_of_derivation
+from .diffop import DiffOp
 from .errors import ArropsError
 from .exponents import ExponentMultiset, exp_2arr, exp_3arr_closed, exp_for_arrangement
 from .extension import ExtendedArrangement, extend, flat_profiles, generic_hyperplane
@@ -42,7 +42,6 @@ __all__ = [
     "check_identities",
     "det_poly_matrix",
     "dual_pair",
-    "euler_op",
     "exp_2arr",
     "exp_3arr_closed",
     "exp_for_arrangement",
@@ -50,13 +49,10 @@ __all__ = [
     "flat_profiles",
     "generic_hyperplane",
     "hilbert_check",
-    "identity_op",
     "is_member",
     "oracle_dim",
     "oracle_dims",
     "parse_arrangement",
-    "partial_op",
-    "power_of_derivation",
     "saito_check",
 ]
 

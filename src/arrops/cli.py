@@ -4,9 +4,9 @@ Subcommands: lattice, exponents, basis, verify, identities, oracle.
 Inline forms, ``--input`` and ``--extension`` share one form parser
 (integer coefficients stay ``int``).  ``basis``, ``identities`` and
 ``verify`` share one sequence: extension, basis, oracle table.
-Exit codes: 0 success, 1 user error (or a reader that closed stdout early),
-2 internal verification failure (a failed determinant certificate, identity
-or oracle mismatch).  No
+Exit codes: 0 success, 1 user error (argparse's usage errors included, or
+a reader that closed stdout early), 2 internal verification failure (a
+failed determinant certificate, identity or oracle mismatch).  No
 environment variables are consulted; identical invocations produce
 byte-identical output.  The JSON report is printed in one pass by one small
 recursive emitter (``_json``) that writes the bytes of
@@ -24,9 +24,10 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .arrangement import Arrangement, parse_arrangement
-from .errors import ArropsError, BadOrder, IdentityViolated, SaitoFailed, ZeroNormalizer
+from .errors import ArropsError, BadOrder, IdentityViolated, ParseError, SaitoFailed, ZeroNormalizer
 from .exponents import exp_for_arrangement
 from .extension import extend, hyperplanes_from_forms
 from .freebasis import build_basis
@@ -37,8 +38,15 @@ USER_ERROR = 1
 VERIFICATION_ERROR = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a user error: a ``ParseError`` with argparse's message."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
+
+
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arrops",
         description="Exact operator-module computations for central hyperplane arrangements.",
     )
@@ -215,9 +223,8 @@ def emit_report(result: dict, fmt: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _make_parser().parse_args(argv)
         result, code = run(args)
     except (SaitoFailed, IdentityViolated, ZeroNormalizer) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

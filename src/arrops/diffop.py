@@ -1,26 +1,25 @@
 """Homogeneous-order differential operators with polynomial coefficients.
 
 An order-m operator is a finite sum over multi-indices a with |a| = m of
-coefficient polynomials f_a times the monomial derivative d^a.  Operators
-are immutable by convention, like polynomials.
+coefficient polynomials f_a times the monomial derivative d^a.  A
+``DiffOp`` is such an operator decoded to tuple keys, a value: it is
+built, compared, hashed and printed, and has no arithmetic.
 
-Every closed-form operator (derivation powers, Euler operators, the
-pencil blocks of ``freebasis``) is built from its factor lists by one
-packed loop (``_packed_terms``), in the packed layout that only
-``polynomial`` computes (``Packed``: derivative keys in radix m + 1,
-coefficient monomials in one radix above every exponent); this module
-names radixes and computes no key.  ``product_op`` decodes the result to a
-tuple-keyed ``DiffOp``; a ``FactoredOp`` is homogeneous (its terms have one
-form count), has one radix, its degree + 1, keeps its core packed in it for
-the certificate and for ``basis`` output, and decodes only when ``core`` or
-``op`` is read (by tests and demos).
+Every closed-form operator (the pencil blocks of ``freebasis``) is built
+from its factor lists by one packed loop (``_packed_terms``), in the
+packed layout that only ``polynomial`` computes (``Packed``: derivative
+keys in radix m + 1, coefficient monomials in one radix above every
+exponent); this module names radixes and computes no key.  A
+``FactoredOp`` is homogeneous (its terms have one form count), has one
+radix, its degree + 1, keeps its core packed in it for the certificate and
+for ``basis`` output, and decodes to a ``DiffOp`` (``_unpacked``) only
+when ``core`` or ``op`` is read (by tests and demos).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
@@ -29,9 +28,7 @@ from .polynomial import (
     Poly,
     _times_form,
     grlex_key,
-    midx_factorial,
     monomials_of_degree,
-    pack,
     packed_index,
     packed_product,
     packed_text,
@@ -62,8 +59,6 @@ class DiffOp:
                     raise DimensionMismatch(f"multi-index {a} invalid for order {order} in {nvars} variables")
                 clean[tuple(a)] = f
         self.coeffs = clean
-
-    # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -103,71 +98,8 @@ class DiffOp:
             parts.append(f"({f.text()}){('*' + mono) if mono else ''}")
         return " + ".join(parts)
 
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: DiffOp) -> DiffOp:
-        if (self.nvars, self.order) != (other.nvars, other.order):
-            raise DimensionMismatch("operators must share variable count and order")
-        out = dict(self.coeffs)
-        for a, f in other.coeffs.items():
-            s = out.get(a)
-            s = f if s is None else s + f
-            if s.is_zero():
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return DiffOp(self.nvars, self.order, out)
-
-    def __neg__(self) -> DiffOp:
-        return DiffOp(self.nvars, self.order, {a: -f for a, f in self.coeffs.items()})
-
-    def __sub__(self, other: DiffOp) -> DiffOp:
-        return self + (-other)
-
-    def mul_poly(self, p: Poly) -> DiffOp:
-        return DiffOp(self.nvars, self.order, {a: f * p for a, f in self.coeffs.items()})
-
-    # -- normalization and serialization -----------------------------------
-
-    def leading_key(self) -> tuple[MultiIndex, MultiIndex]:
-        """Graded-lex-largest (multi-index, monomial) pair with nonzero coefficient."""
-        if not self.coeffs:
-            raise ValueError("zero operator")
-        a = max(self.coeffs, key=grlex_key)
-        return a, self.coeffs[a].leading_monomial()
-
-    def normalized_primitive(self) -> DiffOp:
-        """Canonical scaling: ``int`` coefficients, joint content 1, leading > 0;
-        the same for every nonzero constant multiple of the operator."""
-        if not self.coeffs:
-            return self
-        c = rational_content(v for f in self.coeffs.values() for v in f.terms.values())
-        num, den = c.numerator, c.denominator
-        a, mono = self.leading_key()
-        if self.coeffs[a].terms[mono] < 0:
-            num = -num
-        # v * den / num is an integer for every coefficient v, so // is exact
-        out = {b: Poly._raw(f.nvars, {k: v * den // num for k, v in f.terms.items()}) for b, f in self.coeffs.items()}
-        return DiffOp(self.nvars, self.order, out)
-
     def to_json(self) -> list:
         return [[list(a), f.text()] for a, f in self.sorted_coeffs()]
-
-    def pack(self, radix: int) -> Packed:
-        """The operator packed (``Packed``), monomial keys in ``radix``, above every exponent."""
-        return {a: pack(f.terms, self.nvars, radix) for a, f in pack(self.coeffs, self.nvars, self.order + 1).items()}
-
-
-# -- constructors -----------------------------------------------------------
-
-
-def identity_op(nvars: int) -> DiffOp:
-    return DiffOp(nvars, 0, {(0,) * nvars: Poly.constant(nvars, 1)})
-
-
-def partial_op(nvars: int, a: MultiIndex, coeff: Poly | int | Fraction = 1) -> DiffOp:
-    f = coeff if isinstance(coeff, Poly) else Poly.constant(nvars, coeff)
-    return DiffOp(nvars, sum(a), {tuple(a): f})
 
 
 Factor = Sequence[int | Fraction]
@@ -200,20 +132,11 @@ def _unpacked(packed: Packed, nvars: int, order: int, radix: int) -> DiffOp:
     return DiffOp(nvars, order, {columns[index[a]]: unpack(f, nvars, radix) for a, f in packed.items()})
 
 
-def product_op(terms: Iterable[Term], nvars: int, order: int) -> DiffOp:
-    """Sum over terms (c, forms, derivations) of c * (product of the linear
-    forms) * (product of the constant derivations), all given by coefficient
-    vectors (``_packed_terms``), decoded once."""
-    terms = [(c, list(fs), list(ds)) for c, fs, ds in terms]
-    radix = max((len(fs) for _, fs, _ in terms), default=0) + 1
-    return _unpacked(_packed_terms(terms, nvars, order, radix), nvars, order, radix)
-
-
 class FactoredOp:
     """theta = P * theta', given by factor lists: P is the product of the
     linear forms ``cofactor``, each stored primitive with first nonzero entry
     positive (a zero form stays zero), and theta' the sum of the ``terms``
-    (c, forms, derivations), as ``product_op`` reads them.  Every term has
+    (c, forms, derivations), as ``_packed_terms`` reads them.  Every term has
     the same number e of forms (``DimensionMismatch`` otherwise), so theta
     is homogeneous.
 
@@ -222,8 +145,8 @@ class FactoredOp:
     P * theta' (at most degree()) reaches it, so both and their decodings
     (``core``, ``op``) use monomial keys in that radix.
 
-    ``packed``, which the certificate reads, is theta' normalized as
-    ``DiffOp.normalized_primitive`` does it, packed: the joint content taken
+    ``packed``, which the certificate reads, is theta' normalized, the same
+    for every nonzero constant multiple, packed: the joint content taken
     out, then the value at the largest monomial key under the largest
     derivative key made positive.  Within one degree descending keys are
     grlex descending (``packed_text``), so that value is the grlex leading
@@ -293,37 +216,4 @@ class FactoredOp:
         return [[list(a), packed_text(full[k], self.nvars, self.radix - 1)] for k, a in zip(packed_index(self.nvars, self.order, self.order + 1), monomials_of_degree(self.nvars, self.order)) if k in full]
 
 
-def power_of_derivation(coeffs: Factor, k: int) -> DiffOp:
-    """(sum c_i d_i)^k in len(coeffs) variables, expanded (``int``
-    coefficients for ``int`` c)."""
-    if k < 0:
-        raise ValueError("negative power")
-    return product_op([(1, (), [coeffs] * k)], len(coeffs), k)
-
-
-def euler_op(m: int, nvars: int) -> DiffOp:
-    """Order-m Euler operator sum (m!/a!) x^a d^a over |a| = m.
-
-    Acts on a homogeneous polynomial of degree d as multiplication by the
-    falling factorial d(d-1)...(d-m+1); belongs to every operator module of
-    a central arrangement.
-    """
-    if m < 0 or nvars < 1:
-        raise ValueError("need m >= 0 and at least one variable")
-    unit = [tuple(int(i == k) for k in range(nvars)) for i in range(nvars)]
-    terms = []
-    for a in monomials_of_degree(nvars, m):
-        factors = [unit[i] for i, e in enumerate(a) for _ in range(e)]
-        terms.append((factorial(m) // midx_factorial(a), factors, factors))
-    return product_op(terms, nvars, m)
-
-
-__all__ = [
-    "DiffOp",
-    "identity_op",
-    "partial_op",
-    "product_op",
-    "FactoredOp",
-    "power_of_derivation",
-    "euler_op",
-]
+__all__ = ["DiffOp", "FactoredOp"]

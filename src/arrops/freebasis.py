@@ -30,7 +30,7 @@ cofactor 1), and a 2-arrangement as one block in the identity frame
 written in the flat's integer frame (``Flat1.integer_frame``: its first
 two forms for the kernel coordinates, their adjugate columns for d_y1,
 d_y2), take m-j copies of delta_X as further factors and P_X's normals
-as the cofactor, and ``diffop.product_op`` multiplies the terms out once.
+as the cofactor, and ``diffop.FactoredOp`` multiplies the terms out once.
 The frame scales an operator by a nonzero constant that its core's one
 normalization removes.  Every basis reaches the certificate
 (``verify.saito_check``: every operator is a member at every hyperplane,
@@ -139,7 +139,7 @@ def _in_frame(pair: Line, vectors: Frame) -> Line:
 
 def _pencil_terms(lines: Sequence[Line], j: int, forms: Frame, derivs: Frame) -> list[list[Term]]:
     """The order-j block of the pencil of ``lines`` (primitive, distinct), one
-    ``product_op`` term list per operator, in the frame of integer forms
+    ``FactoredOp`` term list per operator, in the frame of integer forms
     f0, f1 and constant derivations D0, D1: the line (a, b) is the form
     a*f0 + b*f1, its direction (v0, v1) is v0*D0 + v1*D1, d^a is D0^a0 D1^a1."""
 

@@ -290,18 +290,24 @@ def _evaluate(dense: list[list[int] | None], values: list[int]) -> list[int]:
 # -- membership ---------------------------------------------------------------
 
 
+def _packed_components(theta: DiffOp) -> dict[int, list[dict[int, Fraction | int]]]:
+    """theta's homogeneous components by degree d, each one packed
+    coefficient per ``monomials_of_degree`` column, monomial keys in radix d + 1."""
+    l, columns = theta.nvars, monomials_of_degree(theta.nvars, theta.order)
+    components: dict[int, list[dict[MultiIndex, Fraction | int]]] = {}
+    for k, a in enumerate(columns):
+        for c, v in theta.coeffs[a].terms.items() if a in theta.coeffs else ():
+            components.setdefault(sum(c), [{} for _ in columns])[k][c] = v
+    return {d: [pack(f, l, d + 1) for f in row] for d, row in components.items()}
+
+
 def is_member(theta: DiffOp, arr: Arrangement) -> bool:
     """Exact membership test: theta(alpha_H * x^b) in alpha_H * S for all H, b;
     the certificate's test on each homogeneous component (the module is graded)."""
     if theta.nvars != arr.dim:
         raise DimensionMismatch(f"operator has {theta.nvars} variables, the arrangement {arr.dim}")
-    l, columns = arr.dim, monomials_of_degree(arr.dim, theta.order)
-    components: dict[int, list[dict[MultiIndex, Fraction | int]]] = {}
-    for k, a in enumerate(columns):
-        for c, v in theta.coeffs[a].terms.items() if a in theta.coeffs else ():
-            components.setdefault(sum(c), [{} for _ in columns])[k][c] = v
-    sample = _Planes(arr, theta.order)
-    return not any(sample.violation(_dense([pack(f, l, d + 1) for f in row], packed_index(l, d, d + 1)), d) for d, row in components.items())
+    sample, l = _Planes(arr, theta.order), arr.dim
+    return not any(sample.violation(_dense(row, packed_index(l, d, d + 1)), d) for d, row in _packed_components(theta).items())
 
 
 # -- determinant certificate ----------------------------------------------------
@@ -409,9 +415,11 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
     sample = _Planes(arr, m)
     for i, (op, deg) in enumerate(zip(ops, degrees)):
         # the full operator's radix, deg + 1, keys the core too
-        core, cofactor = (op.packed, op.cofactor) if isinstance(op, FactoredOp) else (op.pack(deg + 1), ())
-        row = [core.get(a, {}) for a in packed_index(l, m, m + 1)]
-        if not isinstance(op, FactoredOp):  # a normalized core has content 1
+        if isinstance(op, FactoredOp):  # a normalized core has content 1
+            core, cofactor = op.packed, op.cofactor
+            row = [core.get(a, {}) for a in packed_index(l, m, m + 1)]
+        else:
+            cofactor, row = (), _packed_components(op)[deg]
             content = rational_content(v for f in row for v in f.values())
             if content != 1:
                 row = [{a: int(v / content) for a, v in f.items()} for f in row]

@@ -2,15 +2,15 @@
 
 import sys
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from arrops.arrangement import _TERM_RE, Arrangement
-from arrops.diffop import DiffOp, power_of_derivation
+from arrops.diffop import DiffOp
 from arrops.errors import DimensionMismatch, NotCentral, ParseError, ZeroForm
 from arrops.extension import FlatProfile
 from arrops.flats import Flat1
 from arrops.linalg import echelon_int, nullspace_int, rank_int
-from arrops.polynomial import MultiIndex, Poly, form_product, midx_add, midx_factorial, monomials_of_degree, primitive_int_vector, s_dim
+from arrops.polynomial import MultiIndex, Poly, form_product, grlex_key, midx_add, midx_factorial, monomials_of_degree, primitive_int_vector, rational_content, s_dim
 from arrops.verify import _Kernels, _Planes
 
 
@@ -70,6 +70,58 @@ def apply(theta: DiffOp, f: Poly) -> Poly:
     for a, coeff in theta.coeffs.items():
         out = out + coeff * partial(f, a)
     return out
+
+
+def add_ops(theta: DiffOp, eta: DiffOp) -> DiffOp:
+    """theta + eta, coefficient by coefficient (``DimensionMismatch`` from
+    ``DiffOp`` when their variable counts or orders differ)."""
+    out = dict(theta.coeffs)
+    for a, f in eta.coeffs.items():
+        out[a] = out[a] + f if a in out else f
+    return DiffOp(theta.nvars, theta.order, out)
+
+
+def mul_poly(theta: DiffOp, p: Poly) -> DiffOp:
+    """Every coefficient of theta times p."""
+    return DiffOp(theta.nvars, theta.order, {a: f * p for a, f in theta.coeffs.items()})
+
+
+def normalized_primitive(theta: DiffOp) -> DiffOp:
+    """Canonical scaling: ``int`` coefficients, joint content 1, the grlex
+    leading coefficient (largest multi-index, then largest monomial) > 0;
+    the same for every nonzero constant multiple of the operator."""
+    if theta.is_zero():
+        return theta
+    c = rational_content(v for f in theta.coeffs.values() for v in f.terms.values())
+    num, den = c.numerator, c.denominator
+    lead = theta.coeffs[max(theta.coeffs, key=grlex_key)]
+    if lead.terms[lead.leading_monomial()] < 0:
+        num = -num
+    # v * den / num is an integer for every coefficient v, so // is exact
+    return DiffOp(theta.nvars, theta.order, {a: Poly(f.nvars, {k: v * den // num for k, v in f.terms.items()}) for a, f in theta.coeffs.items()})
+
+
+def partial_op(nvars: int, a: MultiIndex, coeff: Poly | int | Fraction = 1) -> DiffOp:
+    """coeff * d^a; ``partial_op(l, (0,) * l)`` is the identity."""
+    f = coeff if isinstance(coeff, Poly) else Poly.constant(nvars, coeff)
+    return DiffOp(nvars, sum(a), {tuple(a): f})
+
+
+def power_of_derivation(coeffs, k: int) -> DiffOp:
+    """(sum c_i d_i)^k in len(coeffs) variables, expanded."""
+    return tuple_product_op([(1, (), [coeffs] * k)], len(coeffs), k)
+
+
+def euler_op(m: int, nvars: int) -> DiffOp:
+    """The order-m Euler operator sum (m!/a!) x^a d^a over |a| = m, which acts
+    on a homogeneous polynomial of degree d as multiplication by the falling
+    factorial d(d-1)...(d-m+1); a member of every central arrangement's module."""
+    unit = [tuple(int(i == k) for k in range(nvars)) for i in range(nvars)]
+    terms = []
+    for a in monomials_of_degree(nvars, m):
+        factors = [unit[i] for i, e in enumerate(a) for _ in range(e)]
+        terms.append((factorial(m) // midx_factorial(a), factors, factors))
+    return tuple_product_op(terms, nvars, m)
 
 
 def coordinate_forms(flat: Flat1) -> list[Poly]:
@@ -263,7 +315,7 @@ def convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple
     total = DiffOp(nvars, op2.order)
     for a, g in op2.coeffs.items():
         const = compose_constant(power_of_derivation(duals[0], a[0]), power_of_derivation(duals[1], a[1]))
-        total = total + const.mul_poly(substitute(g, images))
+        total = add_ops(total, mul_poly(const, substitute(g, images)))
     return total
 
 
@@ -275,7 +327,9 @@ def saito_matrix(ops: list[DiffOp]) -> list[list[Poly]]:
 
 
 def tuple_product_op(terms, nvars: int, order: int) -> DiffOp:
-    """``product_op`` on exponent tuples: each term's two ``form_product``s,
+    """Sum over terms (c, forms, derivations) of c * (product of the linear
+    forms) * (product of the constant derivations), all given by coefficient
+    vectors, on exponent tuples: each term's two ``form_product``s,
     accumulated per multi-index, no packed key outside ``form_product``."""
     out: dict[MultiIndex, dict[MultiIndex, int | Fraction]] = {}
     for c, forms, derivs in terms:
@@ -293,8 +347,8 @@ def tuple_basis_json(fb) -> list[dict]:
     (``mul_poly``) and printed with ``Poly.text``."""
     out = []
     for op, degree, provenance in zip(fb.factored, fb.degrees, fb.provenance):
-        core = tuple_product_op(op.terms, op.nvars, op.order).normalized_primitive()
-        theta = core.mul_poly(form_product(op.cofactor, op.nvars))
+        core = normalized_primitive(tuple_product_op(op.terms, op.nvars, op.order))
+        theta = mul_poly(core, form_product(op.cofactor, op.nvars))
         out.append({"degree": degree, "provenance": provenance, "terms": [[list(a), f.text()] for a, f in theta.sorted_coeffs()]})
     return out
 

@@ -150,6 +150,26 @@ def test_negative_max_degree_is_user_error(capsys):
         assert f"--max-degree must be >= 0, got {degree}" in err, command
 
 
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [(["nonsense"], "'nonsense'"), (["basis", "--m", "x", "x1", "x2", "x3"], "--m"), (["basis", "x1", "x2", "x3"], "--m"), (["--help"], None)],
+    ids=["unknown-command", "non-integer-order", "missing-order", "help"],
+)
+def test_usage_errors_are_user_errors(capsys, argv, named):
+    # argparse's usage errors exit 1 with an "error:" line, like every other
+    # user error, not 2, the verification-failure code; --help exits 0
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    if named is None:
+        assert code == 0 and captured.out.startswith("usage: arrops")
+    else:
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err and "\n" not in captured.err[:-1]
+
+
 def test_dimension_one_is_user_error(capsys, tmp_path):
     path = tmp_path / "line.json"
     path.write_text('{"l": 1, "hyperplanes": [[1]]}', encoding="utf-8")

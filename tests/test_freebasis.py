@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import random_essential
-from reference import apply, localization, localization_indices, off_flat_product
+from reference import add_ops, apply, euler_op, localization, localization_indices, mul_poly, normalized_primitive, off_flat_product, partial_op, power_of_derivation, tuple_product_op
 
 from arrops import extension, freebasis
 from arrops.arrangement import Arrangement, Hyperplane, arrangement_from_json, parse_arrangement
-from arrops.diffop import FactoredOp, euler_op, identity_op, partial_op, product_op
+from arrops.diffop import FactoredOp
 from arrops.errors import BadOrder, NotEssential, SolveFailed, ZeroForm
 from arrops.exponents import exp_2arr, exp_for_arrangement
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
@@ -36,7 +36,7 @@ def arr2(text):
 
 def test_basis_2arr_order_zero():
     ops = build_basis(arr2("x1; x2"), 0).operators
-    assert ops == (identity_op(2),)
+    assert ops == (partial_op(2, (0, 0)),)
 
 
 def test_basis_2arr_triple_line_order_one():
@@ -144,7 +144,7 @@ def test_pencil_basis_expressed_in_ambient_ring(quad_arr):
 def test_pencil_basis_skew_flat(quad_arr):
     flat = quad_arr.lattice.flats[3]  # direction (1,1,0), planes x3 and x1-x2
     ops = pencil_block(quad_arr, flat, 0)
-    assert ops == [identity_op(3)]
+    assert ops == [partial_op(3, (0, 0, 0))]
     local = localization(quad_arr, flat.direction)
     for op in pencil_block(quad_arr, flat, 1):
         assert is_member(op, local)
@@ -209,8 +209,6 @@ def test_basis_3arr_stacked_given_extension(quad_arr):
 def test_cross_flat_annihilation(quad_arr):
     # for distinct flats X != Y the direction power of X kills the Y summand
     # seeds: delta_X^(m - i_X) (P_Y * f) = 0 for every monomial f of degree i_Y
-    from arrops.diffop import power_of_derivation
-
     for m, forms in [(2, None), (3, ["x1+x2"])]:
         ext = extend(quad_arr, m, hyperplanes_from_forms(forms) if forms else None)
         profiles = flat_profiles(ext)
@@ -326,17 +324,17 @@ QUAD = "x1; x2; x3; x1-x2"
 )
 def test_build_basis_output_bytes(arr, m, digest):
     # digests of the rational-frame bases: the integer frame scales each
-    # operator by a constant that normalized_primitive must remove
+    # operator by a constant that the core's normalization must remove
     fb = build_basis(arr, m)
     payload = json.dumps(fb.to_json(), sort_keys=True) + json.dumps(fb.saito.to_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
     # each operator is its cofactor times its core, normalized already: by
     # Gauss's lemma and grlex, P * normalized(theta') = normalized(P * theta')
     for op in fb.factored:
-        assert op.core.normalized_primitive() == op.core
-        assert op.op == op.core.mul_poly(form_product(op.cofactor, arr.dim))
+        assert normalized_primitive(op.core) == op.core
+        assert op.op == mul_poly(op.core, form_product(op.cofactor, arr.dim))
         whole = [(c, op.cofactor + fs, ds) for c, fs, ds in op.terms]
-        assert op.op == product_op(whole, arr.dim, m).normalized_primitive()
+        assert op.op == normalized_primitive(tuple_product_op(whole, arr.dim, m))
 
 
 def test_basis_nonessential_empty():
@@ -415,7 +413,7 @@ def test_pairing_matrix_is_apolar_dot_product(quad_arr):
     for m in (2, 3):  # extend(quad, m) needs m >= n - 2
         pair = dual_pair(extend(quad_arr, m))
         etas = pair.dual_operators
-        mixed = tuple(eta + etas[(i + 1) % len(etas)].mul_poly(Poly.constant(3, i + 2)) for i, eta in enumerate(etas))
+        mixed = tuple(add_ops(eta, mul_poly(etas[(i + 1) % len(etas)], Poly.constant(3, i + 2))) for i, eta in enumerate(etas))
         for ops in (etas, mixed):
             probe = DualPair(pair.basis_polys, ops, pair.labels)
             expected = [[apply(eta, b).constant_value() for b in pair.basis_polys] for eta in ops]

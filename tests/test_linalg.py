@@ -3,11 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from reference import compose_constant, saito_matrix
+from reference import compose_constant, mul_poly, power_of_derivation, saito_matrix
 
 from arrops import verify
 from arrops.arrangement import parse_arrangement
-from arrops.diffop import DiffOp, power_of_derivation
+from arrops.diffop import DiffOp
 from arrops.linalg import (
     det_cofactor,
     det_int,
@@ -150,12 +150,12 @@ def quad_display_basis():
     """The six order-2 summand generators of the quad arrangement, written out."""
     d3sq = power_of_derivation((0, 0, 1), 2)
     ops = [
-        d3sq.mul_poly(x3),
-        compose_constant(DiffOp(3, 1, {(1, 0, 0): x1, (0, 1, 0): x2}), power_of_derivation((0, 0, 1), 1)).mul_poly(x3),
-        compose_constant(DiffOp(3, 1, {(0, 1, 0): x2 * (x1 - x2)}), power_of_derivation((0, 0, 1), 1)).mul_poly(x3),
+        mul_poly(d3sq, x3),
+        mul_poly(compose_constant(DiffOp(3, 1, {(1, 0, 0): x1, (0, 1, 0): x2}), power_of_derivation((0, 0, 1), 1)), x3),
+        mul_poly(compose_constant(DiffOp(3, 1, {(0, 1, 0): x2 * (x1 - x2)}), power_of_derivation((0, 0, 1), 1)), x3),
         DiffOp(3, 2, {(0, 2, 0): x2 * (x1 - x2)}),
         DiffOp(3, 2, {(2, 0, 0): x1 * (x1 - x2)}),
-        power_of_derivation((1, 1, 0), 2).mul_poly(x1 * x2),
+        mul_poly(power_of_derivation((1, 1, 0), 2), x1 * x2),
     ]
     return ops
 

@@ -23,6 +23,7 @@ from conftest import random_essential
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (
+    add_ops,
     apply,
     base_off_flat_product,
     compose_constant,
@@ -30,11 +31,15 @@ from reference import (
     convert_2var_op,
     coordinate_forms,
     eager_oracle_dims,
+    euler_op,
     every_kernel,
     localization,
+    mul_poly,
+    normalized_primitive,
     off_flat_product,
     oracle_dim_direct,
     parse_linear_form_loop,
+    partial_op,
     product_kernels,
     rational_primitive_vector,
     saito_matrix,
@@ -44,7 +49,7 @@ from reference import (
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement, parse_linear_form
 from arrops.cli import emit_report
-from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op, product_op
+from arrops.diffop import DiffOp, FactoredOp, _packed_terms, _unpacked
 from arrops.errors import ArropsError, NotDivisible, NotMember, SaitoFailed, ZeroForm
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.flats import Flat1
@@ -99,7 +104,7 @@ def test_alpha_times_operator_is_member(l, order, degree, data):
     normal = data.draw(normals(l))
     theta = data.draw(operators(l, order, degree))
     h = Hyperplane(normal)
-    assert is_member(theta.mul_poly(form_product([h.normal], l)), Arrangement(l, [h]))
+    assert is_member(mul_poly(theta, form_product([h.normal], l)), Arrangement(l, [h]))
 
 
 def unit(l, i):
@@ -120,7 +125,8 @@ def test_form_product_matches_poly_multiplication(l, data):
 @given(st.sampled_from([2, 3]), st.integers(0, 3), st.data())
 def test_product_op_matches_operator_algebra(l, order, data):
     # the reference multiplies linear polynomials with Poly.__mul__ and
-    # composes order-1 operators, where product_op expands both products
+    # composes order-1 operators, where _packed_terms expands both products
+    # on packed keys in one radix above every form count
     vectors = st.lists(small, min_size=l, max_size=l)
     terms = data.draw(
         st.lists(
@@ -133,18 +139,19 @@ def test_product_op_matches_operator_algebra(l, order, data):
         x = Poly.constant(l, c)
         for f in forms:
             x = x * Poly(l, {unit(l, i): v for i, v in enumerate(f)})
-        d = identity_op(l)
+        d = partial_op(l, (0,) * l)
         for v in derivs:
             d = compose_constant(d, DiffOp(l, 1, {unit(l, i): Poly.constant(l, w) for i, w in enumerate(v)}))
-        expected = expected + d.mul_poly(x)
-    assert product_op(terms, l, order) == expected
+        expected = add_ops(expected, mul_poly(d, x))
+    radix = max((len(forms) for _, forms, _ in terms), default=0) + 1
+    assert _unpacked(_packed_terms(terms, l, order, radix), l, order, radix) == expected
 
 
 @given(st.integers(0, 4), st.sampled_from([1, 2, 3]))
 def test_euler_op_is_its_sum_of_terms(m, l):
     expected = DiffOp(l, m)
     for a in monomials_of_degree(l, m):
-        expected = expected + partial_op(l, a, Poly(l, {a: factorial(m) // midx_factorial(a)}))
+        expected = add_ops(expected, partial_op(l, a, Poly(l, {a: factorial(m) // midx_factorial(a)})))
     assert euler_op(m, l) == expected
 
 
@@ -157,11 +164,11 @@ def membership_cases(draw):
     arr = Arrangement(l, [Hyperplane(v) for v in draw(st.lists(normals(l), min_size=1, max_size=3, unique=True))])
     order = draw(st.integers(1, 3))
     degree = draw(st.integers(0, 2))
-    theta = draw(operators(l, order, degree)).mul_poly(arr.defining_polynomial())
+    theta = mul_poly(draw(operators(l, order, degree)), arr.defining_polynomial())
     g = Poly(l, {c: draw(small) for c in monomials_of_degree(l, degree + arr.n - order)})
-    theta = theta + euler_op(order, l).mul_poly(g)
+    theta = add_ops(theta, mul_poly(euler_op(order, l), g))
     if draw(st.booleans()):
-        theta = theta + draw(operators(l, order, draw(st.integers(0, 3))))
+        theta = add_ops(theta, draw(operators(l, order, draw(st.integers(0, 3)))))
     return theta, arr
 
 
@@ -191,7 +198,7 @@ def test_saito_check_rejects_a_non_member_summand(key, data):
     psi = data.draw(operators(3, key[1], fb.degrees[k]))
     assume(not member_by_definition(psi, arr))
     ops = list(fb.operators)
-    ops[k] = ops[k] + psi
+    ops[k] = add_ops(ops[k], psi)
     with pytest.raises(NotMember, match=f"operator {k} is not a member"):
         saito_check(ops, arr)
 
@@ -291,7 +298,7 @@ def test_frame_blocks_match_reference_conversion(arr, data):
         lines.append(primitive_int_vector(cy[:2]))
     ops2 = basis_2arr_lines(lines, j)
     saito_check(ops2, Arrangement(2, [Hyperplane(line) for line in lines]))
-    expected = [convert_2var_op(op2, forms[:2], duals[:2]).normalized_primitive() for op2 in ops2]
+    expected = [normalized_primitive(convert_2var_op(op2, forms[:2], duals[:2])) for op2 in ops2]
     fb = build_basis(localization(arr, flat.direction), j)
     assert [op for op, p in zip(fb.operators, fb.provenance) if p["j"] == j] == expected
 
@@ -574,7 +581,7 @@ def test_packed_basis_output_matches_the_tuple_path(arr, m):
     for entry, expected in zip(ours, theirs):
         assert entry == expected
     for op in fb.factored:
-        assert op.core == tuple_product_op(op.terms, op.nvars, op.order).normalized_primitive()
+        assert op.core == normalized_primitive(tuple_product_op(op.terms, op.nvars, op.order))
 
 
 @cache

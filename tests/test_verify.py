@@ -5,11 +5,11 @@ from itertools import product
 
 import pytest
 from conftest import random_essential
-from reference import global_etas, oracle_dim_direct, saito_matrix
+from reference import euler_op, global_etas, mul_poly, oracle_dim_direct, partial_op, saito_matrix
 
 from arrops import freebasis, verify
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
-from arrops.diffop import DiffOp, FactoredOp, euler_op, identity_op, partial_op
+from arrops.diffop import DiffOp, FactoredOp
 from arrops.errors import DimensionMismatch, IdentityViolated, NotMember, NotPurePower, ZeroDet
 from arrops.extension import extend, hyperplanes_from_forms
 from arrops.freebasis import basis_2arr_lines, basis_3arr, basis_nonessential, build_basis
@@ -114,7 +114,7 @@ def test_dimension_mismatch(quad_arr):
     with pytest.raises(DimensionMismatch, match="operator has 2 variables, the arrangement 3"):
         is_member(partial_op(2, (1, 0)), quad_arr)
     with pytest.raises(DimensionMismatch, match="operator 0 has order 0 in 2 variables, need order 0 in 3"):
-        saito_check([identity_op(2)], quad_arr)
+        saito_check([partial_op(2, (0, 0))], quad_arr)
     # an operator of another order: its rows would read as zero columns
     ops = list(basis_3arr(quad_arr, 2).operators)
     ops[4] = euler_op(1, 3)
@@ -244,8 +244,8 @@ def test_certificate_matches_direct_determinant(quad_arr, boolean_arr, pencil3_a
         for j in range(5):
             _assert_matches_direct_determinant(basis_2arr_lines(lines[:k], j), arr2)
     scaled = list(basis_3arr(quad_arr, 2).operators)
-    scaled[0] = scaled[0].mul_poly(Poly.constant(3, Fraction(3, 2)))
-    scaled[4] = scaled[4].mul_poly(Poly.constant(3, -5))
+    scaled[0] = mul_poly(scaled[0], Poly.constant(3, Fraction(3, 2)))
+    scaled[4] = mul_poly(scaled[4], Poly.constant(3, -5))
     _assert_matches_direct_determinant(scaled, quad_arr)
     rank2 = parse_arrangement("x1 + x3; x2 - x3; x1 + x2", dim=3)
     for arr in (pencil3_arr, rank2):
