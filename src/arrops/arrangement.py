@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -29,8 +28,7 @@ from .linalg import nullspace_int
 from .polynomial import Poly, form_product, int_text, primitive_int_vector, rational_text
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """Hyperplane through the origin, identified by its primitive integer normal."""
 
     normal: tuple[int, ...]

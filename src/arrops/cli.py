@@ -87,7 +87,10 @@ def _load_arrangement(args: argparse.Namespace) -> Arrangement:
     if args.input and args.forms:
         raise ArropsError("give either --input or inline forms, not both")
     if args.input:
-        text = Path(args.input).read_text(encoding="utf-8")
+        try:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.input} is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
     elif args.forms:
         text = "; ".join(args.forms)
     else:

@@ -17,7 +17,6 @@ transcription mistake fails loudly rather than producing a plausible multiset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
@@ -26,11 +25,13 @@ from .errors import BadOrder, IdentityViolated, NotEssential
 from .polynomial import s_dim
 
 
-@dataclass(frozen=True)
 class ExponentMultiset:
     """Sorted multiset of basis degrees for one operator order."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]):
+        self.entries = entries
 
     def __iter__(self):
         return iter(self.entries)

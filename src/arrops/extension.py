@@ -16,23 +16,22 @@ built once per extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arrangement import Arrangement, Hyperplane, parse_forms
 from .errors import BadOrder, DuplicateHyperplane
 from .flats import Flat1
 
 
-@dataclass(frozen=True)
 class ExtendedArrangement:
     """Base arrangement plus the hyperplanes added to reach m + 2 in total."""
 
-    base: Arrangement
-    added: tuple[Hyperplane, ...]
-    condition_a: bool
+    def __init__(self, base: Arrangement, added: tuple[Hyperplane, ...], condition_a: bool):
+        self.base = base
+        self.added = added
+        self.condition_a = condition_a
 
     @cached_property
     def full(self) -> Arrangement:
@@ -57,8 +56,7 @@ class ExtendedArrangement:
         }
 
 
-@dataclass(frozen=True)
-class FlatProfile:
+class FlatProfile(NamedTuple):
     """Flat of the extended arrangement with its order bound and cofactors.
 
     max_order is the number of extended hyperplanes through the flat minus 2.

@@ -46,11 +46,10 @@ frames and pairs it with its dual basis under the apolar pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arrangement import Arrangement
 from .diffop import DiffOp, FactoredOp, Term
@@ -75,15 +74,15 @@ from .polynomial import (
 from .verify import SaitoCertificate, saito_check
 
 
-@dataclass(frozen=True)
 class FreeBasis:
     """Ordered free basis with degrees, provenance tags and a determinant
     certificate; ``to_json`` prints ``factored`` from packed keys, and
     ``operators`` decodes it to ``DiffOp``s on first read."""
 
-    factored: tuple[FactoredOp, ...]
-    provenance: tuple[dict, ...]
-    saito: SaitoCertificate
+    def __init__(self, factored: tuple[FactoredOp, ...], provenance: tuple[dict, ...], saito: SaitoCertificate):
+        self.factored = factored
+        self.provenance = provenance
+        self.saito = saito
 
     @cached_property
     def operators(self) -> tuple[DiffOp, ...]:
@@ -108,8 +107,7 @@ class FreeBasis:
         ]
 
 
-@dataclass(frozen=True)
-class DualPair:
+class DualPair(NamedTuple):
     """Monomial-style basis of the degree-m polynomials and its dual operators."""
 
     basis_polys: tuple[Poly, ...]

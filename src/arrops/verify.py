@@ -71,13 +71,12 @@ calls but the contraction table per (l, m) (``_contraction_table``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count, islice, repeat
 from math import comb, gcd, lcm, prod
 from operator import add, floordiv, getitem, mul, neg
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .arrangement import Arrangement
 from .diffop import DiffOp, FactoredOp
@@ -313,7 +312,6 @@ def is_member(theta: DiffOp, arr: Arrangement) -> bool:
 # -- determinant certificate ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SaitoCertificate:
     """det = c * Q^t witness that a candidate set is a free basis.
 
@@ -322,10 +320,11 @@ class SaitoCertificate:
     drew, which the oracle can reuse for the same arrangement and order.
     """
 
-    c: Fraction
-    t: int
-    arr: Arrangement = field(repr=False)
-    sample: _Planes = field(repr=False, compare=False)
+    def __init__(self, c: Fraction, t: int, arr: Arrangement, sample: _Planes):
+        self.c = c
+        self.t = t
+        self.arr = arr
+        self.sample = sample
 
     @cached_property
     def det(self) -> Poly:
@@ -812,8 +811,7 @@ def _int_pow(point: tuple[int, ...], exp: MultiIndex) -> int:
 # -- Hilbert-series consistency ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Per-degree comparison of oracle dimensions with the free-module prediction."""
 
     rows: tuple[tuple[int, int, int], ...]  # (degree, oracle, predicted)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -225,6 +224,32 @@ def test_malformed_input_exits_without_traceback(tmp_path):
         )
         assert proc.returncode == 1 and proc.stdout == b"", args
         assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr, args
+
+
+@pytest.mark.parametrize(
+    ("data", "offset"),
+    [(b"\xff\xfe x1; x2", 0), ('{"l": 3, "forms": ["x1", "x2", "x3"]}'.encode("utf-16"), 0), (b"x1; x2; \xc3 x3", 8)],
+    ids=["latin-1-bytes", "utf-16-json", "bad-continuation"],
+)
+def test_input_that_is_not_utf8_is_a_user_error(capsys, tmp_path, data, offset):
+    path = tmp_path / "arr.txt"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "lattice", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path} is not UTF-8: ") and err.endswith(f" at byte offset {offset}\n")
+    assert err.count("\n") == 1
+
+
+def test_import_path_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter imports the package and builds the parser without
+    # the stdlib's code-introspection modules, which cost start-up time
+    probe = (
+        "import sys; before = set(sys.modules); import arrops.cli; arrops.cli._make_parser(); "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - before))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.split() == []
 
 
 LONG = "1" * 5000  # more digits than int() reads from a string
@@ -492,7 +517,12 @@ def test_report_prints_ints_past_the_conversion_limit(monkeypatch):
     digits = decimal_digits(big)
     assert len(digits) == 5000
     check = freebasis.saito_check
-    monkeypatch.setattr(freebasis, "saito_check", lambda ops, arr: dataclasses.replace(check(ops, arr), c=Fraction(-big, 7)))
+
+    def with_big_c(ops, arr):
+        cert = check(ops, arr)
+        return verify.SaitoCertificate(Fraction(-big, 7), cert.t, cert.arr, cert.sample)
+
+    monkeypatch.setattr(freebasis, "saito_check", with_big_c)
     result, code = cli.run(cli._make_parser().parse_args("basis --m 2 x1 x2 x3 x1-x2".split()))
     assert code == 0
     assert json.loads(cli.emit_report(result, "json"))["saito"]["c"] == f"-{digits}/7"

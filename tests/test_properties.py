@@ -4,13 +4,16 @@ the closed-form pencil blocks and their frames, the on-demand flat
 cofactors, the integer echelon kernel, the parse/serialize round trip, the
 agreement of the input paths, the dimension oracle and its closed-form
 contraction kernels (spanning the eliminated ones, and equal to the
-primitive products of their factor lists), the closed-form exponents, and
-the orthogonality of the basis and the dual pair across flats, and the
-JSON report printer against ``json.dumps`` (profile ``arrops`` in
-conftest: derandomized, bounded example counts)."""
+primitive products of their factor lists), the closed-form exponents, the
+orthogonality of the basis and the dual pair across flats, the JSON report
+printer against ``json.dumps``, and the CLI's exit codes and output on
+valid and invalid arguments (profile ``arrops`` in conftest: derandomized,
+bounded example counts)."""
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd
@@ -48,6 +51,7 @@ from reference import (
 )
 
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement, parse_linear_form
+from arrops import cli
 from arrops.cli import emit_report
 from arrops.diffop import DiffOp, FactoredOp, _packed_terms, _unpacked
 from arrops.errors import ArropsError, NotDivisible, NotMember, SaitoFailed, ZeroForm
@@ -665,3 +669,57 @@ def test_report_text_prints_a_list_as_json_dumps_does(value):
     # the text format writes a list on one line, as the stdlib's encoder
     # writes it without indent
     assert emit_report({"key": value}, "text") == "key: " + json.dumps(value, sort_keys=True)
+
+
+INPUT = "<input file>"  # stands for the path of a file holding the drawn bytes
+
+
+@st.composite
+def cli_calls(draw):
+    """A CLI argv and the bytes of its ``--input`` file: mostly valid
+    options, inline forms or a file, at times a bogus subcommand, an order
+    or degree below 0, a bad dimension or format, undecodable bytes, or a
+    junk, zero, duplicate or affine form or token put anywhere."""
+    usually = st.sampled_from([True, True, True, True, False])
+    argv = [draw(st.sampled_from(["lattice", "exponents", "basis", "verify", "identities", "oracle", "bogus"]))]
+    if (argv[0] != "lattice") == draw(usually):
+        argv += ["--m", str(draw(st.integers(-1, 4)))]
+    if (argv[0] in ("verify", "oracle")) == draw(usually):
+        argv += ["--max-degree", str(draw(st.integers(-1, 6)))]
+    if not draw(usually):
+        argv += ["--dim", draw(st.sampled_from(["3", "2", "1", "x"]))]
+    if not draw(usually):
+        argv += ["--format", draw(st.sampled_from(["json", "text", "xml"]))]
+    data = b""
+    if draw(usually):
+        forms = ["x1", "x2", "x3", "x1-x2", "x2-x3", "x1+x2+x3", "2*x1-3*x2"]
+        argv += draw(st.lists(st.sampled_from(forms), unique=True, min_size=2, max_size=7))
+    else:
+        argv += ["--input", INPUT]
+        data = draw(st.sampled_from([b"x1; x2; x3; x1-x2", b'{"l": 2, "forms": ["x1", "x2"]}']) | st.binary(max_size=40))
+    if not draw(usually):
+        junk = ["x1", "0", "x1-x1", "x1+1", "x0", "x4", "1/0*x1", "x1+", "--bogus", "-x", "--m"]
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(junk)))
+    return argv, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls())
+def test_cli_exits_0_with_a_report_or_1_with_an_error_line(tmp_path_factory, call):
+    # every argv either prints a report (JSON that parses, unless the text
+    # format was asked for) and exits 0, or prints nothing on stdout and an
+    # "error:" line on stderr and exits 1; no exception escapes main
+    argv, data = call
+    path = tmp_path_factory.getbasetemp() / "cli_input"
+    path.write_bytes(data)
+    argv = [str(path) if token == INPUT else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1), (argv, code, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == ""
+        if "text" not in argv:
+            json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:"), (argv, err.getvalue())
