@@ -158,9 +158,10 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         return out, 0
     d_max = args.max_degree if args.max_degree is not None else max(basis.exponents) + 2
     report = hilbert_check(arr, args.m, basis.exponents, d_max, basis.saito.sample)
-    table = report.to_json()
-    out["oracle"], out["oracle_table"] = table["verdict"], table["table"]
-    return out, 0 if report.consistent else VERIFICATION_ERROR
+    consistent = report.consistent
+    out["oracle"] = "consistent" if consistent else "inconsistent"
+    out["oracle_table"] = [{"d": d, "dim": dim, "predicted": pred} for d, dim, pred in report.rows]
+    return out, 0 if consistent else VERIFICATION_ERROR
 
 
 _quote = json.encoder.encode_basestring_ascii

@@ -106,7 +106,7 @@ Factor = Sequence[int | Fraction]
 Term = tuple[int | Fraction, Iterable[Factor], Iterable[Factor]]
 
 
-def _packed_terms(terms: Iterable[Term], nvars: int, order: int, radix: int) -> Packed:
+def _packed_terms(terms: Iterable[Term], order: int, radix: int) -> Packed:
     """Sum over terms (c, forms, derivations) of c * (product of the forms) *
     (product of the derivations), packed, monomial keys in ``radix`` (above
     every form count); no zero value and no empty coefficient.  Constant
@@ -168,7 +168,7 @@ class FactoredOp:
 
     @cached_property
     def packed(self) -> Packed:
-        packed = _packed_terms(self.terms, self.nvars, self.order, self.radix)
+        packed = _packed_terms(self.terms, self.order, self.radix)
         if not packed:
             return packed
         content = rational_content(v for f in packed.values() for v in f.values())

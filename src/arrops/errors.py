@@ -27,7 +27,8 @@ class ZeroForm(ParseError, ValueError):
 
 
 class DuplicateHyperplane(ArropsError):
-    """The same hyperplane (after normalization) appeared twice."""
+    """The same hyperplane (after normalization) appeared twice, as do
+    proportional lines given to ``freebasis.basis_2arr_lines``."""
 
 
 class BadOrder(ArropsError):
@@ -36,10 +37,6 @@ class BadOrder(ArropsError):
 
 class NotEssential(ArropsError):
     """Operation requires an essential arrangement (normals of full rank)."""
-
-
-class SolveFailed(ArropsError):
-    """A pencil basis was asked for on a line arrangement with repeated lines."""
 
 
 class SaitoFailed(ArropsError):

@@ -43,19 +43,16 @@ class Flat1(NamedTuple):
         rows, p = pivot_rows(self.direction)
         return [*rows, tuple(int(k == p) for k in range(self.dim))], self.direction[p]
 
-    def integer_frame(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], Fraction]:
-        """Rows of M' = v_p * (coordinate forms), columns of adj(M') and
-        v_p / det M'.  In dimension 3 column i is row i+1 x row i+2 (indices
-        mod 3); in dimension 2, for rows (a, b) and (c, d), the columns are
-        (d, -c) and (-b, a).  Row k times column i is det M' * delta_ik, so
-        column i times v_p / det M' is dual to form i."""
-        rows, vp = self.integer_rows()
+    def integer_frame(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Rows of M' = v_p * (coordinate forms) and columns of adj(M').  In
+        dimension 3 column i is row i+1 x row i+2 (indices mod 3); in
+        dimension 2, for rows (a, b) and (c, d), the columns are (d, -c) and
+        (-b, a).  Row k times column i is det M' * delta_ik, so column i
+        times v_p / det M' is dual to form i."""
+        rows, _ = self.integer_rows()
         if len(rows) == 2:
-            cols = [(rows[1][1], -rows[1][0]), (-rows[0][1], rows[0][0])]
-        else:
-            cols = [_cross(rows[(i + 1) % 3], rows[(i + 2) % 3]) for i in range(3)]
-        det = sum(a * b for a, b in zip(rows[0], cols[0]))
-        return rows, cols, Fraction(vp, det)
+            return rows, [(rows[1][1], -rows[1][0]), (-rows[0][1], rows[0][0])]
+        return rows, [_cross(rows[(i + 1) % 3], rows[(i + 2) % 3]) for i in range(3)]
 
     def to_json(self) -> dict:
         """The frame's rows over v_p (kernel forms, then the section) as

@@ -26,20 +26,20 @@ basis flat by flat: an essential 3-arrangement over the flats of its
 extension, one of rank <= 2 from its single flat (the last common kernel
 vector, through every plane, (0, 0, 1) at rank 0; order cap m,
 cofactor 1), and a 2-arrangement as one block in the identity frame
-(``basis_2arr_lines`` returns that block uncertified).  The terms are
-written in the flat's integer frame (``Flat1.integer_frame``: its first
-two forms for the kernel coordinates, their adjugate columns for d_y1,
-d_y2), take m-j copies of delta_X as further factors and P_X's normals
-as the cofactor, and ``diffop.FactoredOp`` multiplies the terms out once.
-The frame scales an operator by a nonzero constant that its core's one
-normalization removes.  Every basis reaches the certificate
-(``verify.saito_check``: every operator is a member at every hyperplane,
-then one integer determinant at one point) as factor lists
-(``diffop.FactoredOp``), which reads only the packed cores and P_X's
-normals.  ``FreeBasis.to_json`` multiplies each core by P_X on packed keys
-and prints those keys (``FactoredOp.to_json``); ``FreeBasis.operators``
-decodes the operators to tuple-keyed ``DiffOp``s on first read, for tests
-and demos.  ``dual_pair``
+(``basis_2arr_lines`` decodes that certified basis from raw lines).  The
+terms are written in the flat's integer frame (``Flat1.integer_frame``:
+its first two forms for the kernel coordinates, their adjugate columns
+for d_y1, d_y2), take m-j copies of delta_X as further factors and P_X's
+normals as the cofactor, and ``diffop.FactoredOp`` multiplies the terms
+out once.  The frame scales an operator by a nonzero constant that its
+core's one normalization removes.  Every basis the library returns
+reaches the certificate (``verify.saito_check``: every operator is a
+member at every hyperplane, then one integer determinant at one point)
+as factor lists (``diffop.FactoredOp``), which reads only the packed
+cores and P_X's normals.  ``FreeBasis.to_json`` multiplies each core by
+P_X on packed keys and prints those keys (``FactoredOp.to_json``), which
+is what ``basis`` prints; ``FreeBasis.operators`` decodes the operators to
+tuple-keyed ``DiffOp``s on first read, for tests and demos.  ``dual_pair``
 builds a basis of the degree-m polynomials from the same flats' integer
 frames and pairs it with its dual basis under the apolar pairing.
 """
@@ -51,15 +51,9 @@ from functools import cached_property
 from math import factorial, lcm
 from typing import NamedTuple, Sequence
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Hyperplane
 from .diffop import DiffOp, FactoredOp, Term
-from .errors import (
-    BadOrder,
-    IdentityViolated,
-    NotEssential,
-    SaitoFailed,
-    SolveFailed,
-)
+from .errors import BadOrder, IdentityViolated, NotEssential, SaitoFailed
 from .extension import ExtendedArrangement, FlatProfile, extend
 from .flats import Flat1
 from .linalg import echelon_int
@@ -159,13 +153,10 @@ def _pencil_terms(lines: Sequence[Line], j: int, forms: Frame, derivs: Frame) ->
 
 
 def basis_2arr_lines(lines: Sequence[Sequence[int | Fraction]], j: int) -> list[DiffOp]:
-    """Free basis of the order-j module of a 2-variable line arrangement,
-    normalized, not certified; degrees follow the two-variable exponent
-    formula.  Lines are made primitive, so proportional lines are repeated."""
-    lines = [primitive_int_vector(line) for line in lines]
-    if len(set(lines)) != len(lines):
-        raise SolveFailed("line arrangement has repeated lines")
-    return [FactoredOp(2, j, (), terms).op for terms in _pencil_terms(lines, j, IDENTITY, IDENTITY)]
+    """The certified free basis of the order-j module of a 2-variable line
+    arrangement (``build_basis``), decoded.  Lines are made primitive, so
+    proportional lines are repeated and raise ``DuplicateHyperplane``."""
+    return list(build_basis(Arrangement(2, map(Hyperplane.make, lines)), j).operators)
 
 
 def _pencil_lines(arr: Arrangement, flat: Flat1) -> tuple[list[Line], Frame, Frame]:
@@ -174,7 +165,7 @@ def _pencil_lines(arr: Arrangement, flat: Flat1) -> tuple[list[Line], Frame, Fra
     flat's kernel coordinates, with the frame of those coordinates: the
     first two integer forms of ``Flat1.integer_frame`` and their adjugate
     columns."""
-    forms, duals, _ = flat.integer_frame()
+    forms, duals = flat.integer_frame()
     lines = []
     for i in flat.local_indices:
         if i >= arr.n:

@@ -12,7 +12,9 @@
   relations have closed forms), ``rank_int`` the dimension oracle,
   and ``dual_pair`` inverts with ``echelon_int``.
   ``det_int`` is a Bareiss determinant for the determinant certificate.
-- Polynomials: ``det_poly_matrix``, the tests' reference determinant.
+- Polynomials: ``det_poly_matrix``, the tests' reference determinant, one
+  Bareiss elimination at every size, and ``det_cofactor``, the Laplace
+  expansion that the tests check it against.
 
 Everything here is deterministic: columns are processed in the order given
 (callers fix column semantics, typically graded-lex on multi-indices), and
@@ -245,10 +247,10 @@ def det_poly_matrix(matrix: list[list[Poly]]) -> Poly:
     """Exact determinant of a square polynomial matrix (test-side reference
     for ``verify.saito_check``, which never expands a determinant).
 
-    Sizes up to 4 use cofactor expansion; larger matrices use fraction-free
-    (Bareiss) elimination, whose intermediate entries are minors of the
-    input, with the rational content of each row stripped up front and
-    restored at the end.
+    Fraction-free (Bareiss) elimination at every size, whose intermediate
+    entries are minors of the input, with the rational content of each row
+    stripped up front and restored at the end.  ``det_cofactor`` is the
+    tests' independent check of it.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -256,9 +258,6 @@ def det_poly_matrix(matrix: list[list[Poly]]) -> Poly:
     if n == 0:
         raise ValueError("empty matrix")
     nvars = matrix[0][0].nvars
-    if n <= 4:
-        return det_cofactor(matrix)
-
     scale = Fraction(1)
     work: list[list[Poly]] = []
     for row in matrix:

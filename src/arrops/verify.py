@@ -42,8 +42,9 @@ alone, spanned by the products of m derivations along H, and the line of
 delta_X^m at a flat X of two or more planes.  Both are built in closed
 form from powers of each form, with no primitive pass, and checked against
 the rows, not eliminated (proofs in ``_oracle``); each is built and checked
-on first read, so only the kernels that enter a rank are built, and
-dim K_p is taken from the proof, not from a built kernel.
+on first read and kept on the sample (``_Planes.kernel``), so only the
+kernels that enter a rank are built, and dim K_p is taken from the proof,
+not from a built kernel.
 Since every plane holds enough distinct points, a degree-d form vanishing
 at all points is a multiple of Q, so evaluation has kernel Q * S_(d-n) and
 the free part is unchanged.  The dimension is
@@ -65,8 +66,9 @@ are counted.  The oracle's eliminations are integer only
 (``linalg.echelon_int``): the hyperplane bases are integer, from the
 flats' pivot rule, and the dimension comes from one integer rank.
 ``oracle_dims`` answers every degree up to d_max in one call and builds
-each kernel and the sample's flats at most once; nothing is cached across
-calls but the contraction table per (l, m) (``_contraction_table``).
+each kernel and the sample's flats at most once per sample; nothing is
+cached across calls but the contraction table per (l, m)
+(``_contraction_table``) and what a sample handed from call to call holds.
 """
 
 from __future__ import annotations
@@ -122,11 +124,12 @@ class _Planes:
     degree, built on first read and kept here only: the point groups
     (``points``), which the oracle reads, and the values of the monomials
     at each point (``table``), which only the membership test reads.
-    ``points`` evaluates nothing.
+    ``points`` evaluates nothing.  Per tuple of planes through a point, built
+    on first read and kept: the oracle's contraction kernel (``kernel``).
     """
 
     def __init__(self, arr: Arrangement, m: int):
-        self.l, self.m = arr.dim, m
+        self.arr, self.l, self.m = arr, arr.dim, m
         self.normals = [h.normal for h in arr]
         self.contraction = [_contraction_rows(v, m) for v in self.normals]
         self.basis = [[primitive_int_vector(row) for row in pivot_rows(v)[0]] for v in self.normals]
@@ -140,6 +143,7 @@ class _Planes:
         self.fill = [self._fill(i) for i in range(len(self.normals))]
         self.groups: dict[int, list[tuple[list[tuple[int, ...]], tuple[int, ...]]]] = {}
         self.tables: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
+        self.kernels: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def points(self, d: int) -> list[tuple[list[tuple[int, ...]], tuple[int, ...]]]:
         """Distinct projective points, at least s_dim(d, l-1) of them on every
@@ -210,6 +214,53 @@ class _Planes:
                 if b is not None:
                     return j, monomials_of_degree(self.l, self.m - 1)[b]
         return None
+
+    def kernel(self, planes: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The oracle's contraction kernel at a point through ``planes``, in
+        closed form (proofs in ``_oracle``): K_H at (i,), K_X at the planes
+        of a flat of two or more.  Built on first read and kept, and each of
+        its vectors is checked against the contraction rows of every plane
+        it serves before it is returned.
+
+        Constant derivations multiply like the linear forms with the same
+        vectors, so the powers w^0..w^m of each basis vector w of a plane are
+        built once per key (``packed_powers``, radix m + 1).  Each K_H vector
+        is the product of two of them (l = 3) or one (l = 2), written straight
+        into its ``monomials_of_degree`` slots; K_X is the m-th power of the
+        flat's direction.  There is no primitive pass, which rests on exactly
+        this form of the factors: the plane basis vectors (``basis``) and the
+        directions (``Flat1``) are primitive with first nonzero entry
+        positive, a product of primitive forms is primitive (Gauss's lemma),
+        and its first nonzero entry in ``monomials_of_degree`` order (grlex
+        descending) is its leading coefficient, the factors' ones multiplied.
+        """
+        if planes in self.kernels:
+            return self.kernels[planes]
+        l, m, hyperplanes = self.l, self.m, self.arr.hyperplanes
+        slot = packed_index(l, m, m + 1)
+        one = {0: 1}
+
+        def vector(first: dict[int, int], second: dict[int, int] = one) -> tuple[int, ...]:
+            vec = [0] * len(slot)
+            for a, x in first.items():
+                for b, y in second.items():
+                    vec[slot[a + b]] += x * y
+            return tuple(vec)
+
+        if len(planes) == 1:
+            (i,) = planes
+            powers = [packed_powers(w, m, m + 1) for w in self.basis[i]]
+            kernel = [vector(*map(getitem, powers, k)) for k in monomials_of_degree(l - 1, m)]
+            if any(_broken(self.contraction[i], vec) is not None for vec in kernel):
+                raise IdentityViolated(f"contraction kernel of the plane {hyperplanes[i].text()}: a product of derivations along it breaks its contraction rows")
+        else:
+            direction = next(direction for direction, through in self.flats if through == planes)
+            kernel = [vector(packed_powers(direction, m, m + 1)[m])]
+            for i in planes:
+                if _broken(self.contraction[i], kernel[0]) is not None:
+                    raise IdentityViolated(f"contraction kernel at the flat {direction} of {len(planes)} planes: delta_X^{m} breaks the contraction rows of {hyperplanes[i].text()}")
+        self.kernels[planes] = kernel
+        return kernel
 
     def _fill(self, i: int) -> Iterator[tuple[int, ...]]:
         """The points s*u + t*v of plane i, for its integer basis (u, v) and
@@ -462,8 +513,8 @@ def oracle_dim(arr: Arrangement, m: int, d: int) -> int:
 def oracle_dims(arr: Arrangement, m: int, d_max: int, sample: _Planes | None = None) -> list[int]:
     """``oracle_dim(arr, m, d)`` for d = 0..d_max, computing each contraction
     kernel, the flats and the hyperplane bases at most once; ``sample`` is a
-    ``_Planes`` of the same arrangement and order to draw the points from
-    (``SaitoCertificate.sample``), or None to build one."""
+    ``_Planes`` of the same arrangement and order to draw the points and
+    kernels from (``SaitoCertificate.sample``), or None to build one."""
     return _oracle(arr, m, list(range(d_max + 1)), sample)
 
 
@@ -497,13 +548,13 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
       Sym^m: the two spans share the line of w^m, which lies in every
       Sym^m(U_H).
 
-    ``_Kernels`` builds them from each form's powers and needs no primitive
-    pass (Gauss's lemma; proof there).  It builds a key the first time a
-    group whose eta weights are not all zero reads it, so only vectors that
-    enter a rank are built, and it checks every vector against the
-    contraction rows of every plane it serves before it is used (a product,
-    not an elimination); a failure raises ``IdentityViolated`` naming the
-    plane, or the flat and the plane.  The unknowns are counted from the
+    ``_Planes.kernel`` builds them from each form's powers and needs no
+    primitive pass (Gauss's lemma; proof there).  It builds a key the first
+    time a group whose eta weights are not all zero reads it, so only
+    vectors that enter a rank are built, keeps it on the sample, and checks
+    every vector against the contraction rows of every plane it serves
+    before it is used (a product, not an elimination); a failure raises
+    ``IdentityViolated`` naming the plane, or the flat and the plane.  The unknowns are counted from the
     dimensions proven above, s_dim(m, l-1) at a point of one plane and 1 at
     a flat point, without building a kernel.
     """
@@ -514,66 +565,12 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
         return [s_dim(m, l) * s_dim(d, l) for d in degrees]
     if sample is None:
         sample = _Planes(arr, m)
-    elif (sample.normals, sample.m) != ([h.normal for h in arr], m):
+    elif (sample.arr, sample.m) != (arr, m):
         raise ValueError("the sample is of another arrangement or order")
-    kernels = _Kernels(arr, sample)
-    return [_oracle_at(arr, d, sample, kernels) for d in degrees]
+    return [_oracle_at(sample, d) for d in degrees]
 
 
-class _Kernels(dict):
-    """The contraction kernels of ``_oracle``, in closed form, keyed by the
-    planes through a point: K_H at (i,), K_X at the planes of a flat of two
-    or more.  One per call; a key is built on first read (``__missing__``)
-    and kept, and each of its vectors is checked against the contraction
-    rows of every plane it serves before it is returned.
-
-    Constant derivations multiply like the linear forms with the same
-    vectors, so the powers w^0..w^m of each basis vector w of a plane are
-    built once per key (``packed_powers``, radix m + 1).  Each K_H vector is
-    the product of two of them (l = 3) or one (l = 2), written straight into
-    its ``monomials_of_degree`` slots; K_X is the m-th power of the flat's
-    direction.  There is no primitive pass, which rests on exactly this form
-    of the factors: the plane basis vectors (``_Planes.basis``) and the
-    directions (``Flat1``) are primitive with first nonzero entry positive,
-    a product of primitive forms is primitive (Gauss's lemma), and its
-    first nonzero entry in ``monomials_of_degree`` order (grlex descending)
-    is its leading coefficient, the factors' ones multiplied.
-    """
-
-    def __init__(self, arr: Arrangement, sample: _Planes):
-        super().__init__()
-        self.arr, self.sample = arr, sample
-
-    def __missing__(self, planes: tuple[int, ...]) -> list[tuple[int, ...]]:
-        sample, hyperplanes = self.sample, self.arr.hyperplanes
-        l, m = sample.l, sample.m
-        slot = packed_index(l, m, m + 1)
-        one = {0: 1}
-
-        def vector(first: dict[int, int], second: dict[int, int] = one) -> tuple[int, ...]:
-            vec = [0] * len(slot)
-            for a, x in first.items():
-                for b, y in second.items():
-                    vec[slot[a + b]] += x * y
-            return tuple(vec)
-
-        if len(planes) == 1:
-            (i,) = planes
-            powers = [packed_powers(w, m, m + 1) for w in sample.basis[i]]
-            kernel = [vector(*map(getitem, powers, k)) for k in monomials_of_degree(l - 1, m)]
-            if any(_broken(sample.contraction[i], vec) is not None for vec in kernel):
-                raise IdentityViolated(f"contraction kernel of the plane {hyperplanes[i].text()}: a product of derivations along it breaks its contraction rows")
-        else:
-            direction = next(direction for direction, through in sample.flats if through == planes)
-            kernel = [vector(packed_powers(direction, m, m + 1)[m])]
-            for i in planes:
-                if _broken(sample.contraction[i], kernel[0]) is not None:
-                    raise IdentityViolated(f"contraction kernel at the flat {direction} of {len(planes)} planes: delta_X^{m} breaks the contraction rows of {hyperplanes[i].text()}")
-        self[planes] = kernel
-        return kernel
-
-
-def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: _Kernels) -> int:
+def _oracle_at(sample: _Planes, d: int) -> int:
     """Dimension at degree d from the sample's points, grouped by kernel.
 
     Every hyperplane holds s_dim(d, l-1) distinct points, so a degree-d form
@@ -628,7 +625,7 @@ def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: _Kernels) -> 
     so the Kronecker rows, and with them the rank's pivots and work, are
     those of that global solve.
     """
-    l, m = arr.dim, sample.m
+    arr, l, m = sample.arr, sample.l, sample.m
     groups = sample.points(d)
     points = [p for group, _ in groups for p in group]
     relations = len(points) - s_dim(d, l) + s_dim(d - arr.n, l)
@@ -666,7 +663,7 @@ def _oracle_at(arr: Arrangement, d: int, sample: _Planes, kernels: _Kernels) -> 
         if len(block) > 1:
             block = echelon_int(block)[0]
         if any(map(any, block)):
-            rows.extend([wq * wa for wq in e for wa in w] for e in block for w in kernels[planes])
+            rows.extend([wq * wa for wq in e for wa in w] for e in block for w in sample.kernel(planes))
     return free_part + unknowns - rank_int(rows)
 
 
@@ -819,12 +816,6 @@ class OracleReport(NamedTuple):
     @property
     def consistent(self) -> bool:
         return all(dim == pred for _, dim, pred in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "table": [{"d": d, "dim": dim, "predicted": pred} for d, dim, pred in self.rows],
-            "verdict": "consistent" if self.consistent else "inconsistent",
-        }
 
 
 def hilbert_check(arr: Arrangement, m: int, exponents, d_max: int, sample: _Planes | None = None) -> OracleReport:

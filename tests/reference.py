@@ -3,6 +3,7 @@
 import sys
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from operator import mul
 
 from arrops.arrangement import _TERM_RE, Arrangement
 from arrops.diffop import DiffOp
@@ -11,7 +12,7 @@ from arrops.extension import FlatProfile
 from arrops.flats import Flat1
 from arrops.linalg import echelon_int, nullspace_int, rank_int
 from arrops.polynomial import MultiIndex, Poly, form_product, grlex_key, midx_add, midx_factorial, monomials_of_degree, primitive_int_vector, rational_content, s_dim
-from arrops.verify import _Kernels, _Planes
+from arrops.verify import _Planes
 
 
 def partial(f: Poly, a: MultiIndex) -> Poly:
@@ -138,7 +139,8 @@ def dual_derivations(flat: Flat1) -> list[tuple[Fraction, ...]]:
     Rows are coefficient vectors w with (sum w_k d_k)(form_j) = delta_ij;
     the last row always equals the flat direction.
     """
-    _, duals, scale = flat.integer_frame()
+    rows, duals = flat.integer_frame()
+    scale = Fraction(flat.integer_rows()[1], sum(map(mul, rows[0], duals[0])))  # v_p / det M'
     return [tuple(v * scale for v in w) for w in duals]
 
 
@@ -226,13 +228,13 @@ def oracle_dim_direct(arr: Arrangement, m: int, d: int) -> int:
     return ncols - rank_int(int_rows)
 
 
-def every_kernel(arr: Arrangement, sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Every key of the oracle's kernel builder (``verify._Kernels``), read
-    through it in order: K_H at (i,) for every plane, then K_X at the planes
-    of every flat of two or more, each built and checked as on a first read
-    by a rank."""
-    kernels = _Kernels(arr, sample)
-    return {key: kernels[key] for key in [(i,) for i in range(arr.n)] + [planes for _, planes in sample.flats if len(planes) > 1]}
+def every_kernel(sample) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Every key of the sample's kernel builder (``verify._Planes.kernel``),
+    read through it in order: K_H at (i,) for every plane, then K_X at the
+    planes of every flat of two or more, each built and checked as on a
+    first read by a rank."""
+    keys = [(i,) for i in range(sample.arr.n)] + [planes for _, planes in sample.flats if len(planes) > 1]
+    return {key: sample.kernel(key) for key in keys}
 
 
 def global_etas(points: list[tuple[int, ...]], l: int, d: int) -> list[tuple[int, ...]]:
@@ -251,7 +253,7 @@ def eager_oracle_dims(arr: Arrangement, m: int, d_max: int) -> list[int]:
     (``global_etas``) and every group's weight block reduced by
     ``echelon_int``, zero and one-row blocks included."""
     l, sample = arr.dim, _Planes(arr, m)
-    kernels = every_kernel(arr, sample)
+    kernels = every_kernel(sample)
     dims = []
     for d in range(d_max + 1):
         groups = sample.points(d)

@@ -83,14 +83,14 @@ def test_coordinate_system_invertible_and_dual(quad_arr):
                 assert substitute(f, [Poly.constant(flat.dim, c) for c in w]) == Poly.constant(flat.dim, 1 if i == j else 0), (flat, i, j)
         # the last dual derivation is the flat direction itself
         assert duals[-1] == flat.direction
-        # the integer frame: D * forms, and adjugate columns pairing with them
-        # to det M' * delta_ij, with D / det M' the returned scale
-        rows, cols, scale = flat.integer_frame()
+        # the integer frame: D * forms, D = v_p, and adjugate columns pairing
+        # with them to det M' * delta_ij
+        rows, cols = flat.integer_frame()
         assert all(type(v) is int for vec in rows + cols for v in vec)
         den = lcm(*(c.denominator for f in forms for c in f.terms.values()))
         assert [form_product([row], flat.dim) for row in rows] == [f * den for f in forms]
-        det = den / scale
-        assert det.denominator == 1 and det != 0
+        det = sum(a * b for a, b in zip(rows[0], cols[0]))
+        assert den == flat.integer_rows()[1] and det != 0
         for i, col in enumerate(cols):
             for j, row in enumerate(rows):
                 assert sum(a * b for a, b in zip(row, col)) == (det if i == j else 0)

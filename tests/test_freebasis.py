@@ -10,7 +10,7 @@ from reference import add_ops, apply, euler_op, localization, localization_indic
 from arrops import extension, freebasis
 from arrops.arrangement import Arrangement, Hyperplane, arrangement_from_json, parse_arrangement
 from arrops.diffop import FactoredOp
-from arrops.errors import BadOrder, NotEssential, SolveFailed, ZeroForm
+from arrops.errors import BadOrder, DuplicateHyperplane, NotEssential, ZeroForm
 from arrops.exponents import exp_2arr, exp_for_arrangement
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.freebasis import (
@@ -92,13 +92,17 @@ def test_basis_2arr_lines_output_bytes(k, digest):
     # j line operators (1 <= j <= k-1) and one line operator per line of a
     # generic extension (j >= k); their bytes reach every 3-arrangement basis
     lines = _seeded_lines(k)
-    payload = json.dumps([[op.to_json() for op in basis_2arr_lines(lines, j)] for j in range(7)])
+    blocks = [basis_2arr_lines(lines, j) for j in range(7)]
+    # the certified basis of the lines as an arrangement, decoded
+    arr = Arrangement(2, [Hyperplane(line) for line in lines])
+    assert blocks == [list(build_basis(arr, j).operators) for j in range(7)]
+    payload = json.dumps([[op.to_json() for op in ops] for ops in blocks])
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_basis_2arr_lines_are_made_primitive():
     # proportional lines are repeated lines
-    with pytest.raises(SolveFailed, match="repeated lines"):
+    with pytest.raises(DuplicateHyperplane, match="repeated"):
         basis_2arr_lines([(1, 0), (2, 0)], 2)
     # (2, 0) is the line (1, 0), so the generic lines skip it
     ops = basis_2arr_lines([(2, 0), (0, 1)], 3)

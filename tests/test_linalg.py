@@ -137,10 +137,11 @@ def test_det_elimination_matches_cofactor():
                 terms[e] = Fraction(rng.randint(-3, 3))
         return Poly(3, terms)
 
+    # Bareiss elimination, the one algorithm of det_poly_matrix, against
+    # cofactor expansion at 3 rows and at 5
     for _ in range(12):
         m = [[rp() for _ in range(3)] for _ in range(3)]
         assert det_poly_matrix(m) == det_cofactor(m)
-    # exercise the elimination path (> 4 rows) against cofactor expansion
     for _ in range(3):
         m = [[rp() for _ in range(5)] for _ in range(5)]
         assert det_poly_matrix(m) == det_cofactor(m)

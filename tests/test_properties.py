@@ -148,7 +148,7 @@ def test_product_op_matches_operator_algebra(l, order, data):
             d = compose_constant(d, DiffOp(l, 1, {unit(l, i): Poly.constant(l, w) for i, w in enumerate(v)}))
         expected = add_ops(expected, mul_poly(d, x))
     radix = max((len(forms) for _, forms, _ in terms), default=0) + 1
-    assert _unpacked(_packed_terms(terms, l, order, radix), l, order, radix) == expected
+    assert _unpacked(_packed_terms(terms, order, radix), l, order, radix) == expected
 
 
 @given(st.integers(0, 4), st.sampled_from([1, 2, 3]))
@@ -294,7 +294,7 @@ def test_frame_blocks_match_reference_conversion(arr, data):
     flat = data.draw(st.sampled_from(arr.lattice.flats))
     k = len(flat.local_indices)
     j = data.draw(st.integers(0, k + 1))
-    forms, duals, _ = flat.integer_frame()
+    forms, duals = flat.integer_frame()
     lines = []
     for i in flat.local_indices:
         cy = [sum(c * v for c, v in zip(arr.hyperplanes[i].normal, w)) for w in duals]
@@ -540,7 +540,7 @@ def test_closed_form_kernels_span_the_eliminated_ones(arr, m):
     # K_H from derivations along H and K_X = <delta_X^m> against nullspace_int
     # of the plane's contraction rows and of the flat's stacked rows
     sample = _Planes(arr, m)
-    closed, eliminated = every_kernel(arr, sample), contraction_kernels(sample)
+    closed, eliminated = every_kernel(sample), contraction_kernels(sample)
     assert closed.keys() == eliminated.keys()
     for planes, kernel in closed.items():
         assert rank_int(kernel) == len(kernel) == len(eliminated[planes]) == rank_int(kernel + eliminated[planes]), (planes, m)
@@ -552,7 +552,7 @@ def test_kernels_from_shared_powers_equal_the_primitive_products(arr, m):
     # equals the primitive form_product of its factor list: same keys, same
     # order, same tuples
     sample = _Planes(arr, m)
-    assert list(every_kernel(arr, sample).items()) == list(product_kernels(sample).items()), m
+    assert list(every_kernel(sample).items()) == list(product_kernels(sample).items()), m
 
 
 @given(with_multiple_points, st.integers(1, 4))

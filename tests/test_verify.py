@@ -302,10 +302,10 @@ def test_flat_kernel_is_the_line_of_delta_power(monkeypatch):
     kernels = []
     at = verify._oracle_at
 
-    def grouped(arr, d, sample, by_planes):
+    def grouped(sample, d):
         # each group of points with the kernel its unknowns range over
-        kernels.append([(points, by_planes[planes]) for points, planes in sample.points(d)])
-        return at(arr, d, sample, by_planes)
+        kernels.append([(points, sample.kernel(planes)) for points, planes in sample.points(d)])
+        return at(sample, d)
 
     monkeypatch.setattr(verify, "_oracle_at", grouped)
     for normals in PENCILS:
@@ -358,20 +358,22 @@ def test_flat_kernel_off_its_planes_raises(monkeypatch):
 
 
 def record_kernels(monkeypatch, sample):
-    """Record each kernel key the oracle builds and, by plane index, each
-    plane whose contraction rows a kernel vector is checked against."""
+    """Record each kernel key the oracle builds (its first read through
+    ``_Planes.kernel``) and, by plane index, each plane whose contraction
+    rows a kernel vector is checked against."""
     built, checked = [], []
-    missing, broken = verify._Kernels.__missing__, verify._broken
+    kernel, broken = verify._Planes.kernel, verify._broken
 
     def build(self, planes):
-        built.append(planes)
-        return missing(self, planes)
+        if planes not in self.kernels:
+            built.append(planes)
+        return kernel(self, planes)
 
     def check(slots, vec):
         checked.append(next(i for i, rows in enumerate(sample.contraction) if rows is slots))
         return broken(slots, vec)
 
-    monkeypatch.setattr(verify._Kernels, "__missing__", build)
+    monkeypatch.setattr(verify._Planes, "kernel", build)
     monkeypatch.setattr(verify, "_broken", check)
     return built, checked
 
@@ -391,7 +393,7 @@ def test_oracle_builds_the_kernels_of_groups_with_eta_weights(quad_arr, monkeypa
     # nonzero eta weight at some degree; quad's x3 never does at m = 2
     sample = verify._Planes(quad_arr, 2)
     built, checked = record_kernels(monkeypatch, sample)
-    oracle_dims(quad_arr, 2, 6, sample)
+    dims = oracle_dims(quad_arr, 2, 6, sample)
     carriers = set()
     for d in range(7):
         groups = sample.points(d)
@@ -406,6 +408,14 @@ def test_oracle_builds_the_kernels_of_groups_with_eta_weights(quad_arr, monkeypa
     # a flat's one vector against each of its planes, a plane's s_dim(2, 2)
     # vectors against that plane
     assert checked == [i for planes in built for i in (planes if len(planes) > 1 else planes * s_dim(2, 2))]
+    # the sample keeps what it built: a second call on it builds and checks
+    # no kernel, and gives the same dimensions
+    kept = dict(sample.kernels)
+    assert list(kept) == built
+    built.clear()
+    checked.clear()
+    assert oracle_dims(quad_arr, 2, 6, sample) == dims
+    assert built == [] and checked == [] and sample.kernels == kept
 
 
 def test_wrong_plane_kernel_that_enters_a_rank_raises(quad_arr):
