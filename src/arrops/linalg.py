@@ -13,8 +13,8 @@
   and ``dual_pair`` inverts with ``echelon_int``.
   ``det_int`` is a Bareiss determinant for the determinant certificate.
 - Polynomials: ``det_poly_matrix``, the tests' reference determinant, one
-  Bareiss elimination at every size, and ``det_cofactor``, the Laplace
-  expansion that the tests check it against.
+  Bareiss elimination at every size (the tests check it against the
+  Laplace expansion in ``tests/reference.py``).
 
 Everything here is deterministic: columns are processed in the order given
 (callers fix column semantics, typically graded-lex on multi-indices), and
@@ -227,30 +227,14 @@ def det_int(matrix: list[list[int]]) -> int:
 # -- determinants of polynomial matrices --------------------------------
 
 
-def det_cofactor(matrix: list[list[Poly]]) -> Poly:
-    """Determinant by Laplace expansion along the first row."""
-    n = len(matrix)
-    nvars = matrix[0][0].nvars
-    if n == 1:
-        return matrix[0][0]
-    total = Poly.zero(nvars)
-    for j, entry in enumerate(matrix[0]):
-        if entry.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        sub = entry * det_cofactor(minor)
-        total = total + (sub if j % 2 == 0 else -sub)
-    return total
-
-
 def det_poly_matrix(matrix: list[list[Poly]]) -> Poly:
     """Exact determinant of a square polynomial matrix (test-side reference
     for ``verify.saito_check``, which never expands a determinant).
 
     Fraction-free (Bareiss) elimination at every size, whose intermediate
     entries are minors of the input, with the rational content of each row
-    stripped up front and restored at the end.  ``det_cofactor`` is the
-    tests' independent check of it.
+    stripped up front and restored at the end.  The tests check it against
+    an independent Laplace expansion.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):

@@ -59,8 +59,9 @@ group whose weights are all zero adds no row.  A flat point carries one
 unknown instead of m + 1.  The etas number the points minus the
 evaluation rank; where that count is 0 (on a generic arrangement at large
 d) no eta is computed and no rank is taken.  Otherwise they are built in
-closed form, plane by plane in input order, from Lagrange weights on each
-plane (``_oracle_at``): no table of monomial values and no elimination.
+closed form, plane by plane in input order (in dimension 2 in one step),
+from Lagrange weights (``_oracle_at``): no table of monomial values and no
+elimination.
 At every degree no sample point may repeat, and the points on every plane
 are counted.  The oracle's eliminations are integer only
 (``linalg.echelon_int``): the hyperplane bases are integer, from the
@@ -615,7 +616,8 @@ def _oracle_at(sample: _Planes, d: int) -> int:
     relation supported on t and the d + 1 base points, distinct points of
     the projective line, and such a relation is unique up to a factor:
     ``_etas`` builds it in one step, as the Lagrange relation of t at the
-    base points on the whole projective line.
+    base points on the whole projective line: ``_lagrange`` over both
+    coordinates, made integral by the peel's lift (``_lifted``).
 
     Each relation is cleared of denominators, made primitive with its
     first nonzero entry positive, and the relations are sorted by their
@@ -688,72 +690,59 @@ def _etas(arr: Arrangement, points: list[tuple[int, ...]], d: int, values: list[
     else:
         if alive:
             raise IdentityViolated(f"{len(alive)} of the sample's points lie on no plane at degree {d}")
-    if l == 2:
-        # one base point per level and no further point: the lift of a point
-        # t left at e < 0 is its Lagrange relation at the base points of
-        # every level on the projective line, eta_t = 1 and eta_q = -L_q(t)
-        # over both coordinates.  No bracket [t, q] is 0, and the least
-        # common denominator leaves the relation primitive.
-        base = [q for _, (q,), _, _ in levels]
-        kept = [points[q] for q in base]
-        den, etas = _denominators(kept), []
-        for t in alive:
-            ta, tb = points[t]
-            row = [ta * y - tb * x for x, y in kept]
-            full = prod(row)
-            sums = [full // x for x in row]
-            scale = lcm(*map(floordiv, den, map(gcd, sums, den)))
-            vec = [0] * size
-            vec[t] = scale
-            for q, x, D in zip(base, sums, den):
-                vec[q] = -x * scale // D
-            etas.append(tuple(vec) if next(filter(None, vec)) > 0 else tuple(map(neg, vec)))
-        return etas
     # at e < 0 every point left is a relation of its own
     relations = []
     for k in alive:
         vec = [0] * size
         vec[k] = 1
         relations.append((k, vec))
-    support = alive
-    for normal, base, extra, off in reversed(levels):
-        if not relations and not extra:
-            continue
-        # the coordinates other than the first c with normal[c] != 0
-        c = next(j for j, x in enumerate(normal) if x)
-        weights, den = _lagrange(*(j for j in range(3) if j != c), [points[q] for q in base])
-
-        def lifted(vec: list[int], sums: list[int]) -> list[int]:
-            # vec off the plane, -sums / den at the base points, made primitive
-            scale = lcm(*map(floordiv, den, map(gcd, sums, den)))
-            if scale != 1:
-                vec = list(map(mul, vec, repeat(scale)))
-            for q, x, D in zip(base, sums, den):
-                vec[q] = -x * scale // D
-            g = gcd(*vec)
-            return vec if g == 1 else [x // g for x in vec]
-
-        if relations:
-            # divide by alpha off the plane, over one common multiple
-            support = sorted(support)
-            common = lcm(*(off[k] for k in support))
-            divide = [0] * size
-            for k in support:
-                divide[k] = common // off[k]
-            columns = list(zip(*weights([points[k] for k in support])))
-            lift = []
-            for k, vec in relations:
-                vec = list(map(mul, vec, divide))
-                at = list(map(vec.__getitem__, support))
-                lift.append((k, lifted(vec, [sum(map(mul, at, col)) for col in columns])))
-            relations = lift
-        for t, row in zip(extra, weights([points[t] for t in extra])):
-            vec = [0] * size
-            vec[t] = 1
-            relations.append((t, lifted(vec, row)))
-        support = [*support, *base, *extra]
+    if l == 2:
+        # one base point per level and no further point: the lift of a point t
+        # left at e < 0 is its Lagrange relation at every level's base point
+        # on the projective line, over both coordinates (no bracket [t, q] is 0)
+        base = [q for _, (q,), _, _ in levels]
+        weights, den = _lagrange(0, 1, [points[q] for q in base])
+        relations = [(t, _lifted(vec, row, base, den)) for (t, vec), row in zip(relations, weights([points[t] for t in alive]))]
+    else:
+        support = alive
+        for normal, base, extra, off in reversed(levels):
+            if not relations and not extra:
+                continue
+            # the coordinates other than the first c with normal[c] != 0
+            c = next(j for j, x in enumerate(normal) if x)
+            weights, den = _lagrange(*(j for j in range(3) if j != c), [points[q] for q in base])
+            if relations:
+                # divide by alpha off the plane, over one common multiple
+                support = sorted(support)
+                common = lcm(*(off[k] for k in support))
+                divide = [0] * size
+                for k in support:
+                    divide[k] = common // off[k]
+                columns = list(zip(*weights([points[k] for k in support])))
+                lift = []
+                for k, vec in relations:
+                    vec = list(map(mul, vec, divide))
+                    at = list(map(vec.__getitem__, support))
+                    lift.append((k, _lifted(vec, [sum(map(mul, at, col)) for col in columns], base, den)))
+                relations = lift
+            for t, row in zip(extra, weights([points[t] for t in extra])):
+                vec = [0] * size
+                vec[t] = 1
+                relations.append((t, _lifted(vec, row, base, den)))
+            support = [*support, *base, *extra]
     relations.sort()
     return [tuple(vec) if next(filter(None, vec)) > 0 else tuple(map(neg, vec)) for _, vec in relations]
+
+
+def _lifted(vec: list[int], sums: list[int], base: list[int], den: list[int]) -> list[int]:
+    """``vec`` with -sums / den at the base points, by the least scale that keeps it integral, made primitive."""
+    scale = lcm(*map(floordiv, den, map(gcd, sums, den)))
+    if scale != 1:
+        vec = list(map(mul, vec, repeat(scale)))
+    for q, x, D in zip(base, sums, den):
+        vec[q] = -x * scale // D
+    g = gcd(*vec)
+    return vec if g == 1 else [x // g for x in vec]
 
 
 def _lagrange(a: int, b: int, base: list[tuple[int, ...]]) -> tuple[Callable[[list[tuple[int, ...]]], list[list[int]]], list[int]]:
@@ -761,9 +750,9 @@ def _lagrange(a: int, b: int, base: list[tuple[int, ...]]) -> tuple[Callable[[li
     N_q(p) is the product of the brackets [p, q'] = p_a q'_b - p_b q'_a over
     the other base points q', and the denominators N_q(q): the Lagrange
     weight L_q(p) = N_q(p) / N_q(q) of the forms of degree len(base) - 1 in
-    the coordinates a and b."""
+    the coordinates a and b: a peel level's two kept ones, or both for l = 2."""
     kept = [(q[a], q[b]) for q in base]
-    den = _denominators(kept)
+    den = [prod([qa * y - qb * x for k, (x, y) in enumerate(kept) if k != j]) for j, (qa, qb) in enumerate(kept)]
 
     def weights(pts: list[tuple[int, ...]]) -> list[list[int]]:
         out = []
@@ -784,12 +773,6 @@ def _lagrange(a: int, b: int, base: list[tuple[int, ...]]) -> tuple[Callable[[li
         return out
 
     return weights, den
-
-
-def _denominators(kept: list[tuple[int, ...]]) -> list[int]:
-    """For each base point q, given by its two kept coordinates, N_q(q):
-    the product of its brackets with the other base points."""
-    return [prod([qa * y - qb * x for k, (x, y) in enumerate(kept) if k != j]) for j, (qa, qb) in enumerate(kept)]
 
 
 def _values(normal: tuple[int, ...], points: list[tuple[int, ...]]) -> list[int]:

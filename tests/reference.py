@@ -321,6 +321,22 @@ def convert_2var_op(op2: DiffOp, forms: list[tuple[int, ...]], duals: list[tuple
     return total
 
 
+def det_cofactor(matrix: list[list[Poly]]) -> Poly:
+    """Determinant by Laplace expansion along the first row."""
+    n = len(matrix)
+    nvars = matrix[0][0].nvars
+    if n == 1:
+        return matrix[0][0]
+    total = Poly.zero(nvars)
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero():
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
+        sub = entry * det_cofactor(minor)
+        total = total + (sub if j % 2 == 0 else -sub)
+    return total
+
+
 def saito_matrix(ops: list[DiffOp]) -> list[list[Poly]]:
     """The coefficient matrix of multiplied-out operators, one row per
     operator, columns in ``monomials_of_degree`` order."""

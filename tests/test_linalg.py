@@ -3,13 +3,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from reference import compose_constant, mul_poly, power_of_derivation, saito_matrix
+from reference import compose_constant, det_cofactor, mul_poly, power_of_derivation, saito_matrix
 
 from arrops import verify
 from arrops.arrangement import parse_arrangement
 from arrops.diffop import DiffOp
 from arrops.linalg import (
-    det_cofactor,
     det_int,
     det_poly_matrix,
     echelon_int,

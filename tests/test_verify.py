@@ -538,6 +538,33 @@ def test_peeled_etas_equal_the_global_elimination(random_family, quad_arr, gener
     assert solves > 150
 
 
+def test_2d_etas_take_one_lagrange_construction(monkeypatch):
+    # in dimension 2 every relation comes in one step from the Lagrange
+    # weights over both coordinates at the base points of every line, with
+    # no peel level by level: one _lagrange call per _etas call
+    calls = []
+    lagrange = verify._lagrange
+
+    def counted(*args):
+        calls.append(args[:2])
+        return lagrange(*args)
+
+    monkeypatch.setattr(verify, "_lagrange", counted)
+    lines = ["x1", "x2", "x1 - x2", "x1 + 3*x2", "2*x1 + x2", "x1 - 3*x2"]
+    for n in range(2, 7):
+        arr = parse_arrangement("; ".join(lines[:n]), dim=2)
+        sample = verify._Planes(arr, 2)
+        solves = 0
+        for d in range(n + 2):
+            points = [p for group, _ in sample.points(d) for p in group]
+            calls.clear()
+            etas = verify._etas(arr, points, d, [verify._values(h.normal, points) for h in arr])
+            if etas:
+                assert calls == [(0, 1)], (n, d)
+                solves += 1
+        assert solves, n
+
+
 def test_a_plane_short_at_its_peel_level_raises():
     # braid at d = 4 without the last own point of x2: x2 keeps three points
     # off x1, one fewer than the cubics on it need, while the four triple
