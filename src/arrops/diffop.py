@@ -13,7 +13,11 @@ exponent); this module names radixes and computes no key.  A
 ``FactoredOp`` is homogeneous (its terms have one form count), has one
 radix, its degree + 1, keeps its core packed in it for the certificate and
 for ``basis`` output, and decodes to a ``DiffOp`` (``_unpacked``) only
-when ``core`` or ``op`` is read (by tests and demos).
+when ``core`` or ``op`` is read (by tests and demos).  Its cofactor holds
+the forms it is given as cofactor (a flat's P_X) and, when its factor
+list is one product, that product's forms too (the other lines of a
+pencil), so the core of a one-term operator is a constant; a sum of
+several products (an Euler block) keeps its forms in the core.
 """
 
 from __future__ import annotations
@@ -138,7 +142,9 @@ class FactoredOp:
     positive (a zero form stays zero), and theta' the sum of the ``terms``
     (c, forms, derivations), as ``_packed_terms`` reads them.  Every term has
     the same number e of forms (``DimensionMismatch`` otherwise), so theta
-    is homogeneous.
+    is homogeneous.  A single term (c, forms, derivations) is stored as
+    (c, (), derivations) with its forms appended to ``cofactor``: theta' is
+    then c times the derivations, a constant, and e is 0.
 
     ``degree()`` is read off the factor counts, len(cofactor) + e, and the
     one ``radix`` is degree() + 1.  No exponent of theta' (at most e) or of
@@ -155,12 +161,24 @@ class FactoredOp:
     demos).  P * theta' is theta normalized: by Gauss's lemma
     content(P * theta') = content(theta'), and under grlex
     lc(P * f) = lc(P) * lc(f), lc(P) > 0 the product of the forms' first
-    nonzero entries."""
+    nonzero entries.  Moving a single term's forms into P prints the same
+    operator: with F their product and Delta = c times the derivations,
+    content(F * Delta) = content(F) * content(Delta), and F divided by its
+    content is, up to sign, the product of the stored primitive forms,
+    whose lc is > 0; so normalized(F * Delta) = (F / content(F), sign
+    fixed) * normalized(Delta), and P_X times either side is the same.  A
+    zero form makes P zero, and then ``multiplied`` is {} as the operator
+    is."""
 
     def __init__(self, nvars: int, order: int, cofactor: Sequence[Factor], terms: Sequence[Term]):
         self.nvars, self.order = nvars, order
+        terms = [(c, tuple(map(tuple, fs)), tuple(map(tuple, ds))) for c, fs, ds in terms]
+        if len(terms) == 1:
+            # one product: its forms join the cofactor, its core is a constant
+            ((c, forms, derivs),) = terms
+            cofactor, terms = [*cofactor, *forms], [(c, (), derivs)]
         self.cofactor = tuple(primitive_int_vector(v) if any(v) else (0,) * len(v) for v in cofactor)
-        self.terms = tuple((c, tuple(map(tuple, fs)), tuple(map(tuple, ds))) for c, fs, ds in terms)
+        self.terms = tuple(terms)
         counts = {len(fs) for _, fs, _ in self.terms}
         if len(counts) > 1:
             raise DimensionMismatch(f"a factored operator's terms have unequal form counts {sorted(counts)}")
@@ -185,11 +203,11 @@ class FactoredOp:
         """P * theta', packed: P multiplied out once (``packed_product``), then
         each coefficient of ``packed`` multiplied by it (one ``_times_form``,
         P's terms for the form's); cancelled terms stay, valued 0.
-        ``packed`` itself when there is no cofactor."""
+        ``packed`` itself when there is no cofactor, {} when P is zero."""
         if not self.cofactor:
             return self.packed
         p = {k: v for k, v in packed_product(self.cofactor, self.radix).items() if v}
-        return {a: _times_form(p, list(f.items())) if p else {} for a, f in self.packed.items()}
+        return {a: _times_form(p, list(f.items())) for a, f in self.packed.items()} if p else {}
 
     @cached_property
     def core(self) -> DiffOp:

@@ -31,12 +31,16 @@ terms are written in the flat's integer frame (``Flat1.integer_frame``:
 its first two forms for the kernel coordinates, their adjugate columns
 for d_y1, d_y2), take m-j copies of delta_X as further factors and P_X's
 normals as the cofactor, and ``diffop.FactoredOp`` multiplies the terms
-out once.  The frame scales an operator by a nonzero constant that its
-core's one normalization removes.  Every basis the library returns
+out once.  A one-term operator (every theta_l, and E_0) adds its forms,
+the other lines of the pencil, to P_X's normals, so its cofactor holds
+every linear factor and its core is c * d_v^j * delta_X^(m-j), a
+constant; only E_j for j >= 1 keeps forms in its core.  The frame scales
+an operator by a nonzero constant that its core's one normalization
+removes.  Every basis the library returns
 reaches the certificate (``verify.saito_check``: every operator is a
 member at every hyperplane, then one integer determinant at one point)
 as factor lists (``diffop.FactoredOp``), which reads only the packed
-cores and P_X's normals.  ``FreeBasis.to_json`` multiplies each core by
+cores and the cofactor forms.  ``FreeBasis.to_json`` multiplies each core by
 P_X on packed keys and prints those keys (``FactoredOp.to_json``), which
 is what ``basis`` prints; ``FreeBasis.operators`` decodes the operators to
 tuple-keyed ``DiffOp``s on first read, for tests and demos.  ``dual_pair``

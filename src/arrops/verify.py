@@ -24,10 +24,13 @@ determinant of the rows at one point off every plane.  An operator given
 by its factor lists (``diffop.FactoredOp``, theta = P * theta', as basis
 assembly builds them) is tested through its low-degree core theta', at the
 planes whose normal is not a factor of P, and its determinant row is the
-core's: theta is never multiplied out.  A row, in the packed layout that
-only ``polynomial`` computes, is a ``FactoredOp``'s core in the operator's
-one radix (``FactoredOp.packed``), or a plain ``DiffOp`` packed once on
-entry, and it is read once: one dense list over ``polynomial.packed_index``
+core's: theta is never multiplied out.  A one-term operator's linear forms
+are all in P, so its core is a constant, tested at degree 0 and only at
+the planes P misses (one for a pencil line's operator), and its row is its
+constants.  A row, in the packed layout that only ``polynomial`` computes,
+is a ``FactoredOp``'s core in the operator's one radix
+(``FactoredOp.packed``), or a plain ``DiffOp`` packed once on entry, and
+it is read once: one dense list over ``polynomial.packed_index``
 (``_dense``), which the membership test evaluates at the sample's points
 (through the sample's table of monomial values by point) and the
 determinant at its point.  The oracle computes the exact dimension of the
@@ -723,7 +726,9 @@ def _etas(arr: Arrangement, points: list[tuple[int, ...]], d: int, values: list[
                 for k, vec in relations:
                     vec = list(map(mul, vec, divide))
                     at = list(map(vec.__getitem__, support))
-                    lift.append((k, _lifted(vec, [sum(map(mul, at, col)) for col in columns], base, den)))
+                    vec = _lifted(vec, [sum(map(mul, at, col)) for col in columns], base, den)
+                    g = gcd(*vec)
+                    lift.append((k, vec if g == 1 else [x // g for x in vec]))
                 relations = lift
             for t, row in zip(extra, weights([points[t] for t in extra])):
                 vec = [0] * size
@@ -735,14 +740,21 @@ def _etas(arr: Arrangement, points: list[tuple[int, ...]], d: int, values: list[
 
 
 def _lifted(vec: list[int], sums: list[int], base: list[int], den: list[int]) -> list[int]:
-    """``vec`` with -sums / den at the base points, by the least scale that keeps it integral, made primitive."""
+    """``vec`` with -sums / den at the base points, by the least scale that
+    keeps it integral: s = lcm of D / gcd(x, D) over the pairs (x, D) of
+    ``sums`` and ``den``.  The lift of a relation is made primitive by its
+    caller.  The lift of a unit vector e_t, t off the base, is primitive
+    already, so it takes no gcd.  Its entry at t is s, so a common divisor
+    divides s.  For a prime p with p^k exactly dividing s, some pair has
+    p^k dividing D' = D / gcd(x, D), and x' = x / gcd(x, D) is prime to D'.
+    That pair's entry, -x' * (s / D'), is then prime to p.  So no prime
+    divides every entry."""
     scale = lcm(*map(floordiv, den, map(gcd, sums, den)))
     if scale != 1:
         vec = list(map(mul, vec, repeat(scale)))
     for q, x, D in zip(base, sums, den):
         vec[q] = -x * scale // D
-    g = gcd(*vec)
-    return vec if g == 1 else [x // g for x in vec]
+    return vec
 
 
 def _lagrange(a: int, b: int, base: list[tuple[int, ...]]) -> tuple[Callable[[list[tuple[int, ...]]], list[list[int]]], list[int]]:

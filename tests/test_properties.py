@@ -1,5 +1,6 @@
 """Hypothesis properties of exact division, products of linear forms, the
-operator constructor, membership, the certificate and its factored form,
+operator constructor, one-term factored operators against their whole
+product, membership, the certificate and its factored form,
 the closed-form pencil blocks and their frames, the on-demand flat
 cofactors, the integer echelon kernel, the parse/serialize round trip, the
 agreement of the input paths, the dimension oracle and its closed-form
@@ -149,6 +150,28 @@ def test_product_op_matches_operator_algebra(l, order, data):
         expected = add_ops(expected, mul_poly(d, x))
     radix = max((len(forms) for _, forms, _ in terms), default=0) + 1
     assert _unpacked(_packed_terms(terms, order, radix), l, order, radix) == expected
+
+
+@given(st.sampled_from([2, 3]), st.integers(0, 3), st.data())
+def test_one_term_factored_op_is_its_cofactor_times_a_constant(l, order, data):
+    # one term's forms join the cofactor, so the core is c times the
+    # derivations: the operator, its printed text, zero test and degree
+    # stay those of the whole product normalized; the forms may be zero,
+    # repeated or not primitive, and order 0 has no derivation
+    vectors = st.tuples(*[small] * l)
+    pool = data.draw(st.lists(st.one_of(vectors, st.just((0,) * l)), min_size=1, max_size=4))
+    cofactor = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    forms = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+    derivs = data.draw(st.lists(vectors, min_size=order, max_size=order))
+    c = data.draw(st.sampled_from([1, -1, 2, Fraction(-3, 2), 0]))
+    op = FactoredOp(l, order, cofactor, [(c, forms, derivs)])
+    expected = normalized_primitive(tuple_product_op([(c, cofactor + forms, derivs)], l, order))
+    assert op.terms == ((c, (), tuple(derivs)),) and op.core.degree() in (0, None)
+    assert op.op == expected and op.to_json() == expected.to_json()
+    assert op.is_zero() == expected.is_zero()
+    assert op.degree() == len(cofactor + forms)
+    if not expected.is_zero():
+        assert op.degree() == expected.degree()
 
 
 @given(st.integers(0, 4), st.sampled_from([1, 2, 3]))

@@ -170,6 +170,40 @@ def test_factored_check_rejects_a_non_member_core(quad_arr):
     assert alone.core is alone.op == partial_op(3, (2, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "text, dim, m",
+    [("x1; x2; x3; x1-x2", 3, 3), ("x1; x2; x1-x2; 2*x1+x2", 2, 5), ("x1; x2; x1-x2", 3, 2)],
+    ids=["quad", "2arr-j-above-k", "rank2"],
+)
+def test_one_term_cores_are_tested_at_degree_0_off_their_cofactor(text, dim, m, monkeypatch):
+    # a one-term operator's forms join its cofactor, so its core is a
+    # constant: the certificate tests it at d = 0, and only at the planes
+    # that are not its cofactor forms (one plane or none once j >= 1)
+    arr = parse_arrangement(text, dim=dim)
+    calls = []
+    violation = verify._Planes.violation
+
+    def record(self, dense, d, skip=frozenset()):
+        calls.append((d, skip))
+        return violation(self, dense, d, skip)
+
+    monkeypatch.setattr(verify._Planes, "violation", record)
+    fb = build_basis(arr, m)
+    assert len(calls) == len(fb.factored)
+    one_term = 0
+    for op, p, (d, skip) in zip(fb.factored, fb.provenance, calls):
+        assert d == op.degree() - len(op.cofactor)
+        if len(op.terms) > 1:
+            continue
+        one_term += 1
+        assert op.core.degree() == 0 and d == 0 and op.degree() == len(op.cofactor)
+        tested = [k for k in range(arr.n) if k not in skip]
+        assert all(arr.hyperplanes[k].normal not in op.cofactor for k in tested)
+        assert all(arr.hyperplanes[k].normal in op.cofactor for k in skip)
+        assert p["j"] == 0 or len(tested) <= 1
+    assert one_term >= (len(fb.factored) if dim == 2 else 1)
+
+
 def test_saito_check_reads_each_row_once(quad_arr, monkeypatch):
     # one dense row per operator serves its membership test and its
     # determinant row
