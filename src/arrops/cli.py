@@ -1,16 +1,20 @@
 """Command-line front end.
 
 Subcommands: lattice, exponents, basis, verify, identities, oracle.
+``_Reader`` reads argv by one table, ``_OPTIONS`` (each subcommand's
+options: an int, a string or a choice, maybe required), with argparse's
+grammar and without importing argparse; forms split by options are joined
+in order, and ``-h``/``--help`` prints a fixed usage text and exits 0.
 Inline forms, ``--input`` and ``--extension`` share one form parser
 (integer coefficients stay ``int``).  ``basis``, ``identities`` and
-``verify`` share one sequence: extension, basis, oracle table.
-Exit codes: 0 success, 1 user error (argparse's usage errors included, or
-a reader that closed stdout early), 2 internal verification failure (a
-failed determinant certificate, identity or oracle mismatch).  No
-environment variables are consulted; identical invocations produce
-byte-identical output.  The JSON report is printed in one pass by one small
-recursive emitter (``_json``) that writes the bytes of
-``json.dumps(report, sort_keys=True, indent=2)``, without the stdlib's
+``verify`` share one sequence: extension, basis, oracle table.  Exit codes:
+0 success, 1 user error (a usage error, a ``ParseError`` that names the
+token or the option, included, or a reader that closed stdout early), 2
+internal verification failure (a failed determinant certificate, identity
+or oracle mismatch).  No environment variables are consulted; identical
+invocations produce byte-identical output.  The JSON report is printed in
+one pass by one small recursive emitter (``_json``) that writes the bytes
+of ``json.dumps(report, sort_keys=True, indent=2)``, without the stdlib's
 pure-Python indenting encoder; it refuses every non-JSON type (a float or
 ``Fraction`` in an exact report is a bug) with ``TypeError``.  The text
 format writes lists with the same emitter, on one line.  Ints of any size
@@ -19,11 +23,12 @@ print exactly (``polynomial.int_text``).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NoReturn
 
 from .arrangement import Arrangement, parse_arrangement
@@ -38,52 +43,131 @@ USER_ERROR = 1
 VERIFICATION_ERROR = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error is a user error: a ``ParseError`` with argparse's message."""
+_USAGE = """\
+usage: arrops COMMAND [options] [FORM ...]
 
-    def error(self, message: str) -> NoReturn:
-        raise ParseError(message)
+commands: lattice (rank-2 flats and localizations), exponents (closed-form
+exponent multiset), basis (a certified free basis), verify (basis,
+certificate and oracle), identities (counting identities of an extension),
+oracle (module dimensions per degree)
 
+  FORM ...              inline linear forms, e.g. x1 x2 x3 x1-x2
+  --input PATH          an arrangement file (JSON or ';'-separated forms)
+  --dim N               ambient dimension (default: inferred)
+  --format {json,text}  report format (default: json)
+  --m N                 operator order (required, but not by lattice)
+  --extension EXT       'auto' (default) or ';'-separated extra forms
+                        (basis, verify, identities)
+  --max-degree N        the oracle's largest degree (verify; required by oracle)
+  -h, --help            print this text and exit
 
-def _make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="arrops",
-        description="Exact operator-module computations for central hyperplane arrangements.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+An option is --name VALUE or --name=VALUE, or a unique prefix of its name.
+Forms are read in order, also between options; '--' ends the options."""
 
-    def common(p: argparse.ArgumentParser, needs_m: bool = False) -> None:
-        p.add_argument("--input", help="path to an arrangement file (JSON or ';'-separated forms)")
-        p.add_argument("forms", nargs="*", help="inline linear forms, e.g. x1 x2 x3 x1-x2")
-        p.add_argument("--dim", type=int, default=None, help="ambient dimension (default: inferred)")
-        p.add_argument("--format", choices=["json", "text"], default="json")
-        if needs_m:
-            p.add_argument("--m", type=int, required=True, help="operator order")
-
-    common(sub.add_parser("lattice", help="rank-2 flats and localizations"))
-    common(sub.add_parser("exponents", help="closed-form exponent multiset"), needs_m=True)
-
-    basis_p = sub.add_parser("basis", help="construct and certify a free basis")
-    common(basis_p, needs_m=True)
-    basis_p.add_argument("--extension", default="auto", help="'auto' or ';'-separated extra forms")
-
-    verify_p = sub.add_parser("verify", help="basis + certificate + oracle consistency")
-    common(verify_p, needs_m=True)
-    verify_p.add_argument("--extension", default="auto")
-    verify_p.add_argument("--max-degree", type=int, default=None, help="largest degree checked by the oracle")
-
-    ident_p = sub.add_parser("identities", help="exact counting identities of an extension")
-    common(ident_p, needs_m=True)
-    ident_p.add_argument("--extension", default="auto")
-
-    oracle_p = sub.add_parser("oracle", help="exact module dimensions per degree")
-    common(oracle_p, needs_m=True)
-    oracle_p.add_argument("--max-degree", type=int, required=True)
-
-    return parser
+# Each subcommand's options: name -> (kind, required), where the kind is
+# int, str or a tuple of the allowed values.
+_COMMON = {"input": (str, False), "dim": (int, False), "format": (("json", "text"), False)}
+_ORDER = {"m": (int, True)}
+_EXTENSION = {"extension": (str, False)}
+_OPTIONS = {
+    "lattice": _COMMON,
+    "exponents": {**_COMMON, **_ORDER},
+    "basis": {**_COMMON, **_ORDER, **_EXTENSION},
+    "verify": {**_COMMON, **_ORDER, **_EXTENSION, "max-degree": (int, False)},
+    "identities": {**_COMMON, **_ORDER, **_EXTENSION},
+    "oracle": {**_COMMON, **_ORDER, "max-degree": (int, True)},
+}
+_DEFAULTS = {"input": None, "dim": None, "format": "json", "m": None, "extension": "auto", "max_degree": None}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's
 
 
-def _load_arrangement(args: argparse.Namespace) -> Arrangement:
+def _option(token: str, names) -> tuple[str | None, str | None] | None:
+    """What argparse reads ``token`` as among the long options ``names``
+    and ``-h``/``--help``: None for a value, a form or ``--``, else the
+    option's name (None for an unknown or ambiguous option) and its ``=``
+    value (None if there is none).  A token that starts with ``--`` names
+    each option of which its text before any ``=`` is the name or a prefix,
+    and a token that starts with ``-h`` names help; any other token that
+    starts with ``-``, is longer than one character, is not a negative
+    number and has no space is an unknown option."""
+    if len(token) < 2 or token[0] != "-" or token == "--":
+        return None
+    if token[1] == "-":
+        head, sep, value = token[2:].partition("=")
+        if head in names or head == "help":
+            matches = [head]
+        else:
+            matches = [name for name in (*names, "help") if name.startswith(head)]
+        if matches:
+            return matches[0] if len(matches) == 1 else None, value if sep else None
+    elif token[1] == "h":
+        return "help", token[2:] or None
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _usage() -> NoReturn:
+    print(_USAGE)
+    raise SystemExit(0)
+
+
+class _Reader:
+    """Reads argv by ``_OPTIONS`` with argparse's grammar into the namespace
+    that ``run`` reads; forms split by options are joined in order.  A usage
+    error is a ``ParseError`` that names the token or the option."""
+
+    def parse_args(self, argv: list[str] | None = None) -> SimpleNamespace:
+        argv = sys.argv[1:] if argv is None else argv
+        if not argv:
+            raise ParseError(f"no command given (choose from {', '.join(_OPTIONS)})")
+        command = argv[0]
+        if command not in _OPTIONS:
+            if _option(command, ()) == ("help", None):
+                _usage()
+            raise ParseError(f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, _OPTIONS))})")
+        options = _OPTIONS[command]
+        args = dict(_DEFAULTS, command=command, forms=[])
+        seen = set()
+        tokens = iter(argv[1:])
+        for token in tokens:
+            if token == "--":
+                args["forms"] += tokens
+                break
+            given = _option(token, options)
+            if given is None:
+                args["forms"].append(token)
+                continue
+            name, value = given
+            if name == "help" and value is None:
+                _usage()
+            if name is None or name == "help":
+                raise ParseError(f"unrecognized option {token!r} for {command}")
+            if value is None:
+                value = next(tokens, None)
+                if value is None or value == "--" or _option(value, options) is not None:
+                    raise ParseError(f"argument --{name}: expected one argument")
+            kind = options[name][0]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ParseError(f"argument --{name}: invalid int value: {value!r}") from None
+            elif kind is not str and value not in kind:
+                raise ParseError(f"argument --{name}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+            args[name.replace("-", "_")] = value
+            seen.add(name)
+        missing = [f"--{name}" for name, (_, required) in options.items() if required and name not in seen]
+        if missing:
+            raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+        return SimpleNamespace(**args)
+
+
+def _make_parser() -> _Reader:
+    return _Reader()
+
+
+def _load_arrangement(args: SimpleNamespace) -> Arrangement:
     if args.input and args.forms:
         raise ArropsError("give either --input or inline forms, not both")
     if args.input:
@@ -98,14 +182,14 @@ def _load_arrangement(args: argparse.Namespace) -> Arrangement:
     return parse_arrangement(text, dim=args.dim)
 
 
-def _check_nonnegative(args: argparse.Namespace) -> None:
-    if getattr(args, "m", None) is not None and args.m < 0:
+def _check_nonnegative(args: SimpleNamespace) -> None:
+    if args.m is not None and args.m < 0:
         raise BadOrder(f"--m must be >= 0, got {args.m}")
-    if getattr(args, "max_degree", None) is not None and args.max_degree < 0:
+    if args.max_degree is not None and args.max_degree < 0:
         raise ArropsError(f"--max-degree must be >= 0, got {args.max_degree}")
 
 
-def run(args: argparse.Namespace) -> tuple[dict, int]:
+def run(args: SimpleNamespace) -> tuple[dict, int]:
     _check_nonnegative(args)
     arr = _load_arrangement(args)
     out: dict = {"input": arr.to_json()}

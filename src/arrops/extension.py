@@ -96,7 +96,7 @@ def extend(
     want = m + 2 - arr.n
     given = None if added is None else list(added)
     if given is not None and len(given) != want:
-        raise BadOrder(f"extension must supply exactly {want} hyperplanes, got {len(given)}")
+        raise BadOrder(f"extension must supply exactly {want} hyperplane{'' if want == 1 else 's'}, got {len(given)}")
     planes = list(arr.hyperplanes)
     cond = True
     for k in range(want):

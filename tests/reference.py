@@ -1,9 +1,11 @@
 """Test-side reference implementations that no production path uses."""
 
+import argparse
 import sys
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import mul
+from typing import NoReturn
 
 from arrops.arrangement import _TERM_RE, Arrangement
 from arrops.diffop import DiffOp
@@ -443,3 +445,50 @@ def rational_primitive_vector(vec) -> tuple[int, ...]:
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a user error: a ``ParseError`` with argparse's message."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser as it was before ``cli._Reader`` replaced it:
+    the reference for the reader's namespaces and usage errors."""
+    parser = _Parser(
+        prog="arrops",
+        description="Exact operator-module computations for central hyperplane arrangements.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, needs_m: bool = False) -> None:
+        p.add_argument("--input", help="path to an arrangement file (JSON or ';'-separated forms)")
+        p.add_argument("forms", nargs="*", help="inline linear forms, e.g. x1 x2 x3 x1-x2")
+        p.add_argument("--dim", type=int, default=None, help="ambient dimension (default: inferred)")
+        p.add_argument("--format", choices=["json", "text"], default="json")
+        if needs_m:
+            p.add_argument("--m", type=int, required=True, help="operator order")
+
+    common(sub.add_parser("lattice", help="rank-2 flats and localizations"))
+    common(sub.add_parser("exponents", help="closed-form exponent multiset"), needs_m=True)
+
+    basis_p = sub.add_parser("basis", help="construct and certify a free basis")
+    common(basis_p, needs_m=True)
+    basis_p.add_argument("--extension", default="auto", help="'auto' or ';'-separated extra forms")
+
+    verify_p = sub.add_parser("verify", help="basis + certificate + oracle consistency")
+    common(verify_p, needs_m=True)
+    verify_p.add_argument("--extension", default="auto")
+    verify_p.add_argument("--max-degree", type=int, default=None, help="largest degree checked by the oracle")
+
+    ident_p = sub.add_parser("identities", help="exact counting identities of an extension")
+    common(ident_p, needs_m=True)
+    ident_p.add_argument("--extension", default="auto")
+
+    oracle_p = sub.add_parser("oracle", help="exact module dimensions per degree")
+    common(oracle_p, needs_m=True)
+    oracle_p.add_argument("--max-degree", type=int, required=True)
+
+    return parser

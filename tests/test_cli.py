@@ -169,6 +169,57 @@ def test_usage_errors_are_user_errors(capsys, argv, named):
         assert captured.err.startswith("error: ") and named in captured.err and "\n" not in captured.err[:-1]
 
 
+def test_forms_split_by_options_are_joined_in_order(capsys):
+    # forms on both sides of an option give the report of one run of forms
+    expected = run_cli(capsys, "basis", "--m", "2", "--format", "text", "x1", "x2", "x3", "x1-x2")
+    assert expected[0] == 0
+    assert run_cli(capsys, "basis", "x1", "--m", "2", "x2", "x3", "--format", "text", "x1-x2") == expected
+    assert run_cli(capsys, "basis", "x1", "x2", "--m=2", "x3", "x1-x2", "--form=text") == expected
+
+
+def test_double_dash_ends_the_options(capsys):
+    # after "--" a token that starts with "-" is a form
+    assert cli._make_parser().parse_args(["basis", "--m", "2", "--", "-x1", "x2", "x3"]).forms == ["-x1", "x2", "x3"]
+    code, out, err = run_cli(capsys, "basis", "--m", "2", "--", "-x1", "x2", "x3")
+    assert code == 0 and err == ""
+    assert (code, out, err) == run_cli(capsys, "basis", "--m", "2", "x1", "x2", "x3")
+
+
+@pytest.mark.parametrize("argv", [["basis", "--m", "2", "x1", "-h"], ["--help"], ["oracle", "--he"]], ids=["after-forms", "alone", "prefix"])
+def test_help_prints_the_usage_text_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: arrops") and captured.out == cli._USAGE + "\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["basis", "--m", "2", "--bogus", "x1", "x2", "x3"], "unrecognized option '--bogus' for basis"),
+        (["lattice", "--m", "2", "x1", "x2", "x3"], "unrecognized option '--m' for lattice"),
+        (["basis", "x1", "x2", "x3", "--m"], "argument --m: expected one argument"),
+        (["basis", "--extension", "--m", "2", "x1", "x2", "x3"], "argument --extension: expected one argument"),
+        (["oracle", "--m", "2", "--max-degree", "1.5", "x1", "x2", "x3"], "argument --max-degree: invalid int value: '1.5'"),
+        (["basis", "--m=two", "x1", "x2", "x3"], "argument --m: invalid int value: 'two'"),
+        (["basis", "--format", "xml", "--m", "2", "x1", "x2", "x3"], "argument --format: invalid choice: 'xml'"),
+    ],
+    ids=["unknown-option", "option-of-another-command", "missing-value-at-end", "value-is-an-option", "non-integer", "non-integer-after-equals", "bad-choice"],
+)
+def test_usage_error_names_the_option(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_extension_of_the_wrong_size_is_named_in_the_singular_for_one(capsys):
+    code, out, err = run_cli(capsys, "basis", "--m", "2", "--extension", "", "x1", "x2", "x3")
+    assert (code, out, err) == (1, "", "error: extension must supply exactly 1 hyperplane, got 0\n")
+    code, out, err = run_cli(capsys, "basis", "--m", "3", "--extension", "x1+x2+x3", "x1", "x2", "x3")
+    assert (code, out, err) == (1, "", "error: extension must supply exactly 2 hyperplanes, got 1\n")
+
+
 def test_dimension_one_is_user_error(capsys, tmp_path):
     path = tmp_path / "line.json"
     path.write_text('{"l": 1, "hyperplanes": [[1]]}', encoding="utf-8")
@@ -241,11 +292,12 @@ def test_input_that_is_not_utf8_is_a_user_error(capsys, tmp_path, data, offset):
 
 
 def test_import_path_loads_no_dataclasses_or_inspect():
-    # a fresh interpreter imports the package and builds the parser without
-    # the stdlib's code-introspection modules, which cost start-up time
+    # a fresh interpreter imports the package and builds the argv reader
+    # without the stdlib's code-introspection modules, or argparse and the
+    # gettext and locale modules it imports, all of which cost start-up time
     probe = (
         "import sys; before = set(sys.modules); import arrops.cli; arrops.cli._make_parser(); "
-        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - before))))"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'argparse', 'gettext', 'locale'} & (set(sys.modules) - before))))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True)

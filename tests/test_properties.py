@@ -7,9 +7,10 @@ agreement of the input paths, the dimension oracle and its closed-form
 contraction kernels (spanning the eliminated ones, and equal to the
 primitive products of their factor lists), the closed-form exponents, the
 orthogonality of the basis and the dual pair across flats, the JSON report
-printer against ``json.dumps``, and the CLI's exit codes and output on
-valid and invalid arguments (profile ``arrops`` in conftest: derandomized,
-bounded example counts)."""
+printer against ``json.dumps``, the CLI's argv reader against the argparse
+parser it replaced, and the CLI's exit codes and output on valid and
+invalid arguments (profile ``arrops`` in conftest: derandomized, bounded
+example counts)."""
 
 import io
 import json
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from reference import (
     add_ops,
     apply,
+    argparse_parser,
     base_off_flat_product,
     compose_constant,
     contraction_kernels,
@@ -55,7 +57,7 @@ from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement, parse
 from arrops import cli
 from arrops.cli import emit_report
 from arrops.diffop import DiffOp, FactoredOp, _packed_terms, _unpacked
-from arrops.errors import ArropsError, NotDivisible, NotMember, SaitoFailed, ZeroForm
+from arrops.errors import ArropsError, NotDivisible, NotMember, ParseError, SaitoFailed, ZeroForm
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.flats import Flat1
 from arrops.exponents import exp_2arr, exp_3arr_closed
@@ -746,3 +748,82 @@ def test_cli_exits_0_with_a_report_or_1_with_an_error_line(tmp_path_factory, cal
             json.loads(out.getvalue())
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error:"), (argv, err.getvalue())
+
+
+SPELLINGS = {  # each option's name and prefixes, unique in every subcommand that has the option
+    "input": ["--input", "--in"],
+    "dim": ["--dim", "--di"],
+    "format": ["--format", "--form", "--f"],
+    "m": ["--m"],
+    "extension": ["--extension", "--ext", "--e"],
+    "max-degree": ["--max-degree", "--max", "--ma"],
+}
+NUMBERS = st.sampled_from([*map(str, range(-2, 6)), " 3", "+2", "1.5", "-1.5", "-.5", "x", ""])
+VALUES = {
+    "input": st.sampled_from(["arr.json", "", "x1", "- x1", "-1"]),
+    "dim": NUMBERS,
+    "format": st.sampled_from(["json", "text", "xml", ""]),
+    "m": NUMBERS,
+    "extension": st.sampled_from(["auto", "x1+x2", "- x1", "", "x1+x2-x3; x1+2*x3"]),
+    "max-degree": NUMBERS,
+}
+
+
+@st.composite
+def reader_argv(draw):
+    """An argv for the CLI's reader and the argparse reference: a subcommand
+    (at times a bogus one), then options in any order, with the forms in one
+    run before or after them.  The options usually include the subcommand's
+    required ones with valid values.  Any other option is spelt by its name
+    or a unique prefix, with its value as the next token or after ``=``: a
+    valid, negative, non-integer or bad value, at times repeated, an option
+    of another subcommand, an option without its value (at the end, or
+    followed by an option or a form), or option-like junk.  Forms include
+    negative numbers and ``- x1``, with a space.  No ``--``, no ``-h`` and no
+    forms split by options: there the reader differs from argparse, or
+    argparse from one Python version to the next."""
+    command = draw(st.sampled_from(["lattice", "exponents", "basis", "verify", "identities", "oracle", "bogus"]))
+    usually = st.sampled_from([True, True, True, False])
+    pieces = []
+    if command != "lattice" and draw(usually):
+        pieces.append(["--m", str(draw(st.integers(0, 4)))])
+    if command == "oracle" and draw(usually):
+        pieces.append(["--max-degree", str(draw(st.integers(0, 6)))])
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["value", "value", "value", "equals", "equals", "bare", "junk"]))
+        if kind == "junk":
+            pieces.append([draw(st.sampled_from(["-x", "-x1", "--bogus", "--bogus=1", "--x1"]))])
+            continue
+        name = draw(st.sampled_from(["m", "m", "m", "max-degree", "max-degree", "input", "dim", "format", "extension"]))
+        spelling = draw(st.sampled_from(SPELLINGS[name]))
+        value = draw(VALUES[name])
+        if kind == "bare":
+            pieces.append([spelling])
+        elif kind == "equals" and " " not in value:
+            pieces.append([f"{spelling}={value}"])
+        else:
+            # argparse reads "--m= 3" as a form where no option is named m
+            # (in lattice), so a value with a space keeps a token of its own
+            pieces.append([spelling, value])
+    forms = draw(st.lists(st.sampled_from(["x1", "x2", "x3", "x1-x2", "2*x1-3*x2", "- x1", "- 2*x3", "-1", "-2.5", ""]), max_size=5))
+    options = [token for piece in draw(st.permutations(pieces)) for token in piece]
+    return [command, *(forms + options if draw(st.booleans()) else options + forms)]
+
+
+@settings(max_examples=400)
+@given(reader_argv())
+@example(["verify", "--max", "4", "--m", "2", "x1", "x2", "x3"])
+@example(["basis", "x1", "x2", "x3", "x1-x2", "--m=3"])
+@example(["basis", "--m", "2", "--ext=x1 + x2", "x1", "x2", "x3"])
+def test_reader_matches_the_argparse_parser(argv):
+    # both raise ParseError, or the reader's namespace holds every value of
+    # argparse's
+    reference = argparse_parser()
+    try:
+        expected = vars(reference.parse_args(argv))
+    except ParseError:
+        with pytest.raises(ParseError):
+            cli._make_parser().parse_args(argv)
+        return
+    got = vars(cli._make_parser().parse_args(argv))
+    assert {key: got[key] for key in expected} == expected
