@@ -44,15 +44,16 @@ cores and the cofactor forms.  ``FreeBasis.to_json`` multiplies each core by
 P_X on packed keys and prints those keys (``FactoredOp.to_json``), which
 is what ``basis`` prints; ``FreeBasis.operators`` decodes the operators to
 tuple-keyed ``DiffOp``s on first read, for tests and demos.  ``dual_pair``
-builds a basis of the degree-m polynomials from the same flats' integer
-frames and pairs it with its dual basis under the apolar pairing.
+builds a basis of the degree-m polynomials as packed products of the same
+flats' integer rows, inverts it and checks the inverse on integers, and
+decodes the basis and its apolar dual basis once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial
 from typing import NamedTuple, Sequence
 
 from .arrangement import Arrangement, Hyperplane
@@ -63,9 +64,10 @@ from .flats import Flat1
 from .linalg import echelon_int
 from .polynomial import (
     Poly,
-    form_product,
     midx_factorial,
     monomials_of_degree,
+    packed_index,
+    packed_product,
     primitive_int_vector,
     s_dim,
 )
@@ -270,52 +272,49 @@ def dual_pair(ext: ExtendedArrangement) -> DualPair:
     Basis entries are P * u * y^(i - j): P the product of the extended
     planes off the flat, i its order cap, y its section and u a degree-j
     monomial in its kernel coordinates y1, y2.  ``Flat1.integer_rows``
-    gives the rows v_p * (y1, y2, y) and v_p > 0, the direction's first
-    nonzero entry, so an entry is one ``form_product`` / v_p^i.  The dual
-    operators are the dual basis under the apolar pairing <d^a, x^b> =
-    a! delta_ab: with B the basis' coefficient matrix over the degree-m
-    monomials, operator i is sum_a ((B^T)^-1)_(i,a) / a! * d^a.  The inverse
-    comes from one reduced integer echelon form of [B^T | I]; dependent
-    polynomials raise ``IdentityViolated``, and so does a pairing matrix
-    that is not the identity.
+    gives the rows v_p * (y1, y2, y) and v_p > 0, so basis entry number i
+    is one ``packed_product`` of integer forms, column C_i of an integer
+    matrix C over the degree-m monomials, over its flat's scale s_i, v_p to
+    the flat's order cap.  The dual operators are the dual basis under the
+    apolar pairing <d^a, x^b> = a! delta_ab.  One reduced integer echelon
+    form of [C | I] gives row k as r_k * [e_k | R_k], R_k row k of C^-1
+    and r_k > 0, so operator k is
+    sum_a s_k R_(k,a) / (r_k a!) * d^a and pairs with polynomial i to
+    s_k / (r_k s_i) * (R_k . C_i): ``pairing_matrix()`` is the identity
+    exactly when R_k . C_i = r_k * delta_ki for all k, i, which is checked
+    on the integers before the pair is decoded.  A count other than
+    s_dim(m, 3), dependent polynomials or a failed check raise
+    ``IdentityViolated``.
     """
     if not ext.base.is_essential():
         raise NotEssential("dual pair needs an essential base arrangement")
     m = ext.m
-    polys: list[Poly] = []
-    labels: list[tuple] = []
+    index = packed_index(3, m, m + 1)
+    columns, scales, labels = [], [], []
     for profile in ext.profiles:
         flat, cap = profile.flat, profile.max_order
         (u0, u1, section), vp = flat.integer_rows()
-        scale = Fraction(1, vp**cap)
         off = [h.normal for h in profile.off_flat]
         for j in range(cap + 1):
-            tail = [*off, *[section] * (cap - j)]
             for u in monomials_of_degree(2, j):
-                polys.append(form_product([*tail, *[u0] * u[0], *[u1] * u[1]], 3) * scale)
+                product = packed_product([*off, *[section] * (cap - j), *[u0] * u[0], *[u1] * u[1]], m + 1)
+                columns.append({index[key]: c for key, c in product.items() if c})
+                scales.append(vp**cap)
                 labels.append((flat.direction, j, u))
 
-    size = len(polys)
+    size = len(columns)
     if size != s_dim(m, 3):
-        raise IdentityViolated("dual pair has the wrong cardinality")
-    monomials = monomials_of_degree(3, m)
-    rows = []
-    for k, a in enumerate(monomials):
-        coeffs = [Fraction(b.terms.get(a, 0)) for b in polys]
-        den = lcm(*(c.denominator for c in coeffs))
-        rows.append([int(c * den) for c in coeffs] + [den * (i == k) for i in range(size)])
+        raise IdentityViolated(f"dual pair has the wrong cardinality: {size} polynomials, expected {s_dim(m, 3)}")
+    rows = [[col.get(a, 0) for col in columns] + [int(i == a) for i in range(size)] for a in range(size)]
     red, pivots = echelon_int(rows)
     if pivots[:size] != list(range(size)):
         raise IdentityViolated("dual pair polynomials are linearly dependent")
-    etas = []
-    for i, row in enumerate(red):  # row i is d * [e_i | row i of (B^T)^-1], d = row[i]
-        terms = zip(monomials, row[size:])
-        etas.append(DiffOp(3, m, {a: Poly.constant(3, Fraction(c, row[i] * midx_factorial(a))) for a, c in terms}))
-
-    pair = DualPair(tuple(polys), tuple(etas), tuple(labels))
-    matrix = pair.pairing_matrix()
-    for i in range(size):
-        for k in range(size):
-            if matrix[i][k] != (1 if i == k else 0):
-                raise IdentityViolated(f"pairing matrix differs from identity at ({i}, {k})")
-    return pair
+    for k, row in enumerate(red):  # row k is r_k * [e_k | R_k], r_k = row[k]
+        for i, col in enumerate(columns):
+            if sum(row[size + a] * c for a, c in col.items()) != row[k] * (i == k):
+                raise IdentityViolated(f"pairing matrix differs from identity at ({k}, {i}), labels {labels[k]} and {labels[i]}")
+    monomials = monomials_of_degree(3, m)
+    polys = [Poly(3, {monomials[a]: Fraction(c, s) for a, c in col.items()}) for col, s in zip(columns, scales)]
+    etas = [DiffOp(3, m, {a: Poly.constant(3, Fraction(s * c, r[k] * midx_factorial(a))) for a, c in zip(monomials, r[size:])})
+            for k, (r, s) in enumerate(zip(red, scales))]
+    return DualPair(tuple(polys), tuple(etas), tuple(labels))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from reference import add_ops, apply, euler_op, localization, localization_indic
 from arrops import extension, freebasis
 from arrops.arrangement import Arrangement, Hyperplane, arrangement_from_json, parse_arrangement
 from arrops.diffop import FactoredOp
-from arrops.errors import BadOrder, DuplicateHyperplane, NotEssential, ZeroForm
+from arrops.errors import BadOrder, DuplicateHyperplane, IdentityViolated, NotEssential, ZeroForm
 from arrops.exponents import exp_2arr, exp_for_arrangement
 from arrops.extension import extend, flat_profiles, hyperplanes_from_forms
 from arrops.freebasis import (
@@ -435,8 +436,10 @@ def test_pairing_matrix_is_apolar_dot_product(quad_arr):
         ("x1; x2; x3; x1 - x2; x2 - x3", 3, None, "42c7693a5e37562860a66faa801a36f6621b32574a84f640aa8143c31948d994"),
         # the flat (2, 1, 0) has order cap 1, so its polynomials carry 1/2
         ("x1; x2; x3; x1 - 2*x2; x1 - 2*x2 + x3", 3, None, "a74f61d5f11e7fbfba440e66e6e86d0c076d104b6ecfa0ee5df5f29af7ec9827"),
+        # six planes at m = 4: 15 polynomials over eleven flats, two of order cap 1
+        ("x1; x2; x3; x1 - x2; x2 - x3; x1 + x2 + x3", 4, None, "dd46980b07823bcc3e185339052b42f23cc5350f314063c35e340ce94a8f5a57"),
     ],
-    ids=["quad", "quad-m4", "quad-given", "quad5", "direction-2-1-0"],
+    ids=["quad", "quad-m4", "quad-given", "quad5", "direction-2-1-0", "six-planes-m4"],
 )
 def test_dual_pair_output_bytes(text, m, forms, digest):
     pair = dual_pair(extend(parse_arrangement(text), m, hyperplanes_from_forms(forms) if forms else None))
@@ -456,3 +459,37 @@ def test_dual_pair_identity_matrix(quad_arr):
         size = s_dim(m, 3)
         assert len(pair.basis_polys) == size
         assert matrix == [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+
+
+def test_dual_pair_failures_name_their_source(quad_arr, monkeypatch):
+    # each raise names what failed: the counts, the pivots, or the entry of
+    # the integer check with the labels of its operator and its polynomial
+    pair = dual_pair(extend(quad_arr, 2))
+    short = extend(quad_arr, 2)
+    short.profiles = short.profiles[:-1]
+    found = sum(s_dim(p.max_order, 3) for p in short.profiles)
+    with pytest.raises(IdentityViolated, match=rf"wrong cardinality: {found} polynomials, expected 6$"):
+        dual_pair(short)
+
+    echelon = freebasis.echelon_int
+    size, k = len(pair.basis_polys), 1
+
+    def off_by_one(rows):  # row k's right half gets 1 added at the column of x1^2
+        red, pivots = echelon(rows)
+        red[k][size] += 1
+        return red, pivots
+
+    # the check first fails at the first polynomial with an x1^2 term
+    i = next(i for i, b in enumerate(pair.basis_polys) if b.terms.get((2, 0, 0)))
+    monkeypatch.setattr(freebasis, "echelon_int", off_by_one)
+    message = rf"differs from identity at \({k}, {i}\), labels {re.escape(str(pair.labels[k]))} and {re.escape(str(pair.labels[i]))}$"
+    with pytest.raises(IdentityViolated, match=message):
+        dual_pair(extend(quad_arr, 2))
+
+    def short_pivots(rows):  # the last pivot is missing
+        red, pivots = echelon(rows)
+        return red, pivots[:-1]
+
+    monkeypatch.setattr(freebasis, "echelon_int", short_pivots)
+    with pytest.raises(IdentityViolated, match="linearly dependent"):
+        dual_pair(extend(quad_arr, 2))

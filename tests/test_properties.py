@@ -64,7 +64,7 @@ from arrops.exponents import exp_2arr, exp_3arr_closed
 from arrops.freebasis import _factored_blocks as factored_blocks
 from arrops.freebasis import basis_2arr_lines, build_basis, dual_pair
 from arrops.linalg import echelon_int, rank_int, rref
-from arrops.polynomial import Poly, form_product, midx_factorial, monomials_of_degree, primitive_int_vector
+from arrops.polynomial import Poly, form_product, midx_factorial, monomials_of_degree, primitive_int_vector, s_dim
 from arrops.verify import _Planes, hilbert_check, is_member, oracle_dims, saito_check
 
 small = st.integers(-4, 4)
@@ -666,6 +666,9 @@ def test_basis_operators_kill_the_dual_polynomials_of_other_flats(arr, offset):
     ext = extend(arr, m)
     fb = build_basis(arr, m, ext)
     pair = dual_pair(ext)
+    # dual_pair checks the pairing on integers; the decoded pair passes too
+    size = s_dim(m, 3)
+    assert pair.pairing_matrix() == [[int(i == k) for i in range(size)] for k in range(size)]
     for op, p in zip(fb.operators, fb.provenance):
         for poly, (direction, _, _) in zip(pair.basis_polys, pair.labels):
             if tuple(p["flat_direction"]) != direction:
