@@ -8,15 +8,15 @@ monomial x^b of degree m-1, theta(alpha_H * x^b) is in alpha_H * S, i.e. when
 
 vanishes on H (``_contraction_rows``).
 
-Both read one sample per call (``_Planes``).  A degree-d form vanishes on
-H exactly when it vanishes at s_dim(d, l-1) distinct projective points of
-H (d + 1 on a plane, one on a line).  Each hyperplane, in input order,
-first takes the rank-2 flats on it, which are points of every plane
-through them (one taken by an earlier plane counts), then fills up with
-points s*u + t*v of its own for the coprime pairs (s, t) of smallest
-height, skipping the flats.  A flat point serves every plane through it.
-Per degree the membership test evaluates the monomials at the sample's
-points once; the oracle evaluates no monomial.
+Both read one sample per call (``_Planes``) and its one checked record per
+degree (``_Degree``).  A degree-d form vanishes on H exactly when it
+vanishes at s_dim(d, l-1) distinct projective points of H (d + 1 on a plane,
+one on a line); the record checks once, for both, that every plane holds
+that many.  Each hyperplane, in input order, first takes the rank-2 flats on
+it, which are points of every plane through them (one taken by an earlier
+plane counts), then fills up with points s*u + t*v of its own for the
+coprime pairs (s, t) of smallest height, skipping the flats.  The membership
+test evaluates the monomials at the points once per degree.
 
 The certificate (``saito_check``) tests every candidate operator with the
 sample's membership test (``_Planes.violation``), then takes one integer
@@ -47,10 +47,8 @@ form from powers of each form, with no primitive pass, and checked against
 the rows, not eliminated (proofs in ``_oracle``); each is built and checked
 on first read and kept on the sample (``_Planes.kernel``), so only the
 kernels that enter a rank are built, and dim K_p is taken from the proof,
-not from a built kernel.
-Since every plane holds enough distinct points, a degree-d form vanishing
-at all points is a multiple of Q, so evaluation has kernel Q * S_(d-n) and
-the free part is unchanged.  The dimension is
+not from a built kernel.  Evaluation at the points has kernel Q * S_(d-n)
+(``_Degree``), so the free part is unchanged.  The dimension is
 
     free part + sum_p dim K_p - rank(rows),
 
@@ -64,9 +62,7 @@ evaluation rank; where that count is 0 (on a generic arrangement at large
 d) no eta is computed and no rank is taken.  Otherwise they are built in
 closed form, plane by plane in input order (in dimension 2 in one step),
 from Lagrange weights (``_oracle_at``): no table of monomial values and no
-elimination.
-At every degree no sample point may repeat, and the points on every plane
-are counted.  The oracle's eliminations are integer only
+elimination.  The oracle's eliminations are integer only
 (``linalg.echelon_int``): the hyperplane bases are integer, from the
 flats' pivot rule, and the dimension comes from one integer rank.
 ``oracle_dims`` answers every degree up to d_max in one call and builds
@@ -125,11 +121,11 @@ class _Planes:
     primitive, which is ``nullspace_int([normal], l)`` (tested).  Per flat
     (``arr.lattice.flats``): its direction and the planes through it, input
     order.  In dimension 2 each line is its own flat, on that line alone.  Per
-    degree, built on first read and kept here only: the point groups
-    (``points``), which the oracle reads, and the values of the monomials
-    at each point (``table``), which only the membership test reads.
-    ``points`` evaluates nothing.  Per tuple of planes through a point, built
-    on first read and kept: the oracle's contraction kernel (``kernel``).
+    degree, built on first read and kept here only: the checked record of
+    the points (``points``, a ``_Degree``), which both readers read, and the
+    values of the monomials at each point (``table``), which only the
+    membership test reads.  Per tuple of planes through a point, built on
+    first read and kept: the oracle's contraction kernel (``kernel``).
     """
 
     def __init__(self, arr: Arrangement, m: int):
@@ -145,23 +141,24 @@ class _Planes:
         # each plane's points on no other plane, drawn as the degrees need them
         self.own: list[list[tuple[int, ...]]] = [[] for _ in self.normals]
         self.fill = [self._fill(i) for i in range(len(self.normals))]
-        self.groups: dict[int, list[tuple[list[tuple[int, ...]], tuple[int, ...]]]] = {}
+        self.degrees: dict[int, _Degree] = {}
         self.tables: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
         self.kernels: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    def points(self, d: int) -> list[tuple[list[tuple[int, ...]], tuple[int, ...]]]:
-        """Distinct projective points, at least s_dim(d, l-1) of them on every
-        plane, in groups (points, the planes through each of them).
+    def points(self, d: int) -> _Degree:
+        """The checked record (``_Degree``) of distinct projective points, at
+        least s_dim(d, l-1) of them on every plane, in groups (points, the
+        planes through each of them).
 
         Each plane H, in input order, counts the flat points already taken
         on it, takes its own flats (``arr.lattice.flats`` order) until it
         has s_dim(d, l-1), then fills up with its points on no other plane
         (``_fill``).  A flat point is a group of its own; the fill-up points
-        of H lie on H alone and form one group.  Computed once per degree
-        and kept, for the oracle and for ``table``.
+        of H lie on H alone and form one group.  Drawn and checked once per
+        degree and kept, for the oracle and for ``table``.
         """
-        if d in self.groups:
-            return self.groups[d]
+        if d in self.degrees:
+            return self.degrees[d]
         need = s_dim(d, self.l - 1)
         have = [0] * len(self.normals)
         taken = [False] * len(self.flats)
@@ -181,21 +178,17 @@ class _Planes:
                 if len(own) < missing:
                     own += islice(self.fill[i], missing - len(own))
                 groups.append((own[:missing], (i,)))
-        self.groups[d] = groups
-        return groups
+        self.degrees[d] = record = _Degree(self.arr, d, groups)
+        return record
 
     def table(self, d: int) -> tuple[list[list[int]], list[list[int]]]:
         """The values of the degree-d monomials, in ``monomials_of_degree``
         order, at each point of ``points(d)`` in group order, and the indices
-        of each plane's points."""
+        of each plane's points: the zeros of its form in the record."""
         if d not in self.tables:
-            points, on = [], [[] for _ in self.normals]
-            for group, planes in self.points(d):
-                for i in planes:
-                    on[i] += range(len(points), len(points) + len(group))
-                points += group
-            monomials = monomials_of_degree(self.l, d)
-            self.tables[d] = [[_int_pow(p, c) for c in monomials] for p in points], on
+            record, monomials = self.points(d), monomials_of_degree(self.l, d)
+            on = [[k for k, x in enumerate(at) if not x] for at in record.values]
+            self.tables[d] = [[_int_pow(p, c) for c in monomials] for p in record.points], on
         return self.tables[d]
 
     def violation(self, dense: list[list[int] | None], d: int, skip: frozenset[int] = frozenset()) -> tuple[int, MultiIndex] | None:
@@ -276,6 +269,33 @@ class _Planes:
             p = tuple(s * a + t * b for a, b in zip(u, v))
             if all(sum(map(mul, w, p)) for w in others):
                 yield p
+
+
+class _Degree:
+    """The sample at degree d, for both readers: the ``groups`` of
+    ``_Planes.points``, the ``points`` in group order, each plane's form at
+    each point (``values``), and the number of ``relations`` between the
+    point values, the points minus the evaluation rank s_dim(d) - s_dim(d-n).
+    That rank, like the membership test, rests on every plane holding
+    s_dim(d, l-1) distinct points.  Checked once, in this order, each raising
+    ``IdentityViolated``: the relation count is not negative, no point
+    repeats up to scale (``primitive_int_vector``; the points stay as
+    drawn), and every plane holds enough points, counted by evaluation: a
+    plane short of points can leave the evaluation rank full."""
+
+    def __init__(self, arr: Arrangement, d: int, groups: list[tuple[list[tuple[int, ...]], tuple[int, ...]]]):
+        self.groups = groups
+        self.points = points = [p for group, _ in groups for p in group]
+        self.relations = len(points) - s_dim(d, arr.dim) + s_dim(d - arr.n, arr.dim)
+        if self.relations < 0:
+            raise IdentityViolated(f"{len(points)} points leave {self.relations} relations between the point values at degree {d}, expected at least 0")
+        if len(set(map(primitive_int_vector, points))) < len(points):
+            raise IdentityViolated(f"the sample repeats a point at degree {d}")
+        self.values = [_values(h.normal, points) for h in arr]
+        need = s_dim(d, arr.dim - 1)
+        for h, at in zip(arr, self.values):
+            if at.count(0) < need:
+                raise IdentityViolated(f"the plane {h.text()} holds {at.count(0)} of the sample's points at degree {d}, fewer than {need}")
 
 
 def _projective_pairs() -> Iterator[tuple[int, int]]:
@@ -414,24 +434,24 @@ def saito_check(ops: Sequence[DiffOp | FactoredOp], arr: Arrangement) -> SaitoCe
        of them (``ZeroDet``).
     2. Every row of M is homogeneous (``NotPurePower``).  A factored
        operator's degree is its factor count (``FactoredOp.degree()``).
-    3. Every operator is a member at every H, by ``_Planes.violation``
-       (``NotMember`` names the first failing plane in input order, and the
-       first failing b at the first of its points where one fails).  Where
-       alpha_H = x1, theta(x1 * x^b) = (b+e1)! f_(b+e1), so
-       membership at H says x1 divides the s_dim(m-1, l) columns f_a with
-       a_1 >= 1.  A linear change of coordinates multiplies M by a constant
-       invertible matrix, so alpha_H^t divides det M; the alpha_H are
-       pairwise coprime, so Q^t does.
-       The core's row, as primitive integers, is tested at its own
-       degree at the planes of ``arr`` whose normal is not a cofactor form
-       (both primitive, first nonzero entry positive: the planes with
-       alpha_H not dividing P).  If alpha_H divides P, theta(alpha_H f) =
-       P * theta'(alpha_H f) is in alpha_H * S.  If not, S is a UFD and
-       alpha_H is prime, so alpha_H divides P * theta'(alpha_H f) exactly
-       when it divides theta'(alpha_H f): theta is a member at H exactly
-       when theta' is.  The planes come from ``arr`` and the forms from the
-       operator itself, so a plane missing from P is tested.  Only a plain
-       ``DiffOp``'s content is taken: a normalized core has content 1.
+    3. Every operator is a member at every H, by ``_Planes.violation`` at the
+       points of the sample's checked record (``_Degree``).  ``NotMember``
+       names the first failing plane in input order, and the first failing b
+       at the first of its points where one fails.  Where alpha_H = x1,
+       theta(x1 * x^b) = (b+e1)! f_(b+e1), so membership at H says x1 divides
+       the s_dim(m-1, l) columns f_a with a_1 >= 1.  A linear change of
+       coordinates multiplies M by a constant invertible matrix, so alpha_H^t
+       divides det M; the alpha_H are pairwise coprime, so Q^t does.  The
+       core's row, as primitive integers, is tested at its own degree at the
+       planes of ``arr`` whose normal is not a cofactor form (both primitive,
+       first nonzero entry positive: the planes with alpha_H not dividing P).
+       If alpha_H divides P, theta(alpha_H f) = P * theta'(alpha_H f) is in
+       alpha_H * S.  If not, S is a UFD and alpha_H is prime, so alpha_H
+       divides P * theta'(alpha_H f) exactly when it divides
+       theta'(alpha_H f): theta is a member at H exactly when theta' is.  The
+       planes come from ``arr`` and the forms from the operator itself, so a
+       plane missing from P is tested.  Only a plain ``DiffOp``'s content is
+       taken: a normalized core has content 1.
     4. The row degree sum, deg det M, is at most n * t (``NotPurePower``).  A
        smaller sum forces det M = 0, which step 5 reports.
     5. So det M = c * Q^t with c constant, and c = det M(p) / Q(p)^t at the
@@ -575,27 +595,19 @@ def _oracle(arr: Arrangement, m: int, degrees: list[int], sample: _Planes | None
 
 
 def _oracle_at(sample: _Planes, d: int) -> int:
-    """Dimension at degree d from the sample's points, grouped by kernel.
-
-    Every hyperplane holds s_dim(d, l-1) distinct points, so a degree-d form
-    vanishing at all of them vanishes on every hyperplane: evaluation has
-    kernel Q * S_(d-n) (the free part) and rank s_dim(d) - s_dim(d-n), and
-    the etas, the relations between point values, number the points minus
-    that rank.  A negative count raises ``IdentityViolated``.  The premise
-    is checked at every degree: no point repeats, and each plane holds
-    enough of them.  A full evaluation rank does not show it, since a plane
-    short of points can leave the rank to the others.  At a count of 0 no
-    eta is computed.  Otherwise ``_etas`` peels the planes in input order.
+    """Dimension at degree d from the sample's checked record (``_Degree``),
+    its points grouped by kernel.  Where the record counts no relation
+    between the point values (the etas), none is computed.  Otherwise
+    ``_etas`` peels the planes in input order.
     Let P_i be the points off H_0..H_(i-1), in sample order, and e = d - i:
 
-    - At each plane H_i with e >= 0, the points ``on`` of P_i on H_i must
-      number at least need = s_dim(e, l-1), or ``IdentityViolated`` names
-      the plane and d.  The first need of them are the base.  The
-      Lagrange weights L_q of the degree-e forms in the coordinates other
-      than the first c with alpha_c != 0 interpolate at the base: for
-      l = 3, L_q(t) = prod_(q' != q) [t, q'] / [q, q'] (``_lagrange``),
-      with [.,.] the 2x2 bracket of the two kept coordinates; for l = 2,
-      L_q(t) = (t_a / q_a)^e.
+    - At each plane H_i with e >= 0, the points ``on`` of P_i on H_i
+      number at least need = s_dim(e, l-1) (``_etas``), and the first need
+      of them are the base.  The Lagrange weights L_q of the degree-e forms
+      in the coordinates other than the first c with alpha_c != 0
+      interpolate at the base: for l = 3, L_q(t) = prod_(q' != q) [t, q'] /
+      [q, q'] (``_lagrange``), with [.,.] the 2x2 bracket of the two kept
+      coordinates; for l = 2, L_q(t) = (t_a / q_a)^e.
     - A relation rho of P_(i+1) at degree e - 1 lifts to eta_p =
       rho_p / alpha_i(p) off H_i, eta_q = -sum_p eta_p L_q(p) at each base
       point q and 0 at the rest of ``on``.  Each further point t of ``on``
@@ -630,31 +642,17 @@ def _oracle_at(sample: _Planes, d: int) -> int:
     so the Kronecker rows, and with them the rank's pivots and work, are
     those of that global solve.
     """
-    arr, l, m = sample.arr, sample.l, sample.m
-    groups = sample.points(d)
-    points = [p for group, _ in groups for p in group]
-    relations = len(points) - s_dim(d, l) + s_dim(d - arr.n, l)
-    if relations < 0:
-        raise IdentityViolated(f"{len(points)} points leave {relations} relations between the point values at degree {d}, expected at least 0")
-    if len(set(points)) < len(points):
-        raise IdentityViolated(f"the sample repeats a point at degree {d}")
-    # each plane's form at each point, for the point count and the peel
-    values = [_values(h.normal, points) for h in arr]
-    need = s_dim(d, l - 1)
-    for h, at in zip(arr, values):
-        on = at.count(0)
-        if on < need:
-            raise IdentityViolated(f"the plane {h.text()} holds {on} of the sample's points at degree {d}, fewer than {need}")
+    arr, l, m, record = sample.arr, sample.l, sample.m, sample.points(d)
     free_part = s_dim(m, l) * s_dim(d - arr.n, l)
     # dim K_H and dim K_X, proven in ``_oracle``
     plane_dim = s_dim(m, l - 1)
-    unknowns = sum(len(group) * (plane_dim if len(planes) == 1 else 1) for group, planes in groups)
-    if not relations:
+    unknowns = sum(len(group) * (plane_dim if len(planes) == 1 else 1) for group, planes in record.groups)
+    if not record.relations:
         return free_part + unknowns
 
-    etas = _etas(arr, points, d, values)
-    if len(etas) != relations:
-        raise IdentityViolated(f"{len(etas)} relations between the point values at degree {d}, expected {relations}")
+    etas = _etas(arr, record.points, d, record.values)
+    if len(etas) != record.relations:
+        raise IdentityViolated(f"{len(etas)} relations between the point values at degree {d}, expected {record.relations}")
 
     # The rows of a group are (eta weights at a point of it) (x) (a vector of
     # its kernel); an echelon basis of its weight block spans the same rows,
@@ -662,7 +660,7 @@ def _oracle_at(sample: _Planes, d: int) -> int:
     # all zero adds no row and reads no kernel.
     rows: list[list[int]] = []
     weights, start = list(zip(*etas)), 0
-    for group, planes in groups:
+    for group, planes in record.groups:
         block = weights[start : start + len(group)]
         start += len(group)
         if len(block) > 1:
@@ -676,7 +674,10 @@ def _etas(arr: Arrangement, points: list[tuple[int, ...]], d: int, values: list[
     """The relations between the values of the degree-d forms at ``points``,
     peeled plane by plane in input order (construction and proof in
     ``_oracle_at``): primitive, first nonzero entry positive, sorted by
-    their free points.  ``values`` holds each plane's form at each point."""
+    their free points.  ``values`` holds each plane's form at each point.
+    On a checked record (``_Degree``) each level's count holds: an earlier
+    plane meets H_i in one projective point (none for l = 2), so at least
+    d + 1 - i = s_dim(e, 2) of H_i's points are left (H_i's one, l = 2)."""
     l, size = arr.dim, len(points)
     alive, levels = list(range(size)), []
     for i, (h, at) in enumerate(zip(arr, values)):

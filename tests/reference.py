@@ -258,14 +258,14 @@ def eager_oracle_dims(arr: Arrangement, m: int, d_max: int) -> list[int]:
     kernels = every_kernel(sample)
     dims = []
     for d in range(d_max + 1):
-        groups = sample.points(d)
-        etas = global_etas([p for points, _ in groups for p in points], l, d)
+        record = sample.points(d)
+        etas = global_etas(record.points, l, d)
         rows, start = [], 0
-        for points, planes in groups:
+        for points, planes in record.groups:
             block = [[eta[k] for eta in etas] for k in range(start, start + len(points))]
             start += len(points)
             rows += [[wq * wa for wq in e for wa in w] for e in echelon_int(block)[0] for w in kernels[planes]]
-        unknowns = sum(len(points) * len(kernels[planes]) for points, planes in groups)
+        unknowns = sum(len(points) * len(kernels[planes]) for points, planes in record.groups)
         dims.append(s_dim(m, l) * s_dim(d - arr.n, l) + unknowns - rank_int(rows))
     return dims
 

@@ -19,6 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd
+from operator import mul
 
 import pytest
 
@@ -548,9 +549,11 @@ def test_oracle_matches_direct_on_small_arrangements(arr, m):
     assert oracle_dims(arr, m, 3) == [oracle_dim_direct(arr, m, d) for d in range(4)]
 
 
+two_arrangements = st.lists(normals(2), min_size=1, max_size=6, unique=True).map(lambda lines: Arrangement(2, [Hyperplane(v) for v in lines]))
+
 kernel_arrangements = st.one_of(
     st.tuples(st.integers(0, 2**16), st.integers(3, 6)).map(lambda t: random_essential(random.Random(t[0]), t[1])),
-    st.lists(normals(2), min_size=1, max_size=6, unique=True).map(lambda lines: Arrangement(2, [Hyperplane(v) for v in lines])),
+    two_arrangements,
 )
 
 with_multiple_points = st.one_of(
@@ -558,6 +561,23 @@ with_multiple_points = st.one_of(
     # a quadruple point, and braid's four triple points
     st.sampled_from(["x1; x2; x1 - x2; x1 + x2; x3", "x1; x2; x3; x1 - x2; x1 - x3; x2 - x3"]).map(parse_arrangement),
 )
+
+
+@given(st.data())
+def test_group_planes_are_the_planes_vanishing_at_its_points(random_family, data):
+    # the oracle picks each group's kernel by its tuple of planes, and the
+    # membership test reads each plane's points off the zeros of its form in
+    # the sample's record: at every degree the two name the same planes
+    arr = data.draw(st.one_of(st.sampled_from(random_family), two_arrangements))
+    sample = _Planes(arr, 1)
+    for d in range(arr.n + 3):
+        record = sample.points(d)
+        assert record.values == [[sum(map(mul, h.normal, p)) for p in record.points] for h in arr]
+        k = 0
+        for points, planes in record.groups:
+            for _ in points:
+                assert tuple(i for i, at in enumerate(record.values) if not at[k]) == planes, (arr.text(), d)
+                k += 1
 
 
 @given(kernel_arrangements, st.integers(1, 6))

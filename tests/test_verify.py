@@ -7,7 +7,7 @@ import pytest
 from conftest import random_essential
 from reference import euler_op, global_etas, mul_poly, oracle_dim_direct, partial_op, saito_matrix
 
-from arrops import freebasis, verify
+from arrops import cli, freebasis, verify
 from arrops.arrangement import Arrangement, Hyperplane, parse_arrangement
 from arrops.diffop import DiffOp, FactoredOp
 from arrops.errors import DimensionMismatch, IdentityViolated, NotMember, NotPurePower, ZeroDet
@@ -338,7 +338,7 @@ def test_flat_kernel_is_the_line_of_delta_power(monkeypatch):
 
     def grouped(sample, d):
         # each group of points with the kernel its unknowns range over
-        kernels.append([(points, sample.kernel(planes)) for points, planes in sample.points(d)])
+        kernels.append([(points, sample.kernel(planes)) for points, planes in sample.points(d).groups])
         return at(sample, d)
 
     monkeypatch.setattr(verify, "_oracle_at", grouped)
@@ -430,10 +430,10 @@ def test_oracle_builds_the_kernels_of_groups_with_eta_weights(quad_arr, monkeypa
     dims = oracle_dims(quad_arr, 2, 6, sample)
     carriers = set()
     for d in range(7):
-        groups = sample.points(d)
-        etas = global_etas([p for points, _ in groups for p in points], 3, d)
+        record = sample.points(d)
+        etas = global_etas(record.points, 3, d)
         start = 0
-        for points, planes in groups:
+        for points, planes in record.groups:
             if any(eta[k] for eta in etas for k in range(start, start + len(points))):
                 carriers.add(planes)
             start += len(points)
@@ -465,15 +465,15 @@ def test_wrong_plane_kernel_that_enters_a_rank_raises(quad_arr):
 
 
 def drop_last_point(monkeypatch):
-    """Make the sample leave out the last point of its last group."""
-    sample = verify._Planes.points
+    """Make the sample's record at each degree leave out the last point of
+    its last group, before the record's checks."""
+    record = verify._Degree.__init__
 
-    def short(self, d):
-        groups = sample(self, d)
+    def short(self, arr, d, groups):
         points, planes = groups[-1]
-        return groups[:-1] + [(points[:-1], planes)]
+        record(self, arr, d, groups[:-1] + [(points[:-1], planes)])
 
-    monkeypatch.setattr(verify._Planes, "points", short)
+    monkeypatch.setattr(verify._Degree, "__init__", short)
 
 
 def test_too_few_points_on_a_plane_raises(generic4_arr, monkeypatch):
@@ -491,7 +491,7 @@ def test_a_point_short_of_the_last_relation_raises(quad_arr, monkeypatch):
     # the oracle takes the no-eta shortcut, and its point count must see the
     # plane left with four of the five points a quartic needs
     intact = verify._Planes(quad_arr, 2).points(4)
-    assert len([p for points, _ in intact for p in points]) - s_dim(4, 3) + s_dim(0, 3) == 1
+    assert len(intact.points) - s_dim(4, 3) + s_dim(0, 3) == intact.relations == 1
     drop_last_point(monkeypatch)
     with pytest.raises(IdentityViolated, match="the plane x1 - x2 holds 4 of the sample's points at degree 4, fewer than 5"):
         oracle_dim(quad_arr, 2, 4)
@@ -565,9 +565,9 @@ def test_peeled_etas_equal_the_global_elimination(random_family, quad_arr, gener
     for arr in arrs:
         sample = verify._Planes(arr, 1)
         for d in range(arr.n + 4):
-            points = [p for group, _ in sample.points(d) for p in group]
-            etas = verify._etas(arr, points, d, [verify._values(h.normal, points) for h in arr])
-            assert etas == global_etas(points, arr.dim, d), (arr.text(), d)
+            record = sample.points(d)
+            etas = verify._etas(arr, record.points, d, record.values)
+            assert etas == global_etas(record.points, arr.dim, d), (arr.text(), d)
             solves += bool(etas)
     assert solves > 150
 
@@ -590,9 +590,9 @@ def test_2d_etas_take_one_lagrange_construction(monkeypatch):
         sample = verify._Planes(arr, 2)
         solves = 0
         for d in range(n + 2):
-            points = [p for group, _ in sample.points(d) for p in group]
+            record = sample.points(d)
             calls.clear()
-            etas = verify._etas(arr, points, d, [verify._values(h.normal, points) for h in arr])
+            etas = verify._etas(arr, record.points, d, record.values)
             if etas:
                 assert calls == [(0, 1)], (n, d)
                 solves += 1
@@ -604,7 +604,7 @@ def test_a_plane_short_at_its_peel_level_raises():
     # off x1, one fewer than the cubics on it need, while the four triple
     # points leave relations between the point values
     braid = parse_arrangement("x1; x2; x3; x1 - x2; x1 - x3; x2 - x3")
-    points = [p for group, _ in verify._Planes(braid, 2).points(4) for p in group if p != (1, 0, 2)]
+    points = [p for p in verify._Planes(braid, 2).points(4).points if p != (1, 0, 2)]
     assert len(points) - s_dim(4, 3) == 3
     with pytest.raises(IdentityViolated, match="the plane x2 holds 3 of the sample's points off the planes before it at degree 4, fewer than 4"):
         verify._etas(braid, points, 4, [verify._values(h.normal, points) for h in braid])
@@ -620,6 +620,53 @@ def test_a_short_plane_with_relations_left_raises(monkeypatch):
     drop_last_point(monkeypatch)
     with pytest.raises(IdentityViolated, match="the plane x2 - x3 holds 3 of the sample's points at degree 3, fewer than 4"):
         oracle_dim(braid, 2, 3)
+
+
+BRAID = "x1; x2; x3; x1 - x2; x1 - x3; x2 - x3"
+
+
+def test_certificate_checks_its_sample(capsys, monkeypatch):
+    # operator 2 of braid's m = 4 basis swapped for a non-member: its core
+    # is a constant, tested at degree 0 only at x2 - x3, whose one point is
+    # the last group's.  The intact sample finds the non-member; without
+    # that point the membership test would test nothing at x2 - x3, and the
+    # record's point count refuses the sample instead
+    braid = parse_arrangement(BRAID)
+    ops = list(build_basis(braid, 4).factored)
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    ops[2] = FactoredOp(3, 4, [h.normal for h in braid.hyperplanes[:5]], [(1, (), [e1, e1, e2, e3])])
+    with pytest.raises(NotMember, match="^operator 2 is not a member at x2 - x3: "):
+        saito_check(ops, braid)
+    drop_last_point(monkeypatch)
+    with pytest.raises(IdentityViolated, match="^the plane x2 - x3 holds 0 of the sample's points at degree 0, fewer than 1$"):
+        saito_check(ops, braid)
+    assert cli.main(["basis", "--m", "4", *BRAID.replace(" ", "").split(";")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("verification failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", [2, -1])
+def test_a_point_repeated_up_to_scale_raises(scale, monkeypatch):
+    # each plane's second own point a multiple of its first: the two are
+    # one projective point, so a plane needing both holds one point too few.
+    # The oracle's Lagrange brackets would divide by zero, and the
+    # certificate would rest on the short plane; the sample refuses first
+    fill = verify._Planes._fill
+
+    def repeated(self, i):
+        points = fill(self, i)
+        first = next(points)
+        yield from (first, tuple(scale * x for x in first))
+        yield from points
+
+    monkeypatch.setattr(verify._Planes, "_fill", repeated)
+    # braid's planes take their second own point at d = 4, quad's at d = 3
+    for text, d in ((BRAID, 4), ("x1; x2; x3; x1 - x2", 3)):
+        with pytest.raises(IdentityViolated, match=f"^the sample repeats a point at degree {d}$"):
+            oracle_dim(parse_arrangement(text), 2, d)
+    # the planes of a pencil take theirs at d = 2, which the certificate reads
+    with pytest.raises(IdentityViolated, match="^the sample repeats a point at degree 2$"):
+        build_basis(parse_arrangement("x1; x2; x1 - x2", dim=3), 2)
 
 
 def test_oracle_dims_at_high_degree_are_pinned():
